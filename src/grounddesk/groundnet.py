@@ -32,6 +32,7 @@ PARAM_BLOCKS = {
     "language": ("text.embeddings",),
     "fusion": ("mix.global", "mix.self", "mix.prev", "text.positions", "logit_scale"),
 }
+PARAM_NAMES = frozenset(name for block in PARAM_BLOCKS.values() for name in block)
 
 
 class NumericError(RuntimeError):
@@ -56,8 +57,9 @@ class Vocabulary:
         return cached
 
     def ids(self, tokens) -> np.ndarray:
-        unk = self.index[UNK]
-        return np.asarray([self.index.get(t, unk) for t in tokens], dtype=np.int64)
+        index = self.index
+        get, unk = index.get, index[UNK]
+        return np.asarray([get(t, unk) for t in tokens], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -95,15 +97,6 @@ class GroundingModel:
             out.update(PARAM_BLOCKS["fusion"])
         return out
 
-    def clone(self) -> "GroundingModel":
-        other = GroundingModel.__new__(GroundingModel)
-        other.vocabulary = self.vocabulary
-        other.d_in = self.d_in
-        other.d_model = self.d_model
-        other.max_positions = self.max_positions
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
 
 @dataclass
 class AlignmentScores:
@@ -127,12 +120,11 @@ class LossReport:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows;
+    its underflow to 0 far from the origin is exact in both branches."""
+    with np.errstate(under="ignore"):
+        ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _segments(query: Query):
@@ -154,32 +146,54 @@ def _segments(query: Query):
     return seg, within
 
 
-def forward(model: GroundingModel, region_features, query: Query) -> AlignmentScores:
-    """Alignment logits S = encoded regions x encoded tokens^T x logit_scale."""
+def compile_query(model: GroundingModel, query: Query) -> np.ndarray:
+    """The per-token indices forward() needs, as one 3 x M int32 array: token
+    ids in the model's vocabulary, within-caption positions clipped to the
+    model's last position, and segment ids."""
+    seg_ids, within = _segments(query)
+    return np.array([model.vocabulary.ids(query.tokens),
+                     np.minimum(within, model.max_positions - 1), seg_ids], dtype=np.int32)
+
+
+def _scatter_rows(flat_ids: np.ndarray, rows: np.ndarray, n_rows: int = 0) -> np.ndarray:
+    """out[i] = sum of rows[k] with ids[k] == i, added in k order from zero,
+    i.e. np.add.at; flat_ids holds ids[k] * width + column for every entry."""
+    width = rows.shape[1]
+    return np.bincount(flat_ids, weights=rows.ravel(), minlength=n_rows * width).reshape(-1, width)
+
+
+def forward(model: GroundingModel, region_features,
+            query: Query | np.ndarray) -> AlignmentScores:
+    """Alignment logits S = encoded regions x encoded tokens^T x logit_scale.
+
+    `query` is a Query or its compile_query() form for this model."""
     x = getattr(region_features, "features", region_features)
     x = np.asarray(x, dtype=float)
     if x.shape[1] != model.d_in:
         raise ValueError(f"feature width {x.shape[1]} does not match model d_in {model.d_in}")
+    if isinstance(query, Query):
+        query = compile_query(model, query)
     p = model.params
+    d = model.d_model
     o = x @ p["visual.weight"] + p["visual.bias"]
-    tok_ids = model.vocabulary.ids(query.tokens)
-    seg_ids, within = _segments(query)
-    pos_ids = np.minimum(within, model.max_positions - 1)
+    tok_ids, pos_ids, seg_ids = query
+    # Entry (k, j) of id row r scatters to flat slot ids[r, k] * d + j.
+    flat_ids = (query[:, :, None] * d + np.arange(d, dtype=query.dtype)).reshape(3, -1)
     e = p["text.embeddings"][tok_ids]
     c = e + p["text.positions"][pos_ids]
-    n_seg = int(seg_ids.max()) + 1 if len(seg_ids) else 0
-    seg_sum = np.zeros((n_seg, model.d_model))
-    np.add.at(seg_sum, seg_ids, c)
-    seg_count = np.bincount(seg_ids, minlength=n_seg).astype(float)
+    seg_sum = _scatter_rows(flat_ids[2], c)
+    seg_count = np.bincount(seg_ids).astype(float)
     seg_mean = seg_sum / seg_count[:, None]
     mean_rows = seg_mean[seg_ids]
-    c_prev = np.vstack([np.zeros((1, model.d_model)), c[:-1]])
+    c_prev = np.empty_like(c)
+    c_prev[:1] = 0.0
+    c_prev[1:] = c[:-1]
     h = e + mean_rows @ p["mix.global"].T + c @ p["mix.self"].T + c_prev @ p["mix.prev"].T
     scale = p["logit_scale"][0, 0]
     logits_raw = o @ h.T
     cache = {"X": x, "O": o, "E": e, "C": c, "Cprev": c_prev, "mean_rows": mean_rows,
-             "seg_ids": seg_ids, "seg_count": seg_count, "H": h,
-             "tok_ids": tok_ids, "pos_ids": pos_ids, "A": logits_raw}
+             "seg_ids": seg_ids, "seg_count": seg_count, "H": h, "flat_ids": flat_ids,
+             "A": logits_raw}
     return AlignmentScores(S=scale * logits_raw, cache=cache)
 
 
@@ -210,10 +224,10 @@ def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
     d_o = d_raw @ cache["H"]
     d_h = d_raw.T @ cache["O"]
     seg_ids, seg_count = cache["seg_ids"], cache["seg_count"]
+    tok_flat, pos_flat, seg_flat = cache["flat_ids"]
 
     d_mean_rows = d_h @ p["mix.global"]
-    d_seg = np.zeros((len(seg_count), d_mean_rows.shape[1]))
-    np.add.at(d_seg, seg_ids, d_mean_rows)
+    d_seg = _scatter_rows(seg_flat, d_mean_rows)
     d_c = d_h @ p["mix.self"]
     d_c[:-1] += (d_h @ p["mix.prev"])[1:]
     d_c += (d_seg / seg_count[:, None])[seg_ids]
@@ -226,11 +240,9 @@ def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
         "mix.global": d_h.T @ cache["mean_rows"],
         "mix.self": d_h.T @ cache["C"],
         "mix.prev": d_h.T @ cache["Cprev"],
-        "text.embeddings": np.zeros_like(p["text.embeddings"]),
-        "text.positions": np.zeros_like(p["text.positions"]),
+        "text.embeddings": _scatter_rows(tok_flat, d_e, len(p["text.embeddings"])),
+        "text.positions": _scatter_rows(pos_flat, d_c, len(p["text.positions"])),
     }
-    np.add.at(grads["text.embeddings"], cache["tok_ids"], d_e)
-    np.add.at(grads["text.positions"], cache["pos_ids"], d_c)
     return LossReport(grounding_loss=loss), grads
 
 
@@ -283,6 +295,9 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
     history = []
     n_source = len(det) if ratio >= 1.0 else len(trip)
     n_batches = max(1, math.ceil(n_source / config.batch_size))
+    # Each example's token indices, compiled once; parallel to its corpus.
+    compiled = {"trip": [compile_query(model, ex.query) for ex in trip],
+                "det": [compile_query(model, ex.query) for ex in det]}
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng(derive_seed(config.seed, "train-epoch", epoch))
@@ -298,21 +313,22 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
                 if cursors[key] >= len(orders[key]):
                     orders[key] = list(rng.permutation(len(source)))
                     cursors[key] = 0
-                batch.append(source[int(orders[key][cursors[key]])])
+                batch.append(int(orders[key][cursors[key]]))
                 cursors[key] += 1
             grad_sum: dict[str, np.ndarray] = {}
             loss_sum = 0.0
-            for ex in batch:
-                scores = forward(model, ex.features, ex.query)
+            for i in batch:
+                ex = source[i]
+                scores = forward(model, ex.features, compiled[key][i])
                 report, grads = loss_and_grad(model, scores, ex.target)
                 if not np.isfinite(report.total):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 loss_sum += report.grounding_loss
+                if not grad_sum:
+                    grad_sum = grads  # fresh arrays, safe to accumulate into
+                    continue
                 for name, grad in grads.items():
-                    if name in grad_sum:
-                        grad_sum[name] += grad
-                    else:
-                        grad_sum[name] = grad.copy()
+                    grad_sum[name] += grad
             inv = 1.0 / len(batch)
             for name, grad in grad_sum.items():
                 if name in frozen:
@@ -412,32 +428,60 @@ def save_checkpoint(model: GroundingModel, path) -> None:
 
 
 def load_checkpoint(path, vocabulary: Vocabulary) -> GroundingModel:
-    blocks: dict[str, np.ndarray] = {}
+    """Read a save_checkpoint() file, checking that it holds exactly the
+    PARAM_BLOCKS blocks, each complete and of a shape that agrees with the
+    others and with the vocabulary. Raises ValueError naming the file."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            blocks[name] = data.reshape(rows, cols).copy()
-    missing = set(PARAM_BLOCKS["visual"]) - set(blocks)
+        raw = fh.read()
+    end = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal end
+        if len(raw) - end < n:
+            raise ValueError(f"{path}: truncated checkpoint: {what} needs {n} bytes, "
+                             f"{len(raw) - end} left")
+        end += n
+        return raw[end - n:end]
+
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint")
+    end = 4
+    (version,) = struct.unpack("<H", take(2, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    blocks: dict[str, np.ndarray] = {}
+    while end < len(raw):
+        (name_len,) = struct.unpack("<I", take(4, "block header"))
+        try:
+            name = take(name_len, "block name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: block name is not UTF-8") from exc
+        if name not in PARAM_NAMES:
+            raise ValueError(f"{path}: unexpected parameter block {name!r}")
+        if name in blocks:
+            raise ValueError(f"{path}: repeated parameter block {name!r}")
+        rows, cols = struct.unpack("<II", take(8, f"{name} shape"))
+        data = take(rows * cols * 8, f"{name} data")
+        blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    missing = PARAM_NAMES - set(blocks)
     if missing:
         raise ValueError(f"{path}: missing parameter blocks {sorted(missing)}")
     if blocks["text.embeddings"].shape[0] != len(vocabulary):
         raise ValueError(f"{path}: embeddings cover {blocks['text.embeddings'].shape[0]} "
                          f"tokens but the vocabulary has {len(vocabulary)}")
+    d_in, d_model = blocks["visual.weight"].shape
+    expected = {"visual.bias": (1, d_model), "text.embeddings": (len(vocabulary), d_model),
+                "text.positions": (blocks["text.positions"].shape[0], d_model),
+                "mix.global": (d_model, d_model), "mix.self": (d_model, d_model),
+                "mix.prev": (d_model, d_model), "logit_scale": (1, 1)}
+    for name, shape in expected.items():
+        if blocks[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {blocks[name].shape}, "
+                             f"expected {shape} for d_model {d_model}")
     model = GroundingModel.__new__(GroundingModel)
     model.vocabulary = vocabulary
-    model.d_in = blocks["visual.weight"].shape[0]
-    model.d_model = blocks["visual.weight"].shape[1]
+    model.d_in = d_in
+    model.d_model = d_model
     model.max_positions = blocks["text.positions"].shape[0]
     model.params = blocks
     return model

@@ -4,8 +4,9 @@ import pytest
 from grounddesk import groundnet, pipeline, targets
 from grounddesk.groundnet import (GroundingDetector, GroundingModel, NumericError,
                                   TrainConfig, TrainExample, Vocabulary, alignment_loss,
-                                  forward, load_checkpoint, load_history, loss_and_grad,
-                                  predict, save_checkpoint, save_history, sigmoid, train)
+                                  compile_query, forward, load_checkpoint, load_history,
+                                  loss_and_grad, predict, save_checkpoint, save_history,
+                                  sigmoid, train)
 from grounddesk.targets import AlignmentTarget, CaptionItem, Query
 
 WORDS = ["a", "an", "the", "green", "red", "ripe", "avocado", "cutting", "board",
@@ -281,3 +282,198 @@ def test_sigmoid_stability():
     x = np.array([-800.0, 0.0, 800.0])
     s = sigmoid(x)
     assert s[0] == 0.0 and s[1] == 0.5 and s[2] == 1.0
+
+
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([[0.0, -0.0, 1e3, -1e3, 40.0, -40.0],
+                        rng.normal(0, 5, 500), rng.normal(0, 300, 500)])
+    with np.errstate(all="raise"):
+        got = sigmoid(x)
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    with np.errstate(under="ignore"):
+        ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    assert got.tobytes() == expected.tobytes()
+    assert got[0] == got[1] == 0.5
+
+
+def _reference_step(model, feats, query, target):
+    """forward + loss_and_grad as a plain np.add.at scatter computes them."""
+    p, d = model.params, model.d_model
+    o = feats @ p["visual.weight"] + p["visual.bias"]
+    tok = model.vocabulary.ids(query.tokens)
+    seg, within = groundnet._segments(query)
+    pos = np.minimum(within, model.max_positions - 1)
+    e = p["text.embeddings"][tok]
+    c = e + p["text.positions"][pos]
+    n_seg = int(seg.max()) + 1
+    seg_sum = np.zeros((n_seg, d))
+    np.add.at(seg_sum, seg, c)
+    count = np.bincount(seg, minlength=n_seg).astype(float)
+    mean_rows = (seg_sum / count[:, None])[seg]
+    c_prev = np.vstack([np.zeros((1, d)), c[:-1]])
+    h = e + mean_rows @ p["mix.global"].T + c @ p["mix.self"].T + c_prev @ p["mix.prev"].T
+    a = o @ h.T
+    s = p["logit_scale"][0, 0] * a
+    mask, t = target.loss_mask, target.matrix
+    g = mask * (sigmoid(s) - t) / mask.sum()
+    d_raw = p["logit_scale"][0, 0] * g
+    d_o, d_h = d_raw @ h, d_raw.T @ o
+    d_seg = np.zeros((n_seg, d))
+    np.add.at(d_seg, seg, d_h @ p["mix.global"])
+    d_c = d_h @ p["mix.self"]
+    d_c[:-1] += (d_h @ p["mix.prev"])[1:]
+    d_c += (d_seg / count[:, None])[seg]
+    grads = {"logit_scale": np.array([[float((g * a).sum())]]),
+             "visual.weight": feats.T @ d_o, "visual.bias": d_o.sum(axis=0, keepdims=True),
+             "mix.global": d_h.T @ mean_rows, "mix.self": d_h.T @ c,
+             "mix.prev": d_h.T @ c_prev,
+             "text.embeddings": np.zeros_like(p["text.embeddings"]),
+             "text.positions": np.zeros_like(p["text.positions"])}
+    np.add.at(grads["text.embeddings"], tok, d_h + d_c)
+    np.add.at(grads["text.positions"], pos, d_c)
+    return s, grads
+
+
+def _randomized(model, seed):
+    rng = np.random.default_rng(seed)
+    for k in model.params:
+        model.params[k] = rng.normal(0, 0.5, model.params[k].shape)
+    return model
+
+
+def _bundle_examples(bundle, triplets):
+    trip = pipeline.build_training_examples(bundle, triplets[:12])
+    det = pipeline.build_detection_examples(bundle)[:12]
+    assert trip and det
+    return trip + det
+
+
+def _edge_queries():
+    """Repeated tokens, unknown tokens, one caption, and captions longer
+    than max_positions (16 in small_model)."""
+    long = tuple(WORDS[i % len(WORDS)] for i in range(23))
+    return [Query(items=(CaptionItem(("a", "a", "dog", "dog", "a"), "positive_description"),)),
+            Query(items=(CaptionItem(long, "positive_description"),
+                         CaptionItem(("zebra", "the", "zebra"), "intra_class_negative"),
+                         CaptionItem(long[:18], "structural_positive"))),
+            small_query()]
+
+
+def _assert_steps_equal(a, b):
+    (s_a, g_a), (s_b, g_b) = a, b
+    assert np.array_equal(s_a, s_b)
+    assert g_a.keys() == g_b.keys()
+    for name in g_a:
+        assert np.array_equal(g_a[name], g_b[name]), name
+
+
+def _step(model, feats, query, target):
+    scores = forward(model, feats, query)
+    return scores.S, loss_and_grad(model, scores, target)[1]
+
+
+def _assert_paths_agree(model, feats, query, target):
+    """A compiled query, the Query itself and the np.add.at reference all
+    give the same S and gradients, bit for bit."""
+    compiled = compile_query(model, query)
+    assert compiled.dtype == np.int32 and compiled.shape == (3, query.m)
+    reference = _reference_step(model, feats, query, target)
+    _assert_steps_equal(_step(model, feats, compiled, target), reference)
+    _assert_steps_equal(_step(model, feats, query, target), reference)
+
+
+def test_step_paths_agree_on_bundle_examples(default_bundle, default_triplets):
+    vocab = pipeline.build_vocabulary(default_bundle.pool)
+    model = _randomized(GroundingModel(vocab, d_in=64, d_model=32, seed=0), 1)
+    for ex in _bundle_examples(default_bundle, default_triplets):
+        _assert_paths_agree(model, ex.features, ex.query, ex.target)
+
+
+@pytest.mark.parametrize("d_model", [6, 12, 32])
+def test_step_paths_agree_on_edge_queries(d_model):
+    model = _randomized(small_model(d_model=d_model), 2)
+    rng = np.random.default_rng(3)
+    for query in _edge_queries():
+        feats = rng.normal(0, 1, (4, 12))
+        _assert_paths_agree(model, feats, query, AlignmentTarget(*random_target(rng, 4, query)))
+    assert compile_query(model, _edge_queries()[1])[1].max() == model.max_positions - 1
+
+
+@pytest.mark.parametrize("ratio", [0.25, 1.0])
+def test_train_calls_forward_and_loss_once_per_scheduled_example(monkeypatch, ratio):
+    calls = {"forward": 0, "loss_and_grad": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(groundnet, name, counted(name, getattr(groundnet, name)))
+    trip, det = tiny_examples(10), tiny_examples(6, seed=9)
+    config = TrainConfig(epochs=3, batch_size=4, detection_mix_ratio=ratio, seed=1)
+    train(small_model(), trip, det, config)
+    batches = -(-len(det if ratio == 1.0 else trip) // config.batch_size)
+    expected = config.epochs * batches * config.batch_size
+    assert calls == {"forward": expected, "loss_and_grad": expected}
+
+
+def _save_altered(tmp_path, **replace):
+    """A checkpoint of small_model() with some blocks replaced (None drops
+    a block); returns its path and the model's vocabulary."""
+    model = small_model()
+    for name, arr in replace.items():
+        if arr is None:
+            del model.params[name]
+        else:
+            model.params[name] = arr
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    return path, model.vocabulary
+
+
+@pytest.mark.parametrize("name", sorted(groundnet.PARAM_NAMES))
+def test_checkpoint_rejects_a_missing_block(tmp_path, name):
+    path, vocab = _save_altered(tmp_path, **{name: None})
+    with pytest.raises(ValueError, match=f"model.ckpt.*missing.*{name}"):
+        load_checkpoint(path, vocab)
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("visual.bias", (1, 5)), ("visual.bias", (2, 6)), ("text.positions", (16, 5)),
+    ("mix.global", (6, 5)), ("mix.prev", (5, 6)), ("mix.self", (7, 7)),
+    ("logit_scale", (1, 2)), ("text.embeddings", (len(WORDS) + 2, 5)),
+])
+def test_checkpoint_rejects_a_mismatched_shape(tmp_path, name, shape):
+    path, vocab = _save_altered(tmp_path, **{name: np.zeros(shape)})
+    with pytest.raises(ValueError, match=f"model.ckpt.*{name}"):
+        load_checkpoint(path, vocab)
+
+
+def test_checkpoint_rejects_unknown_and_repeated_blocks(tmp_path):
+    path, vocab = _save_altered(tmp_path, **{"mix.extra": np.zeros((6, 6))})
+    with pytest.raises(ValueError, match="model.ckpt.*mix.extra"):
+        load_checkpoint(path, vocab)
+    path, vocab = _save_altered(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + raw[6:])  # every block a second time
+    with pytest.raises(ValueError, match="model.ckpt.*repeated"):
+        load_checkpoint(path, vocab)
+
+
+def test_checkpoint_rejects_every_truncation(tmp_path):
+    model = small_model(d_model=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="model.ckpt"):
+            load_checkpoint(path, model.vocabulary)
+    path.write_bytes(raw)
+    load_checkpoint(path, model.vocabulary)
