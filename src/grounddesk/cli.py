@@ -1,27 +1,30 @@
-"""Pipeline orchestration: subcommands over a single JSON config with seeded
-determinism, per-stage manifests, and canned ablation experiments.
+"""The ``grounddesk`` command line: subcommands over a single JSON config with
+seeded determinism, per-stage manifests, and canned ablation experiments.
 
-Stages write their artifacts plus a manifest under the output directory;
-re-running a completed stage with unchanged config and inputs is a no-op, and
-re-running the whole pipeline with the same seed reproduces byte-identical
-artifact trees. Exit codes: 0 success, 2 config error, 3 missing artifact,
-4 numeric failure.
+A thin shell over :mod:`grounddesk.pipeline`, which builds every object: this
+module reads the config, reads and writes artifacts, and keeps one manifest
+per stage. Re-running a completed stage with unchanged config and inputs is a
+no-op; re-running the pipeline with the same seed, at any ``--workers``
+count, reproduces a byte-identical artifact tree. Exit codes: 0 success,
+2 config error (checked before any stage runs), 3 missing artifact, 4 numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import corpus, evalkit, labeling, langparse, pipeline, scenegen, storage, targets
 from .groundnet import (GroundingModel, NumericError, TrainConfig, TrainExample,
-                        Vocabulary, load_checkpoint, save_checkpoint, save_history, train)
+                        Vocabulary, load_checkpoint, load_history, save_checkpoint,
+                        save_history, train)
 from .seeding import derive_seed
 
 OUTPUT_ENV_VAR = "GROUNDDESK_OUT"
@@ -58,50 +61,28 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
-_SCHEMA = {
-    "pool": str,
-    "descriptions.num_descriptions": int,
-    "descriptions.target_length_words": int,
-    "images_per_description": int,
-    "distractors.confuser_prob": float,
-    "distractors.min_fillers": int,
-    "distractors.max_fillers": int,
-    "distractors.negation_confuser_prob": float,
-    "distractors.extra_attribute_weights": list,
-    "features.dim": int,
-    "features.background_boxes": int,
-    "features.noise_sigma": float,
-    "detector.gamma": float,
-    "detector.length_floor": int,
-    "detector.noise_scale": float,
-    "detector.seed": int,
-    "labeler.threshold_p": float,
-    "labeler.max_dets_per_phrase": int,
-    "labeler.strategy": str,
-    "targets.k_neg": int,
-    "targets.include_struct_pos": bool,
-    "targets.sentence_level_positive": bool,
-    "targets.structural_negative": bool,
-    "targets.sentence_positive_covers_nonsubject": bool,
-    "targets.absent_categories": int,
-    "train.epochs": int,
-    "train.learning_rate": float,
-    "train.momentum": float,
-    "train.batch_size": int,
-    "train.d_model": int,
-    "train.detection_mix_ratio": float,
-    "train.freeze.visual": bool,
-    "train.freeze.language": bool,
-    "train.freeze.fusion": bool,
-    "eval.benchmark_scenes": int,
-    "eval.fraction_negative": float,
-    "eval.nw_choices": list,
-    "eval.iou_threshold": float,
-    "eval.score_threshold": float,
-    "eval.aggregation": str,
-    "output_dir": str,
-    "seed": int,
-}
+
+def _leaves(node, prefix=""):
+    """(dotted path, value) for every non-dict value, in insertion order."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+# Every field takes the type of its default.
+_SCHEMA = {path: type(value) for path, value in _leaves(DEFAULT_CONFIG)}
+
+_RANGES = (
+    ("labeler.threshold_p", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("images_per_description", lambda v: v >= 1, "must be >= 1"),
+    ("descriptions.target_length_words", lambda v: v >= 3, "must be >= 3"),
+    ("train.epochs", lambda v: v >= 1, "must be >= 1"),
+    ("train.batch_size", lambda v: v >= 1, "must be >= 1"),
+    ("train.learning_rate", lambda v: v > 0, "must be > 0"),
+    ("train.detection_mix_ratio", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+)
 
 
 def _get(config, dotted):
@@ -120,33 +101,25 @@ def _set(config, dotted, value):
 
 
 def validate_config(config) -> None:
-    """Type-check every known field and reject unknown ones (dotted paths)."""
-    def walk(node, prefix):
-        for key, value in node.items():
-            path = f"{prefix}{key}"
-            if isinstance(value, dict):
-                walk(value, path + ".")
-            else:
-                if path not in _SCHEMA:
-                    raise ConfigError(f"unknown config field: {path}")
-                expected = _SCHEMA[path]
-                if expected is float and isinstance(value, int) and not isinstance(value, bool):
-                    continue
-                if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-                    raise ConfigError(f"config field {path}: expected {expected.__name__}, "
-                                      f"got {type(value).__name__}")
-    walk(config, "")
+    """Type-check every known field, reject unknown ones (dotted paths) and
+    check value ranges, so that a bad config fails before any stage runs."""
+    for path, value in _leaves(config):
+        if path not in _SCHEMA:
+            raise ConfigError(f"unknown config field: {path}")
+        expected = _SCHEMA[path]
+        if expected is float and isinstance(value, int) and not isinstance(value, bool):
+            continue
+        if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+            raise ConfigError(f"config field {path}: expected {expected.__name__}, "
+                              f"got {type(value).__name__}")
     for path in _SCHEMA:
         try:
             _get(config, path)
         except KeyError:
             raise ConfigError(f"missing config field: {path}") from None
-    if not 0.0 <= config["labeler"]["threshold_p"] <= 1.0:
-        raise ConfigError("config field labeler.threshold_p: must lie in [0, 1]")
-    if config["images_per_description"] < 1:
-        raise ConfigError("config field images_per_description: must be >= 1")
-    if config["descriptions"]["target_length_words"] < 3:
-        raise ConfigError("config field descriptions.target_length_words: must be >= 3")
+    for path, ok, rule in _RANGES:
+        if not ok(_get(config, path)):
+            raise ConfigError(f"config field {path}: {rule}")
 
 
 def load_config(path=None, overrides=(), output_dir=None) -> dict:
@@ -250,80 +223,41 @@ def _benchmark_config(config) -> scenegen.BenchmarkConfig:
         noise_sigma=f["noise_sigma"], distractors=_distractor_config(config))
 
 
-def fanout(fn, items, workers: int = 1, initializer=None, initargs=()):
+def _feature_config(config) -> pipeline.FeatureConfig:
+    f = config["features"]
+    return pipeline.FeatureConfig(dim=f["dim"], background_boxes=f["background_boxes"],
+                                  noise_sigma=f["noise_sigma"])
+
+
+def _benchmark(config, pool, lexicon):
+    """The eval benchmark, drawn under its own seed label."""
+    return scenegen.make_benchmark(
+        pool, corpus.DescriptionSpec(1, config["descriptions"]["target_length_words"],
+                                     seed=config["seed"]),
+        config["eval"]["benchmark_scenes"], derive_seed(config["seed"], "benchmark"),
+        config=_benchmark_config(config), lexicon=lexicon)
+
+
+def fanout(fn, items, workers: int = 1):
     """Order-preserving map; output does not depend on the worker count."""
     if workers <= 1:
-        if initializer:
-            initializer(*initargs)
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                             initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=8))
 
 
-_WORKER_CTX: dict = {}
+def _read_bundle(config, desc_path, scenes_path, features=None) -> pipeline.CorpusBundle:
+    """The corpus as the gen and scenes stages wrote it."""
+    pool, lexicon = _pool_and_lexicon(config)
+    return pipeline.CorpusBundle(pool=pool, lexicon=lexicon,
+                                 descriptions=corpus.read_descriptions(desc_path),
+                                 scenes=scenegen.read_scenes(scenes_path),
+                                 features=features or {})
 
 
-def _init_gen_worker(config):
-    _WORKER_CTX["config"] = config
-    _WORKER_CTX["pool"] = corpus.build_entity_pool(config["pool"])
-
-
-def _gen_one_category(cat_id: int):
-    config = _WORKER_CTX["config"]
-    cat = _WORKER_CTX["pool"][cat_id]
-    spec = corpus.DescriptionSpec(
-        config["descriptions"]["num_descriptions"],
-        config["descriptions"]["target_length_words"],
-        seed=derive_seed(config["seed"], "gen", cat.id))
-    return corpus.generate_descriptions(cat, spec)
-
-
-def _init_scene_worker(config):
-    _WORKER_CTX["config"] = config
-    pool = corpus.build_entity_pool(config["pool"])
-    _WORKER_CTX["pool"] = {c.id: c for c in pool}
-    _WORKER_CTX["lexicon"] = langparse.Lexicon.from_categories(pool)
-    _WORKER_CTX["distractors"] = _distractor_config(config)
-
-
-def _scenes_for_description(args):
-    desc_id, category_id, text, scene_id_base = args
-    config = _WORKER_CTX["config"]
-    tree = langparse.parse(text, _WORKER_CTX["lexicon"])
-    cat = _WORKER_CTX["pool"][category_id]
-    fc = config["features"]
-    out = []
-    for k in range(config["images_per_description"]):
-        scene_id = scene_id_base + k
-        scene = scenegen.synthesize_scene(
-            tree, cat, image_seed=derive_seed(config["seed"], "img", desc_id, k),
-            distractor_config=_WORKER_CTX["distractors"],
-            scene_id=scene_id, description_id=desc_id)
-        rf = scenegen.render_features(
-            scene, noise_seed=derive_seed(config["seed"], "feat", scene_id),
-            d=fc["dim"], b=fc["background_boxes"], sigma=fc["noise_sigma"])
-        out.append((scene, rf))
-    return out
-
-
-def _init_label_worker(config, descriptions_path):
-    _WORKER_CTX["config"] = config
-    pool = corpus.build_entity_pool(config["pool"])
-    _WORKER_CTX["lexicon"] = langparse.Lexicon.from_categories(pool)
-    _WORKER_CTX["detector"] = _detector(config)
-    _WORKER_CTX["descriptions"] = {d.id: d for d in corpus.read_descriptions(descriptions_path)}
-
-
-def _label_one_scene(scene_row):
-    config = _WORKER_CTX["config"]
-    scene = scenegen.scene_from_json(scene_row)
-    desc = _WORKER_CTX["descriptions"][scene.description_id]
-    labeler = (labeling.weak_to_strong_label if config["labeler"]["strategy"] == "weak_to_strong"
-               else labeling.grounding_label)
-    triplet = labeler(scene, desc.text, _WORKER_CTX["detector"], _labeler_config(config),
-                      lexicon=_WORKER_CTX["lexicon"])
-    return labeling.triplet_to_json(triplet)
+def _read_triplets(path) -> list[labeling.PseudoTriplet]:
+    with open(path, encoding="utf-8") as fh:
+        return [labeling.triplet_from_json(json.loads(line)) for line in fh]
 
 
 # stages -----------------------------------------------------------------
@@ -335,18 +269,13 @@ def cmd_gen(config, workers: int = 1) -> int:
         print("gen: up to date, skipping")
         return 0
     pool, _ = _pool_and_lexicon(config)
-    nd = config["descriptions"]["num_descriptions"]
-    per_cat = fanout(_gen_one_category, range(len(pool)), workers,
-                     initializer=_init_gen_worker, initargs=(config,))
-    descriptions = []
-    for descs in per_cat:
-        for d in descs:
-            descriptions.append(corpus.ObjectDescription(
-                id=len(descriptions), category_id=d.category_id, text=d.text,
-                seed=d.seed, provenance=d.provenance, generator_metadata=d.generator_metadata))
+    d = config["descriptions"]
+    descriptions = pipeline.build_description_corpus(
+        pool, d["num_descriptions"], d["target_length_words"], config["seed"],
+        map_fn=functools.partial(fanout, workers=workers))
     path = os.path.join(out, "descriptions.jsonl")
     corpus.write_descriptions(path, descriptions)
-    if nd == 0:
+    if d["num_descriptions"] == 0:
         print("warning: num_descriptions is 0, wrote an empty corpus")
     storage.write_manifest(out, "gen", slice_, {},
                            {"descriptions.jsonl": storage.sha256_file(path)})
@@ -363,23 +292,21 @@ def cmd_scenes(config, workers: int = 1) -> int:
     if storage.stage_is_current(out, "scenes", slice_, inputs):
         print("scenes: up to date, skipping")
         return 0
+    pool, lexicon = _pool_and_lexicon(config)
     descriptions = corpus.read_descriptions(desc_path)
     images = config["images_per_description"]
-    items = [(d.id, d.category_id, d.text, i * images) for i, d in enumerate(descriptions)]
-    results = fanout(_scenes_for_description, items, workers,
-                     initializer=_init_scene_worker, initargs=(config,))
-    feat_dir = os.path.join(out, "features")
-    os.makedirs(feat_dir, exist_ok=True)
-    scenes = []
+    scenes, features = pipeline.build_scene_corpus(
+        pool, descriptions, images, config["seed"], _distractor_config(config),
+        _feature_config(config), lexicon, map_fn=functools.partial(fanout, workers=workers))
+    os.makedirs(os.path.join(out, "features"), exist_ok=True)
     index_rows = []
-    for group in results:
-        for scene, rf in group:
-            scenes.append(scene)
-            fname = f"features/scene_{scene.scene_id:06d}.bin"
-            scenegen.write_features(os.path.join(out, fname), rf)
-            index_rows.append({"scene_id": scene.scene_id, "file": fname,
-                               "noise_seed": rf.noise_seed,
-                               "proposals": [list(p) for p in rf.proposals]})
+    for scene in scenes:
+        rf = features[scene.scene_id]
+        fname = f"features/scene_{scene.scene_id:06d}.bin"
+        scenegen.write_features(os.path.join(out, fname), rf)
+        index_rows.append({"scene_id": scene.scene_id, "file": fname,
+                           "noise_seed": rf.noise_seed,
+                           "proposals": [list(p) for p in rf.proposals]})
     scenes_path = os.path.join(out, "scenes.jsonl")
     scenegen.write_scenes(scenes_path, scenes)
     index_path = os.path.join(out, "features", "index.jsonl")
@@ -402,10 +329,9 @@ def _load_features(out_dir) -> dict:
     with open(index_path, encoding="utf-8") as fh:
         for line in fh:
             row = json.loads(line)
-            rf = scenegen.read_features(os.path.join(out_dir, row["file"]),
-                                        proposals=[tuple(p) for p in row["proposals"]],
-                                        noise_seed=row["noise_seed"])
-            table[row["scene_id"]] = rf
+            table[row["scene_id"]] = scenegen.read_features(
+                os.path.join(out_dir, row["file"]),
+                proposals=[tuple(p) for p in row["proposals"]], noise_seed=row["noise_seed"])
     return table
 
 
@@ -419,19 +345,24 @@ def cmd_label(config, workers: int = 1) -> int:
     if storage.stage_is_current(out, "label", slice_, inputs):
         print("label: up to date, skipping")
         return 0
-    with open(scenes_path, encoding="utf-8") as fh:
-        scene_rows = [json.loads(line) for line in fh]
-    rows = fanout(_label_one_scene, scene_rows, workers,
-                  initializer=_init_label_worker, initargs=(config, desc_path))
+    bundle = _read_bundle(config, desc_path, scenes_path)
+    triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config),
+                                     config["labeler"]["strategy"],
+                                     map_fn=functools.partial(fanout, workers=workers))
     path = os.path.join(out, "triplets.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for triplet in triplets:
+            fh.write(json.dumps(labeling.triplet_to_json(triplet), sort_keys=True) + "\n")
     storage.write_manifest(out, "label", slice_, inputs,
                            {"triplets.jsonl": storage.sha256_file(path)})
-    n_assigned = sum(1 for r in rows if r["assignments"])
-    print(f"label: wrote {len(rows)} pseudo-triplets ({n_assigned} with assignments)")
+    n_assigned = sum(1 for t in triplets if t.assignments)
+    print(f"label: wrote {len(triplets)} pseudo-triplets ({n_assigned} with assignments)")
     return 0
+
+
+def _write_example(fh, example: TrainExample) -> None:
+    row = targets.example_to_json(example.scene_id, example.query, example.target)
+    fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def cmd_targets(config, workers: int = 1) -> int:
@@ -446,43 +377,22 @@ def cmd_targets(config, workers: int = 1) -> int:
     if storage.stage_is_current(out, "targets", slice_, inputs):
         print("targets: up to date, skipping")
         return 0
-    pool, lexicon = _pool_and_lexicon(config)
-    descriptions = corpus.read_descriptions(desc_path)
-    scenes = scenegen.read_scenes(scenes_path)
-    features = _load_features(out)
-    with open(triplets_path, encoding="utf-8") as fh:
-        triplets = [labeling.triplet_from_json(json.loads(line)) for line in fh]
+    bundle = _read_bundle(config, desc_path, scenes_path, _load_features(out))
     tc = config["targets"]
-    target_config = _target_config(config)
+    variant = pipeline.SignalVariant("config", tc["k_neg"], tc["include_struct_pos"],
+                                     _target_config(config))
+    query_seed = derive_seed(config["seed"], "query")
+    # Each example is written as soon as it is built; no list of them is kept.
     examples_path = os.path.join(out, "examples.jsonl")
     with open(examples_path, "w", encoding="utf-8") as fh:
-        for triplet in triplets:
-            if not triplet.assignments:
-                continue
-            query = targets.assemble_query(
-                triplet, descriptions, tc["k_neg"], tc["include_struct_pos"],
-                seed=derive_seed(config["seed"], "query"), lexicon=lexicon)
-            n = features[triplet.scene_id].features.shape[0]
-            target = targets.build_alignment_target(query, triplet, n,
-                                                    config=target_config, lexicon=lexicon)
-            fh.write(json.dumps(targets.example_to_json(triplet.scene_id, query, target),
-                                sort_keys=True) + "\n")
+        for triplet in _read_triplets(triplets_path):
+            if triplet.assignments:
+                _write_example(fh, pipeline.training_example(bundle, triplet, variant, query_seed))
     det_path = os.path.join(out, "detection_examples.jsonl")
-    names = [c.name for c in pool]
     with open(det_path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            rng = np.random.default_rng(derive_seed(config["seed"], "det-example", scene.scene_id))
-            present = sorted({o.category for o in scene.objects})
-            absent = [n for n in names if n not in present]
-            k = min(tc["absent_categories"], len(absent))
-            extra = [absent[int(i)] for i in rng.choice(len(absent), size=k, replace=False)]
-            listed = present + extra
-            order = rng.permutation(len(listed))
-            query = targets.make_detection_query([listed[int(i)] for i in order])
-            n = features[scene.scene_id].features.shape[0]
-            target = targets.build_detection_target(query, scene, n)
-            fh.write(json.dumps(targets.example_to_json(scene.scene_id, query, target),
-                                sort_keys=True) + "\n")
+        for scene in bundle.scenes:
+            _write_example(fh, pipeline.detection_example(bundle, scene, config["seed"],
+                                                          tc["absent_categories"]))
     outputs = {"examples.jsonl": storage.sha256_file(examples_path),
                "detection_examples.jsonl": storage.sha256_file(det_path)}
     storage.write_manifest(out, "targets", slice_, inputs, outputs)
@@ -491,13 +401,10 @@ def cmd_targets(config, workers: int = 1) -> int:
 
 
 def _read_examples(path, features) -> list[TrainExample]:
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            scene_id, query, target = targets.example_from_json(json.loads(line))
-            out.append(TrainExample(features=features[scene_id].features, query=query,
-                                    target=target, scene_id=scene_id))
-    return out
+        rows = [targets.example_from_json(json.loads(line)) for line in fh]
+    return [TrainExample(features=features[scene_id].features, query=query, target=target,
+                         scene_id=scene_id) for scene_id, query, target in rows]
 
 
 def cmd_train(config, workers: int = 1) -> int:
@@ -510,11 +417,10 @@ def cmd_train(config, workers: int = 1) -> int:
     if storage.stage_is_current(out, "train", slice_, inputs):
         print("train: up to date, skipping")
         return 0
-    pool, _ = _pool_and_lexicon(config)
     features = _load_features(out)
     triplet_examples = _read_examples(examples_path, features)
     detection_examples = _read_examples(det_path, features)
-    vocab = pipeline.build_vocabulary(pool)
+    vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
     model = GroundingModel(vocab, d_in=config["features"]["dim"],
                            d_model=config["train"]["d_model"], seed=config["seed"])
     model, history = train(model, triplet_examples, detection_examples, _train_config(config))
@@ -539,22 +445,6 @@ def _load_model(out_dir):
     return load_checkpoint(ckpt_path, vocab)
 
 
-def _run_eval(config, model, lexicon):
-    e = config["eval"]
-    pool = corpus.build_entity_pool(config["pool"])
-    bench = scenegen.make_benchmark(
-        pool, corpus.DescriptionSpec(1, config["descriptions"]["target_length_words"],
-                                     seed=config["seed"]),
-        e["benchmark_scenes"], derive_seed(config["seed"], "benchmark"),
-        config=_benchmark_config(config), lexicon=lexicon)
-    rows = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
-                                           lexicon, agg=e["aggregation"])
-    report = evalkit.omnilabel_report(rows, bench, iou_threshold=e["iou_threshold"],
-                                      lexicon=lexicon)
-    d3 = evalkit.d3_report(rows, bench, iou_threshold=e["iou_threshold"], lexicon=lexicon)
-    return bench, rows, report, d3
-
-
 def cmd_eval(config, workers: int = 1) -> int:
     out = _out(config)
     slice_ = {k: config[k] for k in
@@ -563,18 +453,22 @@ def cmd_eval(config, workers: int = 1) -> int:
     if storage.stage_is_current(out, "eval", slice_, inputs):
         print("eval: up to date, skipping")
         return 0
-    _, lexicon = _pool_and_lexicon(config)
+    pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
-    bench, rows, report, d3 = _run_eval(config, model, lexicon)
+    e = config["eval"]
+    bench = _benchmark(config, pool, lexicon)
+    rows = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
+                                           lexicon, agg=e["aggregation"])
+    report = evalkit.omnilabel_report(rows, bench, iou_threshold=e["iou_threshold"],
+                                      lexicon=lexicon)
+    d3 = evalkit.d3_report(rows, bench, iou_threshold=e["iou_threshold"], lexicon=lexicon)
     results_path = os.path.join(out, "results.jsonl")
     evalkit.write_results(results_path, rows)
     bench_path = os.path.join(out, "benchmark_scenes.jsonl")
     scenegen.write_scenes(bench_path, bench.scenes)
     report_path = os.path.join(out, "report.json")
     payload = report.to_json()
-    payload["d3"] = {"full": None if d3[0] != d3[0] else d3[0],
-                     "pres": None if d3[1] != d3[1] else d3[1],
-                     "abs": None if d3[2] != d3[2] else d3[2]}
+    payload["d3"] = {k: None if v != v else v for k, v in zip(("full", "pres", "abs"), d3)}
     storage.write_json(report_path, payload)
     outputs = {name: storage.sha256_file(os.path.join(out, name))
                for name in ("results.jsonl", "benchmark_scenes.jsonl", "report.json")}
@@ -592,18 +486,12 @@ def cmd_report(config, workers: int = 1) -> int:
                "metrics": storage.read_json(report_path)}
     triplets_path = os.path.join(out, "triplets.jsonl")
     if os.path.exists(triplets_path):
-        scenes = scenegen.read_scenes(os.path.join(out, "scenes.jsonl"))
-        by_id = {s.scene_id: s for s in scenes}
-        pool, lexicon = _pool_and_lexicon(config)
-        recalls = []
-        with open(triplets_path, encoding="utf-8") as fh:
-            for line in fh:
-                t = labeling.triplet_from_json(json.loads(line))
-                recalls.append(labeling.label_recall(t, by_id[t.scene_id], lexicon=lexicon))
-        summary["label_recall_mean"] = float(np.mean(recalls)) if recalls else 0.0
+        bundle = _read_bundle(config, os.path.join(out, "descriptions.jsonl"),
+                              os.path.join(out, "scenes.jsonl"))
+        summary["label_recall_mean"] = pipeline.mean_label_recall(
+            bundle, _read_triplets(triplets_path))
     hist_path = os.path.join(out, "history.csv")
     if os.path.exists(hist_path):
-        from .groundnet import load_history
         history = load_history(hist_path)
         summary["training"] = {"epochs": len(history),
                                "initial_loss": history[0][1], "final_loss": history[-1][1]}
@@ -632,44 +520,46 @@ def _ablate_dir(config, name):
 
 
 def _bundle_from_config(config, images=None):
-    fc = config["features"]
+    d = config["descriptions"]
     return pipeline.build_corpus(
-        config["pool"],
-        num_descriptions=config["descriptions"]["num_descriptions"],
-        target_length_words=config["descriptions"]["target_length_words"],
+        config["pool"], num_descriptions=d["num_descriptions"],
+        target_length_words=d["target_length_words"],
         images_per_description=images or config["images_per_description"],
-        seed=config["seed"],
-        distractors=_distractor_config(config),
-        features=pipeline.FeatureConfig(dim=fc["dim"], background_boxes=fc["background_boxes"],
-                                        noise_sigma=fc["noise_sigma"]))
+        seed=config["seed"], distractors=_distractor_config(config),
+        features=_feature_config(config))
+
+
+def _label(config, bundle, labeler_config=None):
+    return pipeline.label_corpus(bundle, _detector(config),
+                                 labeler_config or _labeler_config(config),
+                                 config["labeler"]["strategy"])
 
 
 def _train_and_eval(config, bundle, triplets, variant, train_config):
-    model, history = pipeline.train_variant(bundle, triplets, variant, train_config)
+    """Train as ``grounddesk train`` does, on the bundle's triplets under one
+    signal variant, and score the model on the eval benchmark."""
+    detection = pipeline.build_detection_examples(bundle, config["seed"],
+                                                  config["targets"]["absent_categories"])
+    model, _ = pipeline.train_variant(bundle, triplets, variant, train_config, detection,
+                                      d_model=config["train"]["d_model"],
+                                      model_seed=config["seed"])
     e = config["eval"]
-    bench = scenegen.make_benchmark(
-        bundle.pool, corpus.DescriptionSpec(1, config["descriptions"]["target_length_words"],
-                                            seed=config["seed"]),
-        e["benchmark_scenes"], derive_seed(config["seed"], "benchmark"),
-        config=_benchmark_config(config), lexicon=bundle.lexicon)
-    report = pipeline.evaluate_model(model, bench, score_threshold=e["score_threshold"],
-                                     iou_threshold=e["iou_threshold"],
-                                     lexicon=bundle.lexicon, agg=e["aggregation"])
-    return model, history, report
+    return pipeline.evaluate_model(model, _benchmark(config, bundle.pool, bundle.lexicon),
+                                   score_threshold=e["score_threshold"],
+                                   iou_threshold=e["iou_threshold"],
+                                   lexicon=bundle.lexicon, agg=e["aggregation"])
 
 
 def cmd_ablate_threshold(config, workers: int = 1) -> int:
     out_dir = _ablate_dir(config, "threshold")
     bundle = _bundle_from_config(config)
-    detector = _detector(config)
     rows = []
     for p in (0.3, 0.5, 0.7):
-        lc = labeling.LabelerConfig(threshold_p=p,
-                                    max_dets_per_phrase=config["labeler"]["max_dets_per_phrase"])
-        triplets = pipeline.label_corpus(bundle, detector, lc)
+        triplets = _label(config, bundle, dataclasses.replace(_labeler_config(config),
+                                                              threshold_p=p))
         recall = pipeline.mean_label_recall(bundle, triplets)
-        _, _, report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT,
-                                       _train_config(config))
+        report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT,
+                                 _train_config(config))
         rows.append({"threshold_p": p, "recall": recall,
                      "AP": report.AP, "AP_descr": report.AP_descr})
         print(f"ablate threshold p={p}: recall={recall:.3f} AP_descr={report.AP_descr:.2f}")
@@ -680,17 +570,14 @@ def cmd_ablate_threshold(config, workers: int = 1) -> int:
 def cmd_ablate_freeze(config, workers: int = 1) -> int:
     out_dir = _ablate_dir(config, "freeze")
     bundle = _bundle_from_config(config)
-    triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config))
+    triplets = _label(config, bundle)
     rows = []
     base = _train_config(config)
     for name in ("none", "visual", "language", "fusion"):
-        tc = TrainConfig(epochs=base.epochs, learning_rate=base.learning_rate,
-                         momentum=base.momentum, batch_size=base.batch_size,
-                         freeze_visual=name == "visual", freeze_language=name == "language",
-                         freeze_fusion=name == "fusion",
-                         detection_mix_ratio=base.detection_mix_ratio, seed=base.seed)
-        model, _, report = _train_and_eval(config, bundle, triplets,
-                                           pipeline.FULL_VARIANT, tc)
+        tc = dataclasses.replace(base, freeze_visual=name == "visual",
+                                 freeze_language=name == "language",
+                                 freeze_fusion=name == "fusion")
+        report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT, tc)
         rows.append({"freeze": name, "AP": report.AP, "AP_categ": report.AP_categ,
                      "AP_descr": report.AP_descr})
         print(f"ablate freeze {name}: AP={report.AP:.2f} AP_descr={report.AP_descr:.2f}")
@@ -718,9 +605,8 @@ def cmd_ablate_density(config, workers: int = 1) -> int:
     rows = []
     for images in (2, 4, 8):
         bundle = _bundle_from_config(config, images=images)
-        triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config))
-        _, _, report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT,
-                                       _train_config(config))
+        report = _train_and_eval(config, bundle, _label(config, bundle),
+                                 pipeline.FULL_VARIANT, _train_config(config))
         rows.append({"images_per_description": images, "AP": report.AP,
                      "AP_descr": report.AP_descr, "AP_descr_L": report.AP_descr_L})
         print(f"ablate density images={images}: AP_descr={report.AP_descr:.2f}")
@@ -731,11 +617,11 @@ def cmd_ablate_density(config, workers: int = 1) -> int:
 def cmd_ablate_signals(config, workers: int = 1) -> int:
     out_dir = _ablate_dir(config, "signals")
     bundle = _bundle_from_config(config)
-    triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config))
+    triplets = _label(config, bundle)
     tc = _train_config(config)
     rows = []
     for variant in pipeline.SIGNAL_LADDER:
-        _, _, report = _train_and_eval(config, bundle, triplets, variant, tc)
+        report = _train_and_eval(config, bundle, triplets, variant, tc)
         rows.append({"signals": variant.name, "AP": report.AP, "AP_categ": report.AP_categ,
                      "AP_descr": report.AP_descr, "AP_descr_L": report.AP_descr_L})
         print(f"ablate signals {variant.name}: AP_descr={report.AP_descr:.2f} "

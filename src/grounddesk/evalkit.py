@@ -38,30 +38,6 @@ def _as_box_score(det):
     return tuple(box), float(score)
 
 
-def _match_flags(dets, gt_boxes, iou_threshold):
-    """Greedy highest-score-first matching; one match per ground-truth box.
-
-    Each detection takes the unmatched ground truth of highest IoU at or above
-    the threshold (first one wins on exact ties).
-    """
-    matched = [False] * len(gt_boxes)
-    flags = []
-    for box, _score in dets:
-        best, best_iou = None, -1.0
-        for j, gt in enumerate(gt_boxes):
-            if matched[j]:
-                continue
-            v = iou(box, gt)
-            if v >= iou_threshold and v > best_iou:
-                best, best_iou = j, v
-        if best is not None:
-            matched[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
-
-
 def _ap_from_flags(flags, n_gt) -> float:
     """Area under the all-point interpolated precision-recall curve."""
     precisions, recalls = [], []
@@ -81,18 +57,17 @@ def _ap_from_flags(flags, n_gt) -> float:
 
 def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float:
     """AP for one label on one scene; NaN when both sides are empty."""
-    dets = sorted((_as_box_score(d) for d in detections), key=lambda t: -t[1])
-    if not gt_boxes:
-        return 0.0 if dets else math.nan
-    if not dets:
-        return 0.0
-    flags = _match_flags(dets, list(gt_boxes), iou_threshold)
-    return _ap_from_flags(flags, len(gt_boxes))
+    return pooled_average_precision({0: detections}, {0: list(gt_boxes)}, iou_threshold)
 
 
 def pooled_average_precision(dets_by_scene: dict, gt_by_scene: dict,
                              iou_threshold: float = 0.5) -> float:
-    """AP for one label pooled across scenes: one ranking, per-scene matching."""
+    """AP for one label pooled across scenes: one ranking, per-scene matching.
+
+    Detections are taken highest score first (stable on ties); each takes the
+    unmatched ground truth of its scene with the highest IoU at or above the
+    threshold (the first one wins on exact ties).
+    """
     n_gt = sum(len(v) for v in gt_by_scene.values())
     entries = []
     for scene_id, dets in dets_by_scene.items():

@@ -9,6 +9,7 @@ ablation presets and the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,42 +62,67 @@ def build_vocabulary(pool) -> Vocabulary:
     return Vocabulary.build(words)
 
 
+def _category_descriptions(cat, num_descriptions: int, target_length_words: int, seed: int,
+                           grammar: GrammarConfig) -> list[ObjectDescription]:
+    spec = DescriptionSpec(num_descriptions, target_length_words,
+                           seed=derive_seed(seed, "gen", cat.id), grammar_config=grammar)
+    return generate_descriptions(cat, spec)
+
+
 def build_description_corpus(pool, num_descriptions: int, target_length_words: int,
-                             seed: int, grammar: GrammarConfig | None = None) -> list[ObjectDescription]:
-    """Per-category generation with globally unique description ids."""
+                             seed: int, grammar: GrammarConfig | None = None,
+                             map_fn=map) -> list[ObjectDescription]:
+    """Per-category generation with globally unique description ids.
+
+    ``map_fn`` maps the per-category function over the pool; it must keep
+    order (the CLI passes its process fan-out).
+    """
+    per_category = map_fn(partial(_category_descriptions, num_descriptions=num_descriptions,
+                                  target_length_words=target_length_words, seed=seed,
+                                  grammar=grammar or GrammarConfig()), pool)
     out: list[ObjectDescription] = []
-    for cat in pool:
-        spec = DescriptionSpec(num_descriptions, target_length_words,
-                               seed=derive_seed(seed, "gen", cat.id),
-                               grammar_config=grammar or GrammarConfig())
-        for desc in generate_descriptions(cat, spec):
+    for descs in per_category:
+        for desc in descs:
             out.append(replace(desc, id=len(out)))
+    return out
+
+
+def _description_scenes(item, images_per_description: int, seed: int,
+                        distractors: DistractorConfig, features: FeatureConfig,
+                        lexicon: Lexicon) -> list[tuple[Scene, RegionFeatures]]:
+    desc, cat, first_scene_id = item
+    tree = parse(desc.text, lexicon)
+    out = []
+    for k in range(images_per_description):
+        scene_id = first_scene_id + k
+        scene = synthesize_scene(tree, cat, image_seed=derive_seed(seed, "img", desc.id, k),
+                                 distractor_config=distractors,
+                                 scene_id=scene_id, description_id=desc.id)
+        out.append((scene, render_features(scene, noise_seed=derive_seed(seed, "feat", scene_id),
+                                           d=features.dim, b=features.background_boxes,
+                                           sigma=features.noise_sigma)))
     return out
 
 
 def build_scene_corpus(pool, descriptions, images_per_description: int, seed: int,
                        distractors: DistractorConfig | None = None,
                        features: FeatureConfig | None = None,
-                       lexicon: Lexicon | None = None):
+                       lexicon: Lexicon | None = None, map_fn=map):
     """Seed-indexed scene variants plus rendered region features per scene."""
-    distractors = distractors or DistractorConfig()
-    fc = features or FeatureConfig()
-    lexicon = lexicon or Lexicon.from_categories(pool)
     by_id = {c.id: c for c in pool}
+    items = [(desc, by_id[desc.category_id], i * images_per_description)
+             for i, desc in enumerate(descriptions)]
+    per_description = map_fn(partial(_description_scenes,
+                                     images_per_description=images_per_description, seed=seed,
+                                     distractors=distractors or DistractorConfig(),
+                                     features=features or FeatureConfig(),
+                                     lexicon=lexicon or Lexicon.from_categories(pool)), items)
     scenes: list[Scene] = []
     feats: dict[int, RegionFeatures] = {}
-    for desc in descriptions:
-        tree = parse(desc.text, lexicon)
-        cat = by_id[desc.category_id]
-        for k in range(images_per_description):
-            scene_id = len(scenes)
-            scene = synthesize_scene(tree, cat,
-                                     image_seed=derive_seed(seed, "img", desc.id, k),
-                                     distractor_config=distractors,
-                                     scene_id=scene_id, description_id=desc.id)
+    for group in per_description:
+        for scene, rf in group:
             scenes.append(scene)
-            feats[scene_id] = render_features(scene, noise_seed=derive_seed(seed, "feat", scene_id),
-                                              d=fc.dim, b=fc.background_boxes, sigma=fc.noise_sigma)
+            feats[scene.scene_id] = rf
     return scenes, feats
 
 
@@ -121,16 +147,20 @@ def default_corpus(seed: int = 0) -> CorpusBundle:
                         images_per_description=2, seed=seed)
 
 
-def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | None = None,
-                 strategy: str = "weak_to_strong") -> list[PseudoTriplet]:
-    detector = detector or BowDetector()
-    config = config or LabelerConfig()
+def _label_scene(item, detector, config: LabelerConfig, strategy: str,
+                 lexicon: Lexicon) -> PseudoTriplet:
+    scene, text = item
     labeler = weak_to_strong_label if strategy == "weak_to_strong" else grounding_label
-    out = []
-    for scene in bundle.scenes:
-        desc = bundle.description_by_id(scene.description_id)
-        out.append(labeler(scene, desc.text, detector, config, lexicon=bundle.lexicon))
-    return out
+    return labeler(scene, text, detector, config, lexicon=lexicon)
+
+
+def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | None = None,
+                 strategy: str = "weak_to_strong", map_fn=map) -> list[PseudoTriplet]:
+    items = [(scene, bundle.description_by_id(scene.description_id).text)
+             for scene in bundle.scenes]
+    return list(map_fn(partial(_label_scene, detector=detector or BowDetector(),
+                               config=config or LabelerConfig(), strategy=strategy,
+                               lexicon=bundle.lexicon), items))
 
 
 def mean_label_recall(bundle: CorpusBundle, triplets) -> float:
@@ -161,41 +191,44 @@ SIGNAL_LADDER = (
 FULL_VARIANT = SIGNAL_LADDER[-1]
 
 
+def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,
+                     query_seed: int) -> TrainExample:
+    """One triplet's query under the variant and its alignment target."""
+    query = assemble_query(triplet, bundle.descriptions, variant.k_neg,
+                           variant.include_struct_pos, seed=query_seed, lexicon=bundle.lexicon)
+    rf = bundle.features[triplet.scene_id]
+    target = build_alignment_target(query, triplet, rf.features.shape[0],
+                                    config=variant.target_config, lexicon=bundle.lexicon)
+    return TrainExample(features=rf.features, query=query, target=target,
+                        scene_id=triplet.scene_id)
+
+
 def build_training_examples(bundle: CorpusBundle, triplets, variant: SignalVariant = FULL_VARIANT,
                             seed: int = 0) -> list[TrainExample]:
-    out = []
-    for triplet in triplets:
-        if not triplet.assignments:
-            continue
-        query = assemble_query(triplet, bundle.descriptions, variant.k_neg,
-                               variant.include_struct_pos,
-                               seed=derive_seed(seed, "query", variant.name),
-                               lexicon=bundle.lexicon)
-        rf = bundle.features[triplet.scene_id]
-        target = build_alignment_target(query, triplet, rf.features.shape[0],
-                                        config=variant.target_config, lexicon=bundle.lexicon)
-        out.append(TrainExample(features=rf.features, query=query, target=target,
-                                scene_id=triplet.scene_id))
-    return out
+    """Examples for the triplets that have assignments; the others carry no signal."""
+    query_seed = derive_seed(seed, "query", variant.name)
+    return [training_example(bundle, t, variant, query_seed) for t in triplets if t.assignments]
+
+
+def detection_example(bundle: CorpusBundle, scene: Scene, seed: int = 0,
+                      absent_categories: int = 2) -> TrainExample:
+    """GLIP-style detection-format example: the scene's categories plus absent
+    ones, in a seeded order, as one category prompt."""
+    rng = np.random.default_rng(derive_seed(seed, "det-example", scene.scene_id))
+    present = sorted({o.category for o in scene.objects})
+    absent = [c.name for c in bundle.pool if c.name not in present]
+    extra = [absent[int(i)] for i in rng.choice(len(absent), size=min(absent_categories, len(absent)), replace=False)]
+    listed = present + extra
+    order = rng.permutation(len(listed))
+    query = make_detection_query([listed[int(i)] for i in order])
+    rf = bundle.features[scene.scene_id]
+    target = build_detection_target(query, scene, rf.features.shape[0])
+    return TrainExample(features=rf.features, query=query, target=target,
+                        scene_id=scene.scene_id)
 
 
 def build_detection_examples(bundle: CorpusBundle, seed: int = 0, absent_categories: int = 2) -> list[TrainExample]:
-    """GLIP-style detection-format examples: category prompts over each scene."""
-    names = [c.name for c in bundle.pool]
-    out = []
-    for scene in bundle.scenes:
-        rng = np.random.default_rng(derive_seed(seed, "det-example", scene.scene_id))
-        present = sorted({o.category for o in scene.objects})
-        absent = [n for n in names if n not in present]
-        extra = [absent[int(i)] for i in rng.choice(len(absent), size=min(absent_categories, len(absent)), replace=False)]
-        listed = present + extra
-        order = rng.permutation(len(listed))
-        query = make_detection_query([listed[int(i)] for i in order])
-        rf = bundle.features[scene.scene_id]
-        target = build_detection_target(query, scene, rf.features.shape[0])
-        out.append(TrainExample(features=rf.features, query=query, target=target,
-                                scene_id=scene.scene_id))
-    return out
+    return [detection_example(bundle, scene, seed, absent_categories) for scene in bundle.scenes]
 
 
 def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 
 import pytest
 
-from grounddesk import cli, storage
+from grounddesk import cli, corpus, labeling, pipeline, scenegen, storage, targets
 from grounddesk.cli import ConfigError, load_config
+from grounddesk.groundnet import GroundingModel
+from grounddesk.seeding import derive_seed
 
 SMALL = ["--set", "descriptions.num_descriptions=3",
          "--set", "images_per_description=2",
@@ -46,6 +49,20 @@ def test_config_rejects_unknown_and_badly_typed_fields():
         load_config(overrides=[("train.epochs", '"ten"')])
     with pytest.raises(ConfigError, match="threshold_p"):
         load_config(overrides=[("labeler.threshold_p", "1.7")])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("train.epochs", "0"), ("train.batch_size", "0"), ("train.learning_rate", "0"),
+    ("train.learning_rate", "-0.1"), ("train.detection_mix_ratio", "1.5"),
+    ("train.detection_mix_ratio", "-0.1"),
+])
+def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_config(overrides=[(field, value)])
+    out = tmp_path / "o"
+    assert run_cli(["all", "--out", str(out), "--set", f"{field}={value}"]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threshold_p_flag(tmp_path):
@@ -129,6 +146,46 @@ def test_stage_reruns_after_config_change(pipeline_dir, capsys):
     assert cli.main(["train", "--out", pipeline_dir] + SMALL) == 0
 
 
+def _jsonl(rows) -> bytes:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+
+
+def _examples_jsonl(examples) -> bytes:
+    return _jsonl(targets.example_to_json(ex.scene_id, ex.query, ex.target) for ex in examples)
+
+
+def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
+    """The CLI's data artifacts for SMALL equal the library's objects at its
+    defaults, serialized by the same writers."""
+    def cli_bytes(name):
+        with open(os.path.join(pipeline_dir, name), "rb") as fh:
+            return fh.read()
+
+    def written(name, writer, obj):
+        writer(tmp_path / name, obj)
+        return (tmp_path / name).read_bytes()
+
+    bundle = pipeline.build_corpus("desk20", num_descriptions=3, target_length_words=10,
+                                   images_per_description=2, seed=0)
+    assert written("descriptions.jsonl", corpus.write_descriptions,
+                   bundle.descriptions) == cli_bytes("descriptions.jsonl")
+    assert written("scenes.jsonl", scenegen.write_scenes,
+                   bundle.scenes) == cli_bytes("scenes.jsonl")
+    assert len(os.listdir(os.path.join(pipeline_dir, "features"))) == len(bundle.scenes) + 1
+    for scene in bundle.scenes:
+        name = f"scene_{scene.scene_id:06d}.bin"
+        assert written(name, scenegen.write_features, bundle.features[scene.scene_id]) \
+            == cli_bytes(os.path.join("features", name)), name
+    triplets = pipeline.label_corpus(bundle)
+    assert _jsonl(map(labeling.triplet_to_json, triplets)) == cli_bytes("triplets.jsonl")
+    assert _examples_jsonl(pipeline.build_detection_examples(bundle, seed=0)) \
+        == cli_bytes("detection_examples.jsonl")
+    query_seed = derive_seed(0, "query")  # the CLI's query seed label
+    examples = [pipeline.training_example(bundle, t, pipeline.FULL_VARIANT, query_seed)
+                for t in triplets if t.assignments]
+    assert _examples_jsonl(examples) == cli_bytes("examples.jsonl")
+
+
 def test_deterministic_trees(tmp_path_factory):
     trees = []
     for name in ("a", "b"):
@@ -180,7 +237,6 @@ def test_label_worker_fanout_matches_sequential(tmp_path_factory):
 TINY = ["--set", "descriptions.num_descriptions=3",
         "--set", "images_per_description=1",
         "--set", "train.epochs=2",
-        "--set", "train.detection_mix_ratio=0.0",
         "--set", "eval.benchmark_scenes=4"]
 
 
@@ -205,3 +261,26 @@ def test_ablations_write_tables(tmp_path, experiment, filename, rows_expected):
         assert [r["freeze"] for r in rows] == ["none", "visual", "language", "fusion"]
     if experiment == "density":
         assert [r["images_per_description"] for r in rows] == [2, 4, 8]
+
+
+def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
+    """Ablation models get train.d_model, the config seed and the detection
+    corpus, as `grounddesk train` gives them."""
+    seen = []
+    real_train = pipeline.train
+
+    def spy(model, triplet_examples, detection_examples, config):
+        seen.append((model.d_model, model.params["visual.weight"].copy(),
+                     len(detection_examples), config.seed))
+        return real_train(model, triplet_examples, detection_examples, config)
+
+    monkeypatch.setattr(pipeline, "train", spy)
+    out = str(tmp_path / "abl")
+    assert cli.main(["ablate", "signals", "--out", out, "--set", "train.d_model=16",
+                     "--set", "seed=3"] + TINY) == 0
+    fresh = GroundingModel(pipeline.build_vocabulary(corpus.build_entity_pool("desk20")),
+                           d_in=64, d_model=16, seed=3)
+    assert len(seen) == 4
+    for d_model, init, n_detection, seed in seen:
+        assert (d_model, n_detection, seed) == (16, 20 * 3, 3)
+        assert (init == fresh.params["visual.weight"]).all()
