@@ -112,11 +112,6 @@ class AlignmentScores:
 @dataclass(frozen=True)
 class LossReport:
     grounding_loss: float
-    loc_loss: float = 0.0  # proposals coincide with candidate boxes here
-
-    @property
-    def total(self) -> float:
-        return self.grounding_loss + self.loc_loss
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -279,8 +274,8 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
 
     Each batch draws from the detection corpus with probability
     detection_mix_ratio, else from the triplet corpus; frozen blocks are
-    never touched. Returns the model and per-epoch (epoch, grounding, total)
-    loss rows. Raises NumericError on a non-finite loss.
+    never touched. Returns the model and per-epoch (epoch, grounding_loss)
+    rows. Raises NumericError on a non-finite loss.
     """
     trip = list(triplet_examples)
     det = list(detection_examples)
@@ -321,7 +316,7 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
                 ex = source[i]
                 scores = forward(model, ex.features, compiled[key][i])
                 report, grads = loss_and_grad(model, scores, ex.target)
-                if not np.isfinite(report.total):
+                if not np.isfinite(report.grounding_loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 loss_sum += report.grounding_loss
                 if not grad_sum:
@@ -339,7 +334,7 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
         mean_loss = float(np.mean(epoch_losses))
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite loss at epoch {epoch}")
-        history.append((epoch, mean_loss, mean_loss))
+        history.append((epoch, mean_loss))
     return model, history
 
 
@@ -489,16 +484,18 @@ def load_checkpoint(path, vocabulary: Vocabulary) -> GroundingModel:
 
 def save_history(path, history) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,grounding_loss,total\n")
-        for epoch, grounding, total in history:
-            fh.write(f"{epoch},{grounding!r},{total!r}\n")
+        fh.write("epoch,grounding_loss\n")
+        for epoch, grounding in history:
+            fh.write(f"{epoch},{grounding!r}\n")
 
 
 def load_history(path) -> list:
+    """(epoch, grounding_loss) rows. Trees written before the `total` column
+    was dropped still read: only the first two columns are used."""
     out = []
     with open(path, encoding="utf-8") as fh:
         next(fh)
         for line in fh:
-            epoch, grounding, total = line.strip().split(",")
-            out.append((int(epoch), float(grounding), float(total)))
+            epoch, grounding = line.strip().split(",")[:2]
+            out.append((int(epoch), float(grounding)))
     return out

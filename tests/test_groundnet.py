@@ -160,7 +160,8 @@ def test_training_reduces_loss_and_records_history():
                            TrainConfig(epochs=100, learning_rate=0.3, batch_size=4, seed=0))
     assert len(history) == 100
     assert history[-1][1] < 0.5 * history[0][1]
-    assert all(total == grounding for _e, grounding, total in history)
+    assert [row[0] for row in history] == list(range(100))
+    assert all(len(row) == 2 for row in history)
 
 
 @pytest.mark.parametrize("flag,block", [
@@ -270,12 +271,15 @@ def test_checkpoint_rejects_other_files(tmp_path):
 
 
 def test_history_roundtrip(tmp_path):
-    history = [(0, 0.7, 0.7), (1, 0.35001, 0.35001)]
+    history = [(0, 0.7), (1, 0.35001)]
     path = tmp_path / "history.csv"
     save_history(path, history)
     text = path.read_text()
-    assert text.splitlines()[0] == "epoch,grounding_loss,total"
+    assert text.splitlines()[0] == "epoch,grounding_loss"
     assert load_history(path) == history
+    old = tmp_path / "old_history.csv"
+    old.write_text("epoch,grounding_loss,total\n0,0.7,0.7\n1,0.35001,0.35001\n")
+    assert load_history(old) == history
 
 
 def test_sigmoid_stability():
