@@ -7,12 +7,13 @@ per stage. Re-running a completed stage with unchanged config and inputs is a
 no-op; re-running the pipeline with the same seed, at any ``--workers``
 count, reproduces a byte-identical artifact tree. Exit codes: 0 success,
 2 config error (checked before any stage runs), 3 missing artifact, 4 numeric
-failure.
+failure, 5 corrupt artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -36,6 +37,20 @@ class ConfigError(ValueError):
 
 class MissingArtifactError(FileNotFoundError):
     pass
+
+
+class ArtifactError(ValueError):
+    """An artifact exists but cannot be read: truncated, malformed or inconsistent."""
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Re-raise a reader's failure on `path` as an ArtifactError that names it."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ArtifactError(detail if str(path) in detail else f"{path}: {detail}") from exc
 
 
 DEFAULT_CONFIG = {
@@ -76,6 +91,8 @@ _SCHEMA = {path: type(value) for path, value in _leaves(DEFAULT_CONFIG)}
 
 _RANGES = (
     ("labeler.threshold_p", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("labeler.strategy", lambda v: v in pipeline.LABEL_STRATEGIES,
+     f"must be one of {list(pipeline.LABEL_STRATEGIES)}"),
     ("images_per_description", lambda v: v >= 1, "must be >= 1"),
     ("descriptions.target_length_words", lambda v: v >= 3, "must be >= 3"),
     ("train.epochs", lambda v: v >= 1, "must be >= 1"),
@@ -327,11 +344,15 @@ def _load_features(out_dir) -> dict:
     index_path = _require(out_dir, os.path.join("features", "index.jsonl"), "scenes")
     table = {}
     with open(index_path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            table[row["scene_id"]] = scenegen.read_features(
-                os.path.join(out_dir, row["file"]),
-                proposals=[tuple(p) for p in row["proposals"]], noise_seed=row["noise_seed"])
+        for lineno, line in enumerate(fh, 1):
+            with _reading(f"{index_path} line {lineno}"):
+                row = json.loads(line)
+                path = _require(out_dir, row["file"], "scenes")
+                scene_id, noise_seed = row["scene_id"], row["noise_seed"]
+                proposals = [tuple(p) for p in row["proposals"]]
+            with _reading(path):
+                table[scene_id] = scenegen.read_features(path, proposals=proposals,
+                                                         noise_seed=noise_seed)
     return table
 
 
@@ -401,10 +422,15 @@ def cmd_targets(config, workers: int = 1) -> int:
 
 
 def _read_examples(path, features) -> list[TrainExample]:
+    examples = []
     with open(path, encoding="utf-8") as fh:
-        rows = [targets.example_from_json(json.loads(line)) for line in fh]
-    return [TrainExample(features=features[scene_id].features, query=query, target=target,
-                         scene_id=scene_id) for scene_id, query, target in rows]
+        for lineno, line in enumerate(fh, 1):
+            with _reading(f"{path} line {lineno}"):
+                scene_id, query, target = targets.example_from_json(json.loads(line))
+                rf = features[scene_id]
+            examples.append(TrainExample(features=rf.features, query=query, target=target,
+                                         scene_id=scene_id))
+    return examples
 
 
 def cmd_train(config, workers: int = 1) -> int:
@@ -441,8 +467,10 @@ def cmd_train(config, workers: int = 1) -> int:
 def _load_model(out_dir):
     ckpt_path = _require(out_dir, "model.ckpt", "train")
     vocab_path = _require(out_dir, "model.vocab.json", "train")
-    vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
-    return load_checkpoint(ckpt_path, vocab)
+    with _reading(vocab_path):
+        vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
+    with _reading(ckpt_path):
+        return load_checkpoint(ckpt_path, vocab)
 
 
 def cmd_eval(config, workers: int = 1) -> int:
@@ -650,6 +678,9 @@ def run(subcommand: str, config: dict, workers: int = 1) -> int:
         if subcommand.startswith("ablate:"):
             return ABLATIONS[subcommand.split(":", 1)[1]](config, workers)
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    except ArtifactError as exc:
+        print(f"artifact error: {exc}", file=sys.stderr)
+        return 5
     except (ConfigError, corpus.PoolError, corpus.CorpusError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

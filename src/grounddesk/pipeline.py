@@ -147,6 +147,10 @@ def default_corpus(seed: int = 0) -> CorpusBundle:
                         images_per_description=2, seed=seed)
 
 
+# labeler.strategy values: the method and its single-pass grounding baseline
+LABEL_STRATEGIES = ("weak_to_strong", "grounding")
+
+
 def _label_scene(item, detector, config: LabelerConfig, strategy: str,
                  lexicon: Lexicon) -> PseudoTriplet:
     scene, text = item
@@ -156,6 +160,9 @@ def _label_scene(item, detector, config: LabelerConfig, strategy: str,
 
 def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | None = None,
                  strategy: str = "weak_to_strong", map_fn=map) -> list[PseudoTriplet]:
+    if strategy not in LABEL_STRATEGIES:
+        raise ValueError(f"unknown labeling strategy {strategy!r}; "
+                         f"expected one of {list(LABEL_STRATEGIES)}")
     items = [(scene, bundle.description_by_id(scene.description_id).text)
              for scene in bundle.scenes]
     return list(map_fn(partial(_label_scene, detector=detector or BowDetector(),

@@ -361,11 +361,23 @@ def scene_from_backend(description: str, image_seed: int, backend,
                  referent_ids=referents, relation_edges=scene.relation_edges)
 
 
+_WORD_VECTORS: dict[tuple[str, int], np.ndarray] = {}
+
+
 def word_vector(word: str, d: int) -> np.ndarray:
-    """Fixed pseudo-random unit vector keyed by a word."""
-    rng = np.random.default_rng(derive_seed(0, "wordvec", word, d))
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    """Fixed pseudo-random unit vector keyed by a word.
+
+    Memoised per (word, d) in the function body, so callers and tracers see
+    every call; the shared vector is read-only.
+    """
+    v = _WORD_VECTORS.get((word, d))
+    if v is None:
+        rng = np.random.default_rng(derive_seed(0, "wordvec", word, d))
+        v = rng.standard_normal(d)
+        v = v / np.linalg.norm(v)
+        v.flags.writeable = False
+        _WORD_VECTORS[(word, d)] = v
+    return v
 
 
 def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
@@ -499,9 +511,18 @@ def write_features(path, rf: RegionFeatures) -> None:
 
 
 def read_features(path, proposals=(), noise_seed: int = -1) -> RegionFeatures:
+    """Inverse of write_features; the file's length must match its header."""
     with open(path, "rb") as fh:
-        n, d = struct.unpack("<ii", fh.read(8))
-        feats = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d).copy()
+        data = fh.read()
+    if len(data) < 8:
+        raise ValueError(f"{path}: truncated feature header ({len(data)} bytes)")
+    n, d = struct.unpack_from("<ii", data)
+    if n < 0 or d < 0:
+        raise ValueError(f"{path}: bad feature header ({n}, {d})")
+    if len(data) - 8 != n * d * 8:
+        raise ValueError(f"{path}: ({n}, {d}) features need {n * d * 8} bytes "
+                         f"after the header, found {len(data) - 8}")
+    feats = np.frombuffer(data, dtype="<f8", offset=8).reshape(n, d).copy()
     return RegionFeatures(proposals=tuple(proposals), features=feats, noise_seed=noise_seed)
 
 

@@ -206,6 +206,27 @@ def build_detection_target(query: Query, scene: Scene, n_regions: int) -> Alignm
     return AlignmentTarget(matrix=t, loss_mask=mask)
 
 
+def _encode_binary(matrix: np.ndarray, what: str) -> str:
+    """Row-major "0"/"1" string of a binary matrix, one character per cell."""
+    flat = matrix.reshape(-1)
+    if not ((flat == 0) | (flat == 1)).all():
+        raise ValueError(f"{what} matrix is not binary")
+    return (flat.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
+def _decode_binary(text: str, n: int, m: int, what: str) -> np.ndarray:
+    """Inverse of _encode_binary: an n x m float64 matrix."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} is not a string")
+    # a non-ASCII character encodes as "?", which the range check rejects
+    codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
+    if codes.size != n * m:
+        raise ValueError(f"{what} string has {codes.size} cells, expected {n} x {m}")
+    if (codes > 1).any():
+        raise ValueError(f"{what} string holds a character other than 0/1")
+    return codes.astype(np.float64).reshape(n, m)
+
+
 def example_to_json(scene_id: int, query: Query, target: AlignmentTarget) -> dict:
     n, m = target.matrix.shape
     return {
@@ -214,8 +235,8 @@ def example_to_json(scene_id: int, query: Query, target: AlignmentTarget) -> dic
         "item_kinds": [item.kind for item in query.items],
         "token_map": [[flat, loc[0], loc[1]] for flat, loc in sorted(query.token_map.items())],
         "n_regions": n,
-        "target": "".join(str(int(v)) for v in target.matrix.reshape(-1)),
-        "mask": "".join(str(int(v)) for v in target.loss_mask.reshape(-1)),
+        "target": _encode_binary(target.matrix, "target"),
+        "mask": _encode_binary(target.loss_mask, "mask"),
     }
 
 
@@ -228,6 +249,6 @@ def example_from_json(row: dict) -> tuple[int, Query, AlignmentTarget]:
                   for i in range(len(kinds)))
     query = Query(items=items)
     n, m = row["n_regions"], len(row["flat_tokens"])
-    t = np.asarray([float(c) for c in row["target"]]).reshape(n, m)
-    mask = np.asarray([float(c) for c in row["mask"]]).reshape(n, m)
+    t = _decode_binary(row["target"], n, m, "target")
+    mask = _decode_binary(row["mask"], n, m, "mask")
     return row["scene_id"], query, AlignmentTarget(matrix=t, loss_mask=mask)

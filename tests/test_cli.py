@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, valu
     assert run_cli(["all", "--out", str(out), "--set", f"{field}={value}"]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["weak-to-strong", "grounding_baseline", ""])
+def test_unknown_labeler_strategy_fails_before_any_stage(tmp_path, capsys, value):
+    with pytest.raises(ConfigError, match="labeler.strategy"):
+        load_config(overrides=[("labeler.strategy", json.dumps(value))])
+    out = tmp_path / "o"
+    assert run_cli(["all", "--out", str(out), "--set", f"labeler.strategy={value}"]) == 2
+    assert "labeler.strategy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_known_labeler_strategies_validate():
+    for value in ("weak_to_strong", "grounding"):
+        assert load_config(overrides=[("labeler.strategy", value)])["labeler"]["strategy"] == value
 
 
 def test_threshold_p_flag(tmp_path):
@@ -144,6 +160,58 @@ def test_stage_reruns_after_config_change(pipeline_dir, capsys):
     assert "up to date" not in out
     # restore for other tests
     assert cli.main(["train", "--out", pipeline_dir] + SMALL) == 0
+
+
+@pytest.fixture
+def corrupt_copy(pipeline_dir, tmp_path):
+    """A copy of the SMALL tree to damage; the original stays intact."""
+    out = tmp_path / "copy"
+    shutil.copytree(pipeline_dir, out)
+    return out
+
+
+def _truncate(path, keep):
+    data = path.read_bytes()
+    path.write_bytes(data[:keep(len(data))])
+
+
+def test_half_length_checkpoint_is_an_artifact_error(corrupt_copy, capsys):
+    _truncate(corrupt_copy / "model.ckpt", lambda n: n // 2)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "model.ckpt" in err
+
+
+@pytest.mark.parametrize("keep", [lambda n: n - 8, lambda n: 6],
+                         ids=["short_payload", "short_header"])
+def test_truncated_feature_file_is_an_artifact_error(corrupt_copy, capsys, keep):
+    _truncate(corrupt_copy / "features" / "scene_000000.bin", keep)
+    os.remove(storage.manifest_path(corrupt_copy, "targets"))
+    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "scene_000000.bin" in err
+
+
+def test_deleted_feature_file_is_a_missing_artifact(corrupt_copy, capsys):
+    os.remove(corrupt_copy / "features" / "scene_000001.bin")
+    os.remove(storage.manifest_path(corrupt_copy, "targets"))
+    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 3
+    assert "scene_000001.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [lambda t: "2" + t[1:], lambda t: "x" + t[1:],
+                                    lambda t: t[:-1], lambda t: t + "0"],
+                         ids=["digit_2", "letter", "short", "long"])
+def test_bad_example_target_string_is_an_artifact_error(corrupt_copy, capsys, damage):
+    path = corrupt_copy / "examples.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    row["target"] = damage(row["target"])
+    lines[1] = json.dumps(row, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "examples.jsonl line 2" in err
 
 
 def _jsonl(rows) -> bytes:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ def test_label_corpus_covers_every_scene(default_bundle, default_triplets):
     assert all(t.scene_id == i for i, t in enumerate(default_triplets))
     assigned = sum(1 for t in default_triplets if t.assignments)
     assert assigned / len(default_triplets) > 0.9
+
+
+def test_label_corpus_strategies(default_bundle, default_triplets):
+    small = dataclasses.replace(default_bundle, scenes=default_bundle.scenes[:10])
+    baseline = pipeline.label_corpus(small, strategy="grounding")
+    assert {t.provenance for t in baseline} == {"grounding_baseline"}
+    assert pipeline.label_corpus(small, strategy="weak_to_strong") == default_triplets[:10]
+
+
+@pytest.mark.parametrize("strategy", ["weak-to-strong", "Grounding", ""])
+def test_label_corpus_rejects_unknown_strategy(default_bundle, strategy):
+    with pytest.raises(ValueError, match="unknown labeling strategy"):
+        pipeline.label_corpus(default_bundle, strategy=strategy)
 
 
 def test_training_examples_match_features(default_bundle, default_triplets):

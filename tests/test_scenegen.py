@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from grounddesk import corpus, langparse, scenegen
 from grounddesk.corpus import DescriptionSpec
 from grounddesk.langparse import parse, phrase_noun_tokens
+from grounddesk.seeding import derive_seed
 from grounddesk.scenegen import (BenchmarkConfig, DistractorConfig, SceneObject,
                                  make_benchmark, render_features, synthesize_scene,
                                  word_vector, write_features, read_features)
@@ -235,6 +238,19 @@ def test_feature_file_roundtrip(tmp_path, default_bundle):
     assert np.array_equal(back.features, rf.features)
 
 
+def test_read_features_rejects_a_length_that_disagrees_with_the_header(tmp_path, default_bundle):
+    path = tmp_path / "f.bin"
+    write_features(path, default_bundle.features[0])
+    raw = path.read_bytes()
+    for damaged in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0" * 8]:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="f.bin"):
+            read_features(path)
+    path.write_bytes(struct.pack("<ii", -1, 64))
+    with pytest.raises(ValueError, match="bad feature header"):
+        read_features(path)
+
+
 def test_scene_jsonl_roundtrip(tmp_path, default_bundle):
     path = tmp_path / "scenes.jsonl"
     scenes = default_bundle.scenes[:10]
@@ -299,3 +315,47 @@ def test_scene_from_backend_rejects_bad_boxes():
 
     with pytest.raises(scenegen.SceneConstructionError, match="unit square"):
         scenegen.scene_from_backend("an avocado", 0, backend)
+
+
+def fresh_word_vector(word, d):
+    v = np.random.default_rng(derive_seed(0, "wordvec", word, d)).standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def test_word_vector_is_shared_and_read_only():
+    v = word_vector("avocado", 32)
+    assert np.array_equal(v, fresh_word_vector("avocado", 32))
+    assert word_vector("avocado", 32) is v
+    assert np.array_equal(word_vector("avocado", 16), fresh_word_vector("avocado", 16))
+    with pytest.raises(ValueError, match="read-only"):
+        v += 1.0
+    assert np.array_equal(word_vector("avocado", 32), fresh_word_vector("avocado", 32))
+
+
+# render_features as written before word vectors were memoised.
+def old_render_features(scene, noise_seed, d, b, sigma):
+    rng = np.random.default_rng(derive_seed(noise_seed, "features", scene.scene_id))
+    n = len(scene.objects) + b
+    feats = np.zeros((n, d))
+    proposals = []
+    for i, obj in enumerate(scene.objects):
+        row = np.zeros(d)
+        for word in sorted(obj.lexical_profile):
+            row += fresh_word_vector(word, d)
+        row[:4] += np.asarray(obj.box) * scenegen.BOX_ENCODING_SCALE
+        feats[i] = row
+        proposals.append(obj.box)
+    feats += rng.standard_normal((n, d)) * (sigma / np.sqrt(d))
+    for _ in range(b):
+        w, h = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)
+        proposals.append((rng.uniform(0, 1 - w), rng.uniform(0, 1 - h), w, h))
+    return tuple(proposals), feats
+
+
+@pytest.mark.parametrize("d,b,sigma", [(64, 2, 0.05), (16, 0, 0.0), (8, 3, 0.2)])
+def test_render_features_matches_the_per_word_loop(default_bundle, d, b, sigma):
+    for scene in default_bundle.scenes[:30]:
+        rf = render_features(scene, noise_seed=5, d=d, b=b, sigma=sigma)
+        proposals, feats = old_render_features(scene, 5, d, b, sigma)
+        assert rf.proposals == proposals
+        assert np.array_equal(rf.features, feats)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from grounddesk import targets
 from grounddesk.corpus import ObjectDescription
@@ -244,3 +247,66 @@ def test_example_serialization_roundtrip():
     assert [i.kind for i in query2.items] == [i.kind for i in query.items]
     assert np.array_equal(target2.matrix, target.matrix)
     assert np.array_equal(target2.loss_mask, target.loss_mask)
+
+
+# The encoding before the codec was vectorised, kept here to pin its bytes.
+def old_encoding(matrix):
+    return "".join(str(int(v)) for v in matrix.reshape(-1))
+
+
+def query_of_width(m):
+    return Query(items=(CaptionItem(tuple(f"w{j}" for j in range(m)), "detection_category"),))
+
+
+binary_matrices = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+                         elements=st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_matrices)
+@example(np.ones((1, 1)))
+@example(np.zeros((1, 9)))
+@example(np.ones((9, 1)))
+def test_example_codec_roundtrip_keeps_the_old_bytes(matrix):
+    n, m = matrix.shape
+    target = targets.AlignmentTarget(matrix=matrix, loss_mask=1.0 - matrix)
+    row = targets.example_to_json(0, query_of_width(m), target)
+    assert row["target"] == old_encoding(matrix)
+    assert row["mask"] == old_encoding(1.0 - matrix)
+    _, query, decoded = targets.example_from_json(row)
+    assert query.m == m
+    for got, want in ((decoded.matrix, matrix), (decoded.loss_mask, 1.0 - matrix)):
+        assert got.dtype == np.float64 and got.shape == (n, m)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
+def test_example_codec_rejects_non_binary_matrices(value):
+    bad, ok = np.zeros((2, 3)), np.zeros((2, 3))
+    bad[1, 2] = value
+    for matrices, what in (((bad, ok), "target"), ((ok, bad), "mask")):
+        with pytest.raises(ValueError, match=f"{what} matrix is not binary"):
+            targets.example_to_json(0, query_of_width(3), targets.AlignmentTarget(*matrices))
+
+
+def two_by_three_row():
+    target = targets.AlignmentTarget(matrix=np.zeros((2, 3)), loss_mask=np.ones((2, 3)))
+    return targets.example_to_json(0, query_of_width(3), target)
+
+
+@pytest.mark.parametrize("field", ["target", "mask"])
+@pytest.mark.parametrize("text", ["010012", "01001x", "01001 ", "01001\u00e9", "01001/"])
+def test_example_codec_rejects_bad_characters(field, text):
+    row = two_by_three_row()
+    row[field] = text
+    with pytest.raises(ValueError, match=f"{field} string holds a character other than 0/1"):
+        targets.example_from_json(row)
+
+
+@pytest.mark.parametrize("field", ["target", "mask"])
+@pytest.mark.parametrize("text", ["", "01001", "0100110"])
+def test_example_codec_rejects_wrong_lengths(field, text):
+    row = two_by_three_row()
+    row[field] = text
+    with pytest.raises(ValueError, match=f"{field} string has {len(text)} cells, expected 2 x 3"):
+        targets.example_from_json(row)
