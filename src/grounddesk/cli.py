@@ -3,9 +3,11 @@ seeded determinism, per-stage manifests, and canned ablation experiments.
 
 A thin shell over :mod:`grounddesk.pipeline`, which builds every object: this
 module reads the config, reads and writes artifacts, and keeps one manifest
-per stage. Re-running a completed stage with unchanged config and inputs is a
-no-op; re-running the pipeline with the same seed, at any ``--workers``
-count, reproduces a byte-identical artifact tree. Exit codes: 0 success,
+per stage. Each stage declares once, in ``STAGES``, the config keys and the
+files it reads; one runner requires, hashes and checks them. Re-running a
+completed stage with unchanged config and inputs is a no-op; re-running the
+pipeline with the same seed, at any ``--workers`` count, reproduces a
+byte-identical artifact tree. Exit codes: 0 success,
 2 config error (checked before any stage runs), 3 missing artifact, 4 numeric
 failure, 5 corrupt artifact.
 """
@@ -20,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus, evalkit, labeling, langparse, pipeline, scenegen, storage, targets
@@ -94,6 +97,12 @@ _RANGES = (
     ("labeler.strategy", lambda v: v in pipeline.LABEL_STRATEGIES,
      f"must be one of {list(pipeline.LABEL_STRATEGIES)}"),
     ("images_per_description", lambda v: v >= 1, "must be >= 1"),
+    ("features.dim", lambda v: v >= 8, "must be >= 8"),
+    ("features.background_boxes", lambda v: v >= 0, "must be >= 0"),
+    ("targets.k_neg", lambda v: v >= 0, "must be >= 0"),
+    ("train.d_model", lambda v: v >= 1, "must be >= 1"),
+    ("eval.nw_choices", lambda v: v and all(isinstance(n, int) and n >= 3 for n in v),
+     "must be a non-empty list of integers >= 3"),
     ("descriptions.target_length_words", lambda v: v >= 3, "must be >= 3"),
     ("train.epochs", lambda v: v >= 1, "must be >= 1"),
     ("train.batch_size", lambda v: v >= 1, "must be >= 1"),
@@ -179,12 +188,17 @@ def _out(config) -> str:
     return out
 
 
-def _require(out_dir, filename, producer):
-    path = os.path.join(out_dir, filename)
-    if not os.path.exists(path):
+def _require(out_dir, filename, producer) -> None:
+    if not os.path.exists(os.path.join(out_dir, filename)):
         raise MissingArtifactError(
             f"missing artifact {filename}; run 'grounddesk {producer}' first")
-    return path
+
+
+def _read(out_dir, filename, reader, **kwargs):
+    """reader(path, **kwargs) on one artifact; its failure names the file."""
+    path = os.path.join(out_dir, filename)
+    with _reading(path):
+        return reader(path, **kwargs)
 
 
 def _pool_and_lexicon(config):
@@ -248,11 +262,9 @@ def _feature_config(config) -> pipeline.FeatureConfig:
 
 def _benchmark(config, pool, lexicon):
     """The eval benchmark, drawn under its own seed label."""
-    return scenegen.make_benchmark(
-        pool, corpus.DescriptionSpec(1, config["descriptions"]["target_length_words"],
-                                     seed=config["seed"]),
-        config["eval"]["benchmark_scenes"], derive_seed(config["seed"], "benchmark"),
-        config=_benchmark_config(config), lexicon=lexicon)
+    return scenegen.make_benchmark(pool, config["eval"]["benchmark_scenes"],
+                                   derive_seed(config["seed"], "benchmark"),
+                                   config=_benchmark_config(config), lexicon=lexicon)
 
 
 def fanout(fn, items, workers: int = 1):
@@ -263,54 +275,85 @@ def fanout(fn, items, workers: int = 1):
         return list(pool.map(fn, items, chunksize=8))
 
 
-def _read_bundle(config, desc_path, scenes_path, features=None) -> pipeline.CorpusBundle:
+# The feature index stands for itself and every feature file it lists.
+FEATURE_INDEX = "features/index.jsonl"
+
+
+def _index_row(row) -> tuple:
+    return row["file"], row["scene_id"], row["noise_seed"], [tuple(p) for p in row["proposals"]]
+
+
+def _feature_index(out_dir) -> list[tuple]:
+    """(file, scene_id, noise_seed, proposals) for each feature file, in index order."""
+    return _read(out_dir, FEATURE_INDEX, storage.read_jsonl, decode=_index_row)
+
+
+def _load_features(out_dir) -> dict:
+    return {scene_id: _read(out_dir, rel, scenegen.read_features, proposals=proposals,
+                            noise_seed=noise_seed)
+            for rel, scene_id, noise_seed, proposals in _feature_index(out_dir)}
+
+
+def _read_bundle(config, out_dir, features=None) -> pipeline.CorpusBundle:
     """The corpus as the gen and scenes stages wrote it."""
     pool, lexicon = _pool_and_lexicon(config)
-    return pipeline.CorpusBundle(pool=pool, lexicon=lexicon,
-                                 descriptions=corpus.read_descriptions(desc_path),
-                                 scenes=scenegen.read_scenes(scenes_path),
-                                 features=features or {})
+    return pipeline.CorpusBundle(
+        pool=pool, lexicon=lexicon,
+        descriptions=_read(out_dir, "descriptions.jsonl", corpus.read_descriptions),
+        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features=features or {})
 
 
-def _read_triplets(path) -> list[labeling.PseudoTriplet]:
-    with open(path, encoding="utf-8") as fh:
-        return [labeling.triplet_from_json(json.loads(line)) for line in fh]
+def _read_triplets(out_dir) -> list[labeling.PseudoTriplet]:
+    return _read(out_dir, "triplets.jsonl", storage.read_jsonl,
+                 decode=labeling.triplet_from_json)
+
+
+def _read_examples(out_dir, filename, features) -> list[TrainExample]:
+    def decode(row):
+        scene_id, query, target = targets.example_from_json(row)
+        return TrainExample(features=features[scene_id].features, query=query, target=target,
+                            scene_id=scene_id)
+    return _read(out_dir, filename, storage.read_jsonl, decode=decode)
+
+
+def _load_model(out_dir):
+    vocab_path = os.path.join(out_dir, "model.vocab.json")
+    with _reading(vocab_path):
+        vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
+    return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=vocab)
+
+
+def _write_jsonl(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _example_row(example: TrainExample) -> dict:
+    return targets.example_to_json(example.scene_id, example.query, example.target)
 
 
 # stages -----------------------------------------------------------------
+# Each body gets the config restricted to its stage's keys. A stage with a
+# manifest reads only its declared inputs and returns the files it wrote,
+# relative to out.
 
-def cmd_gen(config, workers: int = 1) -> int:
-    out = _out(config)
-    slice_ = {k: config[k] for k in ("pool", "descriptions", "seed")}
-    if storage.stage_is_current(out, "gen", slice_, {}):
-        print("gen: up to date, skipping")
-        return 0
+def _gen(config, out, workers):
     pool, _ = _pool_and_lexicon(config)
     d = config["descriptions"]
     descriptions = pipeline.build_description_corpus(
         pool, d["num_descriptions"], d["target_length_words"], config["seed"],
         map_fn=functools.partial(fanout, workers=workers))
-    path = os.path.join(out, "descriptions.jsonl")
-    corpus.write_descriptions(path, descriptions)
+    corpus.write_descriptions(os.path.join(out, "descriptions.jsonl"), descriptions)
     if d["num_descriptions"] == 0:
         print("warning: num_descriptions is 0, wrote an empty corpus")
-    storage.write_manifest(out, "gen", slice_, {},
-                           {"descriptions.jsonl": storage.sha256_file(path)})
     print(f"gen: wrote {len(descriptions)} descriptions for {len(pool)} categories")
-    return 0
+    return ["descriptions.jsonl"]
 
 
-def cmd_scenes(config, workers: int = 1) -> int:
-    out = _out(config)
-    desc_path = _require(out, "descriptions.jsonl", "gen")
-    slice_ = {k: config[k] for k in
-              ("pool", "images_per_description", "distractors", "features", "seed")}
-    inputs = {"descriptions.jsonl": storage.sha256_file(desc_path)}
-    if storage.stage_is_current(out, "scenes", slice_, inputs):
-        print("scenes: up to date, skipping")
-        return 0
+def _scenes(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
-    descriptions = corpus.read_descriptions(desc_path)
+    descriptions = _read(out, "descriptions.jsonl", corpus.read_descriptions)
     images = config["images_per_description"]
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
@@ -324,163 +367,60 @@ def cmd_scenes(config, workers: int = 1) -> int:
         index_rows.append({"scene_id": scene.scene_id, "file": fname,
                            "noise_seed": rf.noise_seed,
                            "proposals": [list(p) for p in rf.proposals]})
-    scenes_path = os.path.join(out, "scenes.jsonl")
-    scenegen.write_scenes(scenes_path, scenes)
-    index_path = os.path.join(out, "features", "index.jsonl")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for row in index_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    outputs = {"scenes.jsonl": storage.sha256_file(scenes_path),
-               "features/index.jsonl": storage.sha256_file(index_path)}
-    for row in index_rows:
-        outputs[row["file"]] = storage.sha256_file(os.path.join(out, row["file"]))
-    storage.write_manifest(out, "scenes", slice_, inputs, outputs)
+    scenegen.write_scenes(os.path.join(out, "scenes.jsonl"), scenes)
+    _write_jsonl(os.path.join(out, FEATURE_INDEX), index_rows)
     print(f"scenes: wrote {len(scenes)} scenes "
           f"({len(descriptions)} descriptions x {images} seeds)")
-    return 0
+    return ["scenes.jsonl", FEATURE_INDEX] + [row["file"] for row in index_rows]
 
 
-def _load_features(out_dir) -> dict:
-    index_path = _require(out_dir, os.path.join("features", "index.jsonl"), "scenes")
-    table = {}
-    with open(index_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            with _reading(f"{index_path} line {lineno}"):
-                row = json.loads(line)
-                path = _require(out_dir, row["file"], "scenes")
-                scene_id, noise_seed = row["scene_id"], row["noise_seed"]
-                proposals = [tuple(p) for p in row["proposals"]]
-            with _reading(path):
-                table[scene_id] = scenegen.read_features(path, proposals=proposals,
-                                                         noise_seed=noise_seed)
-    return table
-
-
-def cmd_label(config, workers: int = 1) -> int:
-    out = _out(config)
-    desc_path = _require(out, "descriptions.jsonl", "gen")
-    scenes_path = _require(out, "scenes.jsonl", "scenes")
-    slice_ = {k: config[k] for k in ("detector", "labeler", "seed")}
-    inputs = {"descriptions.jsonl": storage.sha256_file(desc_path),
-              "scenes.jsonl": storage.sha256_file(scenes_path)}
-    if storage.stage_is_current(out, "label", slice_, inputs):
-        print("label: up to date, skipping")
-        return 0
-    bundle = _read_bundle(config, desc_path, scenes_path)
+def _label(config, out, workers):
+    bundle = _read_bundle(config, out)
     triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config),
                                      config["labeler"]["strategy"],
                                      map_fn=functools.partial(fanout, workers=workers))
-    path = os.path.join(out, "triplets.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        for triplet in triplets:
-            fh.write(json.dumps(labeling.triplet_to_json(triplet), sort_keys=True) + "\n")
-    storage.write_manifest(out, "label", slice_, inputs,
-                           {"triplets.jsonl": storage.sha256_file(path)})
+    _write_jsonl(os.path.join(out, "triplets.jsonl"), map(labeling.triplet_to_json, triplets))
     n_assigned = sum(1 for t in triplets if t.assignments)
     print(f"label: wrote {len(triplets)} pseudo-triplets ({n_assigned} with assignments)")
-    return 0
+    return ["triplets.jsonl"]
 
 
-def _write_example(fh, example: TrainExample) -> None:
-    row = targets.example_to_json(example.scene_id, example.query, example.target)
-    fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def cmd_targets(config, workers: int = 1) -> int:
-    out = _out(config)
-    desc_path = _require(out, "descriptions.jsonl", "gen")
-    scenes_path = _require(out, "scenes.jsonl", "scenes")
-    triplets_path = _require(out, "triplets.jsonl", "label")
-    slice_ = {k: config[k] for k in ("targets", "seed")}
-    inputs = {name: storage.sha256_file(p) for name, p in
-              (("descriptions.jsonl", desc_path), ("scenes.jsonl", scenes_path),
-               ("triplets.jsonl", triplets_path))}
-    if storage.stage_is_current(out, "targets", slice_, inputs):
-        print("targets: up to date, skipping")
-        return 0
-    bundle = _read_bundle(config, desc_path, scenes_path, _load_features(out))
+def _targets(config, out, workers):
+    bundle = _read_bundle(config, out, _load_features(out))
+    triplets = _read_triplets(out)
     tc = config["targets"]
     variant = pipeline.SignalVariant("config", tc["k_neg"], tc["include_struct_pos"],
                                      _target_config(config))
     query_seed = derive_seed(config["seed"], "query")
     # Each example is written as soon as it is built; no list of them is kept.
-    examples_path = os.path.join(out, "examples.jsonl")
-    with open(examples_path, "w", encoding="utf-8") as fh:
-        for triplet in _read_triplets(triplets_path):
-            if triplet.assignments:
-                _write_example(fh, pipeline.training_example(bundle, triplet, variant, query_seed))
-    det_path = os.path.join(out, "detection_examples.jsonl")
-    with open(det_path, "w", encoding="utf-8") as fh:
-        for scene in bundle.scenes:
-            _write_example(fh, pipeline.detection_example(bundle, scene, config["seed"],
+    _write_jsonl(os.path.join(out, "examples.jsonl"),
+                 (_example_row(pipeline.training_example(bundle, t, variant, query_seed))
+                  for t in triplets if t.assignments))
+    _write_jsonl(os.path.join(out, "detection_examples.jsonl"),
+                 (_example_row(pipeline.detection_example(bundle, scene, config["seed"],
                                                           tc["absent_categories"]))
-    outputs = {"examples.jsonl": storage.sha256_file(examples_path),
-               "detection_examples.jsonl": storage.sha256_file(det_path)}
-    storage.write_manifest(out, "targets", slice_, inputs, outputs)
+                  for scene in bundle.scenes))
     print(f"targets: wrote alignment targets to examples.jsonl and detection_examples.jsonl")
-    return 0
+    return ["examples.jsonl", "detection_examples.jsonl"]
 
 
-def _read_examples(path, features) -> list[TrainExample]:
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            with _reading(f"{path} line {lineno}"):
-                scene_id, query, target = targets.example_from_json(json.loads(line))
-                rf = features[scene_id]
-            examples.append(TrainExample(features=rf.features, query=query, target=target,
-                                         scene_id=scene_id))
-    return examples
-
-
-def cmd_train(config, workers: int = 1) -> int:
-    out = _out(config)
-    examples_path = _require(out, "examples.jsonl", "targets")
-    det_path = _require(out, "detection_examples.jsonl", "targets")
-    slice_ = {k: config[k] for k in ("train", "pool", "features", "seed")}
-    inputs = {"examples.jsonl": storage.sha256_file(examples_path),
-              "detection_examples.jsonl": storage.sha256_file(det_path)}
-    if storage.stage_is_current(out, "train", slice_, inputs):
-        print("train: up to date, skipping")
-        return 0
+def _train(config, out, workers):
     features = _load_features(out)
-    triplet_examples = _read_examples(examples_path, features)
-    detection_examples = _read_examples(det_path, features)
+    triplet_examples = _read_examples(out, "examples.jsonl", features)
+    detection_examples = _read_examples(out, "detection_examples.jsonl", features)
     vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
     model = GroundingModel(vocab, d_in=config["features"]["dim"],
                            d_model=config["train"]["d_model"], seed=config["seed"])
     model, history = train(model, triplet_examples, detection_examples, _train_config(config))
-    ckpt_path = os.path.join(out, "model.ckpt")
-    save_checkpoint(model, ckpt_path)
-    vocab_path = os.path.join(out, "model.vocab.json")
-    storage.write_json(vocab_path, {"tokens": list(vocab.tokens)})
-    hist_path = os.path.join(out, "history.csv")
-    save_history(hist_path, history)
-    outputs = {name: storage.sha256_file(os.path.join(out, name))
-               for name in ("model.ckpt", "model.vocab.json", "history.csv")}
-    storage.write_manifest(out, "train", slice_, inputs, outputs)
+    save_checkpoint(model, os.path.join(out, "model.ckpt"))
+    storage.write_json(os.path.join(out, "model.vocab.json"), {"tokens": list(vocab.tokens)})
+    save_history(os.path.join(out, "history.csv"), history)
     print(f"train: {len(triplet_examples)} triplet examples, "
           f"loss {history[0][1]:.4f} -> {history[-1][1]:.4f}")
-    return 0
+    return ["model.ckpt", "model.vocab.json", "history.csv"]
 
 
-def _load_model(out_dir):
-    ckpt_path = _require(out_dir, "model.ckpt", "train")
-    vocab_path = _require(out_dir, "model.vocab.json", "train")
-    with _reading(vocab_path):
-        vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
-    with _reading(ckpt_path):
-        return load_checkpoint(ckpt_path, vocab)
-
-
-def cmd_eval(config, workers: int = 1) -> int:
-    out = _out(config)
-    slice_ = {k: config[k] for k in
-              ("eval", "pool", "descriptions", "features", "distractors", "seed")}
-    inputs = {"model.ckpt": storage.sha256_file(_require(out, "model.ckpt", "train"))}
-    if storage.stage_is_current(out, "eval", slice_, inputs):
-        print("eval: up to date, skipping")
-        return 0
+def _eval(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -490,53 +430,95 @@ def cmd_eval(config, workers: int = 1) -> int:
     report = evalkit.omnilabel_report(rows, bench, iou_threshold=e["iou_threshold"],
                                       lexicon=lexicon)
     d3 = evalkit.d3_report(rows, bench, iou_threshold=e["iou_threshold"], lexicon=lexicon)
-    results_path = os.path.join(out, "results.jsonl")
-    evalkit.write_results(results_path, rows)
-    bench_path = os.path.join(out, "benchmark_scenes.jsonl")
-    scenegen.write_scenes(bench_path, bench.scenes)
-    report_path = os.path.join(out, "report.json")
+    evalkit.write_results(os.path.join(out, "results.jsonl"), rows)
+    scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
     payload = report.to_json()
     payload["d3"] = {k: None if v != v else v for k, v in zip(("full", "pres", "abs"), d3)}
-    storage.write_json(report_path, payload)
-    outputs = {name: storage.sha256_file(os.path.join(out, name))
-               for name in ("results.jsonl", "benchmark_scenes.jsonl", "report.json")}
-    storage.write_manifest(out, "eval", slice_, inputs, outputs)
+    storage.write_json(os.path.join(out, "report.json"), payload)
     print(f"eval: AP={report.AP:.2f} AP_categ={report.AP_categ:.2f} "
           f"AP_descr={report.AP_descr:.2f}")
-    return 0
+    return ["results.jsonl", "benchmark_scenes.jsonl", "report.json"]
 
 
-def cmd_report(config, workers: int = 1) -> int:
-    out = _out(config)
-    report_path = _require(out, "report.json", "eval")
-    hashed = {k: v for k, v in config.items() if k != "output_dir"}
-    summary = {"config_hash": storage.config_hash(hashed), "seed": config["seed"],
-               "metrics": storage.read_json(report_path)}
-    triplets_path = os.path.join(out, "triplets.jsonl")
-    if os.path.exists(triplets_path):
-        bundle = _read_bundle(config, os.path.join(out, "descriptions.jsonl"),
-                              os.path.join(out, "scenes.jsonl"))
-        summary["label_recall_mean"] = pipeline.mean_label_recall(
-            bundle, _read_triplets(triplets_path))
-    hist_path = os.path.join(out, "history.csv")
-    if os.path.exists(hist_path):
-        history = load_history(hist_path)
+def _report(config, out, workers):
+    """Summarise the run. Label recall and the loss curve are added when their
+    artifacts exist, so the stage has no manifest and always runs."""
+    summary = {"config_hash": storage.config_hash(config), "seed": config["seed"],
+               "metrics": _read(out, "report.json", storage.read_json)}
+    if os.path.exists(os.path.join(out, "triplets.jsonl")):
+        summary["label_recall_mean"] = pipeline.mean_label_recall(_read_bundle(config, out),
+                                                                  _read_triplets(out))
+    if os.path.exists(os.path.join(out, "history.csv")):
+        history = _read(out, "history.csv", load_history)
         summary["training"] = {"epochs": len(history),
                                "initial_loss": history[0][1], "final_loss": history[-1][1]}
     storage.write_json(os.path.join(out, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True, indent=2))
-    return 0
 
 
-PIPELINE_STAGES = ("gen", "scenes", "label", "targets", "train", "eval", "report")
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """What a stage uses, declared once: the top-level config keys its body
+    reads, and each file it reads with the stage that writes that file."""
+    keys: tuple[str, ...]
+    inputs: dict[str, str]
+    body: Callable
+    manifest: bool = True
 
 
-def cmd_all(config, workers: int = 1) -> int:
-    for stage in PIPELINE_STAGES:
-        code = STAGE_COMMANDS[stage](config, workers)
-        if code != 0:
-            return code
-    return 0
+STAGES = {
+    "gen": Stage(("pool", "descriptions", "seed"), {}, _gen),
+    "scenes": Stage(("pool", "images_per_description", "distractors", "features", "seed"),
+                    {"descriptions.jsonl": "gen"}, _scenes),
+    "label": Stage(("pool", "detector", "labeler"),
+                   {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"}, _label),
+    "targets": Stage(("pool", "targets", "seed"),
+                     {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
+                      "triplets.jsonl": "label", FEATURE_INDEX: "scenes"}, _targets),
+    "train": Stage(("pool", "features", "train", "seed"),
+                   {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
+                    FEATURE_INDEX: "scenes"}, _train),
+    "eval": Stage(("pool", "features", "distractors", "eval", "seed"),
+                  {"model.ckpt": "train", "model.vocab.json": "train"}, _eval),
+    "report": Stage(tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
+                    {"report.json": "eval"}, _report, manifest=False),
+}
+
+PIPELINE_STAGES = tuple(STAGES)
+
+
+def _input_files(out_dir, stage: Stage) -> list[str]:
+    """Every file the stage reads, relative to out_dir, each required to
+    exist; the feature index brings in the feature files it lists."""
+    files = []
+    for filename, producer in stage.inputs.items():
+        _require(out_dir, filename, producer)
+        listed = [rel for rel, *_ in _feature_index(out_dir)] if filename == FEATURE_INDEX else []
+        for rel in listed:
+            _require(out_dir, rel, producer)
+        files += [filename] + listed
+    return files
+
+
+def _run_stage(name: str, config: dict, workers: int) -> None:
+    """Run one stage unless its manifest still matches its config keys and
+    inputs; a stage that runs records a new manifest of what it wrote."""
+    stage = STAGES[name]
+    out = _out(config)
+    used = {key: config[key] for key in stage.keys}
+    files = _input_files(out, stage)
+    if not stage.manifest:
+        stage.body(used, out, workers)
+        return
+    inputs = {rel: storage.sha256_file(os.path.join(out, rel)) for rel in files}
+    with _reading(storage.manifest_path(out, name)):
+        current = storage.stage_is_current(out, name, used, inputs)
+    if current:
+        print(f"{name}: up to date, skipping")
+        return
+    written = stage.body(used, out, workers)
+    storage.write_manifest(out, name, used, inputs,
+                           {rel: storage.sha256_file(os.path.join(out, rel)) for rel in written})
 
 
 # ablations ---------------------------------------------------------------
@@ -557,7 +539,7 @@ def _bundle_from_config(config, images=None):
         features=_feature_config(config))
 
 
-def _label(config, bundle, labeler_config=None):
+def _label_bundle(config, bundle, labeler_config=None):
     return pipeline.label_corpus(bundle, _detector(config),
                                  labeler_config or _labeler_config(config),
                                  config["labeler"]["strategy"])
@@ -583,7 +565,7 @@ def cmd_ablate_threshold(config, workers: int = 1) -> int:
     bundle = _bundle_from_config(config)
     rows = []
     for p in (0.3, 0.5, 0.7):
-        triplets = _label(config, bundle, dataclasses.replace(_labeler_config(config),
+        triplets = _label_bundle(config, bundle, dataclasses.replace(_labeler_config(config),
                                                               threshold_p=p))
         recall = pipeline.mean_label_recall(bundle, triplets)
         report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT,
@@ -598,7 +580,7 @@ def cmd_ablate_threshold(config, workers: int = 1) -> int:
 def cmd_ablate_freeze(config, workers: int = 1) -> int:
     out_dir = _ablate_dir(config, "freeze")
     bundle = _bundle_from_config(config)
-    triplets = _label(config, bundle)
+    triplets = _label_bundle(config, bundle)
     rows = []
     base = _train_config(config)
     for name in ("none", "visual", "language", "fusion"):
@@ -633,7 +615,7 @@ def cmd_ablate_density(config, workers: int = 1) -> int:
     rows = []
     for images in (2, 4, 8):
         bundle = _bundle_from_config(config, images=images)
-        report = _train_and_eval(config, bundle, _label(config, bundle),
+        report = _train_and_eval(config, bundle, _label_bundle(config, bundle),
                                  pipeline.FULL_VARIANT, _train_config(config))
         rows.append({"images_per_description": images, "AP": report.AP,
                      "AP_descr": report.AP_descr, "AP_descr_L": report.AP_descr_L})
@@ -645,7 +627,7 @@ def cmd_ablate_density(config, workers: int = 1) -> int:
 def cmd_ablate_signals(config, workers: int = 1) -> int:
     out_dir = _ablate_dir(config, "signals")
     bundle = _bundle_from_config(config)
-    triplets = _label(config, bundle)
+    triplets = _label_bundle(config, bundle)
     tc = _train_config(config)
     rows = []
     for variant in pipeline.SIGNAL_LADDER:
@@ -658,11 +640,6 @@ def cmd_ablate_signals(config, workers: int = 1) -> int:
     return 0
 
 
-STAGE_COMMANDS = {
-    "gen": cmd_gen, "scenes": cmd_scenes, "label": cmd_label, "targets": cmd_targets,
-    "train": cmd_train, "eval": cmd_eval, "report": cmd_report, "all": cmd_all,
-}
-
 ABLATIONS = {
     "threshold": cmd_ablate_threshold, "freeze": cmd_ablate_freeze,
     "length": cmd_ablate_length, "density": cmd_ablate_density,
@@ -673,15 +650,18 @@ ABLATIONS = {
 def run(subcommand: str, config: dict, workers: int = 1) -> int:
     """Execute one pipeline subcommand; returns the process exit code."""
     try:
-        if subcommand in STAGE_COMMANDS:
-            return STAGE_COMMANDS[subcommand](config, workers)
-        if subcommand.startswith("ablate:"):
-            return ABLATIONS[subcommand.split(":", 1)[1]](config, workers)
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
+        if subcommand in STAGES or subcommand == "all":
+            for stage in PIPELINE_STAGES if subcommand == "all" else (subcommand,):
+                _run_stage(stage, config, workers)
+            return 0
+        experiment = subcommand.removeprefix("ablate:")
+        if experiment == subcommand or experiment not in ABLATIONS:
+            raise ConfigError(f"unknown subcommand {subcommand!r}")
+        return ABLATIONS[experiment](config, workers)
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 5
-    except (ConfigError, corpus.PoolError, corpus.CorpusError, ValueError) as exc:
+    except (ConfigError, corpus.PoolError, corpus.CorpusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import pools
 from .langparse import Lexicon, parse
+from .storage import read_jsonl
 
 PROMPT_TEMPLATE = (
     "Please list {nd} plausible visual object descriptions for {cls} that are "
@@ -311,16 +312,15 @@ def write_descriptions(path, descriptions) -> None:
             }, sort_keys=True) + "\n")
 
 
+def description_from_json(row: dict) -> ObjectDescription:
+    meta = None
+    if row.get("subject_span") is not None:
+        meta = GeneratorMetadata(tuple(row["subject_span"]),
+                                 tuple(tuple(s) for s in row["nonsubject_spans"]))
+    return ObjectDescription(id=row["id"], category_id=row["category_id"], text=row["text"],
+                             seed=row["seed"], provenance=row["provenance"],
+                             generator_metadata=meta)
+
+
 def read_descriptions(path) -> list[ObjectDescription]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            meta = None
-            if row.get("subject_span") is not None:
-                meta = GeneratorMetadata(tuple(row["subject_span"]),
-                                         tuple(tuple(s) for s in row["nonsubject_spans"]))
-            out.append(ObjectDescription(id=row["id"], category_id=row["category_id"],
-                                         text=row["text"], seed=row["seed"],
-                                         provenance=row["provenance"], generator_metadata=meta))
-    return out
+    return read_jsonl(path, description_from_json)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import CorpusError
 from .labeling import Detection
 from .langparse import Lexicon, parse
 from .targets import AlignmentTarget, CaptionItem, Query
@@ -125,20 +126,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def _segments(query: Query):
     """Per-token caption index and within-caption position; separators form
     singleton segments at position 0."""
-    m_len = len(query.tokens)
-    seg = np.zeros(m_len, dtype=np.int64)
-    within = np.zeros(m_len, dtype=np.int64)
     n_items = len(query.items)
-    extra = 0
-    for flat in range(m_len):
-        loc = query.token_map.get(flat)
-        if loc is None:
-            seg[flat] = n_items + extra
-            extra += 1
-        else:
-            seg[flat] = loc[0]
-            within[flat] = loc[1]
-    return seg, within
+    seg, within = [], []
+    for k, item in enumerate(query.items):
+        if k:  # the separator before caption k
+            seg.append(n_items + k - 1)
+            within.append(0)
+        seg += [k] * len(item.tokens)
+        within += range(len(item.tokens))
+    return np.array(seg, dtype=np.int64), np.array(within, dtype=np.int64)
 
 
 def compile_query(model: GroundingModel, query: Query) -> np.ndarray:
@@ -281,9 +277,9 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
     det = list(detection_examples)
     ratio = config.detection_mix_ratio
     if ratio > 0 and not det:
-        raise ValueError("detection_mix_ratio > 0 requires a detection corpus")
+        raise CorpusError("detection_mix_ratio > 0 requires a detection corpus")
     if ratio < 1 and not trip:
-        raise ValueError("detection_mix_ratio < 1 requires a triplet corpus")
+        raise CorpusError("detection_mix_ratio < 1 requires a triplet corpus")
     frozen = model.frozen_names(config.freeze_visual, config.freeze_language,
                                 config.freeze_fusion)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}

@@ -302,6 +302,5 @@ def train_variant(bundle: CorpusBundle, triplets, variant: SignalVariant,
 def default_benchmark(pool, seed: int = 0, n_scenes: int = 40,
                       config: BenchmarkConfig | None = None, lexicon=None) -> BenchmarkInstance:
     """Held-out benchmark; its seed space is disjoint from corpus seeds."""
-    spec = DescriptionSpec(1, 10, seed=seed)
-    return make_benchmark(pool, spec, n_scenes, derive_seed(seed, "heldout"),
+    return make_benchmark(pool, n_scenes, derive_seed(seed, "heldout"),
                           config=config, lexicon=lexicon)

@@ -21,8 +21,10 @@ import numpy as np
 
 from . import pools
 from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
+from .evalkit import BenchmarkInstance, CategoryLabel, DescriptionLabel, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
 from .seeding import derive_seed
+from .storage import read_jsonl
 
 ADJACENCY_EPS = 0.02
 NEAR_GAP = 0.1
@@ -80,15 +82,6 @@ class DistractorConfig:
 
 def _interval_overlap(a0, a1, b0, b1) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
-
-
-def box_iou(a, b) -> float:
-    inter = _interval_overlap(a[0], a[0] + a[2], b[0], b[0] + b[2]) * \
-        _interval_overlap(a[1], a[1] + a[3], b[1], b[1] + b[3])
-    if inter <= 0.0:
-        return 0.0
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union
 
 
 def _box_gap(a, b) -> float:
@@ -417,7 +410,7 @@ class BenchmarkConfig:
     distractors: DistractorConfig = DistractorConfig()
 
 
-def make_benchmark(pool, spec: DescriptionSpec, n_scenes: int, seed: int,
+def make_benchmark(pool, n_scenes: int, seed: int,
                    config: BenchmarkConfig | None = None, lexicon=None):
     """Held-out scenes paired with plain category labels and free-form
     description labels, a configured fraction of which have zero referents.
@@ -426,8 +419,6 @@ def make_benchmark(pool, spec: DescriptionSpec, n_scenes: int, seed: int,
     derived from `seed` only, so any seed disjoint from the training corpus
     seeds yields disjoint data.
     """
-    from .evalkit import BenchmarkInstance, CategoryLabel, DescriptionLabel
-
     config = config or BenchmarkConfig()
     rng = np.random.default_rng(derive_seed(seed, "benchmark"))
     scenes = []
@@ -559,5 +550,4 @@ def write_scenes(path, scenes) -> None:
 
 
 def read_scenes(path) -> list[Scene]:
-    with open(path, encoding="utf-8") as fh:
-        return [scene_from_json(json.loads(line)) for line in fh]
+    return read_jsonl(path, scene_from_json)

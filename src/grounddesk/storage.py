@@ -44,6 +44,20 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_jsonl(path, decode) -> list:
+    """decode(row) for each line of a JSON-lines file. A line that does not
+    parse or decode raises ValueError naming the file and the line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                out.append(decode(json.loads(line)))
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path} line {lineno}: {detail}") from exc
+    return out
+
+
 def hash_tree(root) -> dict:
     """Relative path -> sha256 for every file under root, sorted."""
     out = {}

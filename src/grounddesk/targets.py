@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import CorpusError
 from .labeling import PseudoTriplet
 from .langparse import Lexicon, parse
 from .scenegen import Scene
@@ -96,7 +97,7 @@ def assemble_query(triplet: PseudoTriplet, pool, k_neg: int, include_struct_pos:
     candidates = [d for d in pool
                   if d.category_id == positive.category_id and d.text != positive.text]
     if len(candidates) < k_neg:
-        raise ValueError(f"pool has {len(candidates)} same-category alternatives, need {k_neg}")
+        raise CorpusError(f"pool has {len(candidates)} same-category alternatives, need {k_neg}")
     rng = np.random.default_rng(derive_seed(seed, "query", triplet.scene_id, positive.id))
     items = [CaptionItem(tuple(positive.text.split()), "positive_description", positive.id)]
     if k_neg:

@@ -1,7 +1,11 @@
+import builtins
+import dataclasses
+import importlib.util
 import json
 import os
 import re
 import shutil
+import sys
 
 import pytest
 
@@ -55,7 +59,9 @@ def test_config_rejects_unknown_and_badly_typed_fields():
 @pytest.mark.parametrize("field,value", [
     ("train.epochs", "0"), ("train.batch_size", "0"), ("train.learning_rate", "0"),
     ("train.learning_rate", "-0.1"), ("train.detection_mix_ratio", "1.5"),
-    ("train.detection_mix_ratio", "-0.1"),
+    ("train.detection_mix_ratio", "-0.1"), ("features.dim", "4"),
+    ("features.background_boxes", "-1"), ("targets.k_neg", "-1"), ("train.d_model", "0"),
+    ("eval.nw_choices", "[]"), ("eval.nw_choices", "[2]"), ("eval.nw_choices", '["6"]'),
 ])
 def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -105,6 +111,31 @@ def test_parse_subcommand(capsys):
     out = capsys.readouterr().out
     assert "subject" in out and "non_subject" in out
     assert run_cli(["parse", "zzz unparseable"]) == 2
+
+
+def test_unknown_ablation_is_a_config_error(tmp_path, capsys):
+    assert cli.run("ablate:nope", load_config(output_dir=str(tmp_path / "o"))) == 2
+    assert "ablate:nope" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(pipeline, "build_description_corpus", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.run("gen", load_config(output_dir=str(tmp_path / "o")))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (["descriptions.num_descriptions=0"], "requires a detection corpus"),
+    (["descriptions.num_descriptions=2", "images_per_description=1"],
+     "same-category alternatives"),
+])
+def test_unusable_corpus_is_a_config_error(tmp_path, capsys, overrides, message):
+    args = [a for o in overrides for a in ("--set", o)]
+    assert run_cli(["all", "--out", str(tmp_path / "o")] + args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_gen_with_zero_descriptions(tmp_path, capsys):
@@ -199,6 +230,46 @@ def test_deleted_feature_file_is_a_missing_artifact(corrupt_copy, capsys):
     assert "scene_000001.bin" in capsys.readouterr().err
 
 
+def test_truncated_feature_file_reruns_targets_and_train(corrupt_copy, capsys):
+    _truncate(corrupt_copy / "features" / "scene_000000.bin", lambda n: n - 8)
+    for stage in ("targets", "train"):
+        assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
+        err = capsys.readouterr().err
+        assert "artifact error" in err and "scene_000000.bin" in err
+
+
+def test_swapped_vocabulary_tokens_rerun_eval(corrupt_copy, capsys):
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
+    assert "eval: up to date, skipping" in capsys.readouterr().out
+    path = corrupt_copy / "model.vocab.json"
+    vocab = json.loads(path.read_text())
+    vocab["tokens"][:2] = vocab["tokens"][1::-1]
+    storage.write_json(path, vocab)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
+    assert "up to date" not in capsys.readouterr().out
+
+
+def test_cut_manifest_is_an_artifact_error(corrupt_copy, capsys):
+    _truncate(corrupt_copy / "manifests" / "label.json", lambda n: n // 2)
+    assert run_cli(["label", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and os.path.join("manifests", "label.json") in err
+
+
+@pytest.mark.parametrize("filename,stage", [
+    ("descriptions.jsonl", "scenes"), ("scenes.jsonl", "label"),
+    ("triplets.jsonl", "targets"), ("features/index.jsonl", "targets"),
+])
+def test_cut_jsonl_line_is_an_artifact_error(corrupt_copy, capsys, filename, stage):
+    path = corrupt_copy / filename
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and f"{filename} line 2" in err
+
+
 @pytest.mark.parametrize("damage", [lambda t: "2" + t[1:], lambda t: "x" + t[1:],
                                     lambda t: t[:-1], lambda t: t + "0"],
                          ids=["digit_2", "letter", "short", "long"])
@@ -252,6 +323,104 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
     examples = [pipeline.training_example(bundle, t, pipeline.FULL_VARIANT, query_seed)
                 for t in triplets if t.assignments]
     assert _examples_jsonl(examples) == cli_bytes("examples.jsonl")
+
+
+MANIFEST_STAGES = [name for name, stage in cli.STAGES.items() if stage.manifest]
+
+
+def _declared_files(out, stage):
+    """The stage's declared inputs, the feature index expanded to the files it lists."""
+    files = set(stage.inputs)
+    if cli.FEATURE_INDEX in stage.inputs:
+        with open(os.path.join(out, cli.FEATURE_INDEX)) as fh:
+            files.update(json.loads(line)["file"] for line in fh)
+    return files
+
+
+class _RecordingConfig(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", MANIFEST_STAGES)
+def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
+    """A stage opens exactly its declared inputs and reads exactly its
+    declared config keys, apart from its manifest and the outputs it hashes."""
+    out = str(corrupt_copy)
+    stage = cli.STAGES[name]
+    os.remove(storage.manifest_path(out, name))
+    keys_read = set()
+
+    def body(config, out_dir, workers):
+        recording = _RecordingConfig(config)
+        written = stage.body(recording, out_dir, workers)
+        keys_read.update(recording.read)
+        return written
+
+    opened = set()
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            opened.add(os.path.relpath(os.fspath(file), out))
+        return real_open(file, mode, *args, **kwargs)
+
+    config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
+                         output_dir=out)
+    monkeypatch.setitem(cli.STAGES, name, dataclasses.replace(stage, body=body))
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert cli.run(name, config) == 0
+    monkeypatch.undo()
+    written = storage.read_json(storage.manifest_path(out, name))["outputs"]
+    reads = {p for p in opened if not p.startswith("manifests") and p not in written}
+    assert reads == _declared_files(out, stage)
+    assert keys_read == set(stage.keys)
+
+
+def _corrupt(path):
+    data = bytearray(path.read_bytes())
+    mid = len(data) // 2
+    data[mid] = 1 if data[mid] == 0 else 0
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("name,filename", [
+    (name, filename) for name in MANIFEST_STAGES for filename in cli.STAGES[name].inputs
+] + [(name, "features/scene_000000.bin") for name in MANIFEST_STAGES
+     if cli.FEATURE_INDEX in cli.STAGES[name].inputs])
+def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, capsys,
+                                                               name, filename):
+    assert run_cli([name, "--out", str(corrupt_copy)] + SMALL) == 0
+    assert f"{name}: up to date, skipping" in capsys.readouterr().out
+    _corrupt(corrupt_copy / filename)
+    code = run_cli([name, "--out", str(corrupt_copy)] + SMALL)
+    captured = capsys.readouterr()
+    if code == 5:
+        assert os.path.basename(filename) in captured.err
+    else:
+        assert code == 0 and "up to date" not in captured.out
+
+
+def test_stage_lists_match_the_benchmark(monkeypatch):
+    """gdbench keeps its own copies of the stage order and of the stages
+    that write manifests; they must follow the CLI's."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "gdbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("gdbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    assert cli.PIPELINE_STAGES == workloads.ALL_STAGES
+    assert tuple(MANIFEST_STAGES) == workloads.MANIFEST_STAGES
 
 
 def test_deterministic_trees(tmp_path_factory):

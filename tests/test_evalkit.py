@@ -8,7 +8,6 @@ from grounddesk import evalkit
 from grounddesk.evalkit import (average_precision, d3_report, harmonic_mean, iou,
                                 omnilabel_report, pooled_average_precision)
 from grounddesk.scenegen import BenchmarkConfig, make_benchmark
-from grounddesk.corpus import DescriptionSpec
 
 
 # Brute-force PR integration, independent of the incremental evaluator: the
@@ -135,7 +134,7 @@ def test_harmonic_mean_identities():
 
 @pytest.fixture(scope="module")
 def small_benchmark(desk20):
-    return make_benchmark(desk20, DescriptionSpec(1, 8, seed=0), 8, seed=5,
+    return make_benchmark(desk20, 8, seed=5,
                           config=BenchmarkConfig(fraction_negative=0.5))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from grounddesk import corpus, langparse, scenegen
-from grounddesk.corpus import DescriptionSpec
 from grounddesk.langparse import parse, phrase_noun_tokens
 from grounddesk.seeding import derive_seed
 from grounddesk.scenegen import (BenchmarkConfig, DistractorConfig, SceneObject,
@@ -259,15 +258,13 @@ def test_scene_jsonl_roundtrip(tmp_path, default_bundle):
 
 
 def test_benchmark_positive_only(desk20):
-    spec = DescriptionSpec(1, 8, seed=0)
-    bench = make_benchmark(desk20, spec, 10, seed=42,
+    bench = make_benchmark(desk20, 10, seed=42,
                            config=BenchmarkConfig(fraction_negative=0.0))
     assert all(label.gt_boxes for label in bench.description_labels)
 
 
 def test_benchmark_default_has_positives_and_negatives(desk20):
-    spec = DescriptionSpec(1, 10, seed=0)
-    bench = make_benchmark(desk20, spec, 10, seed=42)
+    bench = make_benchmark(desk20, 10, seed=42)
     by_scene = {}
     for label in bench.description_labels:
         pos, neg = by_scene.get(label.scene_id, (0, 0))
@@ -281,8 +278,7 @@ def test_benchmark_default_has_positives_and_negatives(desk20):
 
 
 def test_benchmark_negatives_truly_empty(desk20):
-    spec = DescriptionSpec(1, 10, seed=0)
-    bench = make_benchmark(desk20, spec, 12, seed=7)
+    bench = make_benchmark(desk20, 12, seed=7)
     scenes = {s.scene_id: s for s in bench.scenes}
     for label in bench.description_labels:
         refs = oracle_referents(scenes[label.scene_id], parse(label.text))
