@@ -26,7 +26,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus, evalkit, labeling, langparse, pipeline, scenegen, storage, targets
-from .groundnet import (GroundingModel, NumericError, TrainConfig, TrainExample,
+from .groundnet import (AGGREGATIONS, GroundingModel, NumericError, TrainConfig, TrainExample,
                         Vocabulary, load_checkpoint, load_history, save_checkpoint,
                         save_history, train)
 from .seeding import derive_seed
@@ -103,6 +103,10 @@ _RANGES = (
     ("train.d_model", lambda v: v >= 1, "must be >= 1"),
     ("eval.nw_choices", lambda v: v and all(isinstance(n, int) and n >= 3 for n in v),
      "must be a non-empty list of integers >= 3"),
+    ("eval.benchmark_scenes", lambda v: v >= 1, "must be >= 1"),
+    ("eval.fraction_negative", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("eval.iou_threshold", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("eval.aggregation", lambda v: v in AGGREGATIONS, f"must be one of {list(AGGREGATIONS)}"),
     ("descriptions.target_length_words", lambda v: v >= 3, "must be >= 3"),
     ("train.epochs", lambda v: v >= 1, "must be >= 1"),
     ("train.batch_size", lambda v: v >= 1, "must be >= 1"),
@@ -425,15 +429,15 @@ def _eval(config, out, workers):
     model = _load_model(out)
     e = config["eval"]
     bench = _benchmark(config, pool, lexicon)
-    rows = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
-                                           lexicon, agg=e["aggregation"])
-    report = evalkit.omnilabel_report(rows, bench, iou_threshold=e["iou_threshold"],
+    results = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
+                                              lexicon, agg=e["aggregation"])
+    report = evalkit.omnilabel_report(results, bench, iou_threshold=e["iou_threshold"],
                                       lexicon=lexicon)
-    d3 = evalkit.d3_report(rows, bench, iou_threshold=e["iou_threshold"], lexicon=lexicon)
-    evalkit.write_results(os.path.join(out, "results.jsonl"), rows)
+    evalkit.write_results(os.path.join(out, "results.jsonl"), results)
     scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
     payload = report.to_json()
-    payload["d3"] = {k: None if v != v else v for k, v in zip(("full", "pres", "abs"), d3)}
+    payload["d3"] = {"full": payload["d3_full"], "pres": payload["d3_pres"],
+                     "abs": payload["d3_abs"]}
     storage.write_json(os.path.join(out, "report.json"), payload)
     print(f"eval: AP={report.AP:.2f} AP_categ={report.AP_categ:.2f} "
           f"AP_descr={report.AP_descr:.2f}")

@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .langparse import Lexicon, is_absence, parse
 
@@ -20,7 +23,9 @@ LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
 
 def iou(box_a, box_b) -> float:
-    """Intersection over union for (x, y, w, h) boxes; 0 when disjoint."""
+    """Intersection over union for (x, y, w, h) boxes; 0 when disjoint. The
+    intersection's sides are differences of coordinates, which can round a
+    box's overlap with itself to just above 1; the result is capped at 1."""
     ax0, ay0, aw, ah = box_a
     bx0, by0, bw, bh = box_b
     iw = min(ax0 + aw, bx0 + bw) - max(ax0, bx0)
@@ -28,31 +33,101 @@ def iou(box_a, box_b) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (aw * ah + bw * bh - inter)
+    return min(inter / (aw * ah + bw * bh - inter), 1.0)
 
 
-def _as_box_score(det):
-    if hasattr(det, "box"):
-        return tuple(det.box), float(det.score)
-    box, score = det
-    return tuple(box), float(score)
+def iou_array(boxes_a, boxes_b) -> np.ndarray:
+    """iou() elementwise over two broadcastable (..., 4) box arrays. It runs
+    the same float operations in the same order, so each entry equals iou()
+    of the two boxes bit for bit."""
+    ax0, ay0, aw, ah = np.moveaxis(np.asarray(boxes_a, dtype=float), -1, 0)
+    bx0, by0, bw, bh = np.moveaxis(np.asarray(boxes_b, dtype=float), -1, 0)
+    iw = np.minimum(ax0 + aw, bx0 + bw) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay0 + ah, by0 + bh) - np.maximum(ay0, by0)
+    inter = iw * ih
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = inter / (aw * ah + bw * bh - inter)
+    return np.where((iw > 0.0) & (ih > 0.0), np.minimum(ratio, 1.0), 0.0)
 
 
-def _ap_from_flags(flags, n_gt) -> float:
-    """Area under the all-point interpolated precision-recall curve."""
-    precisions, recalls = [], []
-    tp = 0
-    for k, is_tp in enumerate(flags, start=1):
-        tp += is_tp
-        precisions.append(tp / k)
-        recalls.append(tp / n_gt)
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(len(flags)):
-        if recalls[k] > prev_recall:
-            ap += (recalls[k] - prev_recall) * max(precisions[k:])
-            prev_recall = recalls[k]
-    return ap
+class DetectionArrays(NamedTuple):
+    """One label's detections on one scene: boxes (n, 4) and scores (n,)."""
+    boxes: np.ndarray
+    scores: np.ndarray
+
+
+def as_detection_arrays(dets) -> DetectionArrays:
+    """Arrays from DetectionArrays, Detection objects, (box, score) pairs or
+    results.jsonl {box, score} dicts."""
+    if isinstance(dets, DetectionArrays):
+        return dets
+    boxes, scores = [], []
+    for det in dets:
+        if hasattr(det, "box"):
+            box, score = det.box, det.score
+        elif isinstance(det, dict):
+            box, score = det["box"], det["score"]
+        else:
+            box, score = det
+        boxes.append(tuple(box))
+        scores.append(float(score))
+    return DetectionArrays(np.array(boxes, dtype=float).reshape(-1, 4),
+                           np.array(scores, dtype=float))
+
+
+_NO_DETECTIONS = DetectionArrays(np.empty((0, 4)), np.empty(0))
+
+
+class Results(dict):
+    """The eval's result table: (label_id, scene_id) -> DetectionArrays, in
+    row order. One row is one line of results.jsonl."""
+
+    def extend(self, label_id, scene_id, dets: DetectionArrays) -> None:
+        """Add a row, or append to the row already under its key."""
+        old = self.get((label_id, scene_id))
+        if old is not None:
+            dets = DetectionArrays(np.concatenate([old.boxes, dets.boxes]),
+                                   np.concatenate([old.scores, dets.scores]))
+        self[label_id, scene_id] = dets
+
+    def rows(self):
+        """The table as results.jsonl rows {label_id, scene_id, detections}."""
+        for (label_id, scene_id), dets in self.items():
+            yield {"label_id": label_id, "scene_id": scene_id,
+                   "detections": [{"box": box, "score": score} for box, score
+                                  in zip(dets.boxes.tolist(), dets.scores.tolist())]}
+
+
+def _normalize_results(results) -> Results:
+    """The one converter to a Results table, from a Results, from a
+    {(label_id, scene_id): detections} mapping or from results.jsonl rows
+    (rows that share a key are joined in order)."""
+    if isinstance(results, Results):
+        return results
+    table = Results()
+    if isinstance(results, dict):
+        for (label_id, scene_id), dets in results.items():
+            table[label_id, scene_id] = as_detection_arrays(dets)
+        return table
+    for row in results:
+        table.extend(row["label_id"], row["scene_id"], as_detection_arrays(row["detections"]))
+    return table
+
+
+def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
+    """Area under the all-point interpolated precision-recall curve of a
+    ranking whose true positives are `flags`. Each true positive adds its
+    recall step times the best precision at or after it; the terms are summed
+    in rank order."""
+    hits = np.flatnonzero(flags)
+    if not len(hits):
+        return 0.0
+    tp = np.cumsum(flags)
+    precisions = tp / np.arange(1, len(flags) + 1)
+    best_after = np.maximum.accumulate(precisions[::-1])[::-1]
+    recalls = tp[hits] / n_gt
+    terms = np.diff(recalls, prepend=0.0) * best_after[hits]
+    return float(np.cumsum(terms)[-1])
 
 
 def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float:
@@ -66,34 +141,43 @@ def pooled_average_precision(dets_by_scene: dict, gt_by_scene: dict,
 
     Detections are taken highest score first (stable on ties); each takes the
     unmatched ground truth of its scene with the highest IoU at or above the
-    threshold (the first one wins on exact ties).
+    threshold (the first one wins on exact ties). Each detection is compared
+    with the ground truth of its own scene in one IoU matrix, padded to the
+    largest scene.
     """
     n_gt = sum(len(v) for v in gt_by_scene.values())
-    entries = []
-    for scene_id, dets in dets_by_scene.items():
-        entries.extend((scene_id, *_as_box_score(d)) for d in dets)
+    groups = [(scene_id, as_detection_arrays(dets)) for scene_id, dets in dets_by_scene.items()]
+    groups = [(scene_id, dets) for scene_id, dets in groups if len(dets.scores)]
     if n_gt == 0:
-        return 0.0 if entries else math.nan
-    if not entries:
+        return 0.0 if groups else math.nan
+    if not groups:
         return 0.0
-    entries.sort(key=lambda t: -t[2])
-    matched = {sid: [False] * len(boxes) for sid, boxes in gt_by_scene.items()}
-    flags = []
-    for scene_id, box, _score in entries:
-        gts = gt_by_scene.get(scene_id, [])
-        taken = matched.get(scene_id, [])
-        best, best_iou = None, -1.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(box, gt)
-            if v >= iou_threshold and v > best_iou:
+    scores = np.concatenate([dets.scores for _, dets in groups])
+    order = np.argsort(-scores, kind="stable")
+    boxes = np.concatenate([dets.boxes for _, dets in groups])[order]
+    group = np.repeat(np.arange(len(groups)), [len(dets.scores) for _, dets in groups])[order]
+    gts = [gt_by_scene.get(scene_id, ()) for scene_id, _ in groups]
+    gt_pad = np.zeros((len(groups), max(len(g) for g in gts), 4))
+    valid = np.zeros(gt_pad.shape[:2], dtype=bool)
+    for k, g in enumerate(gts):
+        if len(g):
+            gt_pad[k, :len(g)] = g
+            valid[k, :len(g)] = True
+    ious = iou_array(boxes[:, None, :], gt_pad[group])
+    candidate = valid[group] & (ious >= iou_threshold)
+    flags = np.zeros(len(scores), dtype=bool)
+    # Greedy matching in rank order; only detections with a candidate can match.
+    rows = np.flatnonzero(candidate.any(axis=1))
+    taken = [[False] * gt_pad.shape[1] for _ in gts]
+    for i, g, row in zip(rows.tolist(), group[rows].tolist(),
+                         np.where(candidate[rows], ious[rows], -math.inf).tolist()):
+        best, best_iou = None, -math.inf
+        for j, v in enumerate(row):
+            if v > best_iou and not taken[g][j]:
                 best, best_iou = j, v
         if best is not None:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+            taken[g][best] = True
+            flags[i] = True
     return _ap_from_flags(flags, n_gt)
 
 
@@ -153,18 +237,6 @@ class MetricReport:
         return row
 
 
-def _normalize_results(results) -> dict:
-    """Accepts JSONL-style rows or a {(label_id, scene_id): [(box, score)]} map."""
-    if isinstance(results, dict):
-        return {k: [_as_box_score(d) for d in v] for k, v in results.items()}
-    table: dict = {}
-    for row in results:
-        key = (row["label_id"], row["scene_id"])
-        dets = [(tuple(d["box"]), float(d["score"])) for d in row["detections"]]
-        table.setdefault(key, []).extend(dets)
-    return table
-
-
 def _bucket(token_count: int) -> int:
     if token_count <= LENGTH_BUCKETS[0]:
         return 0
@@ -178,14 +250,11 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def _description_aps(results, benchmark, iou_threshold):
-    table = _normalize_results(results)
-    rows = []
-    for label in benchmark.description_labels:
-        dets = table.get((label.label_id, label.scene_id), [])
-        ap = average_precision(dets, list(label.gt_boxes), iou_threshold)
-        rows.append((label, ap))
-    return rows
+def _description_aps(table: Results, benchmark, iou_threshold) -> list[float]:
+    """One AP per description label, in the benchmark's label order."""
+    return [average_precision(table.get((label.label_id, label.scene_id), _NO_DETECTIONS),
+                              label.gt_boxes, iou_threshold)
+            for label in benchmark.description_labels]
 
 
 def omnilabel_report(results, benchmark: BenchmarkInstance,
@@ -193,9 +262,10 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
                      lexicon: Lexicon | None = None) -> MetricReport:
     """Full description-aware report over a benchmark instance.
 
-    `results` covers both category and description labels, either as JSONL
-    rows {label_id, scene_id, detections:[{box, score}]} or as a mapping
-    keyed by (label_id, scene_id).
+    `results` covers both category and description labels, as anything
+    _normalize_results() takes: a Results table, JSONL rows
+    {label_id, scene_id, detections:[{box, score}]} or a mapping keyed by
+    (label_id, scene_id).
     """
     table = _normalize_results(results)
     cat_aps = []
@@ -203,26 +273,20 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
         dets_by_scene = {}
         for scene in benchmark.scenes:
             dets = table.get((label.label_id, scene.scene_id))
-            if dets:
+            if dets is not None:
                 dets_by_scene[scene.scene_id] = dets
-        ap = pooled_average_precision(dets_by_scene, label.gt_boxes, iou_threshold)
-        cat_aps.append(ap)
-    desc_rows = _description_aps(results, benchmark, iou_threshold)
+        cat_aps.append(pooled_average_precision(dets_by_scene, label.gt_boxes, iou_threshold))
+    desc_aps = _description_aps(table, benchmark, iou_threshold)
+    labels = benchmark.description_labels
 
     ap_categ = 100.0 * _mean(cat_aps)
-    ap_descr = 100.0 * _mean(ap for _label, ap in desc_rows)
-    ap_pos = 100.0 * _mean(ap for label, ap in desc_rows if label.gt_boxes)
+    ap_descr = 100.0 * _mean(desc_aps)
+    ap_pos = 100.0 * _mean(ap for label, ap in zip(labels, desc_aps) if label.gt_boxes)
     buckets = ([], [], [])
-    counts = [0, 0, 0]
-    for label, ap in desc_rows:
-        b = _bucket(len(label.text.split()))
-        counts[b] += 1
-        buckets[b].append(ap)
-    abs_flags = {label.label_id: is_absence(parse(label.text, lexicon))
-                 for label, _ap in desc_rows}
-    d3_full = 100.0 * _mean(ap for _l, ap in desc_rows)
-    d3_pres = 100.0 * _mean(ap for l, ap in desc_rows if not abs_flags[l.label_id])
-    d3_abs = 100.0 * _mean(ap for l, ap in desc_rows if abs_flags[l.label_id])
+    for label, ap in zip(labels, desc_aps):
+        buckets[_bucket(len(label.text.split()))].append(ap)
+    d3_full, d3_pres, d3_abs = d3_report(table, benchmark, iou_threshold, lexicon,
+                                         description_aps=desc_aps)
     return MetricReport(
         AP=harmonic_mean(ap_categ, ap_descr),
         AP_categ=ap_categ,
@@ -234,7 +298,7 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
         d3_full=d3_full,
         d3_pres=d3_pres,
         d3_abs=d3_abs,
-        bucket_counts=tuple(counts),
+        bucket_counts=tuple(len(b) for b in buckets),
         config={"iou_threshold": iou_threshold,
                 "buckets": {"S_max": LENGTH_BUCKETS[0], "M_max": LENGTH_BUCKETS[1]},
                 "interpolation": "all-point",
@@ -243,20 +307,56 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
 
 
 def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5,
-              lexicon: Lexicon | None = None) -> tuple[float, float, float]:
-    """(FULL, PRES, ABS) description APs partitioned by expressions of absence."""
-    desc_rows = _description_aps(results, benchmark, iou_threshold)
+              lexicon: Lexicon | None = None, *,
+              description_aps=None) -> tuple[float, float, float]:
+    """(FULL, PRES, ABS) description APs partitioned by expressions of absence.
+
+    `description_aps`, one AP per description label in benchmark order, are
+    used instead of scoring `results` again; omnilabel_report passes its own.
+    """
+    if description_aps is None:
+        description_aps = _description_aps(_normalize_results(results), benchmark,
+                                           iou_threshold)
     pres, absent = [], []
-    for label, ap in desc_rows:
+    for label, ap in zip(benchmark.description_labels, description_aps):
         (absent if is_absence(parse(label.text, lexicon)) else pres).append(ap)
-    full = 100.0 * _mean(ap for _l, ap in desc_rows)
-    return full, 100.0 * _mean(pres), 100.0 * _mean(absent)
+    return 100.0 * _mean(description_aps), 100.0 * _mean(pres), 100.0 * _mean(absent)
 
 
-def write_results(path, results_rows) -> None:
+def _json_floats(text: str) -> str:
+    """repr() text of floats as json writes it: json spells the non-finite
+    values NaN, Infinity and -Infinity."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _json_id(value) -> str:
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
+_BOX_BYTES = np.dtype((np.void, 32))  # one (x, y, w, h) float64 box
+
+
+def write_results(path, results) -> None:
+    """results.jsonl: one line per row of `results` (anything
+    _normalize_results() takes), byte-identical to json.dumps(row,
+    sort_keys=True) of its {label_id, scene_id, detections} row.
+
+    json writes a float as float.__repr__ and a list of floats as its repr,
+    apart from the non-finite spellings. A box recurs in the rows of every
+    label on its scene, so its text is made once, keyed by its exact bytes.
+    """
+    table = _normalize_results(results)
+    det_head: dict[bytes, str] = {}  # box bytes -> '{"box": [...], "score": '
     with open(path, "w", encoding="utf-8") as fh:
-        for row in results_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for (label_id, scene_id), dets in table.items():
+            keys = np.ascontiguousarray(dets.boxes).view(_BOX_BYTES).ravel().tolist()
+            for key, box in zip(keys, dets.boxes.tolist()):
+                if key not in det_head:
+                    det_head[key] = f'{{"box": {box!r}, "score": '
+            body = ", ".join([f"{det_head[key]}{score!r}}}"
+                              for key, score in zip(keys, dets.scores.tolist())])
+            fh.write(f'{{"detections": [{_json_floats(body)}], "label_id": {_json_id(label_id)}, '
+                     f'"scene_id": {_json_id(scene_id)}}}\n')
 
 
 def read_results(path) -> list[dict]:

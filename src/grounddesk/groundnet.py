@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -334,57 +335,91 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
     return model, history
 
 
-def _span_detections(sig, span_cols, proposals, query_text, score_threshold, agg="max"):
-    block = sig[:, span_cols]
+# How a label's score for a region aggregates over the label's token columns.
+AGGREGATIONS = ("max", "mean")
+
+
+class Prompt(NamedTuple):
+    """Labels compiled into one multi-caption prompt for one model: forward()'s
+    index array, and for each label the score columns its detections
+    aggregate over."""
+    compiled: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def compile_prompt(model: GroundingModel, trees, span: str = "caption") -> Prompt:
+    """The separator-joined prompt of the labels' parse trees. span="caption"
+    scores a label over all of its tokens, span="subject" over its subject
+    phrase only."""
+    query = Query(items=tuple(CaptionItem(tuple(t.tokens), "positive_description")
+                              for t in trees))
+    columns = []
+    for idx, tree in enumerate(trees):
+        off = query.item_offsets[idx]
+        if span == "subject":
+            columns.append(np.arange(off + tree.subject.start_token,
+                                     off + tree.subject.end_token))
+        else:
+            columns.append(np.arange(off, off + len(tree.tokens)))
+    return Prompt(compile_query(model, query), tuple(columns))
+
+
+def proposal_boxes(region_features) -> np.ndarray:
+    """Each region's (x, y, w, h) box as an (N, 4) array; the whole image for
+    features without proposals."""
+    proposals = getattr(region_features, "proposals", None)
+    if proposals:
+        return np.array(proposals, dtype=float)
+    return np.tile((0.0, 0.0, 1.0, 1.0), (len(getattr(region_features, "features",
+                                                     region_features)), 1))
+
+
+def _label_detections(sig, columns, score_threshold, agg):
+    """(proposal indices, scores) of the regions whose aggregated score is
+    above the threshold, highest score first, lower index first on ties."""
+    block = sig[:, columns]
     per_region = block.mean(axis=1) if agg == "mean" else block.max(axis=1)
-    dets = []
-    for i, s in enumerate(per_region):
-        if s > score_threshold:
-            box = tuple(proposals[i]) if proposals else (0.0, 0.0, 1.0, 1.0)
-            dets.append(Detection(i, box, float(s), query_text))
-    dets.sort(key=lambda d: (-d.score, d.proposal_index))
-    return dets
+    keep = np.flatnonzero(per_region > score_threshold)
+    scores = per_region[keep]
+    order = np.argsort(-scores, kind="stable")
+    return keep[order], scores[order]
 
 
 def predict(model: GroundingModel, region_features, query_text: str,
             score_threshold: float = 0.5, lexicon: Lexicon | None = None) -> list[Detection]:
     """Detections for a free-text query: per-region max sigmoid score over the
     query's subject-span tokens, above the threshold, sorted descending."""
-    tree = parse(query_text, lexicon)
-    query = Query(items=(CaptionItem(tuple(tree.tokens), "positive_description"),))
-    scores = forward(model, region_features, query)
-    sig = sigmoid(scores.S)
-    span = list(range(tree.subject.start_token, tree.subject.end_token))
-    return _span_detections(sig, span, getattr(region_features, "proposals", None),
-                            query_text, score_threshold)
+    [(indices, scores)] = predict_grouped(model, region_features, [query_text],
+                                          score_threshold, lexicon, span="subject")
+    boxes = proposal_boxes(region_features)[indices].tolist()
+    return [Detection(i, tuple(box), s, query_text)
+            for i, box, s in zip(indices.tolist(), boxes, scores.tolist())]
 
 
 def predict_grouped(model: GroundingModel, region_features, query_texts,
                     score_threshold: float = 0.5, lexicon: Lexicon | None = None,
-                    span: str = "caption", agg: str = "max") -> list[list[Detection]]:
+                    span: str = "caption", agg: str = "max") -> list[tuple[np.ndarray, np.ndarray]]:
     """Score several labels in one multi-caption prompt (separator-joined),
     matching the query format the model is trained on.
 
     With span="caption" a region's score for a label aggregates over all of
     that label's tokens (agg "mean" or "max"), the regime under which
     entity-blind models fire on every mentioned object; span="subject"
-    restricts to the label's subject phrase as in predict().
+    restricts to the label's subject phrase as in predict(). `query_texts`
+    is the label texts, or a compile_prompt() of them for this model, which
+    then fixes the span.
+
+    Returns, for each label, the proposal indices and scores of the regions
+    scoring above the threshold, highest score first, lower index first on
+    ties.
     """
-    trees = [parse(text, lexicon) for text in query_texts]
-    items = tuple(CaptionItem(tuple(t.tokens), "positive_description") for t in trees)
-    query = Query(items=items)
-    scores = forward(model, region_features, query)
-    sig = sigmoid(scores.S)
-    proposals = getattr(region_features, "proposals", None)
-    out = []
-    for idx, (text, tree) in enumerate(zip(query_texts, trees)):
-        off = query.item_offsets[idx]
-        if span == "subject":
-            cols = list(range(off + tree.subject.start_token, off + tree.subject.end_token))
-        else:
-            cols = list(query.item_columns(idx))
-        out.append(_span_detections(sig, cols, proposals, text, score_threshold, agg=agg))
-    return out
+    if agg not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {agg!r}; expected one of {list(AGGREGATIONS)}")
+    prompt = query_texts
+    if not isinstance(prompt, Prompt):
+        prompt = compile_prompt(model, [parse(text, lexicon) for text in query_texts], span)
+    sig = sigmoid(forward(model, region_features, prompt.compiled).S)
+    return [_label_detections(sig, columns, score_threshold, agg) for columns in prompt.columns]
 
 
 class GroundingDetector:

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import pools
 from .corpus import DescriptionSpec, EntityCategory, GrammarConfig, ObjectDescription, generate_descriptions
-from .evalkit import BenchmarkInstance, MetricReport, omnilabel_report
+from .evalkit import BenchmarkInstance, DetectionArrays, MetricReport, Results, \
+    omnilabel_report
 from .groundnet import (GroundingModel, TrainConfig, TrainExample, Vocabulary,
-                        predict_grouped, train)
+                        compile_prompt, predict_grouped, proposal_boxes, train)
 from .labeling import BowDetector, LabelerConfig, PseudoTriplet, \
     grounding_label, label_recall, weak_to_strong_label
 from .langparse import Lexicon, parse
@@ -241,51 +242,55 @@ def build_detection_examples(bundle: CorpusBundle, seed: int = 0, absent_categor
 def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
                            score_threshold: float = 0.5,
                            lexicon: Lexicon | None = None,
-                           prompt_chunk: int = 8, agg: str = "max") -> list[dict]:
-    """Detector results rows {label_id, scene_id, detections} for every label.
+                           prompt_chunk: int = 8, agg: str = "max") -> Results:
+    """The detector's results table for every label: (label_id, scene_id) ->
+    boxes and scores, with no row for a label without detections.
 
     Labels are scored through multi-caption prompts, the query format the
     model trains on: each scene's description labels form one prompt, and
-    category labels are chunked into detection-style prompts per scene.
+    category labels are chunked into detection-style prompts, the same for
+    every scene. Each distinct label text is parsed once.
     """
-    rows = []
+    results = Results()
+    trees: dict = {}
 
-    def emit(label_id, scene_id, dets):
-        if dets:
-            rows.append({"label_id": label_id, "scene_id": scene_id,
-                         "detections": [{"box": list(d.box), "score": d.score} for d in dets]})
+    def prompt(texts):
+        for text in texts:
+            if text not in trees:
+                trees[text] = parse(text, lexicon)
+        return compile_prompt(model, [trees[text] for text in texts])
+
+    def score(scene_id, labels, label_prompt):
+        rf = benchmark.features[scene_id]
+        boxes = proposal_boxes(rf)
+        per_label = predict_grouped(model, rf, label_prompt, score_threshold, agg=agg)
+        for label, (indices, scores) in zip(labels, per_label):
+            if len(indices):
+                results[label.label_id, scene_id] = DetectionArrays(boxes[indices], scores)
 
     cat_labels = list(benchmark.category_labels)
+    cat_chunks = [cat_labels[lo:lo + prompt_chunk]
+                  for lo in range(0, len(cat_labels), prompt_chunk)]
+    cat_prompts = [prompt([c.name for c in chunk]) for chunk in cat_chunks]
     for scene in benchmark.scenes:
-        rf = benchmark.features[scene.scene_id]
-        for lo in range(0, len(cat_labels), prompt_chunk):
-            chunk = cat_labels[lo:lo + prompt_chunk]
-            per_label = predict_grouped(model, rf, [c.name for c in chunk],
-                                        score_threshold=score_threshold, lexicon=lexicon,
-                                        agg=agg)
-            for label, dets in zip(chunk, per_label):
-                emit(label.label_id, scene.scene_id, dets)
+        for chunk, chunk_prompt in zip(cat_chunks, cat_prompts):
+            score(scene.scene_id, chunk, chunk_prompt)
 
     by_scene: dict[int, list] = {}
     for label in benchmark.description_labels:
         by_scene.setdefault(label.scene_id, []).append(label)
     for scene_id, labels in by_scene.items():
-        rf = benchmark.features[scene_id]
         for lo in range(0, len(labels), prompt_chunk):
             chunk = labels[lo:lo + prompt_chunk]
-            per_label = predict_grouped(model, rf, [l.text for l in chunk],
-                                        score_threshold=score_threshold, lexicon=lexicon,
-                                        agg=agg)
-            for label, dets in zip(chunk, per_label):
-                emit(label.label_id, scene_id, dets)
-    return rows
+            score(scene_id, chunk, prompt([l.text for l in chunk]))
+    return results
 
 
 def evaluate_model(model: GroundingModel, benchmark: BenchmarkInstance,
                    score_threshold: float = 0.5, iou_threshold: float = 0.5,
                    lexicon: Lexicon | None = None, agg: str = "max") -> MetricReport:
-    rows = run_model_on_benchmark(model, benchmark, score_threshold, lexicon, agg=agg)
-    return omnilabel_report(rows, benchmark, iou_threshold=iou_threshold, lexicon=lexicon)
+    results = run_model_on_benchmark(model, benchmark, score_threshold, lexicon, agg=agg)
+    return omnilabel_report(results, benchmark, iou_threshold=iou_threshold, lexicon=lexicon)
 
 
 def train_variant(bundle: CorpusBundle, triplets, variant: SignalVariant,

@@ -62,6 +62,11 @@ def test_config_rejects_unknown_and_badly_typed_fields():
     ("train.detection_mix_ratio", "-0.1"), ("features.dim", "4"),
     ("features.background_boxes", "-1"), ("targets.k_neg", "-1"), ("train.d_model", "0"),
     ("eval.nw_choices", "[]"), ("eval.nw_choices", "[2]"), ("eval.nw_choices", '["6"]'),
+    ("eval.aggregation", '"avg"'), ("eval.aggregation", '""'),
+    ("eval.fraction_negative", "1.5"), ("eval.fraction_negative", "1.0"),
+    ("eval.fraction_negative", "-0.1"), ("eval.iou_threshold", "0"),
+    ("eval.iou_threshold", "1.5"), ("eval.iou_threshold", "-0.5"),
+    ("eval.benchmark_scenes", "0"), ("eval.benchmark_scenes", "-3"),
 ])
 def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -70,6 +75,12 @@ def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, valu
     assert run_cli(["all", "--out", str(out), "--set", f"{field}={value}"]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_range_edges_validate():
+    for field, value in (("eval.aggregation", "mean"), ("eval.fraction_negative", "0"),
+                         ("eval.iou_threshold", "1"), ("eval.benchmark_scenes", "1")):
+        load_config(overrides=[(field, value)])
 
 
 @pytest.mark.parametrize("value", ["weak-to-strong", "grounding_baseline", ""])
@@ -174,6 +185,19 @@ def test_report_has_required_fields(pipeline_dir):
                   "bucket_counts", "config", "d3"):
         assert field in report
     assert report["config"]["interpolation"] == "all-point"
+
+
+def test_results_lines_are_canonical_json(pipeline_dir, tmp_path):
+    """Each results.jsonl line is exactly what json.dumps(row, sort_keys=True)
+    writes for the row it holds. At threshold 0 every region is a detection."""
+    out = tmp_path / "copy"
+    shutil.copytree(pipeline_dir, out)
+    assert run_cli(["eval", "--out", str(out), "--set", "eval.score_threshold=0.0"] + SMALL) == 0
+    with open(out / "results.jsonl", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) >= 6
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def test_rerun_is_noop(pipeline_dir, capsys):

@@ -1,11 +1,15 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grounddesk import evalkit
-from grounddesk.evalkit import (average_precision, d3_report, harmonic_mean, iou,
+from grounddesk.evalkit import (DetectionArrays, Results, as_detection_arrays,
+                                average_precision, d3_report, harmonic_mean, iou, iou_array,
                                 omnilabel_report, pooled_average_precision)
 from grounddesk.scenegen import BenchmarkConfig, make_benchmark
 
@@ -232,3 +236,150 @@ def test_results_jsonl_roundtrip(tmp_path, small_benchmark):
     path = tmp_path / "results.jsonl"
     evalkit.write_results(path, rows)
     assert evalkit.read_results(path) == rows
+
+
+# Property tests over the array forms -------------------------------------
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+side = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
+boxes = st.tuples(unit, unit, side, side)
+# Coarse coordinates make shared edges, equal boxes and exact IoU ties common.
+grid_boxes = st.tuples(*[st.integers(0, 8).map(lambda v: v / 8)] * 2,
+                       *[st.integers(1, 8).map(lambda v: v / 8)] * 2)
+any_boxes = st.one_of(boxes, grid_boxes)
+scored = st.lists(st.tuples(any_boxes, st.floats(0.0, 1.0)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_boxes, min_size=1, max_size=6), st.lists(any_boxes, min_size=1, max_size=6))
+def test_iou_array_equals_iou_bit_for_bit(a, b):
+    got = iou_array(np.array(a)[:, None, :], np.array(b)[None, :, :])
+    want = np.array([[iou(x, y) for y in b] for x in a])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == iou_array(np.array(b)[:, None, :], np.array(a)[None]).T.tobytes()
+    assert ((0.0 <= got) & (got <= 1.0)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored, st.lists(any_boxes, max_size=5), st.sampled_from([0.5, 0.75, 1.0]))
+def test_array_ap_equals_list_ap_and_the_oracle(dets, gts, thr):
+    arrays = DetectionArrays(np.array([b for b, _ in dets], dtype=float).reshape(-1, 4),
+                             np.array([s for _, s in dets], dtype=float))
+    from_arrays = average_precision(arrays, gts, thr)
+    from_list = average_precision(dets, gts, thr)
+    want = oracle_ap(dets, gts, thr)
+    if math.isnan(want):
+        assert math.isnan(from_arrays) and math.isnan(from_list)
+    else:
+        assert from_arrays == from_list
+        assert abs(from_arrays - want) <= 1e-9
+
+
+def loop_pooled_ap(dets_by_scene, gt_by_scene, thr):
+    """The per-detection loop that pooled_average_precision vectorises, kept as
+    its reference: the same float operations, so results must be equal."""
+    n_gt = sum(len(v) for v in gt_by_scene.values())
+    entries = [(sid, box, score) for sid, dets in dets_by_scene.items() for box, score in dets]
+    if n_gt == 0:
+        return 0.0 if entries else math.nan
+    entries.sort(key=lambda t: -t[2])
+    matched = {sid: [False] * len(boxes) for sid, boxes in gt_by_scene.items()}
+    tp, precisions, recalls = 0, [], []
+    for k, (sid, box, _score) in enumerate(entries, start=1):
+        best, best_iou = None, -1.0
+        for j, gt in enumerate(gt_by_scene.get(sid, [])):
+            v = iou(box, gt)
+            if not matched[sid][j] and v >= thr and v > best_iou:
+                best, best_iou = j, v
+        if best is not None:
+            matched[sid][best] = True
+            tp += 1
+        precisions.append(tp / k)
+        recalls.append(tp / n_gt)
+    ap, prev_recall = 0.0, 0.0
+    for k in range(len(entries)):
+        if recalls[k] > prev_recall:
+            ap += (recalls[k] - prev_recall) * max(precisions[k:])
+            prev_recall = recalls[k]
+    return ap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(scored, st.lists(any_boxes, max_size=3)), min_size=1, max_size=4),
+       st.sampled_from([0.5, 0.75, 1.0]))
+def test_pooled_ap_equals_the_loop_reference(scenes, thr):
+    dets = {k: d for k, (d, _g) in enumerate(scenes)}
+    gts = {k: g for k, (_d, g) in enumerate(scenes)}
+    want = loop_pooled_ap(dets, gts, thr)
+    arrays = {k: as_detection_arrays(d) for k, d in dets.items()}
+    for form in (dets, arrays):
+        got = pooled_average_precision(form, gts, thr)
+        assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored, st.lists(any_boxes, max_size=5), st.randoms(use_true_random=False),
+       st.sampled_from([lambda s: 3.0 * s + 0.5, lambda s: s * s * s, math.sqrt]))
+def test_ap_ignores_order_and_monotone_score_transforms(dets, gts, rnd, transform):
+    assume(len({s for _, s in dets}) == len(dets))
+    base = average_precision(dets, gts)
+    shuffled = list(dets)
+    rnd.shuffle(shuffled)
+    moved = [(b, transform(s)) for b, s in dets]
+    assume(len({s for _, s in moved}) == len(moved))
+    for other in (shuffled, moved):
+        got = average_precision(other, gts)
+        assert (math.isnan(base) and math.isnan(got)) or got == base
+
+
+# results.jsonl encoding ---------------------------------------------------
+
+def _dumped(rows):
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def test_write_results_matches_json_dumps_on_edge_floats(tmp_path):
+    f64 = np.float64
+    rows = [
+        {"label_id": 0, "scene_id": 3,
+         "detections": [{"box": [f64(0.1), f64(0.25), f64(1 / 3), f64(2 / 3)],
+                         "score": 0.1 + 0.2}]},
+        {"label_id": 7, "scene_id": 0,
+         "detections": [{"box": [5e-324, 0.0, -0.0, 1e300], "score": math.nan},
+                        {"box": [0.5, 0.5, 0.5, 0.5], "score": math.inf},
+                        {"box": [5e-324, 0.0, -0.0, 1e300], "score": -math.inf},
+                        {"box": [math.nan, -math.inf, math.inf, 1.0], "score": 5e-324}]},
+        {"label_id": 8, "scene_id": 1, "detections": []},
+    ]
+    path = tmp_path / "results.jsonl"
+    evalkit.write_results(path, rows)
+    assert path.read_text(encoding="utf-8") == _dumped(rows)
+    # the array table and the {(label, scene): detections} mapping write the same bytes
+    table = evalkit._normalize_results(rows)
+    assert isinstance(table, Results)
+    for form in (table, {key: list(zip(d.boxes.tolist(), d.scores.tolist()))
+                         for key, d in table.items()}):
+        evalkit.write_results(path, form)
+        assert path.read_text(encoding="utf-8") == _dumped(rows)
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                          st.lists(st.tuples(st.lists(finite_or_not, min_size=4, max_size=4),
+                                             finite_or_not), max_size=4)),
+                max_size=4, unique_by=lambda r: (r[0], r[1])))
+def test_write_results_matches_json_dumps_on_any_float(tmp_path_factory, rows):
+    rows = [{"label_id": label, "scene_id": scene,
+             "detections": [{"box": box, "score": score} for box, score in dets]}
+            for label, scene, dets in rows]
+    path = tmp_path_factory.mktemp("enc") / "results.jsonl"
+    evalkit.write_results(path, rows)
+    assert path.read_text(encoding="utf-8") == _dumped(rows)
+
+
+def test_results_rows_round_trip_through_the_table(small_benchmark):
+    rows = perfect_results(small_benchmark)
+    assert list(evalkit._normalize_results(rows).rows()) == rows

@@ -234,6 +234,71 @@ def test_predict_empty_query_fails():
         predict(model, np.ones((2, 12)), "")
 
 
+def _randomized_model(seed):
+    model = small_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    for k in model.params:
+        model.params[k] = rng.normal(0, 0.5, model.params[k].shape)
+    return model
+
+
+@pytest.mark.parametrize("span,agg", [("caption", "max"), ("caption", "mean"),
+                                      ("subject", "max")])
+def test_predict_grouped_ranks_each_label_by_score_then_index(span, agg):
+    """Each label's regions above the threshold, from its own columns of one
+    forward pass, highest score first and lower index first on ties."""
+    texts = ["a green avocado on the table", "the red dog", "a bowl near a cutting board"]
+    trees = [groundnet.parse(t) for t in texts]
+    feats = np.random.default_rng(4).normal(0, 1, (9, 12))
+    zero = small_model()
+    for k in zero.params:
+        zero.params[k][:] = 0.0
+    for model in (_randomized_model(5), zero):  # every region ties under the zero model
+        query = Query(items=tuple(CaptionItem(tuple(t.tokens), "positive_description")
+                                  for t in trees))
+        sig = sigmoid(forward(model, feats, query).S)
+        got = groundnet.predict_grouped(model, feats, texts, score_threshold=0.45,
+                                        span=span, agg=agg)
+        assert len(got) == len(texts)
+        for idx, (tree, (indices, scores)) in enumerate(zip(trees, got)):
+            off = query.item_offsets[idx]
+            cols = (list(range(off + tree.subject.start_token, off + tree.subject.end_token))
+                    if span == "subject" else list(query.item_columns(idx)))
+            block = sig[:, cols]
+            per_region = block.mean(axis=1) if agg == "mean" else block.max(axis=1)
+            want = sorted((i for i in range(len(per_region)) if per_region[i] > 0.45),
+                          key=lambda i: (-per_region[i], i))
+            assert indices.tolist() == want
+            assert scores.tolist() == [float(per_region[i]) for i in want]
+
+
+def test_predict_grouped_takes_a_compiled_prompt():
+    model = _randomized_model(6)
+    feats = np.random.default_rng(7).normal(0, 1, (5, 12))
+    texts = ["the red dog", "a green avocado"]
+    prompt = groundnet.compile_prompt(model, [groundnet.parse(t) for t in texts], "subject")
+    by_text = groundnet.predict_grouped(model, feats, texts, 0.0, span="subject")
+    by_prompt = groundnet.predict_grouped(model, feats, prompt, 0.0)
+    for (i_a, s_a), (i_b, s_b) in zip(by_text, by_prompt):
+        assert np.array_equal(i_a, i_b) and np.array_equal(s_a, s_b)
+
+
+def test_predict_grouped_rejects_unknown_aggregation():
+    with pytest.raises(ValueError, match="avg"):
+        groundnet.predict_grouped(small_model(), np.ones((2, 12)), ["a dog"], agg="avg")
+
+
+def test_predict_is_the_subject_span_of_predict_grouped():
+    model = _randomized_model(8)
+    feats = np.random.default_rng(9).normal(0, 1, (6, 12))
+    text = "a ripe avocado on a cutting board"
+    dets = predict(model, feats, text, score_threshold=0.3)
+    [(indices, scores)] = groundnet.predict_grouped(model, feats, [text], 0.3, span="subject")
+    assert [d.proposal_index for d in dets] == indices.tolist()
+    assert [d.score for d in dets] == scores.tolist()
+    assert all(d.box == (0.0, 0.0, 1.0, 1.0) and d.query_text == text for d in dets)
+
+
 def test_grounding_detector_adapts_model(default_bundle):
     vocab = pipeline.build_vocabulary(default_bundle.pool)
     model = GroundingModel(vocab, d_in=64, d_model=8, seed=0)

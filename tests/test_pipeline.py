@@ -91,8 +91,8 @@ def test_benchmark_evaluation_roundtrip(default_bundle, tiny_trained):
     model, _ = tiny_trained
     bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=6,
                                        config=BenchmarkConfig(fraction_negative=0.5))
-    rows = pipeline.run_model_on_benchmark(model, bench, score_threshold=0.2,
-                                           lexicon=default_bundle.lexicon)
+    rows = list(pipeline.run_model_on_benchmark(model, bench, score_threshold=0.2,
+                                                lexicon=default_bundle.lexicon).rows())
     label_ids = {l.label_id for l in bench.category_labels} | \
         {l.label_id for l in bench.description_labels}
     assert all(row["label_id"] in label_ids for row in rows)
