@@ -292,10 +292,12 @@ def _feature_index(out_dir) -> list[tuple]:
     return _read(out_dir, FEATURE_INDEX, storage.read_jsonl, decode=_index_row)
 
 
-def _load_features(out_dir) -> dict:
+def _load_features(out_dir, index=None) -> dict:
+    """The feature files `index` lists (parsed here when not given)."""
     return {scene_id: _read(out_dir, rel, scenegen.read_features, proposals=proposals,
                             noise_seed=noise_seed)
-            for rel, scene_id, noise_seed, proposals in _feature_index(out_dir)}
+            for rel, scene_id, noise_seed, proposals in
+            (_feature_index(out_dir) if index is None else index)}
 
 
 def _read_bundle(config, out_dir, features=None) -> pipeline.CorpusBundle:
@@ -389,8 +391,8 @@ def _label(config, out, workers):
     return ["triplets.jsonl"]
 
 
-def _targets(config, out, workers):
-    bundle = _read_bundle(config, out, _load_features(out))
+def _targets(config, out, workers, index=None):
+    bundle = _read_bundle(config, out, _load_features(out, index))
     triplets = _read_triplets(out)
     tc = config["targets"]
     variant = pipeline.SignalVariant("config", tc["k_neg"], tc["include_struct_pos"],
@@ -408,8 +410,8 @@ def _targets(config, out, workers):
     return ["examples.jsonl", "detection_examples.jsonl"]
 
 
-def _train(config, out, workers):
-    features = _load_features(out)
+def _train(config, out, workers, index=None):
+    features = _load_features(out, index)
     triplet_examples = _read_examples(out, "examples.jsonl", features)
     detection_examples = _read_examples(out, "detection_examples.jsonl", features)
     vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
@@ -424,24 +426,42 @@ def _train(config, out, workers):
     return ["model.ckpt", "model.vocab.json", "history.csv"]
 
 
-def _eval(config, out, workers):
+def _eval_scores(config, out, workers):
+    """The half of eval that does not depend on the IoU threshold: build the
+    benchmark, run the model on it and write its detections and labels."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
     bench = _benchmark(config, pool, lexicon)
     results = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
                                               lexicon, agg=e["aggregation"])
-    report = evalkit.omnilabel_report(results, bench, iou_threshold=e["iou_threshold"],
-                                      lexicon=lexicon)
     evalkit.write_results(os.path.join(out, "results.jsonl"), results)
     scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
+    evalkit.write_description_labels(os.path.join(out, "benchmark_labels.jsonl"),
+                                     bench.description_labels)
+    print(f"eval: scored {len(bench.scenes)} benchmark scenes")
+    return ["results.jsonl", "benchmark_scenes.jsonl", "benchmark_labels.jsonl"]
+
+
+def _eval(config, out, workers):
+    """The matching half of eval: match the detections the scoring half wrote
+    at eval.iou_threshold, always from its files."""
+    pool, lexicon = _pool_and_lexicon(config)
+    scenes = tuple(_read(out, "benchmark_scenes.jsonl", scenegen.read_scenes))
+    bench = evalkit.BenchmarkInstance(
+        scenes=scenes, features={}, category_labels=evalkit.category_labels(pool, scenes),
+        description_labels=tuple(_read(out, "benchmark_labels.jsonl",
+                                       evalkit.read_description_labels)))
+    iou_threshold = config["eval"]["iou_threshold"]
+    report = evalkit.omnilabel_report(_read(out, "results.jsonl", evalkit.read_results), bench,
+                                      iou_threshold=iou_threshold, lexicon=lexicon)
     payload = report.to_json()
     payload["d3"] = {"full": payload["d3_full"], "pres": payload["d3_pres"],
                      "abs": payload["d3_abs"]}
     storage.write_json(os.path.join(out, "report.json"), payload)
-    print(f"eval: AP={report.AP:.2f} AP_categ={report.AP_categ:.2f} "
+    print(f"eval: at IoU {iou_threshold}: AP={report.AP:.2f} AP_categ={report.AP_categ:.2f} "
           f"AP_descr={report.AP_descr:.2f}")
-    return ["results.jsonl", "benchmark_scenes.jsonl", "report.json"]
+    return ["report.json"]
 
 
 def _report(config, out, workers):
@@ -462,67 +482,118 @@ def _report(config, out, workers):
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """What a stage uses, declared once: the top-level config keys its body
-    reads, and each file it reads with the stage that writes that file."""
+    """What one manifest covers, declared once: its name, the config keys
+    its body reads (dotted paths reach into a block), and each file it reads
+    with the command that writes that file."""
+    name: str
     keys: tuple[str, ...]
     inputs: dict[str, str]
     body: Callable
     manifest: bool = True
 
 
+# Each command runs its stages in order. eval is two: the scores, which do
+# not depend on eval.iou_threshold and are reused while their inputs hold,
+# and the matching, which keeps the command's name.
 STAGES = {
-    "gen": Stage(("pool", "descriptions", "seed"), {}, _gen),
-    "scenes": Stage(("pool", "images_per_description", "distractors", "features", "seed"),
-                    {"descriptions.jsonl": "gen"}, _scenes),
-    "label": Stage(("pool", "detector", "labeler"),
-                   {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"}, _label),
-    "targets": Stage(("pool", "targets", "seed"),
-                     {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
-                      "triplets.jsonl": "label", FEATURE_INDEX: "scenes"}, _targets),
-    "train": Stage(("pool", "features", "train", "seed"),
-                   {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
-                    FEATURE_INDEX: "scenes"}, _train),
-    "eval": Stage(("pool", "features", "distractors", "eval", "seed"),
-                  {"model.ckpt": "train", "model.vocab.json": "train"}, _eval),
-    "report": Stage(tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
-                    {"report.json": "eval"}, _report, manifest=False),
+    "gen": (Stage("gen", ("pool", "descriptions", "seed"), {}, _gen),),
+    "scenes": (Stage("scenes", ("pool", "images_per_description", "distractors", "features",
+                                "seed"),
+                     {"descriptions.jsonl": "gen"}, _scenes),),
+    "label": (Stage("label", ("pool", "detector", "labeler"),
+                    {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"}, _label),),
+    "targets": (Stage("targets", ("pool", "targets", "seed"),
+                      {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
+                       "triplets.jsonl": "label", FEATURE_INDEX: "scenes"}, _targets),),
+    "train": (Stage("train", ("pool", "features", "train", "seed"),
+                    {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
+                     FEATURE_INDEX: "scenes"}, _train),),
+    "eval": (Stage("eval_scores", ("pool", "features", "distractors", "seed",
+                                   "eval.benchmark_scenes", "eval.fraction_negative",
+                                   "eval.nw_choices", "eval.score_threshold",
+                                   "eval.aggregation"),
+                   {"model.ckpt": "train", "model.vocab.json": "train"}, _eval_scores),
+             Stage("eval", ("pool", "eval.iou_threshold"),
+                   {"results.jsonl": "eval", "benchmark_scenes.jsonl": "eval",
+                    "benchmark_labels.jsonl": "eval"}, _eval)),
+    "report": (Stage("report", tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
+                     {"report.json": "eval"}, _report, manifest=False),),
 }
 
 PIPELINE_STAGES = tuple(STAGES)
 
 
-def _input_files(out_dir, stage: Stage) -> list[str]:
-    """Every file the stage reads, relative to out_dir, each required to
-    exist; the feature index brings in the feature files it lists."""
-    files = []
+def _config_slice(config, keys) -> dict:
+    """The nested part of config that the dotted keys name."""
+    used = {}
+    for key in keys:
+        _set(used, key, _get(config, key))
+    return used
+
+
+def _recorded_inputs(out_dir, name) -> dict:
+    """The input hashes in the stage's manifest; empty when it has none."""
+    path = storage.manifest_path(out_dir, name)
+    if not os.path.exists(path):
+        return {}
+    with _reading(path):
+        return dict(storage.read_json(path)["inputs"])
+
+
+def _input_hashes(out_dir, stage: Stage) -> tuple[dict, list | None]:
+    """The hash of every file the stage reads, relative to out_dir, each
+    required to exist, and the parsed feature index when one was parsed.
+
+    The feature index brings in the feature files it lists. While it hashes
+    as the stage's manifest recorded, the list is the manifest's, and the
+    index is not parsed."""
+    inputs, index = {}, None
     for filename, producer in stage.inputs.items():
         _require(out_dir, filename, producer)
-        listed = [rel for rel, *_ in _feature_index(out_dir)] if filename == FEATURE_INDEX else []
+        inputs[filename] = storage.sha256_file(os.path.join(out_dir, filename))
+        if filename != FEATURE_INDEX:
+            continue
+        recorded = _recorded_inputs(out_dir, stage.name)
+        if recorded.get(FEATURE_INDEX) == inputs[FEATURE_INDEX]:
+            listed = [rel for rel in recorded if rel not in stage.inputs]
+        else:
+            index = _feature_index(out_dir)
+            listed = [rel for rel, *_ in index]
         for rel in listed:
             _require(out_dir, rel, producer)
-        files += [filename] + listed
-    return files
+            inputs[rel] = storage.sha256_file(os.path.join(out_dir, rel))
+    return inputs, index
 
 
 def _run_stage(name: str, config: dict, workers: int) -> None:
-    """Run one stage unless its manifest still matches its config keys and
-    inputs; a stage that runs records a new manifest of what it wrote."""
-    stage = STAGES[name]
+    """Run a command's stages in order. A stage is skipped while its manifest
+    still matches its config keys and inputs and no earlier stage of the
+    command ran; a stage that runs records a new manifest of what it wrote."""
     out = _out(config)
-    used = {key: config[key] for key in stage.keys}
-    files = _input_files(out, stage)
-    if not stage.manifest:
-        stage.body(used, out, workers)
-        return
-    inputs = {rel: storage.sha256_file(os.path.join(out, rel)) for rel in files}
-    with _reading(storage.manifest_path(out, name)):
-        current = storage.stage_is_current(out, name, used, inputs)
-    if current:
+    reused, ran = [], False
+    for stage in STAGES[name]:
+        used = _config_slice(config, stage.keys)
+        if not stage.manifest:
+            for filename, producer in stage.inputs.items():
+                _require(out, filename, producer)
+            stage.body(used, out, workers)
+            ran = True
+            continue
+        inputs, index = _input_hashes(out, stage)
+        if not ran:
+            with _reading(storage.manifest_path(out, stage.name)):
+                if storage.stage_is_current(out, stage.name, used, inputs):
+                    reused.append(stage.name.removeprefix(name + "_"))
+                    continue
+        for part in reused:
+            print(f"{name}: {part} up to date, reused")
+        reused, ran = [], True
+        written = stage.body(used, out, workers, **({} if index is None else {"index": index}))
+        storage.write_manifest(out, stage.name, used, inputs,
+                               {rel: storage.sha256_file(os.path.join(out, rel))
+                                for rel in written})
+    if not ran:
         print(f"{name}: up to date, skipping")
-        return
-    written = stage.body(used, out, workers)
-    storage.write_manifest(out, name, used, inputs,
-                           {rel: storage.sha256_file(os.path.join(out, rel)) for rel in written})
 
 
 # ablations ---------------------------------------------------------------

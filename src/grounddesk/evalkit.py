@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .langparse import Lexicon, is_absence, parse
+from .storage import read_jsonl
 
 LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
@@ -202,6 +203,20 @@ class DescriptionLabel:
     gt_boxes: tuple
 
 
+def category_labels(pool, scenes) -> tuple[CategoryLabel, ...]:
+    """One label per pool category: the boxes of its objects on each scene
+    that has any, in scene and object order."""
+    labels = []
+    for cat in pool:
+        gt_by_scene = {}
+        for scene in scenes:
+            boxes = [o.box for o in scene.objects if o.category == cat.name]
+            if boxes:
+                gt_by_scene[scene.scene_id] = boxes
+        labels.append(CategoryLabel(cat.id, cat.name, gt_by_scene))
+    return tuple(labels)
+
+
 @dataclass(frozen=True)
 class BenchmarkInstance:
     scenes: tuple
@@ -359,6 +374,42 @@ def write_results(path, results) -> None:
                      f'"scene_id": {_json_id(scene_id)}}}\n')
 
 
-def read_results(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
+def _result_row(row) -> tuple:
+    """(label_id, scene_id, DetectionArrays) of one results.jsonl row."""
+    dets = row["detections"]
+    boxes = np.array([d["box"] for d in dets], dtype=float)
+    scores = np.array([d["score"] for d in dets], dtype=float)
+    if dets and (boxes.shape != (len(dets), 4) or scores.shape != (len(dets),)):
+        raise ValueError(f"{len(dets)} detections need (n, 4) boxes and (n,) scores, "
+                         f"found {boxes.shape} and {scores.shape}")
+    return row["label_id"], row["scene_id"], DetectionArrays(boxes.reshape(-1, 4), scores)
+
+
+def read_results(path) -> Results:
+    """The Results table of a results.jsonl file, each line decoded straight
+    into DetectionArrays; lines that share a key are joined in order. A line
+    that does not parse or decode raises ValueError naming the file and the
+    line."""
+    table = Results()
+    for label_id, scene_id, dets in read_jsonl(path, _result_row):
+        table.extend(label_id, scene_id, dets)
+    return table
+
+
+def write_description_labels(path, labels) -> None:
+    """benchmark_labels.jsonl: one line {label_id, scene_id, text, gt_boxes}
+    per description label."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for label in labels:
+            row = {"label_id": label.label_id, "scene_id": label.scene_id, "text": label.text,
+                   "gt_boxes": [list(box) for box in label.gt_boxes]}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _description_label(row) -> DescriptionLabel:
+    return DescriptionLabel(row["label_id"], row["scene_id"], row["text"],
+                            tuple(tuple(box) for box in row["gt_boxes"]))
+
+
+def read_description_labels(path) -> list[DescriptionLabel]:
+    return read_jsonl(path, _description_label)

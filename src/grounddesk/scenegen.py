@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pools
 from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
-from .evalkit import BenchmarkInstance, CategoryLabel, DescriptionLabel, iou as box_iou
+from .evalkit import BenchmarkInstance, DescriptionLabel, category_labels, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
 from .seeding import derive_seed
 from .storage import read_jsonl
@@ -479,17 +479,8 @@ def make_benchmark(pool, n_scenes: int, seed: int,
             desc_labels.append(DescriptionLabel(desc_label_id, i, neg_text, ()))
             desc_label_id += 1
 
-    cat_labels = []
-    for cat in pool:
-        gt_by_scene = {}
-        for scene in scenes:
-            boxes = [o.box for o in scene.objects if o.category == cat.name]
-            if boxes:
-                gt_by_scene[scene.scene_id] = boxes
-        cat_labels.append(CategoryLabel(cat.id, cat.name, gt_by_scene))
-
     return BenchmarkInstance(scenes=tuple(scenes), features=features,
-                             category_labels=tuple(cat_labels),
+                             category_labels=category_labels(pool, scenes),
                              description_labels=tuple(desc_labels))
 
 

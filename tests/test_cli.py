@@ -167,11 +167,11 @@ def pipeline_dir(tmp_path_factory):
 def test_pipeline_writes_all_artifacts(pipeline_dir):
     expected = ["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
-                "model.vocab.json", "history.csv", "results.jsonl", "report.json",
-                "summary.json", "features/index.jsonl"]
+                "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
+                "benchmark_labels.jsonl", "report.json", "summary.json", "features/index.jsonl"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
-    for stage in ("gen", "scenes", "label", "targets", "train", "eval"):
+    for stage in ("gen", "scenes", "label", "targets", "train", "eval_scores", "eval"):
         manifest = storage.read_json(storage.manifest_path(pipeline_dir, stage))
         assert manifest["stage"] == stage
         for rel, digest in manifest["outputs"].items():
@@ -262,6 +262,37 @@ def test_truncated_feature_file_reruns_targets_and_train(corrupt_copy, capsys):
         assert "artifact error" in err and "scene_000000.bin" in err
 
 
+@pytest.mark.parametrize("stage", ["targets", "train"])
+def test_feature_index_is_parsed_at_most_once(corrupt_copy, capsys, monkeypatch, stage):
+    """A skipped stage takes its feature files from its manifest and parses
+    no index; a stage that runs parses it once."""
+    parses = []
+    real = cli._feature_index
+
+    def counted(out_dir):
+        parses.append(1)
+        return real(out_dir)
+
+    monkeypatch.setattr(cli, "_feature_index", counted)
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
+    assert f"{stage}: up to date, skipping" in capsys.readouterr().out
+    assert parses == []
+    other_seed = ["--set", "seed=1"]  # changes the stage's config, not the index
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL + other_seed) == 0
+    assert parses == [1]
+    os.remove(storage.manifest_path(corrupt_copy, stage))
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
+    assert parses == [1, 1]
+    assert "up to date" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stage", ["targets", "train"])
+def test_feature_file_deleted_under_a_current_manifest_is_missing(corrupt_copy, capsys, stage):
+    os.remove(corrupt_copy / "features" / "scene_000001.bin")
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 3
+    assert "scene_000001.bin" in capsys.readouterr().err
+
+
 def test_swapped_vocabulary_tokens_rerun_eval(corrupt_copy, capsys):
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
     assert "eval: up to date, skipping" in capsys.readouterr().out
@@ -349,7 +380,8 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
     assert _examples_jsonl(examples) == cli_bytes("examples.jsonl")
 
 
-MANIFEST_STAGES = [name for name, stage in cli.STAGES.items() if stage.manifest]
+MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
+                   if any(stage.manifest for stage in stages)]
 
 
 def _declared_files(out, stage):
@@ -362,65 +394,107 @@ def _declared_files(out, stage):
 
 
 class _RecordingConfig(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
+    """A config that records the dotted path of every key read through it."""
+
+    def __init__(self, data, read=None, prefix=""):
+        super().__init__(data)
+        self.read = set() if read is None else read
+        self.prefix = prefix
 
     def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+        path = self.prefix + key
+        self.read.add(path)
+        value = super().__getitem__(key)
+        return _RecordingConfig(value, self.read, path + ".") if isinstance(value, dict) else value
 
     def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+        self.read.add(self.prefix + key)
+        return self[key] if key in self else default
 
 
-@pytest.mark.parametrize("name", MANIFEST_STAGES)
-def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
-    """A stage opens exactly its declared inputs and reads exactly its
-    declared config keys, apart from its manifest and the outputs it hashes."""
-    out = str(corrupt_copy)
-    stage = cli.STAGES[name]
-    os.remove(storage.manifest_path(out, name))
-    keys_read = set()
+def _keys_at_declaration(read, keys):
+    """The declared keys that the read paths reach, plus every read path that
+    no declared key covers (a parent of a declared key is not a read of it)."""
+    def covers(key, path):
+        return path == key or path.startswith(key + ".")
+    reached = {key for key in keys if any(covers(key, path) for path in read)}
+    stray = {path for path in read
+             if not any(covers(key, path) or key.startswith(path + ".") for key in keys)}
+    return reached | stray
 
-    def body(config, out_dir, workers):
-        recording = _RecordingConfig(config)
-        written = stage.body(recording, out_dir, workers)
-        keys_read.update(recording.read)
-        return written
 
-    opened = set()
+def _run_recorded(monkeypatch, name, config, out):
+    """Run one command with its stages' bodies and file reads recorded.
+    Returns, by stage name, the config keys each body that ran read and the
+    files each stage opened for reading, its runner's hashing included."""
+    keys_read, opened, current = {}, {}, [None]
+    real_input_hashes = cli._input_hashes
+
+    def input_hashes(out_dir, stage):
+        current[0] = stage.name
+        return real_input_hashes(out_dir, stage)
+
+    def recorded(stage):
+        def body(config, out_dir, workers, **kwargs):
+            recording = _RecordingConfig(config)
+            written = stage.body(recording, out_dir, workers, **kwargs)
+            keys_read[stage.name] = recording.read
+            return written
+        return dataclasses.replace(stage, body=body)
+
     real_open = builtins.open
 
     def spy_open(file, mode="r", *args, **kwargs):
         if not set(mode) & set("wax+"):
-            opened.add(os.path.relpath(os.fspath(file), out))
+            opened.setdefault(current[0], set()).add(os.path.relpath(os.fspath(file), out))
         return real_open(file, mode, *args, **kwargs)
 
-    config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
-                         output_dir=out)
-    monkeypatch.setitem(cli.STAGES, name, dataclasses.replace(stage, body=body))
+    monkeypatch.setitem(cli.STAGES, name, tuple(recorded(stage) for stage in cli.STAGES[name]))
+    monkeypatch.setattr(cli, "_input_hashes", input_hashes)
     monkeypatch.setattr(builtins, "open", spy_open)
     assert cli.run(name, config) == 0
     monkeypatch.undo()
-    written = storage.read_json(storage.manifest_path(out, name))["outputs"]
-    reads = {p for p in opened if not p.startswith("manifests") and p not in written}
-    assert reads == _declared_files(out, stage)
-    assert keys_read == set(stage.keys)
+    return keys_read, opened
+
+
+@pytest.mark.parametrize("name", MANIFEST_STAGES)
+def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
+    """Each stage of a command opens exactly its declared inputs and reads
+    exactly its declared config keys, apart from its manifest and the outputs
+    it hashes. The command runs cold, with none of its manifests, and then
+    warm once for each later stage: the stages before it up to date and
+    skipped, it and the ones after it run."""
+    out = str(corrupt_copy)
+    stages = cli.STAGES[name]
+    config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
+                         output_dir=out)
+    for first in range(len(stages)):
+        for stage in stages[first:]:
+            os.remove(storage.manifest_path(out, stage.name))
+        keys_read, opened = _run_recorded(monkeypatch, name, config, out)
+        assert set(keys_read) == {stage.name for stage in stages[first:]}
+        for stage in stages:
+            written = storage.read_json(storage.manifest_path(out, stage.name))["outputs"]
+            reads = {p for p in opened[stage.name]
+                     if not p.startswith("manifests") and p not in written}
+            assert reads == _declared_files(out, stage), stage.name
+        for stage in stages[first:]:
+            assert _keys_at_declaration(keys_read[stage.name], stage.keys) == set(stage.keys)
 
 
 def _corrupt(path):
-    data = bytearray(path.read_bytes())
+    """Change the byte in the middle of the file, or write one into an empty file."""
+    data = bytearray(path.read_bytes()) or bytearray(b"\0")
     mid = len(data) // 2
     data[mid] = 1 if data[mid] == 0 else 0
     path.write_bytes(bytes(data))
 
 
 @pytest.mark.parametrize("name,filename", [
-    (name, filename) for name in MANIFEST_STAGES for filename in cli.STAGES[name].inputs
+    (name, filename) for name in MANIFEST_STAGES
+    for stage in cli.STAGES[name] for filename in stage.inputs
 ] + [(name, "features/scene_000000.bin") for name in MANIFEST_STAGES
-     if cli.FEATURE_INDEX in cli.STAGES[name].inputs])
+     if any(cli.FEATURE_INDEX in stage.inputs for stage in cli.STAGES[name])])
 def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, capsys,
                                                                name, filename):
     assert run_cli([name, "--out", str(corrupt_copy)] + SMALL) == 0
@@ -432,6 +506,108 @@ def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, cap
         assert os.path.basename(filename) in captured.err
     else:
         assert code == 0 and "up to date" not in captured.out
+
+
+EVAL_INPUTS = [filename for stage in cli.STAGES["eval"] for filename in stage.inputs]
+AT_075 = ["--set", "eval.iou_threshold=0.75"]
+# At score threshold 0 every region is a detection, so results.jsonl has a
+# line for every label on every scene.
+EVERY_REGION = ["--set", "eval.score_threshold=0.0"]
+
+
+@pytest.fixture
+def benchmark_calls(monkeypatch):
+    """The number of scenegen.make_benchmark calls so far."""
+    calls = []
+    real = scenegen.make_benchmark
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenegen, "make_benchmark", counted)
+    return calls
+
+
+@pytest.mark.parametrize("filename", EVAL_INPUTS)
+@pytest.mark.parametrize("iou", [[], AT_075], ids=["same_iou", "new_iou"])
+def test_corrupt_eval_input_rebuilds_the_scores(corrupt_copy, capsys, benchmark_calls,
+                                                filename, iou):
+    """Eval reuses the scores only while every input of both halves still
+    hashes as recorded, whether or not the IoU threshold changed; once the
+    scores rebuild, matching runs too."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
+    capsys.readouterr()
+    _corrupt(corrupt_copy / filename)
+    code = run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + iou)
+    captured = capsys.readouterr()
+    if code == 5:
+        assert os.path.basename(filename) in captured.err
+    else:
+        assert code == 0 and "up to date" not in captured.out and "AP=" in captured.out
+        assert len(benchmark_calls) == 2
+
+
+def test_new_iou_reuses_the_scores(pipeline_dir, tmp_path, capsys, benchmark_calls):
+    """Eval at IoU 0.5 and then at 0.75 matches again without rebuilding the
+    benchmark or running the model, and writes what a fresh eval at 0.75
+    writes."""
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    shutil.copytree(pipeline_dir, reused)
+    assert run_cli(["eval", "--out", str(reused)] + SMALL + EVERY_REGION) == 0
+    at_05 = (reused / "report.json").read_bytes()
+    assert len(benchmark_calls) == 1
+    assert run_cli(["eval", "--out", str(reused)] + SMALL + EVERY_REGION + AT_075) == 0
+    assert len(benchmark_calls) == 1
+    out = capsys.readouterr().out
+    assert "eval: scores up to date, reused" in out and "eval: up to date" not in out
+    assert (reused / "report.json").read_bytes() != at_05
+    shutil.copytree(pipeline_dir, fresh)
+    for name in ("eval_scores", "eval"):
+        os.remove(storage.manifest_path(fresh, name))
+    assert run_cli(["eval", "--out", str(fresh)] + SMALL + EVERY_REGION + AT_075) == 0
+    assert len(benchmark_calls) == 2
+    for name in ("report.json", "results.jsonl", "benchmark_scenes.jsonl",
+                 "benchmark_labels.jsonl"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert json.loads((reused / "report.json").read_text())["AP_categ"] > 0
+
+
+@pytest.mark.parametrize("retrain,args", [
+    (False, ["--set", "eval.score_threshold=0.3"]),
+    (False, ["--set", "eval.aggregation=mean"]),
+    (True, ["--set", "seed=1"]),
+    (True, ["--set", "train.epochs=4"]),
+], ids=["score_threshold", "aggregation", "retrain_seed", "retrain_epochs"])
+def test_scoring_setting_or_new_model_rebuilds_the_scores(corrupt_copy, capsys, benchmark_calls,
+                                                          retrain, args):
+    """A changed scoring setting, or a model retrained under the eval's
+    unchanged settings, scores again even when only re-matching was asked for."""
+    if retrain:
+        assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL + args) == 0
+        capsys.readouterr()
+        args = []
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + args + AT_075) == 0
+    assert len(benchmark_calls) == 1
+    assert "up to date" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("filename", ["results.jsonl", "benchmark_labels.jsonl",
+                                      "benchmark_scenes.jsonl"])
+def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, filename):
+    """A score file damaged before its manifest was written counts as
+    current; matching from it fails on the cut line and names the file."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
+    path = corrupt_copy / filename
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
+    manifest["outputs"][filename] = storage.sha256_file(path)
+    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and f"{filename} line 2" in err
 
 
 def test_stage_lists_match_the_benchmark(monkeypatch):

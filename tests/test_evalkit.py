@@ -11,7 +11,7 @@ from grounddesk import evalkit
 from grounddesk.evalkit import (DetectionArrays, Results, as_detection_arrays,
                                 average_precision, d3_report, harmonic_mean, iou, iou_array,
                                 omnilabel_report, pooled_average_precision)
-from grounddesk.scenegen import BenchmarkConfig, make_benchmark
+from grounddesk.scenegen import BenchmarkConfig, make_benchmark, read_scenes, write_scenes
 
 
 # Brute-force PR integration, independent of the incremental evaluator: the
@@ -235,7 +235,70 @@ def test_results_jsonl_roundtrip(tmp_path, small_benchmark):
     rows = perfect_results(small_benchmark)
     path = tmp_path / "results.jsonl"
     evalkit.write_results(path, rows)
-    assert evalkit.read_results(path) == rows
+    assert list(evalkit.read_results(path).rows()) == rows
+
+
+def test_read_results_decodes_straight_into_arrays(tmp_path, small_benchmark):
+    path = tmp_path / "results.jsonl"
+    evalkit.write_results(path, perfect_results(small_benchmark))
+    table = evalkit.read_results(path)
+    assert isinstance(table, Results) and len(table)
+    for dets in table.values():
+        assert isinstance(dets, DetectionArrays)
+        assert dets.boxes.dtype == dets.scores.dtype == np.float64
+        assert dets.boxes.shape == (len(dets.scores), 4)
+
+
+def test_read_results_joins_lines_that_share_a_key(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"detections": [{"box": [0, 0, 1, 1], "score": 0.5}], '
+                    '"label_id": 1, "scene_id": 2}\n'
+                    '{"detections": [], "label_id": 3, "scene_id": 2}\n'
+                    '{"detections": [{"box": [0.5, 0, 0.5, 1], "score": NaN}], '
+                    '"label_id": 1, "scene_id": 2}\n')
+    table = evalkit.read_results(path)
+    assert list(table) == [(1, 2), (3, 2)]
+    assert table[1, 2].boxes.tolist() == [[0, 0, 1, 1], [0.5, 0, 0.5, 1]]
+    assert table[1, 2].scores[0] == 0.5 and math.isnan(table[1, 2].scores[1])
+    assert table[3, 2].boxes.shape == (0, 4) and table[3, 2].scores.shape == (0,)
+
+
+@pytest.mark.parametrize("line", [
+    '{"detections": [{"box": [0, 0, 1, 1], "score": 0.5}], "label_id": 1, "sce',
+    '{"detections": [{"box": [0, 0, 1], "score": 0.5}], "label_id": 1, "scene_id": 2}',
+    '{"detections": [{"box": [0, 0, 1, 1, 1], "score": 0.5}], "label_id": 1, "scene_id": 2}',
+    '{"detections": [{"box": [0, 0, 1, 1], "score": [0.5]}], "label_id": 1, "scene_id": 2}',
+    '{"detections": [{"box": [0, 0, 1, 1], "score": "x"}], "label_id": 1, "scene_id": 2}',
+    '{"detections": [{"box": [0, 0, 1, 1]}], "label_id": 1, "scene_id": 2}',
+    '{"detections": [], "label_id": 1}',
+    '[1, 2]',
+], ids=["cut", "short_box", "long_box", "list_score", "text_score", "no_score", "no_scene",
+        "not_a_row"])
+def test_read_results_names_the_file_and_line_of_a_bad_row(tmp_path, line):
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"detections": [], "label_id": 0, "scene_id": 0}\n' + line + "\n")
+    with pytest.raises(ValueError, match=r"results\.jsonl line 2"):
+        evalkit.read_results(path)
+
+
+def test_description_labels_round_trip(tmp_path, small_benchmark):
+    path = tmp_path / "benchmark_labels.jsonl"
+    evalkit.write_description_labels(path, small_benchmark.description_labels)
+    assert tuple(evalkit.read_description_labels(path)) == small_benchmark.description_labels
+    assert any(not label.gt_boxes for label in small_benchmark.description_labels)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_category_labels_from_written_scenes_equal_the_benchmarks(tmp_path, desk20, seed):
+    """The matching half rebuilds the category labels from
+    benchmark_scenes.jsonl; they equal the ones make_benchmark built."""
+    bench = make_benchmark(desk20, 10, seed=seed)
+    path = tmp_path / "benchmark_scenes.jsonl"
+    write_scenes(path, bench.scenes)
+    labels = evalkit.category_labels(desk20, read_scenes(path))
+    assert labels == bench.category_labels
+    assert [label.label_id for label in labels] == [cat.id for cat in desk20]
+    assert sum(len(label.gt_boxes) for label in labels) > 0
 
 
 # Property tests over the array forms -------------------------------------

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grounddesk import groundnet, pipeline
+from grounddesk import evalkit, groundnet, pipeline
 from grounddesk.groundnet import UNK, TrainConfig
-from grounddesk.scenegen import BenchmarkConfig
+from grounddesk.scenegen import BenchmarkConfig, read_scenes, write_scenes
 
 
 def test_default_corpus_shape(default_bundle):
@@ -100,6 +100,31 @@ def test_benchmark_evaluation_roundtrip(default_bundle, tiny_trained):
                                      lexicon=default_bundle.lexicon)
     assert 0.0 <= report.AP_categ <= 100.0 or np.isnan(report.AP_categ)
     assert sum(report.bucket_counts) == len(bench.description_labels)
+
+
+def test_report_from_the_score_files_equals_the_report_in_memory(default_bundle, tiny_trained,
+                                                                 tmp_path):
+    """The eval's matching half reads results, scenes and description labels
+    back from their files; every AP it reports equals the in-memory one."""
+    model, _ = tiny_trained
+    lexicon = default_bundle.lexicon
+    bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=8,
+                                       config=BenchmarkConfig(fraction_negative=0.5))
+    results = pipeline.run_model_on_benchmark(model, bench, score_threshold=0.0, lexicon=lexicon)
+    evalkit.write_results(tmp_path / "results.jsonl", results)
+    write_scenes(tmp_path / "scenes.jsonl", bench.scenes)
+    evalkit.write_description_labels(tmp_path / "labels.jsonl", bench.description_labels)
+    scenes = tuple(read_scenes(tmp_path / "scenes.jsonl"))
+    read_back = evalkit.BenchmarkInstance(
+        scenes=scenes, features={},
+        category_labels=evalkit.category_labels(default_bundle.pool, scenes),
+        description_labels=tuple(evalkit.read_description_labels(tmp_path / "labels.jsonl")))
+    for iou_threshold in (0.5, 0.75):
+        in_memory = evalkit.omnilabel_report(results, bench, iou_threshold, lexicon)
+        from_files = evalkit.omnilabel_report(evalkit.read_results(tmp_path / "results.jsonl"),
+                                              read_back, iou_threshold, lexicon)
+        assert from_files == in_memory
+        assert in_memory.AP_categ > 0
 
 
 def test_mean_label_recall_range(default_bundle, default_triplets):
