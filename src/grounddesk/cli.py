@@ -598,80 +598,91 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
 
 # ablations ---------------------------------------------------------------
 
-def _ablate_dir(config, name):
-    path = os.path.join(_out(config), "ablate", name)
-    os.makedirs(path, exist_ok=True)
-    return path
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One row of an ablation: its value in the table's column, the config
+    overrides it makes (dotted path -> value) and the variant it trains."""
+    value: object
+    overrides: dict = dataclasses.field(default_factory=dict)
+    variant: pipeline.SignalVariant = pipeline.FULL_VARIANT
 
 
-def _bundle_from_config(config, images=None):
-    d = config["descriptions"]
-    return pipeline.build_corpus(
-        config["pool"], num_descriptions=d["num_descriptions"],
-        target_length_words=d["target_length_words"],
-        images_per_description=images or config["images_per_description"],
-        seed=config["seed"], distractors=_distractor_config(config),
-        features=_feature_config(config))
+@dataclasses.dataclass(frozen=True)
+class Ablation:
+    """A table's column, its rows' settings and the metrics each row reports
+    (MetricReport fields, or "recall" for the mean label recall)."""
+    column: str
+    settings: tuple[Setting, ...]
+    metrics: tuple[str, ...]
 
 
-def _label_bundle(config, bundle, labeler_config=None):
-    return pipeline.label_corpus(bundle, _detector(config),
-                                 labeler_config or _labeler_config(config),
-                                 config["labeler"]["strategy"])
+ABLATIONS = {
+    "threshold": Ablation("threshold_p",
+                          tuple(Setting(p, {"labeler.threshold_p": p}) for p in (0.3, 0.5, 0.7)),
+                          ("recall", "AP", "AP_descr")),
+    "freeze": Ablation("freeze",
+                       tuple(Setting(name, {f"train.freeze.{block}": block == name
+                                            for block in ("visual", "language", "fusion")})
+                             for name in ("none", "visual", "language", "fusion")),
+                       ("AP", "AP_categ", "AP_descr")),
+    "density": Ablation("images_per_description",
+                        tuple(Setting(n, {"images_per_description": n}) for n in (2, 4, 8)),
+                        ("AP", "AP_descr", "AP_descr_L")),
+    "signals": Ablation("signals",
+                        tuple(Setting(v.name, variant=v) for v in pipeline.SIGNAL_LADDER),
+                        ("AP", "AP_categ", "AP_descr", "AP_descr_L")),
+}
+
+ABLATE_CHOICES = sorted([*ABLATIONS, "length"])
 
 
-def _train_and_eval(config, bundle, triplets, variant, train_config):
-    """Train as ``grounddesk train`` does, on the bundle's triplets under one
-    signal variant, and score the model on the eval benchmark."""
-    detection = pipeline.build_detection_examples(bundle, config["seed"],
-                                                  config["targets"]["absent_categories"])
-    model, _ = pipeline.train_variant(bundle, triplets, variant, train_config, detection,
-                                      d_model=config["train"]["d_model"],
-                                      model_seed=config["seed"])
-    e = config["eval"]
-    return pipeline.evaluate_model(model, _benchmark(config, bundle.pool, bundle.lexicon),
-                                   score_threshold=e["score_threshold"],
-                                   iou_threshold=e["iou_threshold"],
-                                   lexicon=bundle.lexicon, agg=e["aggregation"])
+def _ablate(name, config) -> list[dict]:
+    """The named table's rows: one model per setting, trained and scored as
+    `grounddesk all` does under the config with the setting's overrides.
+    Each object is built once per distinct value of the config keys that
+    the commands building it read."""
+    ablation, built, rows = ABLATIONS[name], {}, []
+
+    def once(cfg, commands, build):
+        keys = [key for command in commands for stage in STAGES[command] for key in stage.keys]
+        slot = (commands, storage.canonical_json(_config_slice(cfg, keys)))
+        if slot not in built:
+            built[slot] = build()
+        return built[slot]
+
+    for setting in ablation.settings:
+        cfg = copy.deepcopy(config)
+        for path, value in setting.overrides.items():
+            _set(cfg, path, value)
+        d, e = cfg["descriptions"], cfg["eval"]
+        bundle = once(cfg, ("gen", "scenes"), lambda: pipeline.build_corpus(
+            cfg["pool"], num_descriptions=d["num_descriptions"],
+            target_length_words=d["target_length_words"],
+            images_per_description=cfg["images_per_description"], seed=cfg["seed"],
+            distractors=_distractor_config(cfg), features=_feature_config(cfg)))
+        triplets = once(cfg, ("gen", "scenes", "label"), lambda: pipeline.label_corpus(
+            bundle, _detector(cfg), _labeler_config(cfg), cfg["labeler"]["strategy"]))
+        detection = pipeline.build_detection_examples(bundle, cfg["seed"],
+                                                      cfg["targets"]["absent_categories"])
+        bench = once(cfg, ("eval",), lambda: _benchmark(cfg, bundle.pool, bundle.lexicon))
+        model, _ = pipeline.train_variant(bundle, triplets, setting.variant, _train_config(cfg),
+                                          detection, d_model=cfg["train"]["d_model"],
+                                          model_seed=cfg["seed"])
+        report = pipeline.evaluate_model(model, bench, score_threshold=e["score_threshold"],
+                                         iou_threshold=e["iou_threshold"],
+                                         lexicon=bundle.lexicon, agg=e["aggregation"])
+        row = {ablation.column: setting.value}
+        for metric in ablation.metrics:
+            row[metric] = (pipeline.mean_label_recall(bundle, triplets) if metric == "recall"
+                           else getattr(report, metric))
+        rows.append(row)
+        print(f"ablate {name} {ablation.column}={setting.value}: "
+              + " ".join(f"{metric}={row[metric]:.3f}" for metric in ablation.metrics))
+    return rows
 
 
-def cmd_ablate_threshold(config, workers: int = 1) -> int:
-    out_dir = _ablate_dir(config, "threshold")
-    bundle = _bundle_from_config(config)
-    rows = []
-    for p in (0.3, 0.5, 0.7):
-        triplets = _label_bundle(config, bundle, dataclasses.replace(_labeler_config(config),
-                                                              threshold_p=p))
-        recall = pipeline.mean_label_recall(bundle, triplets)
-        report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT,
-                                 _train_config(config))
-        rows.append({"threshold_p": p, "recall": recall,
-                     "AP": report.AP, "AP_descr": report.AP_descr})
-        print(f"ablate threshold p={p}: recall={recall:.3f} AP_descr={report.AP_descr:.2f}")
-    storage.write_json(os.path.join(out_dir, "threshold.json"), rows)
-    return 0
-
-
-def cmd_ablate_freeze(config, workers: int = 1) -> int:
-    out_dir = _ablate_dir(config, "freeze")
-    bundle = _bundle_from_config(config)
-    triplets = _label_bundle(config, bundle)
-    rows = []
-    base = _train_config(config)
-    for name in ("none", "visual", "language", "fusion"):
-        tc = dataclasses.replace(base, freeze_visual=name == "visual",
-                                 freeze_language=name == "language",
-                                 freeze_fusion=name == "fusion")
-        report = _train_and_eval(config, bundle, triplets, pipeline.FULL_VARIANT, tc)
-        rows.append({"freeze": name, "AP": report.AP, "AP_categ": report.AP_categ,
-                     "AP_descr": report.AP_descr})
-        print(f"ablate freeze {name}: AP={report.AP:.2f} AP_descr={report.AP_descr:.2f}")
-    storage.write_json(os.path.join(out_dir, "freeze.json"), rows)
-    return 0
-
-
-def cmd_ablate_length(config, workers: int = 1) -> int:
-    out_dir = _ablate_dir(config, "length")
+def _ablate_length(config) -> list[dict]:
+    """Description statistics at each target length; trains nothing."""
     pool, _ = _pool_and_lexicon(config)
     rows = []
     for nw in (6, 8, 10, 12):
@@ -681,45 +692,7 @@ def cmd_ablate_length(config, workers: int = 1) -> int:
         rows.append({"target_length_words": nw, "mean_nouns": stats.mean_nouns,
                      "mean_adjectives": stats.mean_adjectives, "count": stats.count})
         print(f"ablate length NW={nw}: NOUN={stats.mean_nouns:.2f} ADJ={stats.mean_adjectives:.2f}")
-    storage.write_json(os.path.join(out_dir, "length.json"), rows)
-    return 0
-
-
-def cmd_ablate_density(config, workers: int = 1) -> int:
-    out_dir = _ablate_dir(config, "density")
-    rows = []
-    for images in (2, 4, 8):
-        bundle = _bundle_from_config(config, images=images)
-        report = _train_and_eval(config, bundle, _label_bundle(config, bundle),
-                                 pipeline.FULL_VARIANT, _train_config(config))
-        rows.append({"images_per_description": images, "AP": report.AP,
-                     "AP_descr": report.AP_descr, "AP_descr_L": report.AP_descr_L})
-        print(f"ablate density images={images}: AP_descr={report.AP_descr:.2f}")
-    storage.write_json(os.path.join(out_dir, "density.json"), rows)
-    return 0
-
-
-def cmd_ablate_signals(config, workers: int = 1) -> int:
-    out_dir = _ablate_dir(config, "signals")
-    bundle = _bundle_from_config(config)
-    triplets = _label_bundle(config, bundle)
-    tc = _train_config(config)
-    rows = []
-    for variant in pipeline.SIGNAL_LADDER:
-        report = _train_and_eval(config, bundle, triplets, variant, tc)
-        rows.append({"signals": variant.name, "AP": report.AP, "AP_categ": report.AP_categ,
-                     "AP_descr": report.AP_descr, "AP_descr_L": report.AP_descr_L})
-        print(f"ablate signals {variant.name}: AP_descr={report.AP_descr:.2f} "
-              f"AP_descr_L={report.AP_descr_L:.2f}")
-    storage.write_json(os.path.join(out_dir, "signals.json"), rows)
-    return 0
-
-
-ABLATIONS = {
-    "threshold": cmd_ablate_threshold, "freeze": cmd_ablate_freeze,
-    "length": cmd_ablate_length, "density": cmd_ablate_density,
-    "signals": cmd_ablate_signals,
-}
+    return rows
 
 
 def run(subcommand: str, config: dict, workers: int = 1) -> int:
@@ -730,9 +703,13 @@ def run(subcommand: str, config: dict, workers: int = 1) -> int:
                 _run_stage(stage, config, workers)
             return 0
         experiment = subcommand.removeprefix("ablate:")
-        if experiment == subcommand or experiment not in ABLATIONS:
+        if experiment == subcommand or experiment not in ABLATE_CHOICES:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        return ABLATIONS[experiment](config, workers)
+        rows = _ablate_length(config) if experiment == "length" else _ablate(experiment, config)
+        out_dir = os.path.join(_out(config), "ablate", experiment)
+        os.makedirs(out_dir, exist_ok=True)
+        storage.write_json(os.path.join(out_dir, f"{experiment}.json"), rows)
+        return 0
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 5
@@ -765,7 +742,7 @@ def main(argv=None) -> int:
     for name in PIPELINE_STAGES + ("all",):
         add_common(sub.add_parser(name))
     ablate = sub.add_parser("ablate")
-    ablate.add_argument("experiment", choices=sorted(ABLATIONS))
+    ablate.add_argument("experiment", choices=ABLATE_CHOICES)
     add_common(ablate)
     parse_cmd = sub.add_parser("parse", help="print the parse tree of a description")
     parse_cmd.add_argument("text")
