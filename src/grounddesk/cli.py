@@ -29,7 +29,6 @@ from . import corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
 from .groundnet import (AGGREGATIONS, GroundingModel, NumericError, TrainConfig, TrainExample,
                         Vocabulary, load_checkpoint, load_history, save_checkpoint,
                         save_history, train)
-from .seeding import derive_seed
 
 OUTPUT_ENV_VAR = "GROUNDDESK_OUT"
 
@@ -264,13 +263,6 @@ def _feature_config(config) -> pipeline.FeatureConfig:
                                   noise_sigma=f["noise_sigma"])
 
 
-def _benchmark(config, pool, lexicon):
-    """The eval benchmark, drawn under its own seed label."""
-    return scenegen.make_benchmark(pool, config["eval"]["benchmark_scenes"],
-                                   derive_seed(config["seed"], "benchmark"),
-                                   config=_benchmark_config(config), lexicon=lexicon)
-
-
 def fanout(fn, items, workers: int = 1):
     """Order-preserving map; output does not depend on the worker count."""
     if workers <= 1:
@@ -395,12 +387,12 @@ def _targets(config, out, workers, index=None):
     bundle = _read_bundle(config, out, _load_features(out, index))
     triplets = _read_triplets(out)
     tc = config["targets"]
-    variant = pipeline.SignalVariant("config", tc["k_neg"], tc["include_struct_pos"],
-                                     _target_config(config))
-    query_seed = derive_seed(config["seed"], "query")
+    variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
+                                  include_struct_pos=tc["include_struct_pos"],
+                                  target_config=_target_config(config))
     # Each example is written as soon as it is built; no list of them is kept.
     _write_jsonl(os.path.join(out, "examples.jsonl"),
-                 (_example_row(pipeline.training_example(bundle, t, variant, query_seed))
+                 (_example_row(pipeline.training_example(bundle, t, variant, config["seed"]))
                   for t in triplets if t.assignments))
     _write_jsonl(os.path.join(out, "detection_examples.jsonl"),
                  (_example_row(pipeline.detection_example(bundle, scene, config["seed"],
@@ -432,7 +424,8 @@ def _eval_scores(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
-    bench = _benchmark(config, pool, lexicon)
+    bench = pipeline.default_benchmark(pool, config["seed"], e["benchmark_scenes"],
+                                       config=_benchmark_config(config), lexicon=lexicon)
     results = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
                                               lexicon, agg=e["aggregation"])
     evalkit.write_results(os.path.join(out, "results.jsonl"), results)
@@ -639,8 +632,8 @@ ABLATE_CHOICES = sorted([*ABLATIONS, "length"])
 def _ablate(name, config) -> list[dict]:
     """The named table's rows: one model per setting, trained and scored as
     `grounddesk all` does under the config with the setting's overrides.
-    Each object is built once per distinct value of the config keys that
-    the commands building it read."""
+    A corpus and its labels are built once per distinct value of the config
+    keys that the commands building them read."""
     ablation, built, rows = ABLATIONS[name], {}, []
 
     def once(cfg, commands, build):
@@ -664,7 +657,8 @@ def _ablate(name, config) -> list[dict]:
             bundle, _detector(cfg), _labeler_config(cfg), cfg["labeler"]["strategy"]))
         detection = pipeline.build_detection_examples(bundle, cfg["seed"],
                                                       cfg["targets"]["absent_categories"])
-        bench = once(cfg, ("eval",), lambda: _benchmark(cfg, bundle.pool, bundle.lexicon))
+        bench = pipeline.default_benchmark(bundle.pool, cfg["seed"], e["benchmark_scenes"],
+                                           config=_benchmark_config(cfg), lexicon=bundle.lexicon)
         model, _ = pipeline.train_variant(bundle, triplets, setting.variant, _train_config(cfg),
                                           detection, d_model=cfg["train"]["d_model"],
                                           model_seed=cfg["seed"])

@@ -200,10 +200,10 @@ FULL_VARIANT = SIGNAL_LADDER[-1]
 
 
 def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,
-                     query_seed: int) -> TrainExample:
-    """One triplet's query under the variant and its alignment target."""
-    query = assemble_query(triplet, bundle.descriptions, variant.k_neg,
-                           variant.include_struct_pos, seed=query_seed, lexicon=bundle.lexicon)
+                     seed: int) -> TrainExample:
+    """One triplet's query, seeded under the variant's name, and its alignment target."""
+    query = assemble_query(triplet, bundle.descriptions, variant.k_neg, variant.include_struct_pos,
+                           seed=derive_seed(seed, "query", variant.name), lexicon=bundle.lexicon)
     rf = bundle.features[triplet.scene_id]
     target = build_alignment_target(query, triplet, rf.features.shape[0],
                                     config=variant.target_config, lexicon=bundle.lexicon)
@@ -214,8 +214,7 @@ def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: Sign
 def build_training_examples(bundle: CorpusBundle, triplets, variant: SignalVariant = FULL_VARIANT,
                             seed: int = 0) -> list[TrainExample]:
     """Examples for the triplets that have assignments; the others carry no signal."""
-    query_seed = derive_seed(seed, "query", variant.name)
-    return [training_example(bundle, t, variant, query_seed) for t in triplets if t.assignments]
+    return [training_example(bundle, t, variant, seed) for t in triplets if t.assignments]
 
 
 def detection_example(bundle: CorpusBundle, scene: Scene, seed: int = 0,

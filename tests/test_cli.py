@@ -9,10 +9,9 @@ import sys
 
 import pytest
 
-from grounddesk import cli, corpus, labeling, pipeline, scenegen, storage, targets
+from grounddesk import cli, corpus, evalkit, labeling, pipeline, scenegen, storage, targets
 from grounddesk.cli import ConfigError, load_config
 from grounddesk.groundnet import GroundingModel
-from grounddesk.seeding import derive_seed
 
 SMALL = ["--set", "descriptions.num_descriptions=3",
          "--set", "images_per_description=2",
@@ -374,10 +373,16 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
     assert _jsonl(map(labeling.triplet_to_json, triplets)) == cli_bytes("triplets.jsonl")
     assert _examples_jsonl(pipeline.build_detection_examples(bundle, seed=0)) \
         == cli_bytes("detection_examples.jsonl")
-    query_seed = derive_seed(0, "query")  # the CLI's query seed label
-    examples = [pipeline.training_example(bundle, t, pipeline.FULL_VARIANT, query_seed)
-                for t in triplets if t.assignments]
+    examples = pipeline.build_training_examples(bundle, triplets, pipeline.FULL_VARIANT, seed=0)
     assert _examples_jsonl(examples) == cli_bytes("examples.jsonl")
+    # SMALL's eval settings: 6 scenes, the config's default length choices
+    bench = pipeline.default_benchmark(
+        bundle.pool, 0, 6, config=scenegen.BenchmarkConfig(nw_choices=(4, 6, 8, 10, 12, 10, 12)),
+        lexicon=bundle.lexicon)
+    assert written("benchmark_scenes.jsonl", scenegen.write_scenes,
+                   bench.scenes) == cli_bytes("benchmark_scenes.jsonl")
+    assert written("benchmark_labels.jsonl", evalkit.write_description_labels,
+                   bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
 
 
 MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
@@ -517,15 +522,16 @@ EVERY_REGION = ["--set", "eval.score_threshold=0.0"]
 
 @pytest.fixture
 def benchmark_calls(monkeypatch):
-    """The number of scenegen.make_benchmark calls so far."""
+    """The number of make_benchmark calls so far, counted at the binding
+    that pipeline.default_benchmark calls."""
     calls = []
-    real = scenegen.make_benchmark
+    real = pipeline.make_benchmark
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scenegen, "make_benchmark", counted)
+    monkeypatch.setattr(pipeline, "make_benchmark", counted)
     return calls
 
 
@@ -721,3 +727,44 @@ def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
     for d_model, init, n_detection, seed in seen:
         assert (d_model, n_detection, seed) == (16, 20 * 3, 3)
         assert (init == fresh.params["visual.weight"]).all()
+
+
+ALL_AND_ABLATE = ["--set", "descriptions.num_descriptions=6",
+                  "--set", "images_per_description=2",
+                  "--set", "train.epochs=2",
+                  "--set", "eval.benchmark_scenes=4",
+                  "--set", "eval.score_threshold=0"]
+
+
+@pytest.fixture(scope="module")
+def all_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all_for_ablations")
+    assert cli.main(["all", "--out", str(out)] + ALL_AND_ABLATE) == 0
+    return storage.read_json(out / "report.json")
+
+
+@pytest.mark.parametrize("experiment,column,own,corpora,labelings", [
+    ("threshold", "threshold_p", 0.5, 1, 3),
+    ("freeze", "freeze", "none", 1, 1),
+    ("density", "images_per_description", 2, 3, 3),
+    ("signals", "signals", "struct_pos", 1, 1),
+])
+def test_ablation_row_at_the_config_is_grounddesk_all(tmp_path, monkeypatch, all_report,
+                                                      experiment, column, own, corpora,
+                                                      labelings):
+    """The row at the config's own setting trains and scores the model that
+    `grounddesk all` does, on the same benchmark, so its metrics equal
+    report.json's. Each corpus is built once per image count and labeled
+    once per (image count, threshold_p)."""
+    calls = {"build_corpus": 0, "label_corpus": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    assert cli.main(["ablate", experiment, "--out", str(tmp_path)] + ALL_AND_ABLATE) == 0
+    assert calls == {"build_corpus": corpora, "label_corpus": labelings}
+    rows = storage.read_json(tmp_path / "ablate" / experiment / f"{experiment}.json")
+    row = next(r for r in rows if r[column] == own)
+    metrics = ["AP", "AP_descr"] + [m for m in ("AP_categ", "AP_descr_L") if m in row]
+    assert {m: row[m] for m in metrics} == {m: all_report[m] for m in metrics}
