@@ -333,8 +333,8 @@ def _example_row(example: TrainExample) -> dict:
 
 # stages -----------------------------------------------------------------
 # Each body gets the config restricted to its stage's keys. A stage with a
-# manifest reads only its declared inputs and returns the files it wrote,
-# relative to out.
+# manifest reads only its declared inputs and writes its declared outputs;
+# scenes also returns the feature files it wrote, relative to out.
 
 def _gen(config, out, workers):
     pool, _ = _pool_and_lexicon(config)
@@ -346,7 +346,6 @@ def _gen(config, out, workers):
     if d["num_descriptions"] == 0:
         print("warning: num_descriptions is 0, wrote an empty corpus")
     print(f"gen: wrote {len(descriptions)} descriptions for {len(pool)} categories")
-    return ["descriptions.jsonl"]
 
 
 def _scenes(config, out, workers):
@@ -369,7 +368,7 @@ def _scenes(config, out, workers):
     _write_jsonl(os.path.join(out, FEATURE_INDEX), index_rows)
     print(f"scenes: wrote {len(scenes)} scenes "
           f"({len(descriptions)} descriptions x {images} seeds)")
-    return ["scenes.jsonl", FEATURE_INDEX] + [row["file"] for row in index_rows]
+    return [row["file"] for row in index_rows]
 
 
 def _label(config, out, workers):
@@ -378,9 +377,10 @@ def _label(config, out, workers):
                                      config["labeler"]["strategy"],
                                      map_fn=functools.partial(fanout, workers=workers))
     _write_jsonl(os.path.join(out, "triplets.jsonl"), map(labeling.triplet_to_json, triplets))
+    storage.write_json(os.path.join(out, "label_stats.json"),
+                       {"label_recall_mean": pipeline.mean_label_recall(bundle, triplets)})
     n_assigned = sum(1 for t in triplets if t.assignments)
     print(f"label: wrote {len(triplets)} pseudo-triplets ({n_assigned} with assignments)")
-    return ["triplets.jsonl"]
 
 
 def _targets(config, out, workers, index=None):
@@ -399,7 +399,6 @@ def _targets(config, out, workers, index=None):
                                                           tc["absent_categories"]))
                   for scene in bundle.scenes))
     print(f"targets: wrote alignment targets to examples.jsonl and detection_examples.jsonl")
-    return ["examples.jsonl", "detection_examples.jsonl"]
 
 
 def _train(config, out, workers, index=None):
@@ -415,12 +414,13 @@ def _train(config, out, workers, index=None):
     save_history(os.path.join(out, "history.csv"), history)
     print(f"train: {len(triplet_examples)} triplet examples, "
           f"loss {history[0][1]:.4f} -> {history[-1][1]:.4f}")
-    return ["model.ckpt", "model.vocab.json", "history.csv"]
 
 
 def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
-    benchmark, run the model on it and write its detections and labels."""
+    benchmark, run the model on it and write its detections and labels. The
+    detections go to results.jsonl, the export, and to results.bin, the table
+    that matching reads."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -429,11 +429,11 @@ def _eval_scores(config, out, workers):
     results = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
                                               lexicon, agg=e["aggregation"])
     evalkit.write_results(os.path.join(out, "results.jsonl"), results)
+    evalkit.write_results_table(os.path.join(out, "results.bin"), results)
     scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
     evalkit.write_description_labels(os.path.join(out, "benchmark_labels.jsonl"),
                                      bench.description_labels)
     print(f"eval: scored {len(bench.scenes)} benchmark scenes")
-    return ["results.jsonl", "benchmark_scenes.jsonl", "benchmark_labels.jsonl"]
 
 
 def _eval(config, out, workers):
@@ -446,7 +446,7 @@ def _eval(config, out, workers):
         description_labels=tuple(_read(out, "benchmark_labels.jsonl",
                                        evalkit.read_description_labels)))
     iou_threshold = config["eval"]["iou_threshold"]
-    report = evalkit.omnilabel_report(_read(out, "results.jsonl", evalkit.read_results), bench,
+    report = evalkit.omnilabel_report(_read(out, "results.bin", evalkit.read_results_table), bench,
                                       iou_threshold=iou_threshold, lexicon=lexicon)
     payload = report.to_json()
     payload["d3"] = {"full": payload["d3_full"], "pres": payload["d3_pres"],
@@ -454,17 +454,18 @@ def _eval(config, out, workers):
     storage.write_json(os.path.join(out, "report.json"), payload)
     print(f"eval: at IoU {iou_threshold}: AP={report.AP:.2f} AP_categ={report.AP_categ:.2f} "
           f"AP_descr={report.AP_descr:.2f}")
-    return ["report.json"]
 
 
 def _report(config, out, workers):
-    """Summarise the run. Label recall and the loss curve are added when their
-    artifacts exist, so the stage has no manifest and always runs."""
+    """Summarise the run. The mean label recall that the label stage recorded
+    and the loss curve are added when their stages have run, so the stage has
+    no manifest and always runs."""
     summary = {"config_hash": storage.config_hash(config), "seed": config["seed"],
                "metrics": _read(out, "report.json", storage.read_json)}
     if os.path.exists(os.path.join(out, "triplets.jsonl")):
-        summary["label_recall_mean"] = pipeline.mean_label_recall(_read_bundle(config, out),
-                                                                  _read_triplets(out))
+        _require(out, "label_stats.json", "label")
+        summary["label_recall_mean"] = _read(out, "label_stats.json",
+                                             storage.read_json)["label_recall_mean"]
     if os.path.exists(os.path.join(out, "history.csv")):
         history = _read(out, "history.csv", load_history)
         summary["training"] = {"epochs": len(history),
@@ -476,11 +477,14 @@ def _report(config, out, workers):
 @dataclasses.dataclass(frozen=True)
 class Stage:
     """What one manifest covers, declared once: its name, the config keys
-    its body reads (dotted paths reach into a block), and each file it reads
-    with the command that writes that file."""
+    its body reads (dotted paths reach into a block), each file it reads
+    with the command that writes that file, and the files it writes. A
+    manifest that does not record every declared output is stale, so a tree
+    from before an output was added runs the stage again."""
     name: str
     keys: tuple[str, ...]
     inputs: dict[str, str]
+    outputs: tuple[str, ...]
     body: Callable
     manifest: bool = True
 
@@ -489,28 +493,33 @@ class Stage:
 # not depend on eval.iou_threshold and are reused while their inputs hold,
 # and the matching, which keeps the command's name.
 STAGES = {
-    "gen": (Stage("gen", ("pool", "descriptions", "seed"), {}, _gen),),
+    "gen": (Stage("gen", ("pool", "descriptions", "seed"), {}, ("descriptions.jsonl",), _gen),),
     "scenes": (Stage("scenes", ("pool", "images_per_description", "distractors", "features",
                                 "seed"),
-                     {"descriptions.jsonl": "gen"}, _scenes),),
+                     {"descriptions.jsonl": "gen"}, ("scenes.jsonl", FEATURE_INDEX), _scenes),),
     "label": (Stage("label", ("pool", "detector", "labeler"),
-                    {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"}, _label),),
+                    {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"},
+                    ("triplets.jsonl", "label_stats.json"), _label),),
     "targets": (Stage("targets", ("pool", "targets", "seed"),
                       {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
-                       "triplets.jsonl": "label", FEATURE_INDEX: "scenes"}, _targets),),
+                       "triplets.jsonl": "label", FEATURE_INDEX: "scenes"},
+                      ("examples.jsonl", "detection_examples.jsonl"), _targets),),
     "train": (Stage("train", ("pool", "features", "train", "seed"),
                     {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
-                     FEATURE_INDEX: "scenes"}, _train),),
+                     FEATURE_INDEX: "scenes"},
+                    ("model.ckpt", "model.vocab.json", "history.csv"), _train),),
     "eval": (Stage("eval_scores", ("pool", "features", "distractors", "seed",
                                    "eval.benchmark_scenes", "eval.fraction_negative",
                                    "eval.nw_choices", "eval.score_threshold",
                                    "eval.aggregation"),
-                   {"model.ckpt": "train", "model.vocab.json": "train"}, _eval_scores),
+                   {"model.ckpt": "train", "model.vocab.json": "train"},
+                   ("results.jsonl", "results.bin", "benchmark_scenes.jsonl",
+                    "benchmark_labels.jsonl"), _eval_scores),
              Stage("eval", ("pool", "eval.iou_threshold"),
-                   {"results.jsonl": "eval", "benchmark_scenes.jsonl": "eval",
-                    "benchmark_labels.jsonl": "eval"}, _eval)),
+                   {"results.bin": "eval", "benchmark_scenes.jsonl": "eval",
+                    "benchmark_labels.jsonl": "eval"}, ("report.json",), _eval)),
     "report": (Stage("report", tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
-                     {"report.json": "eval"}, _report, manifest=False),),
+                     {"report.json": "eval"}, ("summary.json",), _report, manifest=False),),
 }
 
 PIPELINE_STAGES = tuple(STAGES)
@@ -533,17 +542,24 @@ def _recorded_inputs(out_dir, name) -> dict:
         return dict(storage.read_json(path)["inputs"])
 
 
-def _input_hashes(out_dir, stage: Stage) -> tuple[dict, list | None]:
+def _input_hashes(out_dir, stage: Stage, digests: dict) -> tuple[dict, list | None]:
     """The hash of every file the stage reads, relative to out_dir, each
     required to exist, and the parsed feature index when one was parsed.
+    A file already in `digests`, which maps each file the command has hashed
+    to its hash, is not hashed again; the others are added to it.
 
     The feature index brings in the feature files it lists. While it hashes
     as the stage's manifest recorded, the list is the manifest's, and the
     index is not parsed."""
+    def digest(rel, producer):
+        _require(out_dir, rel, producer)
+        if rel not in digests:
+            digests[rel] = storage.sha256_file(os.path.join(out_dir, rel))
+        return digests[rel]
+
     inputs, index = {}, None
     for filename, producer in stage.inputs.items():
-        _require(out_dir, filename, producer)
-        inputs[filename] = storage.sha256_file(os.path.join(out_dir, filename))
+        inputs[filename] = digest(filename, producer)
         if filename != FEATURE_INDEX:
             continue
         recorded = _recorded_inputs(out_dir, stage.name)
@@ -553,17 +569,19 @@ def _input_hashes(out_dir, stage: Stage) -> tuple[dict, list | None]:
             index = _feature_index(out_dir)
             listed = [rel for rel, *_ in index]
         for rel in listed:
-            _require(out_dir, rel, producer)
-            inputs[rel] = storage.sha256_file(os.path.join(out_dir, rel))
+            inputs[rel] = digest(rel, producer)
     return inputs, index
 
 
 def _run_stage(name: str, config: dict, workers: int) -> None:
     """Run a command's stages in order. A stage is skipped while its manifest
-    still matches its config keys and inputs and no earlier stage of the
-    command ran; a stage that runs records a new manifest of what it wrote."""
+    still matches its config keys, inputs and declared outputs and no earlier
+    stage of the command ran; a stage that runs records a new manifest of
+    what it wrote. Each file is hashed at most once per command: the hashes
+    of outputs that a skipped stage verified or a stage that ran recorded
+    serve as the input hashes of the stages after it."""
     out = _out(config)
-    reused, ran = [], False
+    reused, ran, digests = [], False, {}
     for stage in STAGES[name]:
         used = _config_slice(config, stage.keys)
         if not stage.manifest:
@@ -572,19 +590,23 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
             stage.body(used, out, workers)
             ran = True
             continue
-        inputs, index = _input_hashes(out, stage)
+        inputs, index = _input_hashes(out, stage, digests)
         if not ran:
             with _reading(storage.manifest_path(out, stage.name)):
-                if storage.stage_is_current(out, stage.name, used, inputs):
-                    reused.append(stage.name.removeprefix(name + "_"))
-                    continue
+                verified = storage.stage_is_current(out, stage.name, used, inputs,
+                                                    stage.outputs)
+            if verified is not None:
+                digests.update(verified)
+                reused.append(stage.name.removeprefix(name + "_"))
+                continue
         for part in reused:
             print(f"{name}: {part} up to date, reused")
         reused, ran = [], True
-        written = stage.body(used, out, workers, **({} if index is None else {"index": index}))
-        storage.write_manifest(out, stage.name, used, inputs,
-                               {rel: storage.sha256_file(os.path.join(out, rel))
-                                for rel in written})
+        extra = stage.body(used, out, workers, **({} if index is None else {"index": index}))
+        outputs = {rel: storage.sha256_file(os.path.join(out, rel))
+                   for rel in (*stage.outputs, *(extra or ()))}
+        digests.update(outputs)
+        storage.write_manifest(out, stage.name, used, inputs, outputs)
     if not ran:
         print(f"{name}: up to date, skipping")
 
@@ -629,12 +651,13 @@ ABLATIONS = {
 ABLATE_CHOICES = sorted([*ABLATIONS, "length"])
 
 
-def _ablate(name, config) -> list[dict]:
+def _ablate(name, config, workers: int = 1) -> list[dict]:
     """The named table's rows: one model per setting, trained and scored as
     `grounddesk all` does under the config with the setting's overrides.
     A corpus and its labels are built once per distinct value of the config
-    keys that the commands building them read."""
+    keys that the commands building them read, fanned out over `workers`."""
     ablation, built, rows = ABLATIONS[name], {}, []
+    map_fn = functools.partial(fanout, workers=workers)
 
     def once(cfg, commands, build):
         keys = [key for command in commands for stage in STAGES[command] for key in stage.keys]
@@ -652,9 +675,10 @@ def _ablate(name, config) -> list[dict]:
             cfg["pool"], num_descriptions=d["num_descriptions"],
             target_length_words=d["target_length_words"],
             images_per_description=cfg["images_per_description"], seed=cfg["seed"],
-            distractors=_distractor_config(cfg), features=_feature_config(cfg)))
+            distractors=_distractor_config(cfg), features=_feature_config(cfg), map_fn=map_fn))
         triplets = once(cfg, ("gen", "scenes", "label"), lambda: pipeline.label_corpus(
-            bundle, _detector(cfg), _labeler_config(cfg), cfg["labeler"]["strategy"]))
+            bundle, _detector(cfg), _labeler_config(cfg), cfg["labeler"]["strategy"],
+            map_fn=map_fn))
         detection = pipeline.build_detection_examples(bundle, cfg["seed"],
                                                       cfg["targets"]["absent_categories"])
         bench = pipeline.default_benchmark(bundle.pool, cfg["seed"], e["benchmark_scenes"],
@@ -699,7 +723,8 @@ def run(subcommand: str, config: dict, workers: int = 1) -> int:
         experiment = subcommand.removeprefix("ablate:")
         if experiment == subcommand or experiment not in ABLATE_CHOICES:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        rows = _ablate_length(config) if experiment == "length" else _ablate(experiment, config)
+        rows = (_ablate_length(config) if experiment == "length"
+                else _ablate(experiment, config, workers))
         out_dir = os.path.join(_out(config), "ablate", experiment)
         os.makedirs(out_dir, exist_ok=True)
         storage.write_json(os.path.join(out_dir, f"{experiment}.json"), rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -393,6 +394,63 @@ def read_results(path) -> Results:
     table = Results()
     for label_id, scene_id, dets in read_jsonl(path, _result_row):
         table.extend(label_id, scene_id, dets)
+    return table
+
+
+RESULTS_MAGIC = b"GDRT"
+RESULTS_VERSION = 1
+_TABLE_HEAD = struct.Struct("<HQQ")  # version, rows, detections
+
+
+def write_results_table(path, results) -> None:
+    """results.bin: the Results table (anything _normalize_results() takes)
+    as packed little-endian arrays in row order: magic, u16 version, u64 row
+    and detection counts, int64 (label_id, scene_id) pairs, int64 per-row
+    detection counts, float64 boxes (n, 4) and float64 scores (n,)."""
+    table = _normalize_results(results)
+    dets = list(table.values())
+    keys = np.array(list(table), dtype="<i8").reshape(-1, 2)
+    counts = np.array([len(d.scores) for d in dets], dtype="<i8")
+    boxes = np.concatenate([d.boxes for d in dets] or [np.empty((0, 4))])
+    scores = np.concatenate([d.scores for d in dets] or [np.empty(0)])
+    with open(path, "wb") as fh:
+        fh.write(RESULTS_MAGIC + _TABLE_HEAD.pack(RESULTS_VERSION, len(keys), len(scores)))
+        for arr, dtype in ((keys, "<i8"), (counts, "<i8"), (boxes, "<f8"), (scores, "<f8")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+
+
+def read_results_table(path) -> Results:
+    """The Results table of a write_results_table() file, each row's arrays
+    bit for bit as written. Checks the magic, the version, that the file is
+    exactly as long as its counts say, and that the per-row counts are
+    non-negative and sum to the detection count. Raises ValueError naming
+    the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = len(RESULTS_MAGIC) + _TABLE_HEAD.size
+    if raw[:len(RESULTS_MAGIC)] != RESULTS_MAGIC:
+        raise ValueError(f"{path}: not a results table")
+    if len(raw) < head:
+        raise ValueError(f"{path}: truncated results table: header needs {head} bytes, "
+                         f"found {len(raw)}")
+    version, n_rows, n_dets = _TABLE_HEAD.unpack_from(raw, len(RESULTS_MAGIC))
+    if version != RESULTS_VERSION:
+        raise ValueError(f"{path}: unsupported results table version {version}")
+    size = head + 24 * n_rows + 40 * n_dets
+    if len(raw) != size:
+        raise ValueError(f"{path}: {n_rows} rows and {n_dets} detections need {size} bytes, "
+                         f"found {len(raw)}")
+    ints = np.frombuffer(raw, dtype="<i8", count=3 * n_rows, offset=head).tolist()
+    keys, counts = ints[:2 * n_rows], ints[2 * n_rows:]
+    if min(counts, default=0) < 0 or sum(counts) != n_dets:
+        raise ValueError(f"{path}: per-row counts must be non-negative and sum to {n_dets}")
+    floats = np.frombuffer(raw, dtype="<f8", count=5 * n_dets,
+                           offset=head + 24 * n_rows).astype(float)
+    boxes, scores = floats[:4 * n_dets].reshape(-1, 4), floats[4 * n_dets:]
+    table, end = Results(), 0
+    for label_id, scene_id, count in zip(keys[::2], keys[1::2], counts):
+        start, end = end, end + count
+        table.extend(label_id, scene_id, DetectionArrays(boxes[start:end], scores[start:end]))
     return table
 
 

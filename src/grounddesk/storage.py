@@ -84,19 +84,25 @@ def write_manifest(out_dir, stage: str, config_slice, inputs: dict, outputs: dic
     })
 
 
-def stage_is_current(out_dir, stage: str, config_slice, inputs: dict) -> bool:
-    """True when the stage's manifest matches config and inputs, and every
-    recorded output still exists with its recorded hash."""
+def stage_is_current(out_dir, stage: str, config_slice, inputs: dict,
+                     outputs) -> dict | None:
+    """The manifest's output hashes, each just verified, when the stage is
+    current: its manifest matches config and inputs, records every file in
+    `outputs` (the files the stage is declared to write), and every recorded
+    output still exists with its recorded hash. None otherwise."""
     path = manifest_path(out_dir, stage)
     if not os.path.exists(path):
-        return False
+        return None
     manifest = read_json(path)
     if manifest.get("config_hash") != config_hash(config_slice):
-        return False
+        return None
     if manifest.get("inputs") != inputs:
-        return False
-    for rel, digest in manifest.get("outputs", {}).items():
+        return None
+    recorded = manifest.get("outputs", {})
+    if not set(outputs) <= set(recorded):
+        return None
+    for rel, digest in recorded.items():
         full = os.path.join(out_dir, rel)
         if not os.path.exists(full) or sha256_file(full) != digest:
-            return False
-    return True
+            return None
+    return dict(recorded)

@@ -167,7 +167,8 @@ def test_pipeline_writes_all_artifacts(pipeline_dir):
     expected = ["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
                 "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
-                "benchmark_labels.jsonl", "report.json", "summary.json", "features/index.jsonl"]
+                "benchmark_labels.jsonl", "report.json", "summary.json", "features/index.jsonl",
+                "label_stats.json", "results.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
     for stage in ("gen", "scenes", "label", "targets", "train", "eval_scores", "eval"):
@@ -389,10 +390,10 @@ MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
                    if any(stage.manifest for stage in stages)]
 
 
-def _declared_files(out, stage):
-    """The stage's declared inputs, the feature index expanded to the files it lists."""
-    files = set(stage.inputs)
-    if cli.FEATURE_INDEX in stage.inputs:
+def _declared_files(out, declared):
+    """The declared files, the feature index expanded to the files it lists."""
+    files = set(declared)
+    if cli.FEATURE_INDEX in declared:
         with open(os.path.join(out, cli.FEATURE_INDEX)) as fh:
             files.update(json.loads(line)["file"] for line in fh)
     return files
@@ -435,9 +436,9 @@ def _run_recorded(monkeypatch, name, config, out):
     keys_read, opened, current = {}, {}, [None]
     real_input_hashes = cli._input_hashes
 
-    def input_hashes(out_dir, stage):
+    def input_hashes(out_dir, stage, digests):
         current[0] = stage.name
-        return real_input_hashes(out_dir, stage)
+        return real_input_hashes(out_dir, stage, digests)
 
     def recorded(stage):
         def body(config, out_dir, workers, **kwargs):
@@ -464,11 +465,12 @@ def _run_recorded(monkeypatch, name, config, out):
 
 @pytest.mark.parametrize("name", MANIFEST_STAGES)
 def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
-    """Each stage of a command opens exactly its declared inputs and reads
-    exactly its declared config keys, apart from its manifest and the outputs
-    it hashes. The command runs cold, with none of its manifests, and then
-    warm once for each later stage: the stages before it up to date and
-    skipped, it and the ones after it run."""
+    """Each stage of a command opens exactly its declared inputs, reads
+    exactly its declared config keys and records exactly its declared
+    outputs, apart from its manifest and the outputs it hashes. The command
+    runs cold, with none of its manifests, and then warm once for each later
+    stage: the stages before it up to date and skipped, it and the ones after
+    it run."""
     out = str(corrupt_copy)
     stages = cli.STAGES[name]
     config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
@@ -480,9 +482,10 @@ def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
         assert set(keys_read) == {stage.name for stage in stages[first:]}
         for stage in stages:
             written = storage.read_json(storage.manifest_path(out, stage.name))["outputs"]
+            assert set(written) == _declared_files(out, stage.outputs), stage.name
             reads = {p for p in opened[stage.name]
                      if not p.startswith("manifests") and p not in written}
-            assert reads == _declared_files(out, stage), stage.name
+            assert reads == _declared_files(out, stage.inputs), stage.name
         for stage in stages[first:]:
             assert _keys_at_declaration(keys_read[stage.name], stage.keys) == set(stage.keys)
 
@@ -495,13 +498,22 @@ def _corrupt(path):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("name,filename", [
-    (name, filename) for name in MANIFEST_STAGES
-    for stage in cli.STAGES[name] for filename in stage.inputs
-] + [(name, "features/scene_000000.bin") for name in MANIFEST_STAGES
-     if any(cli.FEATURE_INDEX in stage.inputs for stage in cli.STAGES[name])])
+def _touches(stage, filename):
+    """Whether the stage reads or writes the file, feature files included."""
+    files = {*stage.inputs, *stage.outputs}
+    return filename in files or (filename.startswith("features/") and cli.FEATURE_INDEX in files)
+
+
+@pytest.mark.parametrize("name,filename", list(dict.fromkeys(
+    [(name, filename) for name in MANIFEST_STAGES
+     for stage in cli.STAGES[name] for filename in (*stage.inputs, *stage.outputs)]
+    + [(name, "features/scene_000000.bin") for name in MANIFEST_STAGES
+       if any(_touches(stage, cli.FEATURE_INDEX) for stage in cli.STAGES[name])])))
 def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, capsys,
                                                                name, filename):
+    """A damaged file that a command's stage reads or writes makes that stage
+    and the ones after it run again, or fails naming the file; only the
+    stages before it may be reused."""
     assert run_cli([name, "--out", str(corrupt_copy)] + SMALL) == 0
     assert f"{name}: up to date, skipping" in capsys.readouterr().out
     _corrupt(corrupt_copy / filename)
@@ -510,10 +522,18 @@ def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, cap
     if code == 5:
         assert os.path.basename(filename) in captured.err
     else:
-        assert code == 0 and "up to date" not in captured.out
+        stages = cli.STAGES[name]
+        first = next(i for i, stage in enumerate(stages) if _touches(stage, filename))
+        assert code == 0
+        assert [line for line in captured.out.splitlines() if "up to date" in line] == [
+            f"{name}: {stage.name.removeprefix(name + '_')} up to date, reused"
+            for stage in stages[:first]]
 
 
-EVAL_INPUTS = [filename for stage in cli.STAGES["eval"] for filename in stage.inputs]
+# Every file either half of eval reads, and every score file.
+EVAL_FILES = list(dict.fromkeys([*(filename for stage in cli.STAGES["eval"]
+                                   for filename in stage.inputs),
+                                 *cli.STAGES["eval"][0].outputs]))
 AT_075 = ["--set", "eval.iou_threshold=0.75"]
 # At score threshold 0 every region is a detection, so results.jsonl has a
 # line for every label on every scene.
@@ -535,13 +555,13 @@ def benchmark_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("filename", EVAL_INPUTS)
+@pytest.mark.parametrize("filename", EVAL_FILES)
 @pytest.mark.parametrize("iou", [[], AT_075], ids=["same_iou", "new_iou"])
 def test_corrupt_eval_input_rebuilds_the_scores(corrupt_copy, capsys, benchmark_calls,
                                                 filename, iou):
-    """Eval reuses the scores only while every input of both halves still
-    hashes as recorded, whether or not the IoU threshold changed; once the
-    scores rebuild, matching runs too."""
+    """Eval reuses the scores only while every input of both halves and every
+    score file still hashes as recorded, whether or not the IoU threshold
+    changed; once the scores rebuild, matching runs too."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
     capsys.readouterr()
     _corrupt(corrupt_copy / filename)
@@ -598,8 +618,7 @@ def test_scoring_setting_or_new_model_rebuilds_the_scores(corrupt_copy, capsys, 
     assert "up to date" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("filename", ["results.jsonl", "benchmark_labels.jsonl",
-                                      "benchmark_scenes.jsonl"])
+@pytest.mark.parametrize("filename", ["benchmark_labels.jsonl", "benchmark_scenes.jsonl"])
 def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, filename):
     """A score file damaged before its manifest was written counts as
     current; matching from it fails on the cut line and names the file."""
@@ -614,6 +633,103 @@ def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, fil
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and f"{filename} line 2" in err
+
+
+@pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: b"JUNK" + raw[4:]],
+                         ids=["truncated", "magic"])
+def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage):
+    """A results table damaged before its manifest was written counts as
+    current; matching from it fails and names the file."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
+    path = corrupt_copy / "results.bin"
+    path.write_bytes(damage(path.read_bytes()))
+    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
+    manifest["outputs"]["results.bin"] = storage.sha256_file(path)
+    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "results.bin" in err
+
+
+def test_results_table_holds_what_results_jsonl_holds(corrupt_copy):
+    """Matching reads results.bin; it is the table that results.jsonl
+    exports, bit for bit, on a tree with a detection for every region."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
+    table = evalkit.read_results_table(corrupt_copy / "results.bin")
+    exported = evalkit.read_results(corrupt_copy / "results.jsonl")
+    assert len(table) >= 6 and list(table) == list(exported)
+    for key, dets in table.items():
+        assert dets.boxes.tobytes() == exported[key].boxes.tobytes()
+        assert dets.scores.tobytes() == exported[key].scores.tobytes()
+        assert dets.boxes.shape == exported[key].boxes.shape
+
+
+def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypatch):
+    opened = set()
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opened.add(os.path.relpath(os.fspath(file), corrupt_copy))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert run_cli(["report", "--out", str(corrupt_copy)] + SMALL) == 0
+    monkeypatch.undo()
+    assert opened == {"report.json", "label_stats.json", "history.csv"}
+    recall = storage.read_json(corrupt_copy / "label_stats.json")["label_recall_mean"]
+    assert storage.read_json(corrupt_copy / "summary.json")["label_recall_mean"] == recall
+
+
+def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(
+        pipeline_dir, corrupt_copy, capsys):
+    """A tree whose label and eval_scores manifests were written before
+    label_stats.json and results.bin existed runs those stages again instead
+    of skipping them, and ends as a fresh run's tree."""
+    fresh = storage.hash_tree(pipeline_dir)
+    out = corrupt_copy
+    for name in ("label_stats.json", "results.bin"):
+        os.remove(out / name)
+    for stage, dropped in (("label", "label_stats.json"), ("eval_scores", "results.bin")):
+        manifest = storage.read_json(storage.manifest_path(out, stage))
+        del manifest["outputs"][dropped]
+        storage.write_json(storage.manifest_path(out, stage), manifest)
+    manifest = storage.read_json(storage.manifest_path(out, "eval"))
+    del manifest["inputs"]["results.bin"]
+    manifest["inputs"]["results.jsonl"] = storage.sha256_file(out / "results.jsonl")
+    storage.write_json(storage.manifest_path(out, "eval"), manifest)
+    assert run_cli(["report", "--out", str(out)] + SMALL) == 3
+    assert "label_stats.json" in capsys.readouterr().err
+    assert run_cli(["all", "--out", str(out)] + SMALL) == 0
+    printed = capsys.readouterr().out
+    assert "label: wrote" in printed and "eval: scored" in printed
+    for name in ("gen", "scenes", "targets", "train"):
+        assert f"{name}: up to date, skipping" in printed
+    assert storage.hash_tree(out) == fresh
+
+
+@pytest.mark.parametrize("before,args", [
+    (None, []), (None, AT_075), ("eval_scores", []), ("eval", []),
+], ids=["warm", "new_iou", "scores_rerun", "matching_rerun"])
+def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, before, args):
+    """The output hashes a stage verifies or records serve as the input
+    hashes of the stages after it in the same command."""
+    if before:
+        os.remove(storage.manifest_path(corrupt_copy, before))
+    hashed = []
+    real_sha = storage.sha256_file
+
+    def spy(path):
+        hashed.append(os.path.relpath(path, corrupt_copy))
+        return real_sha(path)
+
+    monkeypatch.setattr(storage, "sha256_file", spy)
+    for name in cli.PIPELINE_STAGES:
+        hashed.clear()
+        assert run_cli([name, "--out", str(corrupt_copy)] + SMALL + args) == 0
+        assert len(hashed) == len(set(hashed)), name
+        if name == "eval":
+            assert "results.bin" in hashed
 
 
 def test_stage_lists_match_the_benchmark(monkeypatch):
@@ -727,6 +843,27 @@ def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
     for d_model, init, n_detection, seed in seen:
         assert (d_model, n_detection, seed) == (16, 20 * 3, 3)
         assert (init == fresh.params["visual.weight"]).all()
+
+
+def test_ablation_table_does_not_depend_on_workers(tmp_path, monkeypatch):
+    """ablate --workers N fans the corpus and label builds out over N
+    processes and writes the table it writes with one."""
+    fanned = []
+    real_fanout = cli.fanout
+
+    def spy(fn, items, workers=1):
+        fanned.append(workers)
+        return real_fanout(fn, items, workers)
+
+    monkeypatch.setattr(cli, "fanout", spy)
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["ablate", "threshold", "--out", str(out), "--workers", workers]
+                        + TINY) == 0
+        tables.append((out / "ablate" / "threshold" / "threshold.json").read_bytes())
+    assert tables[0] == tables[1]
+    assert fanned == [1] * 5 + [2] * 5  # two corpus builds and three labelings each
 
 
 ALL_AND_ABLATE = ["--set", "descriptions.num_descriptions=6",

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -446,3 +447,79 @@ def test_write_results_matches_json_dumps_on_any_float(tmp_path_factory, rows):
 def test_results_rows_round_trip_through_the_table(small_benchmark):
     rows = perfect_results(small_benchmark)
     assert list(evalkit._normalize_results(rows).rows()) == rows
+
+
+def _same_table(a: Results, b: Results) -> bool:
+    """Same keys in the same order and the same arrays, bit for bit."""
+    return list(a) == list(b) and all(
+        a[k].boxes.dtype == b[k].boxes.dtype == a[k].scores.dtype == b[k].scores.dtype
+        and a[k].boxes.shape == b[k].boxes.shape and a[k].scores.shape == b[k].scores.shape
+        and a[k].boxes.tobytes() == b[k].boxes.tobytes()
+        and a[k].scores.tobytes() == b[k].scores.tobytes() for k in a)
+
+
+def test_empty_results_table_round_trips(tmp_path):
+    path = tmp_path / "results.bin"
+    evalkit.write_results_table(path, Results())
+    assert path.read_bytes() == evalkit.RESULTS_MAGIC + struct.pack("<HQQ", 1, 0, 0)
+    table = evalkit.read_results_table(path)
+    assert isinstance(table, Results) and table == {}
+
+
+any_rows = st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1),
+                              st.lists(st.tuples(st.lists(finite_or_not, min_size=4, max_size=4),
+                                                 finite_or_not), max_size=3)),
+                    max_size=4, unique_by=lambda r: (r[0], r[1]))
+
+
+def _rows(rows):
+    return [{"label_id": label, "scene_id": scene,
+             "detections": [{"box": box, "score": score} for box, score in dets]}
+            for label, scene, dets in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_rows)
+def test_results_table_round_trips_bit_for_bit(tmp_path_factory, rows):
+    """Any float, NaN payloads, infinities and -0.0 included, reads back as
+    written, and a row without detections stays a row."""
+    rows = _rows(rows)
+    path = tmp_path_factory.mktemp("table") / "results.bin"
+    evalkit.write_results_table(path, rows)
+    assert _same_table(evalkit.read_results_table(path), evalkit._normalize_results(rows))
+
+
+def _damaged_tables(raw: bytes, n_rows: int):
+    """Every proper prefix of a table; the table with one magic byte, its
+    version, its row or detection count, or one per-row count changed; and,
+    with two rows or more, the first count made -1 and the second raised to
+    keep the sum."""
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    head = len(evalkit.RESULTS_MAGIC)
+    for i in range(head):
+        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+    fields = [(head, "<H"), (head + 2, "<Q"), (head + 10, "<Q")]
+    fields += [(head + 18 + 16 * n_rows + 8 * r, "<q") for r in range(n_rows)]
+    for at, fmt in fields:
+        (value,) = struct.unpack_from(fmt, raw, at)
+        for other in (value + 1, value - 1):
+            if other >= 0 or fmt == "<q":
+                yield raw[:at] + struct.pack(fmt, other) + raw[at + struct.calcsize(fmt):]
+    if n_rows >= 2:
+        at = head + 18 + 16 * n_rows
+        first, second = struct.unpack_from("<qq", raw, at)
+        yield raw[:at] + struct.pack("<qq", -1, second + first + 1) + raw[at + 16:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_rows)
+def test_results_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory,
+                                                                        rows):
+    path = tmp_path_factory.mktemp("bad") / "results.bin"
+    evalkit.write_results_table(path, _rows(rows))
+    raw = path.read_bytes()
+    for damaged in _damaged_tables(raw, len(rows)):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=r"results\.bin"):
+            evalkit.read_results_table(path)

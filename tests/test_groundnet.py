@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grounddesk import groundnet, pipeline, targets
 from grounddesk.groundnet import (GroundingDetector, GroundingModel, NumericError,
@@ -546,3 +548,29 @@ def test_checkpoint_rejects_every_truncation(tmp_path):
             load_checkpoint(path, model.vocabulary)
     path.write_bytes(raw)
     load_checkpoint(path, model.vocabulary)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+def test_checkpoint_is_an_identity_and_rejects_every_truncation(tmp_path_factory, d_in, d_model,
+                                                                positions, seed, values):
+    """load_checkpoint(save_checkpoint(m)) gives m's blocks bit for bit, any
+    float included, and every proper prefix of the file is rejected naming it."""
+    model = GroundingModel(Vocabulary.build(WORDS), d_in=d_in, d_model=d_model,
+                           max_positions=positions, seed=seed)
+    for k, name in enumerate(sorted(model.params)):
+        model.params[name].flat[0] = values[k % len(values)]
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path, model.vocabulary)
+    assert (loaded.d_in, loaded.d_model, loaded.max_positions) == (d_in, d_model, positions)
+    assert loaded.params.keys() == model.params.keys()
+    for name, arr in model.params.items():
+        assert loaded.params[name].shape == arr.shape
+        assert loaded.params[name].tobytes() == arr.tobytes()
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="model.ckpt"):
+            load_checkpoint(path, model.vocabulary)
