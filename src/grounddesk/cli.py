@@ -301,11 +301,6 @@ def _read_bundle(config, out_dir, features=None) -> pipeline.CorpusBundle:
         scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features=features or {})
 
 
-def _read_triplets(out_dir) -> list[labeling.PseudoTriplet]:
-    return _read(out_dir, "triplets.jsonl", storage.read_jsonl,
-                 decode=labeling.triplet_from_json)
-
-
 def _read_examples(out_dir, filename, features) -> list[TrainExample]:
     def decode(row):
         scene_id, query, target = targets.example_from_json(row)
@@ -385,7 +380,7 @@ def _label(config, out, workers):
 
 def _targets(config, out, workers, index=None):
     bundle = _read_bundle(config, out, _load_features(out, index))
-    triplets = _read_triplets(out)
+    triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
     tc = config["targets"]
     variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
                                   include_struct_pos=tc["include_struct_pos"],
