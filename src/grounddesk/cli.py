@@ -212,16 +212,11 @@ def _pool_and_lexicon(config):
 def _distractor_config(config) -> scenegen.DistractorConfig:
     d = config["distractors"]
     return scenegen.DistractorConfig(
-        confuser_prob=d["confuser_prob"], min_fillers=d["min_fillers"],
-        max_fillers=d["max_fillers"], negation_confuser_prob=d["negation_confuser_prob"],
-        extra_attribute_weights=tuple(d["extra_attribute_weights"]))
+        **{**d, "extra_attribute_weights": tuple(d["extra_attribute_weights"])})
 
 
 def _detector(config) -> labeling.BowDetector:
-    d = config["detector"]
-    return labeling.BowDetector(labeling.BowConfig(
-        gamma=d["gamma"], length_floor=d["length_floor"],
-        noise_scale=d["noise_scale"], seed=d["seed"]))
+    return labeling.BowDetector(labeling.BowConfig(**config["detector"]))
 
 
 def _labeler_config(config) -> labeling.LabelerConfig:
@@ -258,9 +253,7 @@ def _benchmark_config(config) -> scenegen.BenchmarkConfig:
 
 
 def _feature_config(config) -> pipeline.FeatureConfig:
-    f = config["features"]
-    return pipeline.FeatureConfig(dim=f["dim"], background_boxes=f["background_boxes"],
-                                  noise_sigma=f["noise_sigma"])
+    return pipeline.FeatureConfig(**config["features"])
 
 
 def fanout(fn, items, workers: int = 1):
@@ -269,27 +262,6 @@ def fanout(fn, items, workers: int = 1):
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=8))
-
-
-# The feature index stands for itself and every feature file it lists.
-FEATURE_INDEX = "features/index.jsonl"
-
-
-def _index_row(row) -> tuple:
-    return row["file"], row["scene_id"], row["noise_seed"], [tuple(p) for p in row["proposals"]]
-
-
-def _feature_index(out_dir) -> list[tuple]:
-    """(file, scene_id, noise_seed, proposals) for each feature file, in index order."""
-    return _read(out_dir, FEATURE_INDEX, storage.read_jsonl, decode=_index_row)
-
-
-def _load_features(out_dir, index=None) -> dict:
-    """The feature files `index` lists (parsed here when not given)."""
-    return {scene_id: _read(out_dir, rel, scenegen.read_features, proposals=proposals,
-                            noise_seed=noise_seed)
-            for rel, scene_id, noise_seed, proposals in
-            (_feature_index(out_dir) if index is None else index)}
 
 
 def _read_bundle(config, out_dir, features=None) -> pipeline.CorpusBundle:
@@ -316,20 +288,13 @@ def _load_model(out_dir):
     return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=vocab)
 
 
-def _write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def _example_row(example: TrainExample) -> dict:
     return targets.example_to_json(example.scene_id, example.query, example.target)
 
 
 # stages -----------------------------------------------------------------
 # Each body gets the config restricted to its stage's keys. A stage with a
-# manifest reads only its declared inputs and writes its declared outputs;
-# scenes also returns the feature files it wrote, relative to out.
+# manifest reads only its declared inputs and writes its declared outputs.
 
 def _gen(config, out, workers):
     pool, _ = _pool_and_lexicon(config)
@@ -350,20 +315,10 @@ def _scenes(config, out, workers):
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
         _feature_config(config), lexicon, map_fn=functools.partial(fanout, workers=workers))
-    os.makedirs(os.path.join(out, "features"), exist_ok=True)
-    index_rows = []
-    for scene in scenes:
-        rf = features[scene.scene_id]
-        fname = f"features/scene_{scene.scene_id:06d}.bin"
-        scenegen.write_features(os.path.join(out, fname), rf)
-        index_rows.append({"scene_id": scene.scene_id, "file": fname,
-                           "noise_seed": rf.noise_seed,
-                           "proposals": [list(p) for p in rf.proposals]})
     scenegen.write_scenes(os.path.join(out, "scenes.jsonl"), scenes)
-    _write_jsonl(os.path.join(out, FEATURE_INDEX), index_rows)
+    scenegen.write_features(os.path.join(out, "features.bin"), features)
     print(f"scenes: wrote {len(scenes)} scenes "
           f"({len(descriptions)} descriptions x {images} seeds)")
-    return [row["file"] for row in index_rows]
 
 
 def _label(config, out, workers):
@@ -371,33 +326,34 @@ def _label(config, out, workers):
     triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config),
                                      config["labeler"]["strategy"],
                                      map_fn=functools.partial(fanout, workers=workers))
-    _write_jsonl(os.path.join(out, "triplets.jsonl"), map(labeling.triplet_to_json, triplets))
+    storage.write_jsonl(os.path.join(out, "triplets.jsonl"),
+                        map(labeling.triplet_to_json, triplets))
     storage.write_json(os.path.join(out, "label_stats.json"),
                        {"label_recall_mean": pipeline.mean_label_recall(bundle, triplets)})
     n_assigned = sum(1 for t in triplets if t.assignments)
     print(f"label: wrote {len(triplets)} pseudo-triplets ({n_assigned} with assignments)")
 
 
-def _targets(config, out, workers, index=None):
-    bundle = _read_bundle(config, out, _load_features(out, index))
+def _targets(config, out, workers):
+    bundle = _read_bundle(config, out, _read(out, "features.bin", scenegen.read_features))
     triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
     tc = config["targets"]
     variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
                                   include_struct_pos=tc["include_struct_pos"],
                                   target_config=_target_config(config))
     # Each example is written as soon as it is built; no list of them is kept.
-    _write_jsonl(os.path.join(out, "examples.jsonl"),
-                 (_example_row(pipeline.training_example(bundle, t, variant, config["seed"]))
-                  for t in triplets if t.assignments))
-    _write_jsonl(os.path.join(out, "detection_examples.jsonl"),
-                 (_example_row(pipeline.detection_example(bundle, scene, config["seed"],
-                                                          tc["absent_categories"]))
-                  for scene in bundle.scenes))
+    storage.write_jsonl(os.path.join(out, "examples.jsonl"),
+                        (_example_row(pipeline.training_example(bundle, t, variant, config["seed"]))
+                         for t in triplets if t.assignments))
+    storage.write_jsonl(os.path.join(out, "detection_examples.jsonl"),
+                        (_example_row(pipeline.detection_example(bundle, scene, config["seed"],
+                                                                 tc["absent_categories"]))
+                         for scene in bundle.scenes))
     print(f"targets: wrote alignment targets to examples.jsonl and detection_examples.jsonl")
 
 
-def _train(config, out, workers, index=None):
-    features = _load_features(out, index)
+def _train(config, out, workers):
+    features = _read(out, "features.bin", scenegen.read_features)
     triplet_examples = _read_examples(out, "examples.jsonl", features)
     detection_examples = _read_examples(out, "detection_examples.jsonl", features)
     vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
@@ -491,17 +447,17 @@ STAGES = {
     "gen": (Stage("gen", ("pool", "descriptions", "seed"), {}, ("descriptions.jsonl",), _gen),),
     "scenes": (Stage("scenes", ("pool", "images_per_description", "distractors", "features",
                                 "seed"),
-                     {"descriptions.jsonl": "gen"}, ("scenes.jsonl", FEATURE_INDEX), _scenes),),
+                     {"descriptions.jsonl": "gen"}, ("scenes.jsonl", "features.bin"), _scenes),),
     "label": (Stage("label", ("pool", "detector", "labeler"),
                     {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"},
                     ("triplets.jsonl", "label_stats.json"), _label),),
     "targets": (Stage("targets", ("pool", "targets", "seed"),
                       {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
-                       "triplets.jsonl": "label", FEATURE_INDEX: "scenes"},
+                       "triplets.jsonl": "label", "features.bin": "scenes"},
                       ("examples.jsonl", "detection_examples.jsonl"), _targets),),
     "train": (Stage("train", ("pool", "features", "train", "seed"),
                     {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
-                     FEATURE_INDEX: "scenes"},
+                     "features.bin": "scenes"},
                     ("model.ckpt", "model.vocab.json", "history.csv"), _train),),
     "eval": (Stage("eval_scores", ("pool", "features", "distractors", "seed",
                                    "eval.benchmark_scenes", "eval.fraction_negative",
@@ -528,44 +484,18 @@ def _config_slice(config, keys) -> dict:
     return used
 
 
-def _recorded_inputs(out_dir, name) -> dict:
-    """The input hashes in the stage's manifest; empty when it has none."""
-    path = storage.manifest_path(out_dir, name)
-    if not os.path.exists(path):
-        return {}
-    with _reading(path):
-        return dict(storage.read_json(path)["inputs"])
-
-
-def _input_hashes(out_dir, stage: Stage, digests: dict) -> tuple[dict, list | None]:
+def _input_hashes(out_dir, stage: Stage, digests: dict) -> dict:
     """The hash of every file the stage reads, relative to out_dir, each
-    required to exist, and the parsed feature index when one was parsed.
-    A file already in `digests`, which maps each file the command has hashed
-    to its hash, is not hashed again; the others are added to it.
-
-    The feature index brings in the feature files it lists. While it hashes
-    as the stage's manifest recorded, the list is the manifest's, and the
-    index is not parsed."""
-    def digest(rel, producer):
-        _require(out_dir, rel, producer)
-        if rel not in digests:
-            digests[rel] = storage.sha256_file(os.path.join(out_dir, rel))
-        return digests[rel]
-
-    inputs, index = {}, None
+    required to exist. A file already in `digests`, which maps each file the
+    command has hashed to its hash, is not hashed again; the others are
+    added to it."""
+    inputs = {}
     for filename, producer in stage.inputs.items():
-        inputs[filename] = digest(filename, producer)
-        if filename != FEATURE_INDEX:
-            continue
-        recorded = _recorded_inputs(out_dir, stage.name)
-        if recorded.get(FEATURE_INDEX) == inputs[FEATURE_INDEX]:
-            listed = [rel for rel in recorded if rel not in stage.inputs]
-        else:
-            index = _feature_index(out_dir)
-            listed = [rel for rel, *_ in index]
-        for rel in listed:
-            inputs[rel] = digest(rel, producer)
-    return inputs, index
+        _require(out_dir, filename, producer)
+        if filename not in digests:
+            digests[filename] = storage.sha256_file(os.path.join(out_dir, filename))
+        inputs[filename] = digests[filename]
+    return inputs
 
 
 def _run_stage(name: str, config: dict, workers: int) -> None:
@@ -585,7 +515,7 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
             stage.body(used, out, workers)
             ran = True
             continue
-        inputs, index = _input_hashes(out, stage, digests)
+        inputs = _input_hashes(out, stage, digests)
         if not ran:
             with _reading(storage.manifest_path(out, stage.name)):
                 verified = storage.stage_is_current(out, stage.name, used, inputs,
@@ -597,9 +527,8 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
         for part in reused:
             print(f"{name}: {part} up to date, reused")
         reused, ran = [], True
-        extra = stage.body(used, out, workers, **({} if index is None else {"index": index}))
-        outputs = {rel: storage.sha256_file(os.path.join(out, rel))
-                   for rel in (*stage.outputs, *(extra or ()))}
+        stage.body(used, out, workers)
+        outputs = {rel: storage.sha256_file(os.path.join(out, rel)) for rel in stage.outputs}
         digests.update(outputs)
         storage.write_manifest(out, stage.name, used, inputs, outputs)
     if not ran:

@@ -8,7 +8,6 @@ the phrase spans it realized so the parser can be validated against them.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import pools
 from .langparse import Lexicon, parse
-from .storage import read_jsonl
+from .storage import read_jsonl, write_jsonl
 
 PROMPT_TEMPLATE = (
     "Please list {nd} plausible visual object descriptions for {cls} that are "
@@ -297,19 +296,16 @@ def text_stats(descriptions, lexicon: Lexicon | None = None) -> TextStats:
     return TextStats(tuple(rows), mean_nouns, mean_adjs, n)
 
 
+def _description_row(d: ObjectDescription) -> dict:
+    meta = d.generator_metadata
+    return {"id": d.id, "category_id": d.category_id, "text": d.text, "seed": d.seed,
+            "provenance": d.provenance,
+            "subject_span": list(meta.subject_span) if meta else None,
+            "nonsubject_spans": [list(s) for s in meta.nonsubject_spans] if meta else None}
+
+
 def write_descriptions(path, descriptions) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in descriptions:
-            meta = d.generator_metadata
-            fh.write(json.dumps({
-                "id": d.id,
-                "category_id": d.category_id,
-                "text": d.text,
-                "seed": d.seed,
-                "provenance": d.provenance,
-                "subject_span": list(meta.subject_span) if meta else None,
-                "nonsubject_spans": [list(s) for s in meta.nonsubject_spans] if meta else None,
-            }, sort_keys=True) + "\n")
+    write_jsonl(path, map(_description_row, descriptions))
 
 
 def description_from_json(row: dict) -> ObjectDescription:

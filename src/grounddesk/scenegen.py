@@ -13,8 +13,6 @@ Relation semantics:
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
 from .evalkit import BenchmarkInstance, DescriptionLabel, category_labels, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
 from .seeding import derive_seed
-from .storage import read_jsonl
+from .storage import TableFormat, read_jsonl, read_table, row_slices, write_jsonl, write_table
 
 ADJACENCY_EPS = 0.02
 NEAR_GAP = 0.1
@@ -484,28 +482,39 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                              description_labels=tuple(desc_labels))
 
 
-def write_features(path, rf: RegionFeatures) -> None:
-    """Flat binary: int32 LE (N, d) header, then row-major float64 LE."""
-    n, d = rf.features.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<ii", n, d))
-        fh.write(np.ascontiguousarray(rf.features, dtype="<f8").tobytes())
+FEATURE_TABLE = TableFormat("feature table", b"GDFT", 1, ("scenes", "rows", "width"),
+                            (("<i8", ("scenes",)), ("<u8", ("scenes",)), ("<i8", ("scenes",)),
+                             ("<f8", ("rows", 4)), ("<f8", ("rows", "width"))))
 
 
-def read_features(path, proposals=(), noise_seed: int = -1) -> RegionFeatures:
-    """Inverse of write_features; the file's length must match its header."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise ValueError(f"{path}: truncated feature header ({len(data)} bytes)")
-    n, d = struct.unpack_from("<ii", data)
-    if n < 0 or d < 0:
-        raise ValueError(f"{path}: bad feature header ({n}, {d})")
-    if len(data) - 8 != n * d * 8:
-        raise ValueError(f"{path}: ({n}, {d}) features need {n * d * 8} bytes "
-                         f"after the header, found {len(data) - 8}")
-    feats = np.frombuffer(data, dtype="<f8", offset=8).reshape(n, d).copy()
-    return RegionFeatures(proposals=tuple(proposals), features=feats, noise_seed=noise_seed)
+def write_features(path, features: dict[int, RegionFeatures]) -> None:
+    """features.bin: {scene_id: RegionFeatures} as a FEATURE_TABLE in dict
+    order: int64 scene ids, u64 noise seeds, int64 per-scene row counts,
+    float64 proposals (n, 4) and float64 features (n, d)."""
+    regions = list(features.values())
+    width = regions[0].features.shape[1] if regions else 0
+    if any(rf.features.shape != (len(rf.proposals), width) for rf in regions):
+        raise ValueError(f"{path}: each scene needs one feature row of width {width} per proposal")
+    write_table(path, FEATURE_TABLE,
+                (len(regions), sum(len(rf.proposals) for rf in regions), width),
+                ([list(features)], [[rf.noise_seed for rf in regions]],
+                 [[len(rf.proposals) for rf in regions]],
+                 [rf.proposals for rf in regions],
+                 [rf.features for rf in regions]))
+
+
+def read_features(path) -> dict[int, RegionFeatures]:
+    """Inverse of write_features, bit for bit. Checks the table's magic,
+    version and exact length, that the per-scene row counts are non-negative
+    and sum to the row count, and that no scene id repeats; raises ValueError
+    naming the file."""
+    (_, n_rows, _), (ids, seeds, counts, proposals, feats) = read_table(path, FEATURE_TABLE)
+    ids = ids.tolist()
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{path}: a scene id is repeated")
+    return {scene_id: RegionFeatures(proposals=tuple(map(tuple, proposals[rows].tolist())),
+                                     features=feats[rows], noise_seed=seed)
+            for scene_id, seed, rows in zip(ids, seeds.tolist(), row_slices(path, counts, n_rows))}
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -535,9 +544,7 @@ def scene_from_json(row: dict) -> Scene:
 
 
 def write_scenes(path, scenes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in scenes:
-            fh.write(json.dumps(scene_to_json(s), sort_keys=True) + "\n")
+    write_jsonl(path, map(scene_to_json, scenes))
 
 
 def read_scenes(path) -> list[Scene]:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import sys
 
 import pytest
@@ -167,10 +168,11 @@ def test_pipeline_writes_all_artifacts(pipeline_dir):
     expected = ["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
                 "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
-                "benchmark_labels.jsonl", "report.json", "summary.json", "features/index.jsonl",
+                "benchmark_labels.jsonl", "report.json", "summary.json", "features.bin",
                 "label_stats.json", "results.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
+    assert not os.path.exists(os.path.join(pipeline_dir, "features"))
     for stage in ("gen", "scenes", "label", "targets", "train", "eval_scores", "eval"):
         manifest = storage.read_json(storage.manifest_path(pipeline_dir, stage))
         assert manifest["stage"] == stage
@@ -237,60 +239,36 @@ def test_half_length_checkpoint_is_an_artifact_error(corrupt_copy, capsys):
     assert "artifact error" in err and "model.ckpt" in err
 
 
-@pytest.mark.parametrize("keep", [lambda n: n - 8, lambda n: 6],
-                         ids=["short_payload", "short_header"])
+@pytest.mark.parametrize("keep", [lambda n: n - 8, lambda n: 6, lambda n: n // 2],
+                         ids=["short_payload", "short_header", "cut_in_half"])
 def test_truncated_feature_file_is_an_artifact_error(corrupt_copy, capsys, keep):
-    _truncate(corrupt_copy / "features" / "scene_000000.bin", keep)
+    _truncate(corrupt_copy / "features.bin", keep)
     os.remove(storage.manifest_path(corrupt_copy, "targets"))
     assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 5
     err = capsys.readouterr().err
-    assert "artifact error" in err and "scene_000000.bin" in err
+    assert "artifact error" in err and "features.bin" in err
 
 
 def test_deleted_feature_file_is_a_missing_artifact(corrupt_copy, capsys):
-    os.remove(corrupt_copy / "features" / "scene_000001.bin")
+    os.remove(corrupt_copy / "features.bin")
     os.remove(storage.manifest_path(corrupt_copy, "targets"))
     assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 3
-    assert "scene_000001.bin" in capsys.readouterr().err
+    assert "features.bin" in capsys.readouterr().err
 
 
 def test_truncated_feature_file_reruns_targets_and_train(corrupt_copy, capsys):
-    _truncate(corrupt_copy / "features" / "scene_000000.bin", lambda n: n - 8)
+    _truncate(corrupt_copy / "features.bin", lambda n: n - 8)
     for stage in ("targets", "train"):
         assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
         err = capsys.readouterr().err
-        assert "artifact error" in err and "scene_000000.bin" in err
-
-
-@pytest.mark.parametrize("stage", ["targets", "train"])
-def test_feature_index_is_parsed_at_most_once(corrupt_copy, capsys, monkeypatch, stage):
-    """A skipped stage takes its feature files from its manifest and parses
-    no index; a stage that runs parses it once."""
-    parses = []
-    real = cli._feature_index
-
-    def counted(out_dir):
-        parses.append(1)
-        return real(out_dir)
-
-    monkeypatch.setattr(cli, "_feature_index", counted)
-    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
-    assert f"{stage}: up to date, skipping" in capsys.readouterr().out
-    assert parses == []
-    other_seed = ["--set", "seed=1"]  # changes the stage's config, not the index
-    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL + other_seed) == 0
-    assert parses == [1]
-    os.remove(storage.manifest_path(corrupt_copy, stage))
-    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
-    assert parses == [1, 1]
-    assert "up to date" not in capsys.readouterr().out
+        assert "artifact error" in err and "features.bin" in err
 
 
 @pytest.mark.parametrize("stage", ["targets", "train"])
 def test_feature_file_deleted_under_a_current_manifest_is_missing(corrupt_copy, capsys, stage):
-    os.remove(corrupt_copy / "features" / "scene_000001.bin")
+    os.remove(corrupt_copy / "features.bin")
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 3
-    assert "scene_000001.bin" in capsys.readouterr().err
+    assert "features.bin" in capsys.readouterr().err
 
 
 def test_swapped_vocabulary_tokens_rerun_eval(corrupt_copy, capsys):
@@ -305,15 +283,25 @@ def test_swapped_vocabulary_tokens_rerun_eval(corrupt_copy, capsys):
 
 
 def test_cut_manifest_is_an_artifact_error(corrupt_copy, capsys):
-    _truncate(corrupt_copy / "manifests" / "label.json", lambda n: n // 2)
-    assert run_cli(["label", "--out", str(corrupt_copy)] + SMALL) == 5
-    err = capsys.readouterr().err
-    assert "artifact error" in err and os.path.join("manifests", "label.json") in err
+    """A cut manifest, or one that is valid JSON of another shape, fails
+    naming the file instead of crashing or silently re-running the stage."""
+    path = corrupt_copy / "manifests" / "label.json"
+    intact = path.read_bytes()
+    manifest = json.loads(intact)
+    shapes = [{**manifest, "outputs": list(manifest["outputs"])}, [manifest],
+              {**manifest, "inputs": []}, {**manifest, "outputs": None}]
+    for damage in [lambda: _truncate(path, lambda n: n // 2)] + [
+            lambda shape=shape: storage.write_json(path, shape) for shape in shapes]:
+        path.write_bytes(intact)
+        damage()
+        assert run_cli(["label", "--out", str(corrupt_copy)] + SMALL) == 5
+        err = capsys.readouterr().err
+        assert "artifact error" in err and os.path.join("manifests", "label.json") in err
 
 
 @pytest.mark.parametrize("filename,stage", [
     ("descriptions.jsonl", "scenes"), ("scenes.jsonl", "label"),
-    ("triplets.jsonl", "targets"), ("features/index.jsonl", "targets"),
+    ("triplets.jsonl", "targets"),
 ])
 def test_cut_jsonl_line_is_an_artifact_error(corrupt_copy, capsys, filename, stage):
     path = corrupt_copy / filename
@@ -365,11 +353,10 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bundle.descriptions) == cli_bytes("descriptions.jsonl")
     assert written("scenes.jsonl", scenegen.write_scenes,
                    bundle.scenes) == cli_bytes("scenes.jsonl")
-    assert len(os.listdir(os.path.join(pipeline_dir, "features"))) == len(bundle.scenes) + 1
-    for scene in bundle.scenes:
-        name = f"scene_{scene.scene_id:06d}.bin"
-        assert written(name, scenegen.write_features, bundle.features[scene.scene_id]) \
-            == cli_bytes(os.path.join("features", name)), name
+    assert written("features.bin", scenegen.write_features,
+                   bundle.features) == cli_bytes("features.bin")
+    assert list(scenegen.read_features(os.path.join(pipeline_dir, "features.bin"))) \
+        == [scene.scene_id for scene in bundle.scenes]
     triplets = pipeline.label_corpus(bundle)
     assert _jsonl(map(labeling.triplet_to_json, triplets)) == cli_bytes("triplets.jsonl")
     assert _examples_jsonl(pipeline.build_detection_examples(bundle, seed=0)) \
@@ -388,15 +375,6 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
 
 MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
                    if any(stage.manifest for stage in stages)]
-
-
-def _declared_files(out, declared):
-    """The declared files, the feature index expanded to the files it lists."""
-    files = set(declared)
-    if cli.FEATURE_INDEX in declared:
-        with open(os.path.join(out, cli.FEATURE_INDEX)) as fh:
-            files.update(json.loads(line)["file"] for line in fh)
-    return files
 
 
 class _RecordingConfig(dict):
@@ -441,11 +419,10 @@ def _run_recorded(monkeypatch, name, config, out):
         return real_input_hashes(out_dir, stage, digests)
 
     def recorded(stage):
-        def body(config, out_dir, workers, **kwargs):
+        def body(config, out_dir, workers):
             recording = _RecordingConfig(config)
-            written = stage.body(recording, out_dir, workers, **kwargs)
+            stage.body(recording, out_dir, workers)
             keys_read[stage.name] = recording.read
-            return written
         return dataclasses.replace(stage, body=body)
 
     real_open = builtins.open
@@ -482,10 +459,10 @@ def test_stage_reads_exactly_its_declaration(corrupt_copy, monkeypatch, name):
         assert set(keys_read) == {stage.name for stage in stages[first:]}
         for stage in stages:
             written = storage.read_json(storage.manifest_path(out, stage.name))["outputs"]
-            assert set(written) == _declared_files(out, stage.outputs), stage.name
+            assert set(written) == set(stage.outputs), stage.name
             reads = {p for p in opened[stage.name]
                      if not p.startswith("manifests") and p not in written}
-            assert reads == _declared_files(out, stage.inputs), stage.name
+            assert reads == set(stage.inputs), stage.name
         for stage in stages[first:]:
             assert _keys_at_declaration(keys_read[stage.name], stage.keys) == set(stage.keys)
 
@@ -498,17 +475,9 @@ def _corrupt(path):
     path.write_bytes(bytes(data))
 
 
-def _touches(stage, filename):
-    """Whether the stage reads or writes the file, feature files included."""
-    files = {*stage.inputs, *stage.outputs}
-    return filename in files or (filename.startswith("features/") and cli.FEATURE_INDEX in files)
-
-
 @pytest.mark.parametrize("name,filename", list(dict.fromkeys(
-    [(name, filename) for name in MANIFEST_STAGES
-     for stage in cli.STAGES[name] for filename in (*stage.inputs, *stage.outputs)]
-    + [(name, "features/scene_000000.bin") for name in MANIFEST_STAGES
-       if any(_touches(stage, cli.FEATURE_INDEX) for stage in cli.STAGES[name])])))
+    (name, filename) for name in MANIFEST_STAGES
+    for stage in cli.STAGES[name] for filename in (*stage.inputs, *stage.outputs))))
 def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, capsys,
                                                                name, filename):
     """A damaged file that a command's stage reads or writes makes that stage
@@ -523,7 +492,8 @@ def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, cap
         assert os.path.basename(filename) in captured.err
     else:
         stages = cli.STAGES[name]
-        first = next(i for i, stage in enumerate(stages) if _touches(stage, filename))
+        first = next(i for i, stage in enumerate(stages)
+                     if filename in (*stage.inputs, *stage.outputs))
         assert code == 0
         assert [line for line in captured.out.splitlines() if "up to date" in line] == [
             f"{name}: {stage.name.removeprefix(name + '_')} up to date, reused"
@@ -706,6 +676,53 @@ def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(
     for name in ("gen", "scenes", "targets", "train"):
         assert f"{name}: up to date, skipping" in printed
     assert storage.hash_tree(out) == fresh
+
+
+def _write_feature_files(out) -> dict:
+    """Replace features.bin with the per-scene feature files and the index
+    that scenes wrote before features.bin existed; their hashes by path."""
+    written = {}
+    os.makedirs(out / "features")
+    with open(out / "features" / "index.jsonl", "w", encoding="utf-8") as index:
+        for scene_id, rf in scenegen.read_features(out / "features.bin").items():
+            name = f"features/scene_{scene_id:06d}.bin"
+            (out / name).write_bytes(struct.pack("<ii", *rf.features.shape)
+                                     + rf.features.astype("<f8").tobytes())
+            written[name] = storage.sha256_file(out / name)
+            index.write(json.dumps({"file": name, "noise_seed": rf.noise_seed,
+                                    "proposals": [list(p) for p in rf.proposals],
+                                    "scene_id": scene_id}, sort_keys=True) + "\n")
+    os.remove(out / "features.bin")
+    return {"features/index.jsonl": storage.sha256_file(out / "features" / "index.jsonl"),
+            **written}
+
+
+def test_tree_with_feature_files_reruns_scenes_targets_and_train(pipeline_dir, corrupt_copy,
+                                                                  capsys):
+    """A tree written when the features were one file per scene plus an
+    index, each listed in the scenes, targets and train manifests, runs
+    those stages again and ends as a fresh run's tree; the old feature
+    files are left where they are and are not read."""
+    fresh = storage.hash_tree(pipeline_dir)
+    out = corrupt_copy
+    feature_files = _write_feature_files(out)
+    for stage, key in (("scenes", "outputs"), ("targets", "inputs"), ("train", "inputs")):
+        manifest = storage.read_json(storage.manifest_path(out, stage))
+        del manifest[key]["features.bin"]
+        manifest[key].update(feature_files)
+        storage.write_json(storage.manifest_path(out, stage), manifest)
+    assert run_cli(["all", "--out", str(out)] + SMALL) == 0
+    printed = capsys.readouterr().out
+    for line in ("scenes: wrote", "targets: wrote", "triplet examples, loss"):
+        assert line in printed
+    for name in ("gen", "label", "eval"):
+        assert f"{name}: up to date, skipping" in printed
+    tree = storage.hash_tree(out)
+    for name in ("model.ckpt", "report.json", "summary.json", "features.bin"):
+        assert tree[name] == fresh[name], name
+    assert {rel for rel in tree if rel.startswith("features" + os.sep)} == {
+        os.path.normpath(rel) for rel in feature_files}
+    assert {rel: h for rel, h in tree.items() if not rel.startswith("features" + os.sep)} == fresh
 
 
 @pytest.mark.parametrize("before,args", [

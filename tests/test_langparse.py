@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grounddesk import corpus, langparse
 from grounddesk.langparse import Lexicon, ParseError, is_absence, noun_phrases, parse
@@ -84,10 +86,20 @@ def test_parse_is_pure():
     assert a == b
 
 
-def test_roundtrip_matches_generator_metadata(desk20):
-    spec = corpus.DescriptionSpec(20, 10, seed=0)
-    for cat in desk20:
-        for desc in corpus.generate_descriptions(cat, spec):
+@settings(max_examples=60, deadline=None)
+@given(pool=st.sampled_from(["desk20", "desk80"]), seed=st.integers(0, 2**32 - 1),
+       target_length_words=st.integers(3, 40))
+def test_roundtrip_matches_generator_metadata(pool, seed, target_length_words):
+    """Every description the generator produces parses into its own spans. A
+    category whose grammar cannot reach the length (the generator raises
+    CorpusError, from about 28 words) has nothing to parse."""
+    spec = corpus.DescriptionSpec(1, target_length_words, seed=seed)
+    for cat in corpus.build_entity_pool(pool):
+        try:
+            descriptions = corpus.generate_descriptions(cat, spec)
+        except corpus.CorpusError:
+            continue
+        for desc in descriptions:
             tree = parse(desc.text)
             meta = desc.generator_metadata
             assert (tree.subject.start_token, tree.subject.end_token) == meta.subject_span

@@ -2,11 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grounddesk import corpus, langparse, scenegen
 from grounddesk.langparse import parse, phrase_noun_tokens
 from grounddesk.seeding import derive_seed
-from grounddesk.scenegen import (BenchmarkConfig, DistractorConfig, SceneObject,
+from grounddesk.scenegen import (BenchmarkConfig, DistractorConfig, RegionFeatures, SceneObject,
                                  make_benchmark, render_features, synthesize_scene,
                                  word_vector, write_features, read_features)
 
@@ -226,28 +228,98 @@ def test_features_require_min_width():
         render_features(scene, noise_seed=0, d=4)
 
 
-def test_feature_file_roundtrip(tmp_path, default_bundle):
-    rf = default_bundle.features[0]
-    path = tmp_path / "f.bin"
-    write_features(path, rf)
-    raw = path.read_bytes()
-    n, d = rf.features.shape
-    assert len(raw) == 8 + n * d * 8
-    back = read_features(path, proposals=rf.proposals, noise_seed=rf.noise_seed)
-    assert np.array_equal(back.features, rf.features)
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-def test_read_features_rejects_a_length_that_disagrees_with_the_header(tmp_path, default_bundle):
-    path = tmp_path / "f.bin"
-    write_features(path, default_bundle.features[0])
+# Any float: hypothesis's own, and every bit pattern, NaN payloads included.
+any_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                      st.integers(0, 2**64 - 1).map(_float_from_bits))
+
+
+@st.composite
+def feature_tables(draw):
+    """{scene_id: RegionFeatures} of one width, as the scenes stage writes them."""
+    width = draw(st.integers(0, 5))
+    out = {}
+    for scene_id in draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=4, unique=True)):
+        n = draw(st.integers(0, 4))
+        proposals = draw(st.lists(st.tuples(any_float, any_float, any_float, any_float),
+                                  min_size=n, max_size=n))
+        values = draw(st.lists(any_float, min_size=n * width, max_size=n * width))
+        out[scene_id] = RegionFeatures(proposals=tuple(proposals),
+                                       features=np.array(values, dtype=float).reshape(n, width),
+                                       noise_seed=draw(st.integers(0, 2**64 - 1)))
+    return out
+
+
+def _bits(proposals) -> bytes:
+    return np.array(proposals, dtype=float).reshape(-1, 4).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_tables())
+def test_feature_file_roundtrip(tmp_path_factory, features):
+    """Scene order, ids, seeds, proposals and features read back as written,
+    any float included; a scene without rows stays a scene."""
+    path = tmp_path_factory.mktemp("features") / "features.bin"
+    write_features(path, features)
+    n = sum(len(rf.proposals) for rf in features.values())
+    width = next(iter(features.values())).features.shape[1] if features else 0
+    assert len(path.read_bytes()) == 30 + 24 * len(features) + 32 * n + 8 * n * width
+    back = read_features(path)
+    assert list(back) == list(features)
+    for scene_id, rf in features.items():
+        got = back[scene_id]
+        assert type(got.noise_seed) is int and got.noise_seed == rf.noise_seed
+        assert all(type(v) is float for box in got.proposals for v in box)
+        assert _bits(got.proposals) == _bits(rf.proposals)
+        assert got.features.dtype == np.float64 and got.features.shape == rf.features.shape
+        assert got.features.tobytes() == rf.features.tobytes()
+
+
+def _damaged_feature_tables(raw: bytes, n_scenes: int, n_rows: int):
+    """Every proper prefix of a feature table; the table with bytes appended;
+    with one magic byte, its version, a count or one per-scene row count
+    changed; with a row count made -1 and the next raised to keep the sum;
+    and with a scene id repeated. A table without rows holds no feature
+    values, so its width is changed only when it has rows."""
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    for extra in range(1, 9):
+        yield raw + b"\0" * extra
+    magic = len(scenegen.FEATURE_TABLE.magic)
+    for i in range(magic):
+        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+    ids, row_counts = magic + 26, magic + 26 + 16 * n_scenes
+    fields = [(magic, "<H"), (magic + 2, "<Q"), (magic + 10, "<Q")]
+    fields += [(magic + 18, "<Q")] if n_rows else []
+    fields += [(row_counts + 8 * s, "<q") for s in range(n_scenes)]
+    for at, fmt in fields:
+        (value,) = struct.unpack_from(fmt, raw, at)
+        for other in (value + 1, value - 1):
+            if other >= 0 or fmt == "<q":
+                yield raw[:at] + struct.pack(fmt, other) + raw[at + struct.calcsize(fmt):]
+    if n_scenes >= 2:
+        first, second = struct.unpack_from("<qq", raw, row_counts)
+        yield raw[:row_counts] + struct.pack("<qq", -1, second + first + 1) + raw[row_counts + 16:]
+        yield raw[:ids + 8] + raw[ids:ids + 8] + raw[ids + 16:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_tables())
+def test_read_features_rejects_a_length_that_disagrees_with_the_header(tmp_path_factory,
+                                                                        features):
+    """Every truncation, every over-long file, a changed magic, version or
+    count, a bad per-scene row count and a repeated scene id."""
+    path = tmp_path_factory.mktemp("bad") / "features.bin"
+    write_features(path, features)
     raw = path.read_bytes()
-    for damaged in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0" * 8]:
+    n_rows = sum(len(rf.proposals) for rf in features.values())
+    for damaged in _damaged_feature_tables(raw, len(features), n_rows):
         path.write_bytes(damaged)
-        with pytest.raises(ValueError, match="f.bin"):
+        with pytest.raises(ValueError, match=r"features\.bin"):
             read_features(path)
-    path.write_bytes(struct.pack("<ii", -1, 64))
-    with pytest.raises(ValueError, match="bad feature header"):
-        read_features(path)
 
 
 def test_scene_jsonl_roundtrip(tmp_path, default_bundle):
