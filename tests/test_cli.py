@@ -475,16 +475,38 @@ def _corrupt(path):
     path.write_bytes(bytes(data))
 
 
+# Feature files that manifests written before features.bin declare in its
+# place: the index and the first scene's file.
+OLD_FEATURE_FILES = ("features/index.jsonl", "features/scene_000000.bin")
+
+
+def _touches(stage, filename):
+    """Whether the stage reads or writes the file, or did when the features
+    were one file per scene."""
+    files = {*stage.inputs, *stage.outputs}
+    return filename in files or (filename in OLD_FEATURE_FILES and "features.bin" in files)
+
+
 @pytest.mark.parametrize("name,filename", list(dict.fromkeys(
-    (name, filename) for name in MANIFEST_STAGES
-    for stage in cli.STAGES[name] for filename in (*stage.inputs, *stage.outputs))))
+    [(name, filename) for name in MANIFEST_STAGES
+     for stage in cli.STAGES[name] for filename in (*stage.inputs, *stage.outputs)]
+    + [(name, filename) for name in MANIFEST_STAGES
+       if any("features.bin" in (*stage.inputs, *stage.outputs) for stage in cli.STAGES[name])
+       for filename in OLD_FEATURE_FILES])))
 def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, capsys,
                                                                name, filename):
     """A damaged file that a command's stage reads or writes makes that stage
     and the ones after it run again, or fails naming the file; only the
-    stages before it may be reused."""
+    stages before it may be reused. The old feature files are damaged in a
+    tree whose manifests still declare them, as one written before
+    features.bin and brought up to date by scenes alone."""
     assert run_cli([name, "--out", str(corrupt_copy)] + SMALL) == 0
     assert f"{name}: up to date, skipping" in capsys.readouterr().out
+    if filename in OLD_FEATURE_FILES:
+        _declare_feature_files(corrupt_copy, _write_feature_files(corrupt_copy))
+        if name != "scenes":
+            assert run_cli(["scenes", "--out", str(corrupt_copy)] + SMALL) == 0
+        capsys.readouterr()
     _corrupt(corrupt_copy / filename)
     code = run_cli([name, "--out", str(corrupt_copy)] + SMALL)
     captured = capsys.readouterr()
@@ -492,8 +514,7 @@ def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, cap
         assert os.path.basename(filename) in captured.err
     else:
         stages = cli.STAGES[name]
-        first = next(i for i, stage in enumerate(stages)
-                     if filename in (*stage.inputs, *stage.outputs))
+        first = next(i for i, stage in enumerate(stages) if _touches(stage, filename))
         assert code == 0
         assert [line for line in captured.out.splitlines() if "up to date" in line] == [
             f"{name}: {stage.name.removeprefix(name + '_')} up to date, reused"
@@ -697,6 +718,16 @@ def _write_feature_files(out) -> dict:
             **written}
 
 
+def _declare_feature_files(out, feature_files):
+    """List the feature files in the scenes, targets and train manifests in
+    place of features.bin, as those manifests did before it existed."""
+    for stage, key in (("scenes", "outputs"), ("targets", "inputs"), ("train", "inputs")):
+        manifest = storage.read_json(storage.manifest_path(out, stage))
+        del manifest[key]["features.bin"]
+        manifest[key].update(feature_files)
+        storage.write_json(storage.manifest_path(out, stage), manifest)
+
+
 def test_tree_with_feature_files_reruns_scenes_targets_and_train(pipeline_dir, corrupt_copy,
                                                                   capsys):
     """A tree written when the features were one file per scene plus an
@@ -706,11 +737,7 @@ def test_tree_with_feature_files_reruns_scenes_targets_and_train(pipeline_dir, c
     fresh = storage.hash_tree(pipeline_dir)
     out = corrupt_copy
     feature_files = _write_feature_files(out)
-    for stage, key in (("scenes", "outputs"), ("targets", "inputs"), ("train", "inputs")):
-        manifest = storage.read_json(storage.manifest_path(out, stage))
-        del manifest[key]["features.bin"]
-        manifest[key].update(feature_files)
-        storage.write_json(storage.manifest_path(out, stage), manifest)
+    _declare_feature_files(out, feature_files)
     assert run_cli(["all", "--out", str(out)] + SMALL) == 0
     printed = capsys.readouterr().out
     for line in ("scenes: wrote", "targets: wrote", "triplet examples, loss"):
