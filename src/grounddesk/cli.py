@@ -149,6 +149,10 @@ def validate_config(config) -> None:
     for path, ok, rule in _RANGES:
         if not ok(_get(config, path)):
             raise ConfigError(f"config field {path}: {rule}")
+    n, k_neg = config["descriptions"]["num_descriptions"], config["targets"]["k_neg"]
+    if 1 <= n <= k_neg:
+        raise ConfigError(f"config field descriptions.num_descriptions: {n} leaves {n - 1} "
+                          f"same-category alternatives, but targets.k_neg needs {k_neg}")
 
 
 def load_config(path=None, overrides=(), output_dir=None) -> dict:

@@ -1,7 +1,7 @@
 """The trainable grounding model: an affine visual encoder and a contextual
 token encoder scoring every (region, token) pair, with analytic gradients,
 momentum-SGD training with freeze flags and detection-data mixing, and a
-binary checkpoint format.
+checkpoint written through the shared storage.TableFormat codec.
 
 Token features are context-mixed: position i gets its embedding plus a
 learned map of its own caption's mean, of its own (embedding + position)
@@ -15,7 +15,6 @@ intra-class negatives and structural positives from structural negatives.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ from .labeling import Detection
 from .langparse import Lexicon, parse
 from .targets import AlignmentTarget, CaptionItem, Query
 from .seeding import derive_seed
+from .storage import TableFormat, read_table, write_table
 
 UNK = "<unk>"
 
@@ -34,7 +34,6 @@ PARAM_BLOCKS = {
     "language": ("text.embeddings",),
     "fusion": ("mix.global", "mix.self", "mix.prev", "text.positions", "logit_scale"),
 }
-PARAM_NAMES = frozenset(name for block in PARAM_BLOCKS.values() for name in block)
 
 
 class NumericError(RuntimeError):
@@ -434,82 +433,39 @@ class GroundingDetector:
                        score_threshold=-1.0, lexicon=self.lexicon)
 
 
-MAGIC = b"WSCL"
-CHECKPOINT_VERSION = 1
+# model.ckpt: the parameter blocks in sorted-name order, each shaped from
+# the counts, so blocks that disagree cannot be written or read back.
+CHECKPOINT_BLOCKS = (("logit_scale", (1, 1)), ("mix.global", ("d_model", "d_model")),
+                     ("mix.prev", ("d_model", "d_model")), ("mix.self", ("d_model", "d_model")),
+                     ("text.embeddings", ("tokens", "d_model")),
+                     ("text.positions", ("positions", "d_model")),
+                     ("visual.bias", (1, "d_model")), ("visual.weight", ("d_in", "d_model")))
+CHECKPOINT_TABLE = TableFormat("model checkpoint", b"WSCL", 2,
+                               ("tokens", "d_in", "d_model", "positions"),
+                               tuple(("<f8", shape) for _, shape in CHECKPOINT_BLOCKS))
 
 
 def save_checkpoint(model: GroundingModel, path) -> None:
-    """Binary checkpoint: magic, u16 version, then per block
-    (u32 name length, name, u32 rows, u32 cols, little-endian float64 data)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        for name in sorted(model.params):
-            arr = model.params[name]
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """model.ckpt: a CHECKPOINT_TABLE of u64 token, d_in, d_model and
+    position counts, then each block as little-endian float64."""
+    write_table(path, CHECKPOINT_TABLE,
+                (len(model.vocabulary), model.d_in, model.d_model, model.max_positions),
+                [[model.params[name]] for name, _ in CHECKPOINT_BLOCKS])
 
 
 def load_checkpoint(path, vocabulary: Vocabulary) -> GroundingModel:
-    """Read a save_checkpoint() file, checking that it holds exactly the
-    PARAM_BLOCKS blocks, each complete and of a shape that agrees with the
-    others and with the vocabulary. Raises ValueError naming the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    end = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal end
-        if len(raw) - end < n:
-            raise ValueError(f"{path}: truncated checkpoint: {what} needs {n} bytes, "
-                             f"{len(raw) - end} left")
-        end += n
-        return raw[end - n:end]
-
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
-    end = 4
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    blocks: dict[str, np.ndarray] = {}
-    while end < len(raw):
-        (name_len,) = struct.unpack("<I", take(4, "block header"))
-        try:
-            name = take(name_len, "block name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: block name is not UTF-8") from exc
-        if name not in PARAM_NAMES:
-            raise ValueError(f"{path}: unexpected parameter block {name!r}")
-        if name in blocks:
-            raise ValueError(f"{path}: repeated parameter block {name!r}")
-        rows, cols = struct.unpack("<II", take(8, f"{name} shape"))
-        data = take(rows * cols * 8, f"{name} data")
-        blocks[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-    missing = PARAM_NAMES - set(blocks)
-    if missing:
-        raise ValueError(f"{path}: missing parameter blocks {sorted(missing)}")
-    if blocks["text.embeddings"].shape[0] != len(vocabulary):
-        raise ValueError(f"{path}: embeddings cover {blocks['text.embeddings'].shape[0]} "
-                         f"tokens but the vocabulary has {len(vocabulary)}")
-    d_in, d_model = blocks["visual.weight"].shape
-    expected = {"visual.bias": (1, d_model), "text.embeddings": (len(vocabulary), d_model),
-                "text.positions": (blocks["text.positions"].shape[0], d_model),
-                "mix.global": (d_model, d_model), "mix.self": (d_model, d_model),
-                "mix.prev": (d_model, d_model), "logit_scale": (1, 1)}
-    for name, shape in expected.items():
-        if blocks[name].shape != shape:
-            raise ValueError(f"{path}: {name} has shape {blocks[name].shape}, "
-                             f"expected {shape} for d_model {d_model}")
+    """Read a save_checkpoint() file whose embeddings cover `vocabulary`.
+    Raises ValueError naming the file."""
+    (tokens, d_in, d_model, positions), blocks = read_table(path, CHECKPOINT_TABLE)
+    if tokens != len(vocabulary):
+        raise ValueError(f"{path}: embeddings cover {tokens} tokens but the vocabulary "
+                         f"has {len(vocabulary)}")
     model = GroundingModel.__new__(GroundingModel)
     model.vocabulary = vocabulary
     model.d_in = d_in
     model.d_model = d_model
-    model.max_positions = blocks["text.positions"].shape[0]
-    model.params = blocks
+    model.max_positions = positions
+    model.params = {name: block for (name, _), block in zip(CHECKPOINT_BLOCKS, blocks)}
     return model
 
 

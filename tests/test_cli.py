@@ -12,7 +12,7 @@ import pytest
 
 from grounddesk import cli, corpus, evalkit, labeling, pipeline, scenegen, storage, targets
 from grounddesk.cli import ConfigError, load_config
-from grounddesk.groundnet import GroundingModel
+from grounddesk.groundnet import GroundingModel, Vocabulary, load_checkpoint
 
 SMALL = ["--set", "descriptions.num_descriptions=3",
          "--set", "images_per_description=2",
@@ -67,6 +67,7 @@ def test_config_rejects_unknown_and_badly_typed_fields():
     ("eval.fraction_negative", "-0.1"), ("eval.iou_threshold", "0"),
     ("eval.iou_threshold", "1.5"), ("eval.iou_threshold", "-0.5"),
     ("eval.benchmark_scenes", "0"), ("eval.benchmark_scenes", "-3"),
+    ("descriptions.num_descriptions", "1"), ("descriptions.num_descriptions", "2"),
 ])
 def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -81,6 +82,15 @@ def test_eval_range_edges_validate():
     for field, value in (("eval.aggregation", "mean"), ("eval.fraction_negative", "0"),
                          ("eval.iou_threshold", "1"), ("eval.benchmark_scenes", "1")):
         load_config(overrides=[(field, value)])
+
+
+def test_num_descriptions_edges_validate():
+    """No descriptions, or enough of them for targets.k_neg alternatives each."""
+    for overrides in ([("descriptions.num_descriptions", "0")],
+                      [("descriptions.num_descriptions", "3")],
+                      [("descriptions.num_descriptions", "1"), ("targets.k_neg", "0")],
+                      [("descriptions.num_descriptions", "2"), ("targets.k_neg", "1")]):
+        load_config(overrides=overrides)
 
 
 @pytest.mark.parametrize("value", ["weak-to-strong", "grounding_baseline", ""])
@@ -101,7 +111,7 @@ def test_known_labeler_strategies_validate():
 def test_threshold_p_flag(tmp_path):
     out = str(tmp_path / "o")
     code = run_cli(["gen", "--out", out, "--threshold-p", "0.7",
-                    "--set", "descriptions.num_descriptions=1"])
+                    "--set", "descriptions.num_descriptions=3"])
     assert code == 0
 
 
@@ -750,6 +760,42 @@ def test_tree_with_feature_files_reruns_scenes_targets_and_train(pipeline_dir, c
     assert {rel for rel in tree if rel.startswith("features" + os.sep)} == {
         os.path.normpath(rel) for rel in feature_files}
     assert {rel: h for rel, h in tree.items() if not rel.startswith("features" + os.sep)} == fresh
+
+
+def _write_version_1_checkpoint(path, params):
+    """model.ckpt as written before version 2: magic, u16 version 1, then per
+    block its u32 name length, name, u32 rows and cols and float64 data."""
+    with open(path, "wb") as fh:
+        fh.write(b"WSCL" + struct.pack("<H", 1))
+        for name, block in sorted(params.items()):
+            fh.write(struct.pack("<I", len(name)) + name.encode()
+                     + struct.pack("<II", *block.shape) + block.astype("<f8").tobytes())
+
+
+def test_tree_with_a_version_1_checkpoint_retrains_once_it_is_deleted(pipeline_dir, corrupt_copy,
+                                                                     capsys):
+    """A tree trained before version 2 skips train; once the scoring half of
+    eval has to run again, eval fails naming model.ckpt. Deleting the file
+    retrains it, and the tree ends as a fresh run's."""
+    fresh = storage.hash_tree(pipeline_dir)
+    out = corrupt_copy
+    path = out / "model.ckpt"
+    vocab = Vocabulary(tuple(storage.read_json(out / "model.vocab.json")["tokens"]))
+    _write_version_1_checkpoint(path, load_checkpoint(path, vocab).params)
+    for stage, key in (("train", "outputs"), ("eval_scores", "inputs")):
+        manifest = storage.read_json(storage.manifest_path(out, stage))
+        manifest[key]["model.ckpt"] = storage.sha256_file(path)
+        storage.write_json(storage.manifest_path(out, stage), manifest)
+    assert run_cli(["train", "--out", str(out)] + SMALL) == 0
+    assert "train: up to date, skipping" in capsys.readouterr().out
+    os.remove(storage.manifest_path(out, "eval_scores"))
+    assert run_cli(["eval", "--out", str(out)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "model.ckpt" in err and "version 1" in err
+    os.remove(path)
+    assert run_cli(["all", "--out", str(out)] + SMALL) == 0
+    assert "triplet examples, loss" in capsys.readouterr().out
+    assert storage.hash_tree(out) == fresh
 
 
 @pytest.mark.parametrize("before,args", [

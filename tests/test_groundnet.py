@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -494,47 +496,84 @@ def test_train_calls_forward_and_loss_once_per_scheduled_example(monkeypatch, ra
     assert calls == {"forward": expected, "loss_and_grad": expected}
 
 
-def _save_altered(tmp_path, **replace):
-    """A checkpoint of small_model() with some blocks replaced (None drops
-    a block); returns its path and the model's vocabulary."""
-    model = small_model()
-    for name, arr in replace.items():
-        if arr is None:
-            del model.params[name]
-        else:
-            model.params[name] = arr
+def _saved(tmp_path, model=None):
+    """The path and bytes of a checkpoint of `model` (small_model() by default)."""
+    model = model or small_model()
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    return path, model.vocabulary
+    return path, path.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(groundnet.PARAM_NAMES))
+def test_checkpoint_layout(tmp_path):
+    """model.ckpt: magic WSCL, version 2, u64 token, d_in, d_model and
+    position counts, then each block as float64 in sorted-name order."""
+    model = _randomized(small_model(d_in=3, d_model=2), 4)
+    _, raw = _saved(tmp_path, model)
+    blocks = [model.params[name] for name in ("logit_scale", "mix.global", "mix.prev",
+                                              "mix.self", "text.embeddings", "text.positions",
+                                              "visual.bias", "visual.weight")]
+    assert raw == (b"WSCL" + struct.pack("<HQQQQ", 2, len(WORDS) + 2, 3, 2, 16)
+                   + b"".join(struct.pack(f"<{b.size}d", *b.ravel()) for b in blocks))
+
+
+CHECKPOINT_HEADER = 4 + 2 + 4 * 8  # magic, u16 version, four u64 counts
+
+
+def _block_bytes(model, name):
+    """The byte range of one block in a checkpoint of `model`."""
+    start = CHECKPOINT_HEADER
+    for other in sorted(model.params):
+        size = model.params[other].size * 8
+        if other == name:
+            return slice(start, start + size)
+        start += size
+
+
+@pytest.mark.parametrize("name", sorted(name for block in groundnet.PARAM_BLOCKS.values()
+                                        for name in block))
 def test_checkpoint_rejects_a_missing_block(tmp_path, name):
-    path, vocab = _save_altered(tmp_path, **{name: None})
-    with pytest.raises(ValueError, match=f"model.ckpt.*missing.*{name}"):
-        load_checkpoint(path, vocab)
+    """A file without one block's values is shorter than its counts say."""
+    model = small_model()
+    path, raw = _saved(tmp_path, model)
+    cut = _block_bytes(model, name)
+    path.write_bytes(raw[:cut.start] + raw[cut.stop:])
+    with pytest.raises(ValueError, match="model.ckpt.*needs"):
+        load_checkpoint(path, model.vocabulary)
 
 
 @pytest.mark.parametrize("name,shape", [
     ("visual.bias", (1, 5)), ("visual.bias", (2, 6)), ("text.positions", (16, 5)),
     ("mix.global", (6, 5)), ("mix.prev", (5, 6)), ("mix.self", (7, 7)),
     ("logit_scale", (1, 2)), ("text.embeddings", (len(WORDS) + 2, 5)),
+    ("visual.weight", (6, 12)),  # transposed: the right size, the wrong shape
 ])
 def test_checkpoint_rejects_a_mismatched_shape(tmp_path, name, shape):
-    path, vocab = _save_altered(tmp_path, **{name: np.zeros(shape)})
-    with pytest.raises(ValueError, match=f"model.ckpt.*{name}"):
-        load_checkpoint(path, vocab)
+    """A block that disagrees with the model's counts is not written."""
+    model = small_model()
+    model.params[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match="model.ckpt"):
+        save_checkpoint(model, tmp_path / "model.ckpt")
 
 
 def test_checkpoint_rejects_unknown_and_repeated_blocks(tmp_path):
-    path, vocab = _save_altered(tmp_path, **{"mix.extra": np.zeros((6, 6))})
-    with pytest.raises(ValueError, match="model.ckpt.*mix.extra"):
-        load_checkpoint(path, vocab)
-    path, vocab = _save_altered(tmp_path)
-    raw = path.read_bytes()
-    path.write_bytes(raw + raw[6:])  # every block a second time
-    with pytest.raises(ValueError, match="model.ckpt.*repeated"):
-        load_checkpoint(path, vocab)
+    """Bytes after the last block, whether an extra block, every block a
+    second time or a few stray bytes, make the file too long."""
+    model = small_model()
+    path, raw = _saved(tmp_path, model)
+    for extra in ([np.zeros((6, 6)).tobytes(), raw[CHECKPOINT_HEADER:]]
+                  + [b"\0" * k for k in range(1, 9)]):
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match="model.ckpt.*needs"):
+            load_checkpoint(path, model.vocabulary)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    """A version-1 header, that of the earlier block-name format, is
+    rejected, not read."""
+    path, raw = _saved(tmp_path)
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(ValueError, match="model.ckpt.*version 1"):
+        load_checkpoint(path, small_model().vocabulary)
 
 
 def test_checkpoint_rejects_every_truncation(tmp_path):

@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grounddesk import scenegen, storage
+from grounddesk import corpus, evalkit, labeling, pipeline, scenegen, storage, targets
 from grounddesk.scenegen import RegionFeatures
 
 PAIRS = storage.TableFormat("pair table", b"TEST", 3, ("rows", "width"),
@@ -23,9 +25,13 @@ def test_table_layout_is_magic_version_counts_then_columns(tmp_path):
 
 
 def test_write_table_rejects_columns_that_do_not_fill_their_shape(tmp_path):
-    with pytest.raises(ValueError, match="pairs.bin"):
-        storage.write_table(tmp_path / "pairs.bin", PAIRS, (2, 3),
-                            ([[1, 2]], [np.ones((1, 3))]))
+    """Too few values, or values of the right number whose trailing
+    dimensions are not the column's (a transposed block); empty chunks pass."""
+    for columns in ([[1, 2]], [np.ones((1, 3))]), ([[1, 2]], [np.ones((3, 2))]):
+        with pytest.raises(ValueError, match="pairs.bin"):
+            storage.write_table(tmp_path / "pairs.bin", PAIRS, (2, 3), columns)
+    storage.write_table(tmp_path / "pairs.bin", PAIRS, (2, 3),
+                        ([[1, 2], []], [np.ones((2, 3)), np.zeros((0, 2))]))
 
 
 def test_read_table_names_the_file_for_a_width_numpy_cannot_hold(tmp_path):
@@ -76,3 +82,59 @@ def test_read_manifest_reads_what_write_manifest_writes(tmp_path):
     manifest = storage.read_manifest(storage.manifest_path(tmp_path, "gen"))
     assert (manifest["inputs"], manifest["outputs"]) == ({"a": "1"}, {"b": "2"})
     assert manifest["config_hash"] == storage.config_hash({"seed": 0})
+
+
+def _read_with(decode):
+    return lambda path: storage.read_jsonl(path, decode)
+
+
+@pytest.fixture(scope="module")
+def jsonl_files(default_bundle, default_triplets, tmp_path_factory):
+    """{file name: (its first rows as lines, its reader)} for each JSON-lines
+    artifact, written by the writer its stage uses."""
+    bundle, rows = default_bundle, 4
+    examples = pipeline.build_training_examples(bundle, default_triplets[:rows])
+    benchmark = scenegen.make_benchmark(bundle.pool, 3, seed=0, lexicon=bundle.lexicon)
+    files = {
+        "descriptions.jsonl": (corpus.write_descriptions, bundle.descriptions[:rows],
+                               corpus.read_descriptions),
+        "scenes.jsonl": (scenegen.write_scenes, bundle.scenes[:rows], scenegen.read_scenes),
+        "triplets.jsonl": (storage.write_jsonl,
+                           map(labeling.triplet_to_json, default_triplets[:rows]),
+                           _read_with(labeling.triplet_from_json)),
+        "examples.jsonl": (storage.write_jsonl,
+                           [targets.example_to_json(ex.scene_id, ex.query, ex.target)
+                            for ex in examples], _read_with(targets.example_from_json)),
+        "benchmark_labels.jsonl": (evalkit.write_description_labels,
+                                   benchmark.description_labels[:rows],
+                                   evalkit.read_description_labels),
+    }
+    out = {}
+    for name, (write, items, read) in files.items():
+        path = tmp_path_factory.mktemp("jsonl") / name
+        write(path, items)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 1 and len(read(path)) == len(lines), name
+        out[name] = (lines, read)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
+                        "examples.jsonl", "benchmark_labels.jsonl"]),
+       st.integers(0), st.floats(0, 1, exclude_min=True, exclude_max=True), st.booleans())
+def test_a_cut_jsonl_row_names_the_file_and_the_line(jsonl_files, tmp_path_factory, name, row,
+                                                     at, keep_rest):
+    """A row cut strictly inside its JSON text, at the end of the file or
+    with the rows after it kept, fails naming the file and the line. (A cut
+    at a line boundary leaves a valid shorter file, which only the manifest
+    hash catches.)"""
+    lines, read = jsonl_files[name]
+    row %= len(lines)
+    text = lines[row].rstrip("\n")
+    cut = min(max(1, int(at * len(text))), len(text) - 1)
+    rest = "\n" + "".join(lines[row + 1:]) if keep_rest else ""
+    path = tmp_path_factory.mktemp("cut") / name
+    path.write_text("".join(lines[:row]) + text[:cut] + rest)
+    with pytest.raises(ValueError, match=f"{name} line {row + 1}:"):
+        read(path)
