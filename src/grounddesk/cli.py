@@ -543,20 +543,27 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class Setting:
-    """One row of an ablation: its value in the table's column, the config
-    overrides it makes (dotted path -> value) and the variant it trains."""
+    """One row of an ablation: its value in the table's column and the config
+    overrides it makes (dotted path -> value)."""
     value: object
-    overrides: dict = dataclasses.field(default_factory=dict)
-    variant: pipeline.SignalVariant = pipeline.FULL_VARIANT
+    overrides: dict
 
 
 @dataclasses.dataclass(frozen=True)
 class Ablation:
     """A table's column, its rows' settings and the metrics each row reports
-    (MetricReport fields, or "recall" for the mean label recall)."""
+    (fields of report.json, or "recall" for the mean label recall)."""
     column: str
     settings: tuple[Setting, ...]
     metrics: tuple[str, ...]
+
+
+def _signal_overrides(variant: pipeline.SignalVariant) -> dict:
+    """The targets settings under which `grounddesk all` trains the variant."""
+    return {"targets.k_neg": variant.k_neg,
+            "targets.include_struct_pos": variant.include_struct_pos,
+            "targets.sentence_level_positive": variant.target_config.sentence_level_positive,
+            "targets.structural_negative": variant.target_config.structural_negative}
 
 
 ABLATIONS = {
@@ -572,7 +579,7 @@ ABLATIONS = {
                         tuple(Setting(n, {"images_per_description": n}) for n in (2, 4, 8)),
                         ("AP", "AP_descr", "AP_descr_L")),
     "signals": Ablation("signals",
-                        tuple(Setting(v.name, variant=v) for v in pipeline.SIGNAL_LADDER),
+                        tuple(Setting(v.name, _signal_overrides(v)) for v in pipeline.SIGNAL_LADDER),
                         ("AP", "AP_categ", "AP_descr", "AP_descr_L")),
 }
 
@@ -580,50 +587,35 @@ ABLATE_CHOICES = sorted([*ABLATIONS, "length"])
 
 
 def _ablate(name, config, workers: int = 1) -> list[dict]:
-    """The named table's rows: one model per setting, trained and scored as
-    `grounddesk all` does under the config with the setting's overrides.
-    A corpus and its labels are built once per distinct value of the config
-    keys that the commands building them read, fanned out over `workers`."""
-    ablation, built, rows = ABLATIONS[name], {}, []
-    map_fn = functools.partial(fanout, workers=workers)
-
-    def once(cfg, commands, build):
-        keys = [key for command in commands for stage in STAGES[command] for key in stage.keys]
-        slot = (commands, storage.canonical_json(_config_slice(cfg, keys)))
-        if slot not in built:
-            built[slot] = build()
-        return built[slot]
-
+    """The named table's rows. Each row runs `grounddesk all`'s stages under
+    the config with the setting's overrides, in one tree that every row of the
+    table shares, <out>/ablate/<name>/tree, so a stage whose config keys and
+    inputs a row leaves unchanged is skipped. A row's figures are read from
+    the tree's summary.json. Every row's config is validated before the first
+    row runs."""
+    ablation = ABLATIONS[name]
+    tree = os.path.join(config["output_dir"], "ablate", name, "tree")
+    configs = []
     for setting in ablation.settings:
         cfg = copy.deepcopy(config)
         for path, value in setting.overrides.items():
             _set(cfg, path, value)
-        d, e = cfg["descriptions"], cfg["eval"]
-        bundle = once(cfg, ("gen", "scenes"), lambda: pipeline.build_corpus(
-            cfg["pool"], num_descriptions=d["num_descriptions"],
-            target_length_words=d["target_length_words"],
-            images_per_description=cfg["images_per_description"], seed=cfg["seed"],
-            distractors=_distractor_config(cfg), features=_feature_config(cfg), map_fn=map_fn))
-        triplets = once(cfg, ("gen", "scenes", "label"), lambda: pipeline.label_corpus(
-            bundle, _detector(cfg), _labeler_config(cfg), cfg["labeler"]["strategy"],
-            map_fn=map_fn))
-        detection = pipeline.build_detection_examples(bundle, cfg["seed"],
-                                                      cfg["targets"]["absent_categories"])
-        bench = pipeline.default_benchmark(bundle.pool, cfg["seed"], e["benchmark_scenes"],
-                                           config=_benchmark_config(cfg), lexicon=bundle.lexicon)
-        model, _ = pipeline.train_variant(bundle, triplets, setting.variant, _train_config(cfg),
-                                          detection, d_model=cfg["train"]["d_model"],
-                                          model_seed=cfg["seed"])
-        report = pipeline.evaluate_model(model, bench, score_threshold=e["score_threshold"],
-                                         iou_threshold=e["iou_threshold"],
-                                         lexicon=bundle.lexicon, agg=e["aggregation"])
+        cfg["output_dir"] = tree
+        validate_config(cfg)
+        configs.append(cfg)
+    rows = []
+    for setting, cfg in zip(ablation.settings, configs):
+        for stage in PIPELINE_STAGES:
+            _run_stage(stage, cfg, workers)
+        summary = _read(tree, "summary.json", storage.read_json)
         row = {ablation.column: setting.value}
         for metric in ablation.metrics:
-            row[metric] = (pipeline.mean_label_recall(bundle, triplets) if metric == "recall"
-                           else getattr(report, metric))
+            row[metric] = (summary["label_recall_mean"] if metric == "recall"
+                           else summary["metrics"][metric])
         rows.append(row)
         print(f"ablate {name} {ablation.column}={setting.value}: "
-              + " ".join(f"{metric}={row[metric]:.3f}" for metric in ablation.metrics))
+              + " ".join(f"{metric}=" + ("null" if row[metric] is None else f"{row[metric]:.3f}")
+                         for metric in ablation.metrics))
     return rows
 
 

@@ -130,17 +130,15 @@ def build_scene_corpus(pool, descriptions, images_per_description: int, seed: in
 def build_corpus(pool_name: str = "desk20", num_descriptions: int = 5,
                  target_length_words: int = 10, images_per_description: int = 2,
                  seed: int = 0, distractors: DistractorConfig | None = None,
-                 features: FeatureConfig | None = None, map_fn=map) -> CorpusBundle:
-    """Descriptions, scenes and features, as the gen and scenes stages build
-    them; ``map_fn`` is passed to both builders."""
+                 features: FeatureConfig | None = None) -> CorpusBundle:
+    """Descriptions, scenes and features, as the gen and scenes stages build them."""
     from .corpus import build_entity_pool
 
     pool = build_entity_pool(pool_name)
     lexicon = Lexicon.from_categories(pool)
-    descriptions = build_description_corpus(pool, num_descriptions, target_length_words, seed,
-                                            map_fn=map_fn)
+    descriptions = build_description_corpus(pool, num_descriptions, target_length_words, seed)
     scenes, feats = build_scene_corpus(pool, descriptions, images_per_description,
-                                       seed, distractors, features, lexicon, map_fn=map_fn)
+                                       seed, distractors, features, lexicon)
     return CorpusBundle(pool=pool, lexicon=lexicon, descriptions=descriptions,
                         scenes=scenes, features=feats)
 

@@ -89,14 +89,19 @@ class TableFormat:
 def write_table(path, fmt: TableFormat, counts, columns) -> None:
     """Write a `fmt` table with the given counts. `columns` holds, for each
     column, the arrays whose values, concatenated, make up that column; each
-    non-empty array must have the column's trailing dimensions."""
+    non-empty array must have the column's trailing dimensions. Every column
+    is checked before the file is opened, so a rejected write leaves the
+    file that was there."""
+    checked = []
+    for (dtype, _), shape, chunks in zip(fmt.columns, fmt.shapes(counts), columns, strict=True):
+        arrays = [np.ascontiguousarray(chunk, dtype=dtype) for chunk in chunks]
+        if (sum(array.size for array in arrays) != math.prod(shape)
+                or any(array.size and array.shape[1:] != shape[1:] for array in arrays)):
+            raise ValueError(f"{path}: the values given do not fill a {shape} column")
+        checked.append(arrays)
     with open(path, "wb") as fh:
         fh.write(fmt.magic + struct.pack(f"<H{len(fmt.counts)}Q", fmt.version, *counts))
-        for (dtype, _), shape, chunks in zip(fmt.columns, fmt.shapes(counts), columns, strict=True):
-            arrays = [np.ascontiguousarray(chunk, dtype=dtype) for chunk in chunks]
-            if (sum(array.size for array in arrays) != math.prod(shape)
-                    or any(array.size and array.shape[1:] != shape[1:] for array in arrays)):
-                raise ValueError(f"{path}: the values given do not fill a {shape} column")
+        for arrays in checked:
             fh.writelines(arrays)
 
 

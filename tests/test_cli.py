@@ -916,14 +916,14 @@ def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
     """Ablation models get train.d_model, the config seed and the detection
     corpus, as `grounddesk train` gives them."""
     seen = []
-    real_train = pipeline.train
+    real_train = cli.train
 
     def spy(model, triplet_examples, detection_examples, config):
         seen.append((model.d_model, model.params["visual.weight"].copy(),
                      len(detection_examples), config.seed))
         return real_train(model, triplet_examples, detection_examples, config)
 
-    monkeypatch.setattr(pipeline, "train", spy)
+    monkeypatch.setattr(cli, "train", spy)
     out = str(tmp_path / "abl")
     assert cli.main(["ablate", "signals", "--out", out, "--set", "train.d_model=16",
                      "--set", "seed=3"] + TINY) == 0
@@ -936,7 +936,7 @@ def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
 
 
 def test_ablation_table_does_not_depend_on_workers(tmp_path, monkeypatch):
-    """ablate --workers N fans the corpus and label builds out over N
+    """ablate --workers N fans the gen, scenes and label stages out over N
     processes and writes the table it writes with one."""
     fanned = []
     real_fanout = cli.fanout
@@ -953,7 +953,7 @@ def test_ablation_table_does_not_depend_on_workers(tmp_path, monkeypatch):
                         + TINY) == 0
         tables.append((out / "ablate" / "threshold" / "threshold.json").read_bytes())
     assert tables[0] == tables[1]
-    assert fanned == [1] * 5 + [2] * 5  # two corpus builds and three labelings each
+    assert fanned == [1] * 5 + [2] * 5  # gen, scenes and three labelings each
 
 
 ALL_AND_ABLATE = ["--set", "descriptions.num_descriptions=6",
@@ -981,17 +981,56 @@ def test_ablation_row_at_the_config_is_grounddesk_all(tmp_path, monkeypatch, all
                                                       labelings):
     """The row at the config's own setting trains and scores the model that
     `grounddesk all` does, on the same benchmark, so its metrics equal
-    report.json's. Each corpus is built once per image count and labeled
-    once per (image count, threshold_p)."""
-    calls = {"build_corpus": 0, "label_corpus": 0}
+    report.json's. The rows share one tree, so scenes are built once per
+    image count and labeled once per (image count, threshold_p)."""
+    calls = {"build_scene_corpus": 0, "label_corpus": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, counted)
     assert cli.main(["ablate", experiment, "--out", str(tmp_path)] + ALL_AND_ABLATE) == 0
-    assert calls == {"build_corpus": corpora, "label_corpus": labelings}
+    assert calls == {"build_scene_corpus": corpora, "label_corpus": labelings}
     rows = storage.read_json(tmp_path / "ablate" / experiment / f"{experiment}.json")
     row = next(r for r in rows if r[column] == own)
     metrics = ["AP", "AP_descr"] + [m for m in ("AP_categ", "AP_descr_L") if m in row]
     assert {m: row[m] for m in metrics} == {m: all_report[m] for m in metrics}
+
+
+def test_ablation_rows_are_validated_before_the_first_row_runs(tmp_path, monkeypatch, capsys):
+    """The intra_neg row needs two same-category alternatives that two
+    descriptions per category cannot give, so the command fails before the
+    naive row runs a stage and writes nothing."""
+    monkeypatch.setattr(cli, "_run_stage", lambda *args: pytest.fail("a stage ran"))
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "signals", "--out", str(out),
+                     "--set", "descriptions.num_descriptions=2", "--set", "targets.k_neg=0"]
+                    + TINY[2:]) == 2
+    assert "targets.k_neg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_second_ablation_run_reuses_the_tree(tmp_path, capsys):
+    """A second run on the same --out skips gen, scenes, label and targets in
+    every row, through the stage manifests, and writes the same table."""
+    args = ["ablate", "freeze", "--out", str(tmp_path)] + TINY
+    table = tmp_path / "ablate" / "freeze" / "freeze.json"
+    assert cli.main(args) == 0
+    first = table.read_bytes()
+    assert (tmp_path / "ablate" / "freeze" / "tree" / "manifests" / "train.json").exists()
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out
+    for stage in ("gen", "scenes", "label", "targets"):
+        assert printed.count(f"{stage}: up to date, skipping") == 4
+    assert table.read_bytes() == first
+
+
+def test_undefined_metric_is_null_in_the_table(tmp_path):
+    """With only short benchmark descriptions AP_descr_L is undefined: null in
+    report.json and in the table, which stays strict JSON."""
+    assert cli.main(["ablate", "signals", "--out", str(tmp_path), "--set", "eval.nw_choices=[4]"]
+                    + TINY) == 0
+    text = (tmp_path / "ablate" / "signals" / "signals.json").read_text()
+    rows = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the table"))
+    assert [row["AP_descr_L"] for row in rows] == [None] * 4

@@ -548,11 +548,14 @@ def test_checkpoint_rejects_a_missing_block(tmp_path, name):
     ("visual.weight", (6, 12)),  # transposed: the right size, the wrong shape
 ])
 def test_checkpoint_rejects_a_mismatched_shape(tmp_path, name, shape):
-    """A block that disagrees with the model's counts is not written."""
+    """A block that disagrees with the model's counts is not written, and the
+    checkpoint already at the path is left as it was."""
+    path, before = _saved(tmp_path)
     model = small_model()
     model.params[name] = np.zeros(shape)
     with pytest.raises(ValueError, match="model.ckpt"):
-        save_checkpoint(model, tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_rejects_unknown_and_repeated_blocks(tmp_path):

@@ -34,6 +34,23 @@ def test_write_table_rejects_columns_that_do_not_fill_their_shape(tmp_path):
                         ([[1, 2], []], [np.ones((2, 3)), np.zeros((0, 2))]))
 
 
+@pytest.mark.parametrize("columns", [
+    ([[1, 2]], [np.ones((1, 3))]),                  # the last column too short
+    ([[1, 2]], [np.ones((3, 2))]),                  # the last column transposed
+    ([[1, 2, 3]], [np.ones((2, 3))]),               # the first column too long
+    ([[1, 2]], [np.ones((2, 3))], [[0]]),           # a column the format lacks
+])
+def test_rejected_write_leaves_the_previous_table(tmp_path, columns):
+    """Every column is checked before the destination is opened, so a write
+    that fails leaves the file that was there byte for byte."""
+    path = tmp_path / "pairs.bin"
+    storage.write_table(path, PAIRS, (2, 3), ([[4, 5]], [np.arange(6.0).reshape(2, 3)]))
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        storage.write_table(path, PAIRS, (2, 3), columns)
+    assert path.read_bytes() == before
+
+
 def test_read_table_names_the_file_for_a_width_numpy_cannot_hold(tmp_path):
     """No rows and an enormous width imply no bytes, so the length checks
     pass; the empty column still cannot be made, and the file is named."""
