@@ -130,8 +130,9 @@ def _set(config, dotted, value):
 
 
 def validate_config(config) -> None:
-    """Type-check every known field, reject unknown ones (dotted paths) and
-    check value ranges, so that a bad config fails before any stage runs."""
+    """Type-check every known field, reject unknown ones (dotted paths),
+    check value ranges and check the description lengths against the pool's
+    grammar, so that a bad config fails before any stage runs."""
     for path, value in _leaves(config):
         if path not in _SCHEMA:
             raise ConfigError(f"unknown config field: {path}")
@@ -153,6 +154,18 @@ def validate_config(config) -> None:
     if 1 <= n <= k_neg:
         raise ConfigError(f"config field descriptions.num_descriptions: {n} leaves {n - 1} "
                           f"same-category alternatives, but targets.k_neg needs {k_neg}")
+    try:
+        pool = corpus.build_entity_pool(config["pool"])
+    except corpus.PoolError as exc:
+        raise ConfigError(f"config field pool: {exc}") from None
+    shortest = min(pool, key=corpus.max_length_words)
+    longest, name = corpus.max_length_words(shortest), shortest.name
+    for path in ("descriptions.target_length_words", "eval.nw_choices"):
+        asked = _get(config, path)
+        asked = max(asked) if isinstance(asked, list) else asked
+        if asked > longest:
+            raise ConfigError(f"config field {path}: {asked} words, but the longest description "
+                              f"pool {config['pool']!r} can generate for {name!r} has {longest}")
 
 
 def load_config(path=None, overrides=(), output_dir=None) -> dict:

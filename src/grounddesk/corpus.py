@@ -149,12 +149,30 @@ def _pick_det(rng, first_word: str, cfg: GrammarConfig) -> str:
     return _indefinite(first_word)
 
 
+MAX_CLAUSES = 3  # relation clauses per description
+MAX_ADJECTIVES = 3  # adjectives per noun phrase
+
+
+def max_length_words(category: EntityCategory) -> int:
+    """The most words a description of `category` can have: a determiner,
+    the most subject adjectives, the name and a participle, then the
+    longest relation clauses, each the longest relation word, a determiner,
+    the most adjectives and the partner. Generation reaches every target
+    length up to it. Above it every draw falls short of the target, and
+    generation fails for most categories within the +/-2 tolerance."""
+    relation = max(len(word.split()) for word in pools.RELATION_WORDS)
+    adjectives = min(MAX_ADJECTIVES, len(pools.GENERIC_ATTRIBUTES))
+    partners = sorted((len(p.split()) for p in category.relation_partners), reverse=True)
+    return (1 + min(MAX_ADJECTIVES, len(category.attribute_vocab)) + len(category.name.split())
+            + 1 + sum(relation + 1 + adjectives + n for n in partners[:MAX_CLAUSES]))
+
+
 def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     """One grammar realization within the length tolerance, or None."""
     cfg = spec.grammar_config
     nw = spec.target_length_words
     name_tokens = category.name.split()
-    r_max = min(3, len(category.relation_partners))
+    r_max = min(MAX_CLAUSES, len(category.relation_partners))
     r_target = min(float(r_max), max(0.0, cfg.relation_rate * (nw - cfg.relation_offset)))
     rel_p = np.asarray(cfg.relation_weights, dtype=float)
     rel_p = rel_p / rel_p.sum()
@@ -178,8 +196,8 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     for relword, has_det, partner in clauses:
         fixed += len(relword.split()) + (1 if has_det else 0) + len(partner.split())
     budget = nw - fixed
-    subj_cap = min(3, len(category.attribute_vocab))
-    caps = [subj_cap] + [min(3, len(pools.GENERIC_ATTRIBUTES))] * r
+    subj_cap = min(MAX_ADJECTIVES, len(category.attribute_vocab))
+    caps = [subj_cap] + [min(MAX_ADJECTIVES, len(pools.GENERIC_ATTRIBUTES))] * r
     lo, hi = max(0, budget - 2), min(sum(caps), budget + 2)
     if lo > hi:
         return None

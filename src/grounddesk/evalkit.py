@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .langparse import Lexicon, is_absence, parse
-from .storage import TableFormat, read_jsonl, read_table, row_slices, write_jsonl, write_table
+from .storage import (TableFormat, check_row_counts, read_jsonl, read_table, write_jsonl,
+                      write_table)
 
 LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
@@ -115,20 +116,157 @@ def _normalize_results(results) -> Results:
     return table
 
 
-def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
-    """Area under the all-point interpolated precision-recall curve of a
-    ranking whose true positives are `flags`. Each true positive adds its
-    recall step times the best precision at or after it; the terms are summed
-    in rank order."""
-    hits = np.flatnonzero(flags)
-    if not len(hits):
-        return 0.0
-    tp = np.cumsum(flags)
-    precisions = tp / np.arange(1, len(flags) + 1)
-    best_after = np.maximum.accumulate(precisions[::-1])[::-1]
-    recalls = tp[hits] / n_gt
-    terms = np.diff(recalls, prepend=0.0) * best_after[hits]
-    return float(np.cumsum(terms)[-1])
+class ResultColumns(NamedTuple):
+    """The result table as the four columns of results.bin, in row order:
+    keys (rows, 2) of (label_id, scene_id), counts (rows,), boxes (n, 4) and
+    scores (n,). Row i holds the counts[i] detections that follow those of
+    the rows before it; rows that share a key are one row, joined in order."""
+    keys: np.ndarray
+    counts: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+
+
+def result_columns(results) -> ResultColumns:
+    """The one converter to columns: ResultColumns as they are, anything
+    _normalize_results() takes converted once, one row per key."""
+    if isinstance(results, ResultColumns):
+        return results
+    table = _normalize_results(results)
+    dets = list(table.values())
+    return ResultColumns(np.array(list(table), dtype=object).reshape(-1, 2),
+                         np.array([len(d.scores) for d in dets], dtype=np.int64),
+                         np.concatenate([_NO_DETECTIONS.boxes, *(d.boxes for d in dets)]),
+                         np.concatenate([_NO_DETECTIONS.scores, *(d.scores for d in dets)]))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + count - 1 of each range, concatenated."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _all_point_aps(hit_pool: np.ndarray, hit_rank: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """Each pool's area under its all-point interpolated precision-recall
+    curve, from its true positives: hit_pool, sorted, and hit_rank, the
+    1-based rank of each in its pool's ranking. The t-th true positive at
+    rank k has precision t/k and recall t/n_gt; it adds its recall step times
+    the best precision at or after it, and the terms are summed in rank
+    order. (After the last true positive, and between two, precision only
+    falls, so the best precision after a rank is that of a true positive.)
+    The pools' true positives are padded into rows, a pool of m of them into
+    a row of the power of two at or above m."""
+    m = np.bincount(hit_pool, minlength=len(n_gt))
+    tp = np.arange(1, len(hit_pool) + 1) - (np.cumsum(m) - m)[hit_pool]
+    recall = tp / n_gt[hit_pool]
+    step = recall - np.where(tp > 1, np.concatenate([[0.0], recall[:-1]]), 0.0)
+    precision = tp / hit_rank
+    width = np.array([1 << (int(n) - 1).bit_length() for n in m])
+    aps = np.zeros(len(n_gt))
+    for w in np.unique(width[m > 0]).tolist():
+        pools = np.flatnonzero((width == w) & (m > 0))
+        row = np.full(len(n_gt), -1)
+        row[pools] = np.arange(len(pools))
+        hits = np.flatnonzero(row[hit_pool] >= 0)
+        at = (row[hit_pool[hits]], tp[hits] - 1)
+        best, steps = np.zeros((2, len(pools), w))
+        best[at], steps[at] = precision[hits], step[hits]
+        best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
+        aps[pools] = np.cumsum(steps * best, axis=1)[:, -1]
+    return aps
+
+
+def _greedy_hits(boxes: np.ndarray, task: np.ndarray, task_gt: list,
+                 iou_threshold: float) -> np.ndarray:
+    """Which ranked detections are true positives. Detection i has box
+    boxes[i] and belongs to task task[i] (-1 for none), whose ground truth
+    boxes are task_gt[task[i]]; each task's detections come in rank order.
+    Step k takes the k-th detection of every task at once: each takes the
+    untaken ground truth box of its task with the highest IoU at or above
+    the threshold, the first on exact ties. Only the tasks' ground truth is
+    padded, to the most boxes a task has."""
+    hit = np.zeros(len(task), dtype=bool)
+    if not task_gt:
+        return hit
+    entry = np.flatnonzero(task >= 0)
+    entry = entry[np.argsort(task[entry], kind="stable")]
+    per_task = np.bincount(task[entry], minlength=len(task_gt))
+    step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task[entry]]
+    entry = entry[np.argsort(step, kind="stable")]
+    n_gt = np.array([len(gt) for gt in task_gt])
+    valid = np.arange(n_gt.max()) < n_gt[:, None]
+    gt_pad = np.zeros((*valid.shape, 4))
+    gt_pad[valid] = np.array([box for gt in task_gt for box in gt], dtype=float).reshape(-1, 4)
+    taken = ~valid
+    lo = 0
+    for hi in np.cumsum(np.bincount(step)).tolist():
+        i = entry[lo:hi]
+        t = task[i]
+        ious = iou_array(boxes[i, None, :], gt_pad[t])
+        free = np.where(~taken[t] & (ious >= iou_threshold), ious, -math.inf)
+        best = free.argmax(axis=1)
+        matched = free[np.arange(len(i)), best] > -math.inf
+        taken[t[matched], best[matched]] = True
+        hit[i] = matched
+        lo = hi
+    return hit
+
+
+def _pooled_aps(columns: ResultColumns, pools, iou_threshold: float) -> list[float]:
+    """The AP of each pool (label_id, scene_ids, gt_by_scene): the rows of
+    label_id on scene_ids, in that order, ranked as one list and matched
+    scene by scene against gt_by_scene. NaN for a pool with neither ground
+    truth nor detections, 0 for one with only one of them.
+
+    Each pool ranks its detections highest score first, stable on ties.
+    Each (pool, scene) with detections and ground truth is a task, and
+    _greedy_hits() matches every task's detections in one pass.
+    """
+    boxes, counts, scores = columns.boxes, columns.counts, columns.scores
+    keys = list(zip(columns.keys[:, 0].tolist(), columns.keys[:, 1].tolist()))
+    row_of = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first row
+    starts = np.cumsum(counts) - counts
+    if len(row_of) < len(keys):  # rows that share a key: join them into its first, in order
+        group = np.array([row_of[key] for key in keys], dtype=np.intp)
+        rows = np.argsort(group, kind="stable")
+        joined = _ranges(starts[rows], counts[rows])
+        boxes, scores = boxes[joined], scores[joined]
+        counts = np.bincount(group, weights=counts, minlength=len(keys)).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+
+    seg_row, seg_gt, n_scenes, n_gt = [], [], [], []
+    for label_id, scene_ids, gt_by_scene in pools:
+        seg_row += [row_of.get((label_id, scene_id), -1) for scene_id in scene_ids]
+        seg_gt += [gt_by_scene.get(scene_id, ()) for scene_id in scene_ids]
+        n_scenes.append(len(scene_ids))
+        n_gt.append(sum(map(len, gt_by_scene.values())))
+    seg_row, n_gt = np.array(seg_row, dtype=np.intp), np.array(n_gt, dtype=np.int64)
+    seg_pool = np.repeat(np.arange(len(pools)), n_scenes)
+    found = seg_row >= 0
+    is_task = found & (np.fromiter(map(len, seg_gt), dtype=np.intp, count=len(seg_gt)) > 0)
+    task_gt = [seg_gt[i] for i in np.flatnonzero(is_task).tolist()]
+    seg_task = np.where(is_task, np.cumsum(is_task) - 1, -1)[found]
+    seg_row, seg_pool = seg_row[found], seg_pool[found]
+
+    # Every pool's detections, its scenes' in order, ranked pool by pool.
+    n = counts[seg_row]
+    det = _ranges(starts[seg_row], n)
+    pool = np.repeat(seg_pool, n)
+    key = scores[det]
+    order = np.lexsort((np.negative(key, out=key), pool))
+    del key
+    det = det[order]
+    pool = pool[order]
+    task = np.repeat(seg_task, n)[order]
+    del order
+    size = np.bincount(pool, minlength=len(n_gt))
+    ranked = task >= 0
+    hit = np.zeros(len(task), dtype=bool)
+    hit[ranked] = _greedy_hits(boxes[det[ranked]], task[ranked], task_gt, iou_threshold)
+    hits = np.flatnonzero(hit)
+    rank = hits + 1 - (np.cumsum(size) - size)[pool[hits]]
+    aps = _all_point_aps(pool[hits], rank, np.maximum(n_gt, 1))
+    aps[n_gt == 0] = np.where(size[n_gt == 0] > 0, 0.0, math.nan)
+    return aps.tolist()
 
 
 def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float:
@@ -138,48 +276,10 @@ def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float
 
 def pooled_average_precision(dets_by_scene: dict, gt_by_scene: dict,
                              iou_threshold: float = 0.5) -> float:
-    """AP for one label pooled across scenes: one ranking, per-scene matching.
-
-    Detections are taken highest score first (stable on ties); each takes the
-    unmatched ground truth of its scene with the highest IoU at or above the
-    threshold (the first one wins on exact ties). Each detection is compared
-    with the ground truth of its own scene in one IoU matrix, padded to the
-    largest scene.
-    """
-    n_gt = sum(len(v) for v in gt_by_scene.values())
-    groups = [(scene_id, as_detection_arrays(dets)) for scene_id, dets in dets_by_scene.items()]
-    groups = [(scene_id, dets) for scene_id, dets in groups if len(dets.scores)]
-    if n_gt == 0:
-        return 0.0 if groups else math.nan
-    if not groups:
-        return 0.0
-    scores = np.concatenate([dets.scores for _, dets in groups])
-    order = np.argsort(-scores, kind="stable")
-    boxes = np.concatenate([dets.boxes for _, dets in groups])[order]
-    group = np.repeat(np.arange(len(groups)), [len(dets.scores) for _, dets in groups])[order]
-    gts = [gt_by_scene.get(scene_id, ()) for scene_id, _ in groups]
-    gt_pad = np.zeros((len(groups), max(len(g) for g in gts), 4))
-    valid = np.zeros(gt_pad.shape[:2], dtype=bool)
-    for k, g in enumerate(gts):
-        if len(g):
-            gt_pad[k, :len(g)] = g
-            valid[k, :len(g)] = True
-    ious = iou_array(boxes[:, None, :], gt_pad[group])
-    candidate = valid[group] & (ious >= iou_threshold)
-    flags = np.zeros(len(scores), dtype=bool)
-    # Greedy matching in rank order; only detections with a candidate can match.
-    rows = np.flatnonzero(candidate.any(axis=1))
-    taken = [[False] * gt_pad.shape[1] for _ in gts]
-    for i, g, row in zip(rows.tolist(), group[rows].tolist(),
-                         np.where(candidate[rows], ious[rows], -math.inf).tolist()):
-        best, best_iou = None, -math.inf
-        for j, v in enumerate(row):
-            if v > best_iou and not taken[g][j]:
-                best, best_iou = j, v
-        if best is not None:
-            taken[g][best] = True
-            flags[i] = True
-    return _ap_from_flags(flags, n_gt)
+    """AP for one label pooled across scenes: one ranking, per-scene matching,
+    as _pooled_aps() scores every label of a report."""
+    columns = result_columns({(0, scene_id): dets for scene_id, dets in dets_by_scene.items()})
+    return _pooled_aps(columns, [(0, tuple(dets_by_scene), gt_by_scene)], iou_threshold)[0]
 
 
 def harmonic_mean(a: float, b: float) -> float:
@@ -265,10 +365,9 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def _description_aps(table: Results, benchmark, iou_threshold) -> list[float]:
-    """One AP per description label, in the benchmark's label order."""
-    return [average_precision(table.get((label.label_id, label.scene_id), _NO_DETECTIONS),
-                              label.gt_boxes, iou_threshold)
+def _description_pools(benchmark) -> list[tuple]:
+    """One _pooled_aps() pool per description label: its own scene."""
+    return [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
             for label in benchmark.description_labels]
 
 
@@ -278,20 +377,18 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     """Full description-aware report over a benchmark instance.
 
     `results` covers both category and description labels, as anything
-    _normalize_results() takes: a Results table, JSONL rows
-    {label_id, scene_id, detections:[{box, score}]} or a mapping keyed by
-    (label_id, scene_id).
+    result_columns() takes: the columns of results.bin, a Results table,
+    JSONL rows {label_id, scene_id, detections:[{box, score}]} or a mapping
+    keyed by (label_id, scene_id). Every label is scored in one
+    _pooled_aps() call; a category label pools its rows in benchmark scene
+    order.
     """
-    table = _normalize_results(results)
-    cat_aps = []
-    for label in benchmark.category_labels:
-        dets_by_scene = {}
-        for scene in benchmark.scenes:
-            dets = table.get((label.label_id, scene.scene_id))
-            if dets is not None:
-                dets_by_scene[scene.scene_id] = dets
-        cat_aps.append(pooled_average_precision(dets_by_scene, label.gt_boxes, iou_threshold))
-    desc_aps = _description_aps(table, benchmark, iou_threshold)
+    scene_ids = tuple(dict.fromkeys(scene.scene_id for scene in benchmark.scenes))
+    cat_pools = [(label.label_id, scene_ids, label.gt_boxes)
+                 for label in benchmark.category_labels]
+    aps = _pooled_aps(result_columns(results), cat_pools + _description_pools(benchmark),
+                      iou_threshold)
+    cat_aps, desc_aps = aps[:len(cat_pools)], aps[len(cat_pools):]
     labels = benchmark.description_labels
 
     ap_categ = 100.0 * _mean(cat_aps)
@@ -300,7 +397,7 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     buckets = ([], [], [])
     for label, ap in zip(labels, desc_aps):
         buckets[_bucket(len(label.text.split()))].append(ap)
-    d3_full, d3_pres, d3_abs = d3_report(table, benchmark, iou_threshold, lexicon,
+    d3_full, d3_pres, d3_abs = d3_report(results, benchmark, iou_threshold, lexicon,
                                          description_aps=desc_aps)
     return MetricReport(
         AP=harmonic_mean(ap_categ, ap_descr),
@@ -330,8 +427,8 @@ def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5,
     used instead of scoring `results` again; omnilabel_report passes its own.
     """
     if description_aps is None:
-        description_aps = _description_aps(_normalize_results(results), benchmark,
-                                           iou_threshold)
+        description_aps = _pooled_aps(result_columns(results), _description_pools(benchmark),
+                                      iou_threshold)
     pres, absent = [], []
     for label, ap in zip(benchmark.description_labels, description_aps):
         (absent if is_absence(parse(label.text, lexicon)) else pres).append(ap)
@@ -405,7 +502,8 @@ RESULTS_TABLE = TableFormat("results table", RESULTS_MAGIC, 1, ("rows", "detecti
 def write_results_table(path, results) -> None:
     """results.bin: the Results table (anything _normalize_results() takes)
     as a RESULTS_TABLE in row order: int64 (label_id, scene_id) pairs, int64
-    per-row detection counts, float64 boxes (n, 4) and float64 scores (n,)."""
+    per-row detection counts, float64 boxes (n, 4) and float64 scores (n,).
+    Each row's arrays are written as they are, without a joined copy."""
     table = _normalize_results(results)
     dets = list(table.values())
     write_table(path, RESULTS_TABLE, (len(dets), sum(len(d.scores) for d in dets)),
@@ -413,17 +511,14 @@ def write_results_table(path, results) -> None:
                  [d.boxes for d in dets], [d.scores for d in dets]))
 
 
-def read_results_table(path) -> Results:
-    """The Results table of a write_results_table() file, each row's arrays
-    bit for bit as written. Checks the magic, the version, that the file is
-    exactly as long as its counts say, and that the per-row counts are
-    non-negative and sum to the detection count. Raises ValueError naming
-    the file."""
-    (_, n_dets), (keys, counts, boxes, scores) = read_table(path, RESULTS_TABLE)
-    table = Results()
-    for (label_id, scene_id), rows in zip(keys.tolist(), row_slices(path, counts, n_dets)):
-        table.extend(label_id, scene_id, DetectionArrays(boxes[rows], scores[rows]))
-    return table
+def read_results_table(path) -> ResultColumns:
+    """The ResultColumns of a write_results_table() file, bit for bit as
+    written. Checks the magic, the version, that the file is exactly as long
+    as its counts say, and that the per-row counts are non-negative and sum
+    to the detection count. Raises ValueError naming the file."""
+    (_, n_dets), columns = read_table(path, RESULTS_TABLE)
+    check_row_counts(path, columns[1], n_dets)
+    return ResultColumns(*columns)
 
 
 def write_description_labels(path, labels) -> None:

@@ -139,12 +139,19 @@ def read_table(path, fmt: TableFormat) -> tuple[tuple[int, ...], list[np.ndarray
     return tuple(counts), columns
 
 
-def row_slices(path, counts: np.ndarray, total: int) -> list[slice]:
-    """The slice of the grouped columns that each row holds, from the rows'
-    counts, which must be non-negative and sum to `total`."""
+def check_row_counts(path, counts: np.ndarray, total: int) -> list[int]:
+    """The rows' counts as ints, checked to be non-negative and to sum to
+    `total` exactly; raises ValueError naming the file otherwise."""
     counts = counts.tolist()
     if min(counts, default=0) < 0 or sum(counts) != total:
         raise ValueError(f"{path}: per-row counts must be non-negative and sum to {total}")
+    return counts
+
+
+def row_slices(path, counts: np.ndarray, total: int) -> list[slice]:
+    """The slice of the grouped columns that each row holds, from the rows'
+    counts, which must be non-negative and sum to `total`."""
+    counts = check_row_counts(path, counts, total)
     return [slice(end - n, end) for n, end in zip(counts, itertools.accumulate(counts))]
 
 

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from grounddesk import cli, corpus, evalkit, labeling, pipeline, scenegen, storage, targets
+from grounddesk import (cli, corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
+                        targets)
 from grounddesk.cli import ConfigError, load_config
 from grounddesk.groundnet import GroundingModel, Vocabulary, load_checkpoint
 
@@ -125,6 +126,28 @@ def test_config_error_exit_code(tmp_path):
                     "--set", "descriptions.target_length_words=1"]) == 2
     assert run_cli(["gen", "--out", str(tmp_path / "o"), "--set", "bogus=1"]) == 2
     assert run_cli(["gen", "--out", str(tmp_path / "o"), "--set", "pool=desk999"]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("descriptions.target_length_words", "28"),
+                                         ("descriptions.target_length_words", "30"),
+                                         ("eval.nw_choices", "[4, 28]")])
+def test_length_the_pool_cannot_reach_fails_before_any_stage(tmp_path, capsys, field, value):
+    """Gen, or eval's benchmark, would fail on such a length after earlier
+    stages wrote their files; the config check rejects it before --out exists."""
+    out = tmp_path / "o"
+    assert run_cli(["all", "--out", str(out), "--set", f"{field}={value}"]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lengths_the_pool_reaches_validate():
+    longest = min(map(corpus.max_length_words, corpus.build_entity_pool("desk20")))
+    defaults = load_config()
+    assert defaults["descriptions"]["target_length_words"] <= longest
+    assert max(defaults["eval"]["nw_choices"]) <= longest
+    config = load_config(overrides=[("descriptions.target_length_words", str(longest)),
+                                    ("eval.nw_choices", f"[3, {longest}]")])
+    assert config["descriptions"]["target_length_words"] == longest
 
 
 def test_parse_subcommand(capsys):
@@ -653,16 +676,44 @@ def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage
 
 
 def test_results_table_holds_what_results_jsonl_holds(corrupt_copy):
-    """Matching reads results.bin; it is the table that results.jsonl
-    exports, bit for bit, on a tree with a detection for every region."""
+    """Matching reads results.bin; its columns are the table that
+    results.jsonl exports, bit for bit, on a tree with a detection for every
+    region."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    table = evalkit.read_results_table(corrupt_copy / "results.bin")
-    exported = evalkit.read_results(corrupt_copy / "results.jsonl")
-    assert len(table) >= 6 and list(table) == list(exported)
-    for key, dets in table.items():
-        assert dets.boxes.tobytes() == exported[key].boxes.tobytes()
-        assert dets.scores.tobytes() == exported[key].scores.tobytes()
-        assert dets.boxes.shape == exported[key].boxes.shape
+    columns = evalkit.read_results_table(corrupt_copy / "results.bin")
+    exported = evalkit.result_columns(evalkit.read_results(corrupt_copy / "results.jsonl"))
+    assert len(columns.counts) >= 6
+    assert columns.keys.tolist() == exported.keys.tolist()
+    assert columns.counts.tolist() == exported.counts.tolist()
+    for got, want in ((columns.boxes, exported.boxes), (columns.scores, exported.scores)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_matching_report_is_the_report_of_the_json_export(corrupt_copy):
+    """On a tree with a detection for every region, the report that matching
+    writes from results.bin equals omnilabel_report of results.jsonl, the
+    JSON export, at IoU 0.5 and then at 0.75; re-matching leaves both
+    detection files byte-identical."""
+    out = corrupt_copy
+    pool = corpus.build_entity_pool("desk20")
+    lexicon = langparse.Lexicon.from_categories(pool)
+    written = {}
+    for thr, iou in ((0.5, []), (0.75, AT_075)):
+        assert run_cli(["eval", "--out", str(out)] + SMALL + EVERY_REGION + iou) == 0
+        files = {name: (out / name).read_bytes() for name in ("results.bin", "results.jsonl")}
+        assert files == written or not written
+        written = files
+        scenes = tuple(scenegen.read_scenes(out / "benchmark_scenes.jsonl"))
+        bench = evalkit.BenchmarkInstance(
+            scenes=scenes, features={}, category_labels=evalkit.category_labels(pool, scenes),
+            description_labels=tuple(evalkit.read_description_labels(
+                out / "benchmark_labels.jsonl")))
+        want = evalkit.omnilabel_report(evalkit.read_results(out / "results.jsonl"), bench,
+                                        iou_threshold=thr, lexicon=lexicon).to_json()
+        want["d3"] = {"full": want["d3_full"], "pres": want["d3_pres"], "abs": want["d3_abs"]}
+        assert (out / "report.json").read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert want["config"]["iou_threshold"] == thr and want["AP_categ"] > 0
+        assert want["AP_descr"] > 0
 
 
 def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypatch):

@@ -168,3 +168,15 @@ def test_desk80_generates_and_parses():
             tree = langparse.parse(desc.text)
             meta = desc.generator_metadata
             assert (tree.subject.start_token, tree.subject.end_token) == meta.subject_span
+
+
+def test_generation_reaches_each_categorys_longest_length(desk20):
+    """max_length_words is the pool's reachable bound: every category
+    generates 20 descriptions at its bound and none one word above it."""
+    for cat in desk20:
+        longest = corpus.max_length_words(cat)
+        descriptions = generate_descriptions(cat, DescriptionSpec(20, longest, seed=0))
+        assert max(len(d.text.split()) for d in descriptions) <= longest
+        with pytest.raises(CorpusError, match="achievable maximum"):
+            generate_descriptions(cat, DescriptionSpec(20, longest + 1, seed=0))
+    assert min(map(corpus.max_length_words, desk20)) == 27

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grounddesk import evalkit
-from grounddesk.evalkit import (DetectionArrays, Results, as_detection_arrays,
-                                average_precision, d3_report, harmonic_mean, iou, iou_array,
-                                omnilabel_report, pooled_average_precision)
+from grounddesk.evalkit import (LENGTH_BUCKETS, BenchmarkInstance, CategoryLabel,
+                                DescriptionLabel, DetectionArrays, Results, ResultColumns,
+                                as_detection_arrays, average_precision, d3_report,
+                                harmonic_mean, iou, iou_array, omnilabel_report,
+                                pooled_average_precision, result_columns)
+from grounddesk.langparse import is_absence, parse
 from grounddesk.scenegen import BenchmarkConfig, make_benchmark, read_scenes, write_scenes
+from grounddesk.storage import write_table
 
 
 # Brute-force PR integration, independent of the incremental evaluator: the
@@ -381,6 +385,202 @@ def test_pooled_ap_equals_the_loop_reference(scenes, thr):
         assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
+class _Scene:
+    def __init__(self, scene_id):
+        self.scene_id = scene_id
+
+
+# S, M and L descriptions, with and without an expression of absence.
+TEXTS = ("a dog", "a dog without dots", "a small brown dog next to a red cup",
+         "a black cat sitting on a wooden table without a small white cup")
+# A few shared scores make exact score ties common, and boxes on a grid of
+# quarters make exact IoU ties common: (0, 0, 1/2, 1/4) overlaps both
+# (0, 0, 1/4, 1/4) and (1/4, 0, 1/4, 1/4) at IoU 1/2.
+tie_scores = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+quarter_boxes = st.tuples(*[st.integers(0, 3).map(lambda v: v / 4)] * 2,
+                          *[st.integers(1, 2).map(lambda v: v / 4)] * 2)
+
+
+@st.composite
+def report_cases(draw):
+    """A benchmark with category and description labels and a results table
+    for it, as results.jsonl rows. Rows come in any order, may share a key,
+    may be empty and may name a label or scene the benchmark lacks; a label
+    may have no row and no ground truth. Detections often repeat a ground
+    truth box of their label."""
+    scene_ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    gt_boxes = st.lists(st.one_of(quarter_boxes, any_boxes), max_size=3)
+    categories = []
+    for label_id in range(draw(st.integers(0, 3))):
+        gt = {scene_id: draw(gt_boxes) for scene_id in scene_ids}
+        categories.append(CategoryLabel(label_id, f"c{label_id}",
+                                        {k: v for k, v in gt.items() if v}))
+    descriptions = tuple(
+        DescriptionLabel(100 + k, draw(st.sampled_from(scene_ids)), draw(st.sampled_from(TEXTS)),
+                         tuple(draw(gt_boxes)))
+        for k in range(draw(st.integers(0, 4))))
+    boxes_of = {}
+    for label in categories:
+        for scene_id, boxes in label.gt_boxes.items():
+            boxes_of.setdefault((label.label_id, scene_id), []).extend(boxes)
+    for label in descriptions:
+        boxes_of.setdefault((label.label_id, label.scene_id), []).extend(label.gt_boxes)
+    label_ids = [label.label_id for label in categories] + [label.label_id for label in descriptions]
+    any_key = st.tuples(st.sampled_from(label_ids + [99]), st.sampled_from(scene_ids + [42]))
+    key_with_gt = st.sampled_from(sorted(boxes_of)) if boxes_of else any_key
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = draw(st.one_of(key_with_gt, any_key))
+        own = boxes_of.get(key, [])
+        box = st.one_of(quarter_boxes, st.sampled_from(own) if own else any_boxes, any_boxes)
+        dets = draw(st.lists(st.tuples(box, tie_scores), max_size=4))
+        rows.append({"label_id": key[0], "scene_id": key[1],
+                     "detections": [{"box": list(b), "score": score} for b, score in dets]})
+    bench = BenchmarkInstance(scenes=tuple(_Scene(s) for s in scene_ids), features={},
+                              category_labels=tuple(categories), description_labels=descriptions)
+    return bench, rows
+
+
+def loop_aps(rows, bench, thr) -> list[float]:
+    """Each label's AP from one loop_pooled_ap() call, category labels
+    first: rows that share a key joined in order, a category label pooled
+    over the benchmark's scenes in their order."""
+    table = {}
+    for row in rows:
+        table.setdefault((row["label_id"], row["scene_id"]), []).extend(
+            (tuple(d["box"]), d["score"]) for d in row["detections"])
+    return [loop_pooled_ap({s.scene_id: table[label.label_id, s.scene_id] for s in bench.scenes
+                            if (label.label_id, s.scene_id) in table}, label.gt_boxes, thr)
+            for label in bench.category_labels] + [
+        loop_pooled_ap({label.scene_id: table.get((label.label_id, label.scene_id), [])},
+                       {label.scene_id: list(label.gt_boxes)}, thr)
+        for label in bench.description_labels]
+
+
+def kernel_aps(results, bench, thr) -> list[float]:
+    """The same APs from one _pooled_aps() call over the columns."""
+    scene_ids = tuple(s.scene_id for s in bench.scenes)
+    return evalkit._pooled_aps(
+        result_columns(results),
+        [(label.label_id, scene_ids, label.gt_boxes) for label in bench.category_labels]
+        + [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
+           for label in bench.description_labels], thr)
+
+
+def loop_report(rows, bench, thr) -> tuple[dict, tuple]:
+    """omnilabel_report(...).to_json() and d3_report() of `rows`, from the
+    loop_aps()."""
+    aps = loop_aps(rows, bench, thr)
+    cat_aps, desc_aps = aps[:len(bench.category_labels)], aps[len(bench.category_labels):]
+    labels = bench.description_labels
+
+    def mean(aps):
+        aps = [ap for ap in aps if not math.isnan(ap)]
+        return 100.0 * (sum(aps) / len(aps)) if aps else math.nan
+
+    def bucket(label):
+        n = len(label.text.split())
+        return 0 if n <= LENGTH_BUCKETS[0] else 1 if n <= LENGTH_BUCKETS[1] else 2
+
+    absent = [is_absence(parse(label.text)) for label in labels]
+    d3 = (mean(desc_aps), mean(ap for ap, a in zip(desc_aps, absent) if not a),
+          mean(ap for ap, a in zip(desc_aps, absent) if a))
+    ap_categ, ap_descr = mean(cat_aps), mean(desc_aps)
+    figures = {"AP": harmonic_mean(ap_categ, ap_descr), "AP_categ": ap_categ,
+               "AP_descr": ap_descr,
+               "AP_descr_pos": mean(ap for ap, l in zip(desc_aps, labels) if l.gt_boxes),
+               **{f"AP_descr_{name}": mean(ap for ap, l in zip(desc_aps, labels) if bucket(l) == b)
+                  for b, name in enumerate("SML")},
+               "d3_full": d3[0], "d3_pres": d3[1], "d3_abs": d3[2]}
+    row = {k: None if math.isnan(v) else v for k, v in figures.items()}
+    row["bucket_counts"] = [sum(bucket(l) == b for l in labels) for b in range(3)]
+    return row, d3
+
+
+def _same_floats(a, b) -> bool:
+    return all((math.isnan(x) and math.isnan(y)) or x == y for x, y in zip(a, b, strict=True))
+
+
+def _unjoined_columns(rows) -> ResultColumns:
+    """One column row per results.jsonl row, in file order: rows that share
+    a key stay apart, as a results.bin that another writer made may hold them."""
+    keys = np.array([(row["label_id"], row["scene_id"]) for row in rows], dtype=np.int64)
+    dets = [as_detection_arrays(row["detections"]) for row in rows]
+    return ResultColumns(keys.reshape(-1, 2), np.array([len(d.scores) for d in dets], dtype=np.int64),
+                         np.concatenate([np.empty((0, 4)), *(d.boxes for d in dets)]),
+                         np.concatenate([np.empty(0), *(d.scores for d in dets)]))
+
+
+_Q = 0.25
+# The first detection overlaps both ground truth boxes at IoU 1/2 and takes
+# the first; the second then finds its own box taken.
+_IOU_TIE = (BenchmarkInstance(
+    scenes=(_Scene(3),), features={}, category_labels=(),
+    description_labels=(DescriptionLabel(100, 3, "a dog", ((0, 0, _Q, _Q), (_Q, 0, _Q, _Q))),)),
+    [{"label_id": 100, "scene_id": 3, "detections": [{"box": [0, 0, 2 * _Q, _Q], "score": 0.9}]},
+     {"label_id": 100, "scene_id": 3, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.8}]}])
+# Two rows share a key; the score tie between them is broken in file order.
+_JOINED_TIE = (BenchmarkInstance(
+    scenes=(_Scene(0),), features={}, category_labels=(),
+    description_labels=(DescriptionLabel(100, 0, "a dog", ((0, 0, _Q, _Q),)),)),
+    [{"label_id": 100, "scene_id": 0, "detections": [{"box": [0.5, 0.5, _Q, _Q], "score": 0.5},
+                                                     {"box": [0.5, 0, _Q, _Q], "score": 0.5}]},
+     {"label_id": 101, "scene_id": 0, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]},
+     {"label_id": 100, "scene_id": 0, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_cases(), st.sampled_from([0.5, 0.75, 1.0]))
+@example(_IOU_TIE, 0.5)
+@example(_JOINED_TIE, 0.5)
+def test_reports_equal_the_per_label_loop_reference(tmp_path_factory, case, thr):
+    """omnilabel_report and d3_report score every label in one pass over the
+    table's columns; each figure equals the per-label loop's bit for bit,
+    NaN for NaN, from rows, from the Results table, from its columns, and
+    from a results.bin whose rows that share a key stay apart."""
+    bench, rows = case
+    want, want_d3 = loop_report(rows, bench, thr)
+    path = tmp_path_factory.mktemp("unjoined") / "results.bin"
+    columns = _unjoined_columns(rows)
+    write_table(path, evalkit.RESULTS_TABLE, (len(columns.counts), len(columns.scores)),
+                [[column] for column in columns])
+    want_aps = loop_aps(rows, bench, thr)
+    for form in (rows, evalkit._normalize_results(rows), result_columns(rows),
+                 evalkit.read_results_table(path)):
+        assert _same_floats(kernel_aps(form, bench, thr), want_aps)
+        got = omnilabel_report(form, bench, iou_threshold=thr).to_json()
+        assert {k: got[k] for k in want} == want
+        assert _same_floats(d3_report(form, bench, thr), want_d3)
+
+
+@pytest.mark.parametrize("thr", [0.5, 0.75])
+def test_report_of_a_large_table_equals_the_per_label_loop_reference(desk20, thr):
+    """Pools with hundreds of detections and dozens of true positives, where
+    a sum in any other order than rank order would round differently."""
+    bench = make_benchmark(desk20, 120, seed=3, config=BenchmarkConfig(fraction_negative=0.5))
+    rng = np.random.default_rng(0)
+    rows = []
+    for label in bench.category_labels + bench.description_labels:
+        for scene in bench.scenes:
+            gt = (label.gt_boxes.get(scene.scene_id, []) if isinstance(label, CategoryLabel)
+                  else label.gt_boxes if label.scene_id == scene.scene_id else None)
+            if gt is None:
+                continue
+            dets = [{"box": (np.asarray(box) + rng.normal(0, 0.002, 4)).tolist(),
+                     "score": float(rng.choice([0.5, rng.random()]))} for box in gt]
+            dets += [{"box": [*rng.uniform(0, 0.7, 2), *rng.uniform(0.05, 0.3, 2)],
+                      "score": float(rng.random())} for _ in range(int(rng.integers(0, 4)))]
+            rows.append({"label_id": label.label_id, "scene_id": scene.scene_id,
+                         "detections": dets})
+    rng.shuffle(rows)
+    assert _same_floats(kernel_aps(rows, bench, thr), loop_aps(rows, bench, thr))
+    want, want_d3 = loop_report(rows, bench, thr)
+    got = omnilabel_report(rows, bench, iou_threshold=thr)
+    assert {k: got.to_json()[k] for k in want} == want
+    assert _same_floats((got.d3_full, got.d3_pres, got.d3_abs), want_d3)
+    assert 0 < got.AP_categ < 100
+
+
 @settings(max_examples=200, deadline=None)
 @given(scored, st.lists(any_boxes, max_size=5), st.randoms(use_true_random=False),
        st.sampled_from([lambda s: 3.0 * s + 0.5, lambda s: s * s * s, math.sqrt]))
@@ -449,21 +649,24 @@ def test_results_rows_round_trip_through_the_table(small_benchmark):
     assert list(evalkit._normalize_results(rows).rows()) == rows
 
 
-def _same_table(a: Results, b: Results) -> bool:
-    """Same keys in the same order and the same arrays, bit for bit."""
-    return list(a) == list(b) and all(
-        a[k].boxes.dtype == b[k].boxes.dtype == a[k].scores.dtype == b[k].scores.dtype
-        and a[k].boxes.shape == b[k].boxes.shape and a[k].scores.shape == b[k].scores.shape
-        and a[k].boxes.tobytes() == b[k].boxes.tobytes()
-        and a[k].scores.tobytes() == b[k].scores.tobytes() for k in a)
+def _same_columns(a: ResultColumns, b: ResultColumns) -> bool:
+    """Same keys and counts in the same order, and the same boxes and scores
+    with the same shapes, bit for bit."""
+    return (a.keys.tolist() == b.keys.tolist() and a.counts.tolist() == b.counts.tolist()
+            and a.keys.shape == b.keys.shape and a.counts.shape == b.counts.shape
+            and all(x.dtype == y.dtype == np.float64 and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()
+                    for x, y in ((a.boxes, b.boxes), (a.scores, b.scores))))
 
 
 def test_empty_results_table_round_trips(tmp_path):
     path = tmp_path / "results.bin"
     evalkit.write_results_table(path, Results())
     assert path.read_bytes() == evalkit.RESULTS_MAGIC + struct.pack("<HQQ", 1, 0, 0)
-    table = evalkit.read_results_table(path)
-    assert isinstance(table, Results) and table == {}
+    columns = evalkit.read_results_table(path)
+    assert isinstance(columns, ResultColumns)
+    assert [column.shape for column in columns] == [(0, 2), (0,), (0, 4), (0,)]
+    assert columns.keys.dtype == columns.counts.dtype == np.int64
 
 
 any_rows = st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1),
@@ -486,7 +689,9 @@ def test_results_table_round_trips_bit_for_bit(tmp_path_factory, rows):
     rows = _rows(rows)
     path = tmp_path_factory.mktemp("table") / "results.bin"
     evalkit.write_results_table(path, rows)
-    assert _same_table(evalkit.read_results_table(path), evalkit._normalize_results(rows))
+    columns = evalkit.read_results_table(path)
+    assert columns.keys.dtype == columns.counts.dtype == np.int64
+    assert _same_columns(columns, result_columns(rows))
 
 
 def _damaged_tables(raw: bytes, n_rows: int):
