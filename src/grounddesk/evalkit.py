@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -153,26 +154,16 @@ def _all_point_aps(hit_pool: np.ndarray, hit_rank: np.ndarray, n_gt: np.ndarray)
     the best precision at or after it, and the terms are summed in rank
     order. (After the last true positive, and between two, precision only
     falls, so the best precision after a rank is that of a true positive.)
-    The pools' true positives are padded into rows, a pool of m of them into
-    a row of the power of two at or above m."""
+    The pools' true positives are padded into one row per pool, as wide as
+    the most any pool has."""
     m = np.bincount(hit_pool, minlength=len(n_gt))
     tp = np.arange(1, len(hit_pool) + 1) - (np.cumsum(m) - m)[hit_pool]
     recall = tp / n_gt[hit_pool]
     step = recall - np.where(tp > 1, np.concatenate([[0.0], recall[:-1]]), 0.0)
-    precision = tp / hit_rank
-    width = np.array([1 << (int(n) - 1).bit_length() for n in m])
-    aps = np.zeros(len(n_gt))
-    for w in np.unique(width[m > 0]).tolist():
-        pools = np.flatnonzero((width == w) & (m > 0))
-        row = np.full(len(n_gt), -1)
-        row[pools] = np.arange(len(pools))
-        hits = np.flatnonzero(row[hit_pool] >= 0)
-        at = (row[hit_pool[hits]], tp[hits] - 1)
-        best, steps = np.zeros((2, len(pools), w))
-        best[at], steps[at] = precision[hits], step[hits]
-        best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
-        aps[pools] = np.cumsum(steps * best, axis=1)[:, -1]
-    return aps
+    best, steps = np.zeros((2, len(n_gt), m.max(initial=0)))
+    best[hit_pool, tp - 1], steps[hit_pool, tp - 1] = tp / hit_rank, step
+    best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
+    return np.cumsum(steps * best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(n_gt))
 
 
 def _greedy_hits(boxes: np.ndarray, task: np.ndarray, task_gt: list,
@@ -183,7 +174,8 @@ def _greedy_hits(boxes: np.ndarray, task: np.ndarray, task_gt: list,
     Step k takes the k-th detection of every task at once: each takes the
     untaken ground truth box of its task with the highest IoU at or above
     the threshold, the first on exact ties. Only the tasks' ground truth is
-    padded, to the most boxes a task has."""
+    padded, to the most boxes a task has, and each detection's IoUs with it
+    are computed once, before the first step."""
     hit = np.zeros(len(task), dtype=bool)
     if not task_gt:
         return hit
@@ -191,22 +183,24 @@ def _greedy_hits(boxes: np.ndarray, task: np.ndarray, task_gt: list,
     entry = entry[np.argsort(task[entry], kind="stable")]
     per_task = np.bincount(task[entry], minlength=len(task_gt))
     step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task[entry]]
-    entry = entry[np.argsort(step, kind="stable")]
+    order = np.argsort(step, kind="stable")
+    entry, step = entry[order], step[order]
     n_gt = np.array([len(gt) for gt in task_gt])
     valid = np.arange(n_gt.max()) < n_gt[:, None]
     gt_pad = np.zeros((*valid.shape, 4))
     gt_pad[valid] = np.array([box for gt in task_gt for box in gt], dtype=float).reshape(-1, 4)
-    taken = ~valid
+    t_all = task[entry]
+    ious = iou_array(boxes[entry, None, :], gt_pad[t_all])
+    ious[~(valid[t_all] & (ious >= iou_threshold))] = -math.inf
+    taken = np.zeros(valid.shape, dtype=bool)
     lo = 0
     for hi in np.cumsum(np.bincount(step)).tolist():
-        i = entry[lo:hi]
-        t = task[i]
-        ious = iou_array(boxes[i, None, :], gt_pad[t])
-        free = np.where(~taken[t] & (ious >= iou_threshold), ious, -math.inf)
+        t = t_all[lo:hi]
+        free = np.where(taken[t], -math.inf, ious[lo:hi])
         best = free.argmax(axis=1)
-        matched = free[np.arange(len(i)), best] > -math.inf
+        matched = free[np.arange(hi - lo), best] > -math.inf
         taken[t[matched], best[matched]] = True
-        hit[i] = matched
+        hit[entry[lo:hi]] = matched
         lo = hi
     return hit
 
@@ -270,16 +264,33 @@ def _pooled_aps(columns: ResultColumns, pools, iou_threshold: float) -> list[flo
 
 
 def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float:
-    """AP for one label on one scene; NaN when both sides are empty."""
-    return pooled_average_precision({0: detections}, {0: list(gt_boxes)}, iou_threshold)
+    """AP for one label: NaN when it has neither ground truth nor detections,
+    0 when it has only one of them. `detections` and `gt_boxes` are its
+    detections and ground truth boxes on one scene or, to pool the label
+    across scenes, a mapping scene_id -> boxes with, for the detections,
+    either a mapping scene_id -> detections or the ResultColumns of the
+    label's rows. Pooled detections are ranked as one list, in scene order
+    on equal scores, and matched scene by scene, as _pooled_aps() scores a
+    pool."""
+    if not isinstance(gt_boxes, Mapping):
+        detections, gt_boxes = {0: detections}, {0: list(gt_boxes)}
+    if isinstance(detections, ResultColumns):
+        columns = detections
+        label_id = columns.keys[0, 0] if len(columns.keys) else 0
+        scene_ids = tuple(dict.fromkeys(columns.keys[:, 1].tolist()))
+    else:
+        columns = result_columns({(0, scene_id): dets for scene_id, dets in detections.items()})
+        label_id, scene_ids = 0, tuple(detections)
+    return _pooled_aps(columns, [(label_id, scene_ids, gt_boxes)], iou_threshold)[0]
 
 
-def pooled_average_precision(dets_by_scene: dict, gt_by_scene: dict,
+def pooled_average_precision(dets_by_scene, gt_by_scene: dict,
                              iou_threshold: float = 0.5) -> float:
-    """AP for one label pooled across scenes: one ranking, per-scene matching,
-    as _pooled_aps() scores every label of a report."""
-    columns = result_columns({(0, scene_id): dets for scene_id, dets in dets_by_scene.items()})
-    return _pooled_aps(columns, [(0, tuple(dets_by_scene), gt_by_scene)], iou_threshold)[0]
+    """AP for one label pooled across scenes: average_precision() of its
+    detections by scene (a mapping, or the ResultColumns of its rows) and its
+    ground truth by scene. omnilabel_report() scores each category label by
+    one call."""
+    return average_precision(dets_by_scene, gt_by_scene, iou_threshold)
 
 
 def harmonic_mean(a: float, b: float) -> float:
@@ -371,6 +382,25 @@ def _description_pools(benchmark) -> list[tuple]:
             for label in benchmark.description_labels]
 
 
+def _category_rows(columns: ResultColumns, benchmark) -> list[ResultColumns]:
+    """Each category label's rows of `columns`, in benchmark scene order
+    (rows that share a key stay in file order); rows on other scenes are
+    left out."""
+    position = {scene_id: i for i, scene_id
+                in enumerate(dict.fromkeys(scene.scene_id for scene in benchmark.scenes))}
+    scene_pos = np.array([position.get(scene_id, -1) for scene_id in columns.keys[:, 1].tolist()],
+                         dtype=np.intp)
+    starts = np.cumsum(columns.counts) - columns.counts
+    out = []
+    for label in benchmark.category_labels:
+        rows = np.flatnonzero((columns.keys[:, 0] == label.label_id) & (scene_pos >= 0))
+        rows = rows[np.argsort(scene_pos[rows], kind="stable")]
+        dets = _ranges(starts[rows], columns.counts[rows])
+        out.append(ResultColumns(columns.keys[rows], columns.counts[rows],
+                                 columns.boxes[dets], columns.scores[dets]))
+    return out
+
+
 def omnilabel_report(results, benchmark: BenchmarkInstance,
                      iou_threshold: float = 0.5,
                      lexicon: Lexicon | None = None) -> MetricReport:
@@ -379,16 +409,15 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     `results` covers both category and description labels, as anything
     result_columns() takes: the columns of results.bin, a Results table,
     JSONL rows {label_id, scene_id, detections:[{box, score}]} or a mapping
-    keyed by (label_id, scene_id). Every label is scored in one
-    _pooled_aps() call; a category label pools its rows in benchmark scene
-    order.
+    keyed by (label_id, scene_id). Each category label is scored by one
+    pooled_average_precision() call on its rows, pooled in benchmark scene
+    order; the description labels by one _pooled_aps() call.
     """
-    scene_ids = tuple(dict.fromkeys(scene.scene_id for scene in benchmark.scenes))
-    cat_pools = [(label.label_id, scene_ids, label.gt_boxes)
-                 for label in benchmark.category_labels]
-    aps = _pooled_aps(result_columns(results), cat_pools + _description_pools(benchmark),
-                      iou_threshold)
-    cat_aps, desc_aps = aps[:len(cat_pools)], aps[len(cat_pools):]
+    columns = result_columns(results)
+    cat_aps = [pooled_average_precision(rows, label.gt_boxes, iou_threshold)
+               for label, rows in zip(benchmark.category_labels,
+                                      _category_rows(columns, benchmark))]
+    desc_aps = _pooled_aps(columns, _description_pools(benchmark), iou_threshold)
     labels = benchmark.description_labels
 
     ap_categ = 100.0 * _mean(cat_aps)
@@ -397,7 +426,7 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     buckets = ([], [], [])
     for label, ap in zip(labels, desc_aps):
         buckets[_bucket(len(label.text.split()))].append(ap)
-    d3_full, d3_pres, d3_abs = d3_report(results, benchmark, iou_threshold, lexicon,
+    d3_full, d3_pres, d3_abs = d3_report(columns, benchmark, iou_threshold, lexicon,
                                          description_aps=desc_aps)
     return MetricReport(
         AP=harmonic_mean(ap_categ, ap_descr),

@@ -380,9 +380,18 @@ def test_pooled_ap_equals_the_loop_reference(scenes, thr):
     gts = {k: g for k, (_d, g) in enumerate(scenes)}
     want = loop_pooled_ap(dets, gts, thr)
     arrays = {k: as_detection_arrays(d) for k, d in dets.items()}
-    for form in (dets, arrays):
-        got = pooled_average_precision(form, gts, thr)
-        assert (math.isnan(got) and math.isnan(want)) or got == want
+    # The label's rows as columns, in scene order; the first scene's
+    # detections are split over two rows that share its key.
+    first = dets[0]
+    rows = [{"label_id": 7, "scene_id": 0, "detections": first[:len(first) // 2]},
+            {"label_id": 7, "scene_id": 0, "detections": first[len(first) // 2:]}]
+    rows += [{"label_id": 7, "scene_id": k, "detections": d} for k, d in dets.items() if k]
+    columns = _unjoined_columns([{**row, "detections": [{"box": b, "score": s}
+                                                         for b, s in row["detections"]]}
+                                 for row in rows])
+    for form in (dets, arrays, columns):
+        for got in (pooled_average_precision(form, gts, thr), average_precision(form, gts, thr)):
+            assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
 class _Scene:
@@ -534,8 +543,8 @@ _JOINED_TIE = (BenchmarkInstance(
 @example(_IOU_TIE, 0.5)
 @example(_JOINED_TIE, 0.5)
 def test_reports_equal_the_per_label_loop_reference(tmp_path_factory, case, thr):
-    """omnilabel_report and d3_report score every label in one pass over the
-    table's columns; each figure equals the per-label loop's bit for bit,
+    """omnilabel_report and d3_report score every label from the table's
+    columns; each figure equals the per-label loop's bit for bit,
     NaN for NaN, from rows, from the Results table, from its columns, and
     from a results.bin whose rows that share a key stay apart."""
     bench, rows = case
