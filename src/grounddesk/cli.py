@@ -386,9 +386,10 @@ def _train(config, out, workers):
 
 def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
-    benchmark, run the model on it and write its detections and labels. The
-    detections go to results.jsonl, the export, and to results.bin, the table
-    that matching reads."""
+    benchmark, run the model on it and write its detections and ground
+    truth. Matching reads the two tables, results.bin and
+    benchmark_truth.bin; results.jsonl, benchmark_scenes.jsonl and
+    benchmark_labels.jsonl are their JSON exports."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -401,21 +402,17 @@ def _eval_scores(config, out, workers):
     scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
     evalkit.write_description_labels(os.path.join(out, "benchmark_labels.jsonl"),
                                      bench.description_labels)
+    evalkit.write_benchmark_truth(os.path.join(out, "benchmark_truth.bin"), bench)
     print(f"eval: scored {len(bench.scenes)} benchmark scenes")
 
 
 def _eval(config, out, workers):
     """The matching half of eval: match the detections the scoring half wrote
-    at eval.iou_threshold, always from its files."""
-    pool, lexicon = _pool_and_lexicon(config)
-    scenes = tuple(_read(out, "benchmark_scenes.jsonl", scenegen.read_scenes))
-    bench = evalkit.BenchmarkInstance(
-        scenes=scenes, features={}, category_labels=evalkit.category_labels(pool, scenes),
-        description_labels=tuple(_read(out, "benchmark_labels.jsonl",
-                                       evalkit.read_description_labels)))
+    at eval.iou_threshold, always from its two tables."""
+    bench = _read(out, "benchmark_truth.bin", evalkit.read_benchmark_truth)
     iou_threshold = config["eval"]["iou_threshold"]
     report = evalkit.omnilabel_report(_read(out, "results.bin", evalkit.read_results_table), bench,
-                                      iou_threshold=iou_threshold, lexicon=lexicon)
+                                      iou_threshold=iou_threshold)
     payload = report.to_json()
     payload["d3"] = {"full": payload["d3_full"], "pres": payload["d3_pres"],
                      "abs": payload["d3_abs"]}
@@ -482,10 +479,10 @@ STAGES = {
                                    "eval.aggregation"),
                    {"model.ckpt": "train", "model.vocab.json": "train"},
                    ("results.jsonl", "results.bin", "benchmark_scenes.jsonl",
-                    "benchmark_labels.jsonl"), _eval_scores),
-             Stage("eval", ("pool", "eval.iou_threshold"),
-                   {"results.bin": "eval", "benchmark_scenes.jsonl": "eval",
-                    "benchmark_labels.jsonl": "eval"}, ("report.json",), _eval)),
+                    "benchmark_labels.jsonl", "benchmark_truth.bin"), _eval_scores),
+             Stage("eval", ("eval.iou_threshold",),
+                   {"results.bin": "eval", "benchmark_truth.bin": "eval"}, ("report.json",),
+                   _eval)),
     "report": (Stage("report", tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
                      {"report.json": "eval"}, ("summary.json",), _report, manifest=False),),
 }

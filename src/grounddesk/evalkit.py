@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .langparse import Lexicon, is_absence, parse
-from .storage import (TableFormat, check_row_counts, read_jsonl, read_table, write_jsonl,
-                      write_table)
+from .langparse import Lexicon, ParseTree, is_absence, parse
+from .storage import (TableFormat, check_row_counts, read_jsonl, read_table, row_slices,
+                      write_jsonl, write_table)
 
 LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
@@ -302,16 +302,30 @@ def harmonic_mean(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class CategoryLabel:
     label_id: int
-    name: str
+    name: str | None  # None when read back from benchmark_truth.bin
     gt_boxes: dict  # scene_id -> list of boxes
 
 
 @dataclass(frozen=True)
 class DescriptionLabel:
+    """A description label on one scene. `words`, the text's word count,
+    sets its length bucket, and `absent` says whether the text expresses
+    absence; both are fixed when the label is made (description_label()),
+    so scoring never parses. A label read back from benchmark_truth.bin has
+    no text."""
     label_id: int
     scene_id: int
-    text: str
+    text: str | None
     gt_boxes: tuple
+    words: int
+    absent: bool
+
+
+def description_label(label_id: int, scene_id: int, text: str, gt_boxes,
+                      tree: ParseTree) -> DescriptionLabel:
+    """The DescriptionLabel of `text`, given its parse `tree`."""
+    return DescriptionLabel(label_id, scene_id, text, tuple(gt_boxes), len(text.split()),
+                            is_absence(tree))
 
 
 def category_labels(pool, scenes) -> tuple[CategoryLabel, ...]:
@@ -330,10 +344,15 @@ def category_labels(pool, scenes) -> tuple[CategoryLabel, ...]:
 
 @dataclass(frozen=True)
 class BenchmarkInstance:
-    scenes: tuple
-    features: dict  # scene_id -> RegionFeatures
+    """The benchmark's scene ids in order and its labels: all that matching
+    needs, and all that read_benchmark_truth() gives back. A benchmark built
+    in memory also holds its Scenes and their features (scene_id ->
+    RegionFeatures), which running a model on it needs."""
+    scene_ids: tuple[int, ...]
     category_labels: tuple[CategoryLabel, ...]
     description_labels: tuple[DescriptionLabel, ...]
+    scenes: tuple = ()
+    features: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -386,8 +405,7 @@ def _category_rows(columns: ResultColumns, benchmark) -> list[ResultColumns]:
     """Each category label's rows of `columns`, in benchmark scene order
     (rows that share a key stay in file order); rows on other scenes are
     left out."""
-    position = {scene_id: i for i, scene_id
-                in enumerate(dict.fromkeys(scene.scene_id for scene in benchmark.scenes))}
+    position = {scene_id: i for i, scene_id in enumerate(dict.fromkeys(benchmark.scene_ids))}
     scene_pos = np.array([position.get(scene_id, -1) for scene_id in columns.keys[:, 1].tolist()],
                          dtype=np.intp)
     starts = np.cumsum(columns.counts) - columns.counts
@@ -402,8 +420,7 @@ def _category_rows(columns: ResultColumns, benchmark) -> list[ResultColumns]:
 
 
 def omnilabel_report(results, benchmark: BenchmarkInstance,
-                     iou_threshold: float = 0.5,
-                     lexicon: Lexicon | None = None) -> MetricReport:
+                     iou_threshold: float = 0.5) -> MetricReport:
     """Full description-aware report over a benchmark instance.
 
     `results` covers both category and description labels, as anything
@@ -425,8 +442,8 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     ap_pos = 100.0 * _mean(ap for label, ap in zip(labels, desc_aps) if label.gt_boxes)
     buckets = ([], [], [])
     for label, ap in zip(labels, desc_aps):
-        buckets[_bucket(len(label.text.split()))].append(ap)
-    d3_full, d3_pres, d3_abs = d3_report(columns, benchmark, iou_threshold, lexicon,
+        buckets[_bucket(label.words)].append(ap)
+    d3_full, d3_pres, d3_abs = d3_report(columns, benchmark, iou_threshold,
                                          description_aps=desc_aps)
     return MetricReport(
         AP=harmonic_mean(ap_categ, ap_descr),
@@ -447,10 +464,10 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     )
 
 
-def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5,
-              lexicon: Lexicon | None = None, *,
+def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5, *,
               description_aps=None) -> tuple[float, float, float]:
-    """(FULL, PRES, ABS) description APs partitioned by expressions of absence.
+    """(FULL, PRES, ABS) description APs partitioned by each label's
+    absence flag.
 
     `description_aps`, one AP per description label in benchmark order, are
     used instead of scoring `results` again; omnilabel_report passes its own.
@@ -460,7 +477,7 @@ def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5,
                                       iou_threshold)
     pres, absent = [], []
     for label, ap in zip(benchmark.description_labels, description_aps):
-        (absent if is_absence(parse(label.text, lexicon)) else pres).append(ap)
+        (absent if label.absent else pres).append(ap)
     return 100.0 * _mean(description_aps), 100.0 * _mean(pres), 100.0 * _mean(absent)
 
 
@@ -557,10 +574,81 @@ def write_description_labels(path, labels) -> None:
                         "gt_boxes": [list(box) for box in label.gt_boxes]} for label in labels))
 
 
-def _description_label(row) -> DescriptionLabel:
-    return DescriptionLabel(row["label_id"], row["scene_id"], row["text"],
-                            tuple(tuple(box) for box in row["gt_boxes"]))
+def read_description_labels(path, lexicon: Lexicon | None = None) -> list[DescriptionLabel]:
+    """The labels of a benchmark_labels.jsonl file, each text parsed with
+    `lexicon` for its absence flag."""
+    return read_jsonl(path, lambda row: description_label(
+        row["label_id"], row["scene_id"], row["text"],
+        (tuple(box) for box in row["gt_boxes"]), parse(row["text"], lexicon)))
 
 
-def read_description_labels(path) -> list[DescriptionLabel]:
-    return read_jsonl(path, _description_label)
+TRUTH_TABLE = TableFormat(
+    "benchmark truth table", b"GDBT", 1,
+    ("scenes", "category_labels", "category_scenes", "category_boxes",
+     "description_labels", "description_boxes"),
+    (("<i8", ("scenes",)),  # scene ids, in benchmark order
+     ("<i8", ("category_labels",)),  # category label ids
+     ("<i8", ("category_labels",)),  # scenes per category label
+     ("<i8", ("category_scenes",)),  # each category label's scenes, in order
+     ("<i8", ("category_scenes",)),  # boxes per (category label, scene)
+     ("<f8", ("category_boxes", 4)),
+     ("<i8", ("description_labels",)),  # description label ids
+     ("<i8", ("description_labels",)),  # their scenes
+     ("<i8", ("description_labels",)),  # their word counts
+     ("<u1", ("description_labels",)),  # their absence flags, 0 or 1
+     ("<i8", ("description_labels",)),  # boxes per description label
+     ("<f8", ("description_boxes", 4))))
+
+
+def _box_chunk(boxes) -> np.ndarray:
+    return np.array(boxes, dtype=float).reshape(-1, 4)
+
+
+def write_benchmark_truth(path, benchmark: BenchmarkInstance) -> None:
+    """benchmark_truth.bin: what matching needs of the benchmark, as one
+    TRUTH_TABLE: its scene ids, each category label's boxes by scene (the
+    scenes that have its objects, in order) and each description label's
+    scene, boxes, word count and absence flag. Label names and texts are
+    left out. A later version can add per-description columns, such as the
+    role of each object on the label's scene, after these."""
+    cats, descs = benchmark.category_labels, benchmark.description_labels
+    cat_gt = [gt for label in cats for gt in label.gt_boxes.values()]
+    columns = ([benchmark.scene_ids], [[label.label_id for label in cats]],
+               [[len(label.gt_boxes) for label in cats]],
+               [[scene_id for label in cats for scene_id in label.gt_boxes]],
+               [[len(gt) for gt in cat_gt]], [_box_chunk(gt) for gt in cat_gt],
+               [[label.label_id for label in descs]], [[label.scene_id for label in descs]],
+               [[label.words for label in descs]], [[label.absent for label in descs]],
+               [[len(label.gt_boxes) for label in descs]],
+               [_box_chunk(label.gt_boxes) for label in descs])
+    counts = (len(benchmark.scene_ids), len(cats), len(cat_gt), sum(map(len, cat_gt)),
+              len(descs), sum(len(label.gt_boxes) for label in descs))
+    write_table(path, TRUTH_TABLE, counts, columns)
+
+
+def read_benchmark_truth(path) -> BenchmarkInstance:
+    """The BenchmarkInstance of a write_benchmark_truth() file: scene ids and
+    labels, with boxes as written bit for bit, and no scenes, features,
+    names or texts. Checks the magic, the version and the exact length; that
+    the scenes per category label, the boxes per (category label, scene) and
+    the boxes per description label are non-negative and sum to the counts
+    in the header; and that every absence flag is 0 or 1. Raises ValueError
+    naming the file."""
+    (_, _, n_cat_scenes, n_cat_boxes, _, n_desc_boxes), columns = read_table(path, TRUTH_TABLE)
+    (scene_ids, cat_ids, cat_scene_counts, cat_scenes, cat_box_counts, cat_boxes,
+     desc_ids, desc_scenes, desc_words, desc_absent, desc_box_counts, desc_boxes) = columns
+    if desc_absent.max(initial=0) > 1:
+        raise ValueError(f"{path}: absence flags must be 0 or 1")
+    cat_boxes = list(map(tuple, cat_boxes.tolist()))
+    cat_gt = [cat_boxes[rows] for rows in row_slices(path, cat_box_counts, n_cat_boxes)]
+    cat_scenes = cat_scenes.tolist()
+    cats = tuple(CategoryLabel(label_id, None, dict(zip(cat_scenes[rows], cat_gt[rows])))
+                 for label_id, rows in zip(cat_ids.tolist(),
+                                           row_slices(path, cat_scene_counts, n_cat_scenes)))
+    desc_boxes = list(map(tuple, desc_boxes.tolist()))
+    descs = tuple(DescriptionLabel(label_id, scene_id, None, tuple(desc_boxes[rows]), words,
+                                   bool(absent))
+                  for label_id, scene_id, words, absent, rows
+                  in zip(desc_ids.tolist(), desc_scenes.tolist(), desc_words.tolist(),
+                         desc_absent.tolist(), row_slices(path, desc_box_counts, n_desc_boxes)))
+    return BenchmarkInstance(tuple(scene_ids.tolist()), cats, descs)

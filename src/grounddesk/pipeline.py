@@ -272,9 +272,9 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
     cat_chunks = [cat_labels[lo:lo + prompt_chunk]
                   for lo in range(0, len(cat_labels), prompt_chunk)]
     cat_prompts = [prompt([c.name for c in chunk]) for chunk in cat_chunks]
-    for scene in benchmark.scenes:
+    for scene_id in benchmark.scene_ids:
         for chunk, chunk_prompt in zip(cat_chunks, cat_prompts):
-            score(scene.scene_id, chunk, chunk_prompt)
+            score(scene_id, chunk, chunk_prompt)
 
     by_scene: dict[int, list] = {}
     for label in benchmark.description_labels:
@@ -290,7 +290,7 @@ def evaluate_model(model: GroundingModel, benchmark: BenchmarkInstance,
                    score_threshold: float = 0.5, iou_threshold: float = 0.5,
                    lexicon: Lexicon | None = None, agg: str = "max") -> MetricReport:
     results = run_model_on_benchmark(model, benchmark, score_threshold, lexicon, agg=agg)
-    return omnilabel_report(results, benchmark, iou_threshold=iou_threshold, lexicon=lexicon)
+    return omnilabel_report(results, benchmark, iou_threshold=iou_threshold)
 
 
 def train_variant(bundle: CorpusBundle, triplets, variant: SignalVariant,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pools
 from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
-from .evalkit import BenchmarkInstance, DescriptionLabel, category_labels, iou as box_iou
+from .evalkit import BenchmarkInstance, category_labels, description_label, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
 from .seeding import derive_seed
 from .storage import TableFormat, read_jsonl, read_table, row_slices, write_jsonl, write_table
@@ -441,13 +441,13 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                                       d=config.feature_dim, b=config.background_boxes,
                                       sigma=config.noise_sigma)
         gt = tuple(scene.object_by_id(r).box for r in sorted(scene.referent_ids))
-        desc_labels.append(DescriptionLabel(desc_label_id, i, desc.text, gt))
+        desc_labels.append(description_label(desc_label_id, i, desc.text, gt, tree))
         desc_label_id += 1
 
         present = {o.category for o in scene.objects}
         n_neg = int(neg_per_scene) + (1 if rng.random() < neg_per_scene % 1.0 else 0)
         for k in range(n_neg):
-            neg_text = None
+            neg_text = neg_tree = None
             for attempt in range(10):
                 nspec = DescriptionSpec(1, nw, seed=derive_seed(seed, "bench-neg", i, k, attempt))
                 cand = generate_descriptions(cat, nspec)[0].text
@@ -458,7 +458,7 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                 # and its context entities are absent too
                 mentions = {" ".join(phrase_noun_tokens(cand_tree, p)) for p in cand_tree.phrases[1:]}
                 if not mentions & present and not evaluate_referents(scene, cand_tree):
-                    neg_text = cand
+                    neg_text, neg_tree = cand, cand_tree
                     break
             if neg_text is None:
                 # fall back to a category absent from the scene: zero referents for sure
@@ -471,15 +471,16 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                     cand = generate_descriptions(alt, nspec)[0].text
                     cand_tree = parse(cand, lexicon)
                     mentions = {" ".join(phrase_noun_tokens(cand_tree, p)) for p in cand_tree.phrases[1:]}
-                    neg_text = cand
+                    neg_text, neg_tree = cand, cand_tree
                     if not mentions & present:
                         break
-            desc_labels.append(DescriptionLabel(desc_label_id, i, neg_text, ()))
+            desc_labels.append(description_label(desc_label_id, i, neg_text, (), neg_tree))
             desc_label_id += 1
 
-    return BenchmarkInstance(scenes=tuple(scenes), features=features,
+    return BenchmarkInstance(scene_ids=tuple(scene.scene_id for scene in scenes),
                              category_labels=category_labels(pool, scenes),
-                             description_labels=tuple(desc_labels))
+                             description_labels=tuple(desc_labels),
+                             scenes=tuple(scenes), features=features)
 
 
 FEATURE_TABLE = TableFormat("feature table", b"GDFT", 1, ("scenes", "rows", "width"),

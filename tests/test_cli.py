@@ -202,7 +202,7 @@ def test_pipeline_writes_all_artifacts(pipeline_dir):
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
                 "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
                 "benchmark_labels.jsonl", "report.json", "summary.json", "features.bin",
-                "label_stats.json", "results.bin"]
+                "label_stats.json", "results.bin", "benchmark_truth.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
     assert not os.path.exists(os.path.join(pipeline_dir, "features"))
@@ -404,6 +404,8 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bench.scenes) == cli_bytes("benchmark_scenes.jsonl")
     assert written("benchmark_labels.jsonl", evalkit.write_description_labels,
                    bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
+    assert written("benchmark_truth.bin", evalkit.write_benchmark_truth,
+                   bench) == cli_bytes("benchmark_truth.bin")
 
 
 MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
@@ -642,21 +644,22 @@ def test_scoring_setting_or_new_model_rebuilds_the_scores(corrupt_copy, capsys, 
     assert "up to date" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("filename", ["benchmark_labels.jsonl", "benchmark_scenes.jsonl"])
-def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, filename):
-    """A score file damaged before its manifest was written counts as
-    current; matching from it fails on the cut line and names the file."""
+@pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2],
+                                    lambda raw: b"JUNK" + raw[4:]], ids=["truncated", "magic"])
+def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, damage):
+    """The score file of the ground truth that matching reads,
+    benchmark_truth.bin, cut in half or with a bad magic before its
+    manifest was written, counts as current; matching from it fails and
+    names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    path = corrupt_copy / filename
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"
-    path.write_text("".join(lines))
+    path = corrupt_copy / "benchmark_truth.bin"
+    path.write_bytes(damage(path.read_bytes()))
     manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
-    manifest["outputs"][filename] = storage.sha256_file(path)
+    manifest["outputs"]["benchmark_truth.bin"] = storage.sha256_file(path)
     storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
-    assert "artifact error" in err and f"{filename} line 2" in err
+    assert "artifact error" in err and "benchmark_truth.bin" in err
 
 
 @pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: b"JUNK" + raw[4:]],
@@ -691,25 +694,34 @@ def test_results_table_holds_what_results_jsonl_holds(corrupt_copy):
 
 def test_matching_report_is_the_report_of_the_json_export(corrupt_copy):
     """On a tree with a detection for every region, the report that matching
-    writes from results.bin equals omnilabel_report of results.jsonl, the
-    JSON export, at IoU 0.5 and then at 0.75; re-matching leaves both
-    detection files byte-identical."""
+    writes from results.bin and benchmark_truth.bin equals omnilabel_report
+    of the JSON exports at IoU 0.5, 0.75 and 1.0: results.jsonl, and the
+    benchmark rebuilt from benchmark_scenes.jsonl and benchmark_labels.jsonl
+    with each absence flag from the parse of its text. Re-matching leaves
+    every score file byte-identical."""
     out = corrupt_copy
     pool = corpus.build_entity_pool("desk20")
     lexicon = langparse.Lexicon.from_categories(pool)
+    score_files = cli.STAGES["eval"][0].outputs
     written = {}
-    for thr, iou in ((0.5, []), (0.75, AT_075)):
+    for thr in (0.5, 0.75, 1.0):
+        iou = ["--set", f"eval.iou_threshold={thr}"]
         assert run_cli(["eval", "--out", str(out)] + SMALL + EVERY_REGION + iou) == 0
-        files = {name: (out / name).read_bytes() for name in ("results.bin", "results.jsonl")}
+        files = {name: (out / name).read_bytes() for name in score_files}
         assert files == written or not written
         written = files
         scenes = tuple(scenegen.read_scenes(out / "benchmark_scenes.jsonl"))
+        labels = storage.read_jsonl(out / "benchmark_labels.jsonl", lambda row: row)
         bench = evalkit.BenchmarkInstance(
-            scenes=scenes, features={}, category_labels=evalkit.category_labels(pool, scenes),
-            description_labels=tuple(evalkit.read_description_labels(
-                out / "benchmark_labels.jsonl")))
+            scene_ids=tuple(scene.scene_id for scene in scenes),
+            category_labels=evalkit.category_labels(pool, scenes),
+            description_labels=tuple(evalkit.DescriptionLabel(
+                row["label_id"], row["scene_id"], row["text"],
+                tuple(map(tuple, row["gt_boxes"])), len(row["text"].split()),
+                langparse.is_absence(langparse.parse(row["text"], lexicon))) for row in labels))
+        assert any(label.absent for label in bench.description_labels)
         want = evalkit.omnilabel_report(evalkit.read_results(out / "results.jsonl"), bench,
-                                        iou_threshold=thr, lexicon=lexicon).to_json()
+                                        iou_threshold=thr).to_json()
         want["d3"] = {"full": want["d3_full"], "pres": want["d3_pres"], "abs": want["d3_abs"]}
         assert (out / "report.json").read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
         assert want["config"]["iou_threshold"] == thr and want["AP_categ"] > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -134,6 +135,10 @@ def test_pooled_ap_reduces_to_single_scene():
             assert pooled == pytest.approx(single)
 
 
+def _described(label_id, scene_id, text, gt_boxes) -> DescriptionLabel:
+    return evalkit.description_label(label_id, scene_id, text, gt_boxes, parse(text))
+
+
 def test_harmonic_mean_identities():
     assert harmonic_mean(0.0, 0.0) == 0.0
     assert harmonic_mean(30.0, 30.0) == 30.0
@@ -213,18 +218,14 @@ def test_d3_partition(small_benchmark):
 
 def test_d3_hand_computed_mix():
     # two scenes, one plain and one absence description each, hand-scored
-    from grounddesk.evalkit import BenchmarkInstance, DescriptionLabel
     box = (0.1, 0.1, 0.2, 0.2)
     far = (0.6, 0.6, 0.2, 0.2)
     labels = (
-        DescriptionLabel(0, 0, "a dog", (box,)),
-        DescriptionLabel(1, 0, "a dog without dots", (far,)),
+        _described(0, 0, "a dog", (box,)),
+        _described(1, 0, "a dog without dots", (far,)),
     )
-    class Scene:
-        def __init__(self, scene_id):
-            self.scene_id = scene_id
-    bench = BenchmarkInstance(scenes=(Scene(0),), features={}, category_labels=(),
-                              description_labels=labels)
+    assert [label.absent for label in labels] == [False, True]
+    bench = BenchmarkInstance(scene_ids=(0,), category_labels=(), description_labels=labels)
     rows = [
         {"label_id": 0, "scene_id": 0, "detections": [{"box": list(box), "score": 0.9}]},
         {"label_id": 1, "scene_id": 0, "detections": [{"box": list(box), "score": 0.9},
@@ -295,8 +296,8 @@ def test_description_labels_round_trip(tmp_path, small_benchmark):
 
 @pytest.mark.parametrize("seed", [5, 11])
 def test_category_labels_from_written_scenes_equal_the_benchmarks(tmp_path, desk20, seed):
-    """The matching half rebuilds the category labels from
-    benchmark_scenes.jsonl; they equal the ones make_benchmark built."""
+    """The category labels rebuilt from benchmark_scenes.jsonl, the JSON
+    export, equal the ones make_benchmark built."""
     bench = make_benchmark(desk20, 10, seed=seed)
     path = tmp_path / "benchmark_scenes.jsonl"
     write_scenes(path, bench.scenes)
@@ -394,11 +395,6 @@ def test_pooled_ap_equals_the_loop_reference(scenes, thr):
             assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
-class _Scene:
-    def __init__(self, scene_id):
-        self.scene_id = scene_id
-
-
 # S, M and L descriptions, with and without an expression of absence.
 TEXTS = ("a dog", "a dog without dots", "a small brown dog next to a red cup",
          "a black cat sitting on a wooden table without a small white cup")
@@ -425,8 +421,8 @@ def report_cases(draw):
         categories.append(CategoryLabel(label_id, f"c{label_id}",
                                         {k: v for k, v in gt.items() if v}))
     descriptions = tuple(
-        DescriptionLabel(100 + k, draw(st.sampled_from(scene_ids)), draw(st.sampled_from(TEXTS)),
-                         tuple(draw(gt_boxes)))
+        _described(100 + k, draw(st.sampled_from(scene_ids)), draw(st.sampled_from(TEXTS)),
+                   draw(gt_boxes))
         for k in range(draw(st.integers(0, 4))))
     boxes_of = {}
     for label in categories:
@@ -445,8 +441,8 @@ def report_cases(draw):
         dets = draw(st.lists(st.tuples(box, tie_scores), max_size=4))
         rows.append({"label_id": key[0], "scene_id": key[1],
                      "detections": [{"box": list(b), "score": score} for b, score in dets]})
-    bench = BenchmarkInstance(scenes=tuple(_Scene(s) for s in scene_ids), features={},
-                              category_labels=tuple(categories), description_labels=descriptions)
+    bench = BenchmarkInstance(scene_ids=tuple(scene_ids), category_labels=tuple(categories),
+                              description_labels=descriptions)
     return bench, rows
 
 
@@ -458,8 +454,8 @@ def loop_aps(rows, bench, thr) -> list[float]:
     for row in rows:
         table.setdefault((row["label_id"], row["scene_id"]), []).extend(
             (tuple(d["box"]), d["score"]) for d in row["detections"])
-    return [loop_pooled_ap({s.scene_id: table[label.label_id, s.scene_id] for s in bench.scenes
-                            if (label.label_id, s.scene_id) in table}, label.gt_boxes, thr)
+    return [loop_pooled_ap({s: table[label.label_id, s] for s in bench.scene_ids
+                            if (label.label_id, s) in table}, label.gt_boxes, thr)
             for label in bench.category_labels] + [
         loop_pooled_ap({label.scene_id: table.get((label.label_id, label.scene_id), [])},
                        {label.scene_id: list(label.gt_boxes)}, thr)
@@ -468,10 +464,9 @@ def loop_aps(rows, bench, thr) -> list[float]:
 
 def kernel_aps(results, bench, thr) -> list[float]:
     """The same APs from one _pooled_aps() call over the columns."""
-    scene_ids = tuple(s.scene_id for s in bench.scenes)
     return evalkit._pooled_aps(
         result_columns(results),
-        [(label.label_id, scene_ids, label.gt_boxes) for label in bench.category_labels]
+        [(label.label_id, bench.scene_ids, label.gt_boxes) for label in bench.category_labels]
         + [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
            for label in bench.description_labels], thr)
 
@@ -524,14 +519,14 @@ _Q = 0.25
 # The first detection overlaps both ground truth boxes at IoU 1/2 and takes
 # the first; the second then finds its own box taken.
 _IOU_TIE = (BenchmarkInstance(
-    scenes=(_Scene(3),), features={}, category_labels=(),
-    description_labels=(DescriptionLabel(100, 3, "a dog", ((0, 0, _Q, _Q), (_Q, 0, _Q, _Q))),)),
+    scene_ids=(3,), category_labels=(),
+    description_labels=(_described(100, 3, "a dog", ((0, 0, _Q, _Q), (_Q, 0, _Q, _Q))),)),
     [{"label_id": 100, "scene_id": 3, "detections": [{"box": [0, 0, 2 * _Q, _Q], "score": 0.9}]},
      {"label_id": 100, "scene_id": 3, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.8}]}])
 # Two rows share a key; the score tie between them is broken in file order.
 _JOINED_TIE = (BenchmarkInstance(
-    scenes=(_Scene(0),), features={}, category_labels=(),
-    description_labels=(DescriptionLabel(100, 0, "a dog", ((0, 0, _Q, _Q),)),)),
+    scene_ids=(0,), category_labels=(),
+    description_labels=(_described(100, 0, "a dog", ((0, 0, _Q, _Q),)),)),
     [{"label_id": 100, "scene_id": 0, "detections": [{"box": [0.5, 0.5, _Q, _Q], "score": 0.5},
                                                      {"box": [0.5, 0, _Q, _Q], "score": 0.5}]},
      {"label_id": 101, "scene_id": 0, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]},
@@ -560,6 +555,87 @@ def test_reports_equal_the_per_label_loop_reference(tmp_path_factory, case, thr)
         got = omnilabel_report(form, bench, iou_threshold=thr).to_json()
         assert {k: got[k] for k in want} == want
         assert _same_floats(d3_report(form, bench, thr), want_d3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_cases(), st.sampled_from([0.5, 0.75, 1.0]))
+@example(_IOU_TIE, 0.5)
+@example(_JOINED_TIE, 0.5)
+def test_truth_table_reads_back_a_benchmark_that_scores_the_same(tmp_path_factory, case, thr):
+    """benchmark_truth.bin gives back the scene ids and each label's id,
+    scenes, boxes, word count and absence flag as written, and the report
+    of the read-back benchmark equals the original's bit for bit, NaN for
+    NaN."""
+    bench, rows = case
+    path = tmp_path_factory.mktemp("truth") / "benchmark_truth.bin"
+    evalkit.write_benchmark_truth(path, bench)
+    back = evalkit.read_benchmark_truth(path)
+    assert back.scene_ids == bench.scene_ids
+    assert [(label.label_id, label.gt_boxes) for label in back.category_labels] == [
+        (label.label_id, {k: list(v) for k, v in label.gt_boxes.items()})
+        for label in bench.category_labels]
+    assert back.description_labels == tuple(
+        dataclasses.replace(label, text=None, gt_boxes=tuple(map(tuple, label.gt_boxes)))
+        for label in bench.description_labels)
+    want = omnilabel_report(rows, bench, iou_threshold=thr)
+    got = omnilabel_report(rows, back, iou_threshold=thr)
+    assert got.to_json() == want.to_json()
+
+
+def _damaged_truth_tables(raw: bytes):
+    """Every proper prefix of a truth table; the table with one magic byte,
+    its version or one header count changed; each per-label scene count,
+    per-scene box count and per-description box count column with its first
+    count raised, and, with two counts or more, made -1 with the second
+    raised to keep the sum; and the first absence flag made 2."""
+    fmt = evalkit.TRUTH_TABLE
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    head = len(fmt.magic)
+    for i in range(head):
+        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+    counts = struct.unpack_from(f"<{len(fmt.counts)}Q", raw, head + 2)
+    for at, size in [(head, "<H")] + [(head + 2 + 8 * i, "<Q") for i in range(len(counts))]:
+        (value,) = struct.unpack_from(size, raw, at)
+        for other in (value + 1, value - 1):
+            if other >= 0:
+                yield raw[:at] + struct.pack(size, other) + raw[at + struct.calcsize(size):]
+    at, offsets = head + 2 + 8 * len(counts), []
+    for (dtype, _), shape in zip(fmt.columns, fmt.shapes(counts)):
+        offsets.append(at)
+        at += np.dtype(dtype).itemsize * math.prod(shape)
+    shapes = fmt.shapes(counts)
+    for column in (2, 4, 10):  # the three per-row count columns
+        at, n = offsets[column], shapes[column][0]
+        if n >= 1:
+            (first,) = struct.unpack_from("<q", raw, at)
+            yield raw[:at] + struct.pack("<q", first + 1) + raw[at + 8:]
+        if n >= 2:
+            first, second = struct.unpack_from("<qq", raw, at)
+            yield raw[:at] + struct.pack("<qq", -1, second + first + 1) + raw[at + 16:]
+    if shapes[9][0]:
+        at = offsets[9]
+        yield raw[:at] + b"\x02" + raw[at + 1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_cases())
+@example(_IOU_TIE)
+def test_truth_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory, case):
+    path = tmp_path_factory.mktemp("bad") / "benchmark_truth.bin"
+    evalkit.write_benchmark_truth(path, case[0])
+    raw = path.read_bytes()
+    for damaged in _damaged_truth_tables(raw):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=r"benchmark_truth\.bin"):
+            evalkit.read_benchmark_truth(path)
+
+
+def test_empty_truth_table_round_trips(tmp_path):
+    path = tmp_path / "benchmark_truth.bin"
+    evalkit.write_benchmark_truth(path, BenchmarkInstance((), (), ()))
+    assert path.read_bytes() == b"GDBT" + struct.pack("<H6Q", 1, *[0] * 6)
+    assert evalkit.read_benchmark_truth(path) == BenchmarkInstance((), (), ())
 
 
 @pytest.mark.parametrize("thr", [0.5, 0.75])
