@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +147,59 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
+def _index_of(values: np.ndarray, *queries: np.ndarray) -> list[np.ndarray]:
+    """For each array of queries, the index of each query's first occurrence
+    in `values`, -1 where it has none. Numeric ids are found by
+    np.searchsorted in their sorted distinct values; object arrays, as
+    result_columns() makes from JSON rows, through a dict, so that any
+    hashable id works."""
+    if values.dtype == object or any(q.dtype == object for q in queries):
+        first = dict(zip(values.tolist()[::-1], range(len(values) - 1, -1, -1)))
+        return [np.fromiter((first.get(query, -1) for query in q.tolist()), dtype=np.intp,
+                            count=len(q)) for q in queries]
+    if not len(values):
+        return [np.full(len(q), -1, dtype=np.intp) for q in queries]
+    distinct, first = np.unique(values, return_index=True)
+    found = []
+    for q in queries:
+        at = np.minimum(np.searchsorted(distinct, q), len(distinct) - 1)
+        found.append(np.where(distinct[at] == q, first[at], -1))
+    return found
+
+
+def _stable_argsort(codes: np.ndarray) -> np.ndarray:
+    """np.argsort(codes, kind="stable") of integer codes; numpy sorts them
+    by radix when they fit in uint16."""
+    if len(codes) and 0 <= codes.min() and codes.max() <= np.iinfo(np.uint16).max:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
+
+
+def _ranking(scores: np.ndarray, pools: np.ndarray) -> np.ndarray:
+    """np.lexsort((-scores, pools)): the indices pool by pool, each pool's
+    highest score first, NaN last, equal scores in index order. One unstable
+    argsort of -scores, which numpy runs as a SIMD sort, then a stable pass
+    on the pools (_stable_argsort()). Distinct scores have one order, so
+    only a run of equal scores, or of NaNs, within one pool can come out of
+    index order; such runs are put back in it."""
+    key = np.negative(scores)
+    order = np.argsort(key)
+    many_pools = len(pools) > 0 and pools.min() != pools.max()
+    if many_pools:
+        order = order[_stable_argsort(pools[order])]
+    key = key[order]
+    nan = np.isnan(key)
+    tied = (key[1:] == key[:-1]) | (nan[1:] & nan[:-1])
+    if many_pools:
+        ranked = pools[order]
+        tied &= ranked[1:] == ranked[:-1]
+    if tied.any():
+        run = np.concatenate([[0], np.cumsum(~tied)])
+        at = np.flatnonzero(np.concatenate([tied, [False]]) | np.concatenate([[False], tied]))
+        order[at] = order[at][np.lexsort((order[at], run[at]))]
+    return order
+
+
 def _all_point_aps(hit_pool: np.ndarray, hit_rank: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
     """Each pool's area under its all-point interpolated precision-recall
     curve, from its true positives: hit_pool, sorted, and hit_rank, the
@@ -166,32 +220,36 @@ def _all_point_aps(hit_pool: np.ndarray, hit_rank: np.ndarray, n_gt: np.ndarray)
     return np.cumsum(steps * best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(n_gt))
 
 
-def _greedy_hits(boxes: np.ndarray, task: np.ndarray, task_gt: list,
-                 iou_threshold: float) -> np.ndarray:
-    """Which ranked detections are true positives. Detection i has box
-    boxes[i] and belongs to task task[i] (-1 for none), whose ground truth
-    boxes are task_gt[task[i]]; each task's detections come in rank order.
-    Step k takes the k-th detection of every task at once: each takes the
-    untaken ground truth box of its task with the highest IoU at or above
-    the threshold, the first on exact ties. Only the tasks' ground truth is
-    padded, to the most boxes a task has, and each detection's IoUs with it
-    are computed once, before the first step."""
+def _greedy_hits(boxes: np.ndarray, task: np.ndarray, position: np.ndarray,
+                 gt_boxes: np.ndarray, gt_counts: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Which task detections are true positives. Detection i has box
+    boxes[i] and belongs to task task[i], whose ground truth is the
+    gt_counts[task[i]] rows of gt_boxes after those of the tasks before it;
+    position[i] is its place in the ranking. In rank order, each detection
+    of a task takes the untaken ground truth box of its task with the
+    highest IoU at or above the threshold, the first on exact ties.
+
+    A detection whose IoU reaches the threshold with no box of its task, a
+    non-candidate, can neither hit nor take a box, so the steps go over the
+    candidates only: step k takes the k-th candidate of every task, in rank
+    order, at once. Only the tasks' ground truth is padded, to the most
+    boxes a task has, and each detection's IoUs with it are computed once,
+    before the first step."""
     hit = np.zeros(len(task), dtype=bool)
-    if not task_gt:
+    if not len(task):
         return hit
-    entry = np.flatnonzero(task >= 0)
-    entry = entry[np.argsort(task[entry], kind="stable")]
-    per_task = np.bincount(task[entry], minlength=len(task_gt))
-    step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task[entry]]
-    order = np.argsort(step, kind="stable")
-    entry, step = entry[order], step[order]
-    n_gt = np.array([len(gt) for gt in task_gt])
-    valid = np.arange(n_gt.max()) < n_gt[:, None]
+    valid = np.arange(gt_counts.max()) < gt_counts[:, None]
     gt_pad = np.zeros((*valid.shape, 4))
-    gt_pad[valid] = np.array([box for gt in task_gt for box in gt], dtype=float).reshape(-1, 4)
+    gt_pad[valid] = gt_boxes
+    ious = iou_array(boxes[:, None, :], np.take(gt_pad, task, axis=0))
+    reach = valid[task] & (ious >= iou_threshold)
+    entry = np.flatnonzero(reach.any(axis=1))
+    entry = entry[np.lexsort((position[entry], task[entry]))]
+    per_task = np.bincount(task[entry], minlength=len(gt_counts))
+    step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task[entry]]
+    entry = entry[_stable_argsort(step)]
     t_all = task[entry]
-    ious = iou_array(boxes[entry, None, :], gt_pad[t_all])
-    ious[~(valid[t_all] & (ious >= iou_threshold))] = -math.inf
+    ious = np.where(reach[entry], ious[entry], -math.inf)
     taken = np.zeros(valid.shape, dtype=bool)
     lo = 0
     for hi in np.cumsum(np.bincount(step)).tolist():
@@ -211,54 +269,71 @@ def _pooled_aps(columns: ResultColumns, pools, iou_threshold: float) -> list[flo
     scene by scene against gt_by_scene. NaN for a pool with neither ground
     truth nor detections, 0 for one with only one of them.
 
-    Each pool ranks its detections highest score first, stable on ties.
-    Each (pool, scene) with detections and ground truth is a task, and
-    _greedy_hits() matches every task's detections in one pass.
+    Each (pool, scene) is a segment. Segments find their rows, and their
+    ground truth, by sorted-key joins: the (label, scene) keys are coded by
+    _index_of() and the rows' codes sorted once, stably, so that rows that
+    share a key join in file order. Each pool ranks its detections highest
+    score first, stable on ties (_ranking()): one SIMD argsort of the
+    negated scores and a stable pass on the pools, after which only runs of
+    equal scores within a pool are put back in file order. A segment with
+    detections and ground truth is a task, and _greedy_hits() steps over
+    every task's candidates in one pass; a true positive's rank in its pool
+    comes from the inverse permutation of the ranking.
     """
     boxes, counts, scores = columns.boxes, columns.counts, columns.scores
-    keys = list(zip(columns.keys[:, 0].tolist(), columns.keys[:, 1].tolist()))
-    row_of = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first row
-    starts = np.cumsum(counts) - counts
-    if len(row_of) < len(keys):  # rows that share a key: join them into its first, in order
-        group = np.array([row_of[key] for key in keys], dtype=np.intp)
-        rows = np.argsort(group, kind="stable")
-        joined = _ranges(starts[rows], counts[rows])
-        boxes, scores = boxes[joined], scores[joined]
-        counts = np.bincount(group, weights=counts, minlength=len(keys)).astype(np.int64)
-        starts = np.cumsum(counts) - counts
+    dtype = object if columns.keys.dtype == object else None
+    label_ids, scene_lists, gts = zip(*pools) if pools else ((), (), ())
+    n_pools = len(pools)
+    n_scenes = np.fromiter(map(len, scene_lists), dtype=np.intp, count=n_pools)
+    seg_pool = np.repeat(np.arange(n_pools), n_scenes)
+    label_ids = np.array(label_ids, dtype=dtype)
+    seg_scene = np.array(list(chain.from_iterable(scene_lists)), dtype=dtype)
+    n_segs = len(seg_pool)
 
-    seg_row, seg_gt, n_scenes, n_gt = [], [], [], []
-    for label_id, scene_ids, gt_by_scene in pools:
-        seg_row += [row_of.get((label_id, scene_id), -1) for scene_id in scene_ids]
-        seg_gt += [gt_by_scene.get(scene_id, ()) for scene_id in scene_ids]
-        n_scenes.append(len(scene_ids))
-        n_gt.append(sum(map(len, gt_by_scene.values())))
-    seg_row, n_gt = np.array(seg_row, dtype=np.intp), np.array(n_gt, dtype=np.int64)
-    seg_pool = np.repeat(np.arange(len(pools)), n_scenes)
-    found = seg_row >= 0
-    is_task = found & (np.fromiter(map(len, seg_gt), dtype=np.intp, count=len(seg_gt)) > 0)
-    task_gt = [seg_gt[i] for i in np.flatnonzero(is_task).tolist()]
-    seg_task = np.where(is_task, np.cumsum(is_task) - 1, -1)[found]
-    seg_row, seg_pool = seg_row[found], seg_pool[found]
+    # Each segment's rows, and its ground truth, by (label, scene) and
+    # (pool, scene) keys coded by the segments' own ids.
+    gt_lists = [scene_gt for gt in gts for scene_gt in gt.values()]
+    gt_counts = np.fromiter(map(len, gt_lists), dtype=np.intp, count=len(gt_lists))
+    gt_pool = np.repeat(np.arange(n_pools), np.fromiter(map(len, gts), dtype=np.intp,
+                                                        count=n_pools))
+    n_gt = np.bincount(gt_pool, weights=gt_counts, minlength=n_pools).astype(np.int64)
+    row_label, label_code = _index_of(label_ids, columns.keys[:, 0], label_ids)
+    row_scene, scene_code, gt_scene = _index_of(
+        seg_scene, columns.keys[:, 1], seg_scene,
+        np.array(list(chain.from_iterable(gts)), dtype=dtype))
+    row_code = np.where((row_label >= 0) & (row_scene >= 0), row_label * n_segs + row_scene, -1)
+    seg_code = label_code[seg_pool] * n_segs + scene_code
+    rows = np.flatnonzero(row_code >= 0)
+    rows = rows[_stable_argsort(row_code[rows])]
+    lo = np.searchsorted(row_code[rows], seg_code, "left")
+    n_rows = np.searchsorted(row_code[rows], seg_code, "right") - lo
+    rows = rows[_ranges(lo, n_rows)]
+    n = counts[rows]
+    det = _ranges((np.cumsum(counts) - counts)[rows], n)
+    det_seg = np.repeat(np.repeat(np.arange(n_segs), n_rows), n)
+    (seg_gt,) = _index_of(np.where(gt_scene >= 0, gt_pool * n_segs + gt_scene, -1),
+                          seg_pool * n_segs + scene_code)
+    # seg_gt is -1 for a segment without ground truth: the appended 0.
+    is_task = ((np.bincount(det_seg, minlength=n_segs) > 0)
+               & (np.append(gt_counts, 0)[seg_gt] > 0))
+    task_gt = seg_gt[is_task]
+    seg_task = np.where(is_task, np.cumsum(is_task) - 1, -1)
 
-    # Every pool's detections, its scenes' in order, ranked pool by pool.
-    n = counts[seg_row]
-    det = _ranges(starts[seg_row], n)
-    pool = np.repeat(seg_pool, n)
-    key = scores[det]
-    order = np.lexsort((np.negative(key, out=key), pool))
-    del key
-    det = det[order]
-    pool = pool[order]
-    task = np.repeat(seg_task, n)[order]
-    del order
-    size = np.bincount(pool, minlength=len(n_gt))
-    ranked = task >= 0
-    hit = np.zeros(len(task), dtype=bool)
-    hit[ranked] = _greedy_hits(boxes[det[ranked]], task[ranked], task_gt, iou_threshold)
-    hits = np.flatnonzero(hit)
-    rank = hits + 1 - (np.cumsum(size) - size)[pool[hits]]
-    aps = _all_point_aps(pool[hits], rank, np.maximum(n_gt, 1))
+    pool = seg_pool[det_seg]
+    order = _ranking(scores[det], pool)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    size = np.bincount(pool, minlength=n_pools)
+    task = seg_task[det_seg]
+    tasked = np.flatnonzero(task >= 0)
+    gt_boxes = np.array([box for i in task_gt.tolist() for box in gt_lists[i]],
+                        dtype=float).reshape(-1, 4)
+    hit = _greedy_hits(np.take(boxes, det[tasked], axis=0), task[tasked], position[tasked],
+                       gt_boxes, gt_counts[task_gt], iou_threshold)
+    hit_at = np.sort(position[tasked[hit]])
+    hit_pool = pool[order[hit_at]]
+    rank = hit_at + 1 - (np.cumsum(size) - size)[hit_pool]
+    aps = _all_point_aps(hit_pool, rank, np.maximum(n_gt, 1))
     aps[n_gt == 0] = np.where(size[n_gt == 0] > 0, 0.0, math.nan)
     return aps.tolist()
 
@@ -401,22 +476,27 @@ def _description_pools(benchmark) -> list[tuple]:
             for label in benchmark.description_labels]
 
 
-def _category_rows(columns: ResultColumns, benchmark) -> list[ResultColumns]:
+def _category_rows(columns: ResultColumns, benchmark) -> Iterator[ResultColumns]:
     """Each category label's rows of `columns`, in benchmark scene order
-    (rows that share a key stay in file order); rows on other scenes are
-    left out."""
-    position = {scene_id: i for i, scene_id in enumerate(dict.fromkeys(benchmark.scene_ids))}
-    scene_pos = np.array([position.get(scene_id, -1) for scene_id in columns.keys[:, 1].tolist()],
-                         dtype=np.intp)
-    starts = np.cumsum(columns.counts) - columns.counts
-    out = []
-    for label in benchmark.category_labels:
-        rows = np.flatnonzero((columns.keys[:, 0] == label.label_id) & (scene_pos >= 0))
-        rows = rows[np.argsort(scene_pos[rows], kind="stable")]
-        dets = _ranges(starts[rows], columns.counts[rows])
-        out.append(ResultColumns(columns.keys[rows], columns.counts[rows],
-                                 columns.boxes[dets], columns.scores[dets]))
-    return out
+    (rows that share a key stay in file order), one label at a time; rows
+    on other scenes are left out. One stable sort orders the rows by
+    (label, scene position), and each label takes its slice."""
+    dtype = object if columns.keys.dtype == object else None
+    label_ids = np.array([label.label_id for label in benchmark.category_labels], dtype=dtype)
+    scene_ids = np.array(benchmark.scene_ids, dtype=dtype)
+    label, first = _index_of(label_ids, columns.keys[:, 0], label_ids)
+    (position,) = _index_of(scene_ids, columns.keys[:, 1])
+    rows = np.flatnonzero((label >= 0) & (position >= 0))
+    rows = rows[_stable_argsort(label[rows] * len(scene_ids) + position[rows])]
+    lo = np.searchsorted(label[rows], first, "left")
+    hi = np.searchsorted(label[rows], first, "right")
+    keys, n = columns.keys[rows], columns.counts[rows]
+    det = _ranges((np.cumsum(columns.counts) - columns.counts)[rows], n)
+    ends = np.concatenate([[0], np.cumsum(n)])
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        label_det = det[ends[a]:ends[b]]
+        yield ResultColumns(keys[a:b], n[a:b], np.take(columns.boxes, label_det, axis=0),
+                            columns.scores[label_det])
 
 
 def omnilabel_report(results, benchmark: BenchmarkInstance,
@@ -626,25 +706,61 @@ def write_benchmark_truth(path, benchmark: BenchmarkInstance) -> None:
     write_table(path, TRUTH_TABLE, counts, columns)
 
 
+def _first_repeat(values: np.ndarray):
+    """The smallest value that occurs more than once in `values`, or None."""
+    values = np.sort(values)
+    repeats = values[1:][values[1:] == values[:-1]]
+    return repeats[0].item() if len(repeats) else None
+
+
+def _check_truth_ids(path, scene_ids, cat_ids, cat_owner, cat_scenes, desc_ids,
+                     desc_scenes) -> None:
+    """Raise ValueError naming `path` unless the scene ids are distinct, no
+    label id is used twice (category and description labels alike), every
+    label's scene is one of the benchmark's and no category label lists a
+    scene twice. Matching joins rows to labels and scenes by these ids, so
+    any of these would make it score the wrong rows. cat_owner is the
+    category label of each of cat_scenes."""
+    repeat = _first_repeat(scene_ids)
+    if repeat is not None:
+        raise ValueError(f"{path}: scene id {repeat} is repeated")
+    repeat = _first_repeat(np.concatenate([cat_ids, desc_ids]))
+    if repeat is not None:
+        raise ValueError(f"{path}: label id {repeat} is used twice")
+    label_scenes = np.concatenate([cat_scenes, desc_scenes])
+    (position,) = _index_of(scene_ids, label_scenes)
+    if (position < 0).any():
+        at = int(np.argmax(position < 0))
+        label_id = np.concatenate([cat_ids[cat_owner], desc_ids])[at]
+        raise ValueError(f"{path}: label {label_id} is on scene {label_scenes[at]}, which is not "
+                         f"one of the benchmark's scenes")
+    repeat = _first_repeat(cat_owner * len(scene_ids) + position[:len(cat_owner)])
+    if repeat is not None:
+        raise ValueError(f"{path}: category label {cat_ids[repeat // len(scene_ids)]} lists "
+                         f"scene {scene_ids[repeat % len(scene_ids)]} twice")
+
+
 def read_benchmark_truth(path) -> BenchmarkInstance:
     """The BenchmarkInstance of a write_benchmark_truth() file: scene ids and
     labels, with boxes as written bit for bit, and no scenes, features,
     names or texts. Checks the magic, the version and the exact length; that
     the scenes per category label, the boxes per (category label, scene) and
     the boxes per description label are non-negative and sum to the counts
-    in the header; and that every absence flag is 0 or 1. Raises ValueError
-    naming the file."""
+    in the header; that every absence flag is 0 or 1; and the ids, as
+    _check_truth_ids() does. Raises ValueError naming the file."""
     (_, _, n_cat_scenes, n_cat_boxes, _, n_desc_boxes), columns = read_table(path, TRUTH_TABLE)
     (scene_ids, cat_ids, cat_scene_counts, cat_scenes, cat_box_counts, cat_boxes,
      desc_ids, desc_scenes, desc_words, desc_absent, desc_box_counts, desc_boxes) = columns
     if desc_absent.max(initial=0) > 1:
         raise ValueError(f"{path}: absence flags must be 0 or 1")
+    cat_rows = row_slices(path, cat_scene_counts, n_cat_scenes)
+    cat_owner = np.repeat(np.arange(len(cat_ids)), cat_scene_counts)
+    _check_truth_ids(path, scene_ids, cat_ids, cat_owner, cat_scenes, desc_ids, desc_scenes)
     cat_boxes = list(map(tuple, cat_boxes.tolist()))
     cat_gt = [cat_boxes[rows] for rows in row_slices(path, cat_box_counts, n_cat_boxes)]
     cat_scenes = cat_scenes.tolist()
     cats = tuple(CategoryLabel(label_id, None, dict(zip(cat_scenes[rows], cat_gt[rows])))
-                 for label_id, rows in zip(cat_ids.tolist(),
-                                           row_slices(path, cat_scene_counts, n_cat_scenes)))
+                 for label_id, rows in zip(cat_ids.tolist(), cat_rows))
     desc_boxes = list(map(tuple, desc_boxes.tolist()))
     descs = tuple(DescriptionLabel(label_id, scene_id, None, tuple(desc_boxes[rows]), words,
                                    bool(absent))

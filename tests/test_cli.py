@@ -662,6 +662,25 @@ def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, dam
     assert "artifact error" in err and "benchmark_truth.bin" in err
 
 
+def test_truth_table_with_a_clashing_label_id_is_an_artifact_error(corrupt_copy, capsys):
+    """A benchmark_truth.bin whose first description label has the first
+    category label's id, recorded as the scoring half's output, would pool
+    that category's detections into the description; matching rejects it
+    and names the file."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
+    path = corrupt_copy / "benchmark_truth.bin"
+    counts, columns = storage.read_table(path, evalkit.TRUTH_TABLE)
+    assert len(columns[1]) and len(columns[6])
+    columns[6][0] = columns[1][0]  # description label ids, category label ids
+    storage.write_table(path, evalkit.TRUTH_TABLE, counts, [[column] for column in columns])
+    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
+    manifest["outputs"]["benchmark_truth.bin"] = storage.sha256_file(path)
+    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "benchmark_truth.bin" in err and "used twice" in err
+
+
 @pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: b"JUNK" + raw[4:]],
                          ids=["truncated", "magic"])
 def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage):

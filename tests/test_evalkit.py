@@ -532,11 +532,44 @@ _JOINED_TIE = (BenchmarkInstance(
      {"label_id": 101, "scene_id": 0, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]},
      {"label_id": 100, "scene_id": 0, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]}])
 
+# In each task the top-ranked detection misses every ground truth box and a
+# later one hits, so a task's first candidate is not its first detection;
+# on scene 1 a second copy of a taken box comes between them.
+_MISS_THEN_HIT = (BenchmarkInstance(
+    scene_ids=(0, 1), category_labels=(CategoryLabel(0, "c0", {0: [(0, 0, _Q, _Q), (_Q, 0, _Q, _Q)],
+                                                               1: [(0, 0, _Q, _Q)]}),),
+    description_labels=(_described(100, 1, "a dog", ((2 * _Q, 0, _Q, _Q),)),)),
+    [{"label_id": 0, "scene_id": 0, "detections": [{"box": [3 * _Q, 3 * _Q, _Q, _Q], "score": 0.9},
+                                                   {"box": [_Q, 0, _Q, _Q], "score": 0.6},
+                                                   {"box": [0, 0, _Q, _Q], "score": 0.3}]},
+     {"label_id": 0, "scene_id": 1, "detections": [{"box": [3 * _Q, 0, _Q, _Q], "score": 0.8},
+                                                   {"box": [0, 0, _Q, _Q], "score": 0.7},
+                                                   {"box": [0, 0, _Q, _Q], "score": 0.65},
+                                                   {"box": [0, 2 * _Q, _Q, _Q], "score": 0.5}]},
+     {"label_id": 100, "scene_id": 1, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.9},
+                                                     {"box": [0, _Q, _Q, _Q], "score": 0.8},
+                                                     {"box": [2 * _Q, 0, _Q, _Q], "score": 0.1}]}])
+# Every score of each pool is tied: the ranking is the pool's scene order,
+# then file order, then detection order.
+_ALL_TIED = (BenchmarkInstance(
+    scene_ids=(5, 2), category_labels=(CategoryLabel(0, "c0", {5: [(0, 0, _Q, _Q)],
+                                                               2: [(_Q, _Q, _Q, _Q)]}),),
+    description_labels=(_described(100, 2, "a dog", ((0, 0, _Q, _Q), (_Q, 0, _Q, _Q))),)),
+    [{"label_id": 0, "scene_id": 2, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5},
+                                                   {"box": [_Q, _Q, _Q, _Q], "score": 0.5}]},
+     {"label_id": 100, "scene_id": 2, "detections": [{"box": [2 * _Q, 0, _Q, _Q], "score": 0.5},
+                                                     {"box": [_Q, 0, _Q, _Q], "score": 0.5}]},
+     {"label_id": 0, "scene_id": 5, "detections": [{"box": [_Q, 0, _Q, _Q], "score": 0.5},
+                                                   {"box": [0, 0, _Q, _Q], "score": 0.5}]},
+     {"label_id": 100, "scene_id": 2, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.5}]}])
+
 
 @settings(max_examples=300, deadline=None)
 @given(report_cases(), st.sampled_from([0.5, 0.75, 1.0]))
 @example(_IOU_TIE, 0.5)
 @example(_JOINED_TIE, 0.5)
+@example(_MISS_THEN_HIT, 0.5)
+@example(_ALL_TIED, 0.5)
 def test_reports_equal_the_per_label_loop_reference(tmp_path_factory, case, thr):
     """omnilabel_report and d3_report score every label from the table's
     columns; each figure equals the per-label loop's bit for bit,
@@ -638,10 +671,93 @@ def test_empty_truth_table_round_trips(tmp_path):
     assert evalkit.read_benchmark_truth(path) == BenchmarkInstance((), (), ())
 
 
-@pytest.mark.parametrize("thr", [0.5, 0.75])
-def test_report_of_a_large_table_equals_the_per_label_loop_reference(desk20, thr):
+# A truth table written by hand: category labels as (label_id, [(scene_id,
+# boxes), ...]) and description labels as (label_id, scene_id, boxes), so
+# that an id can repeat where write_benchmark_truth() cannot repeat it.
+_BOX = (0.0, 0.0, 0.25, 0.25)
+_CLASHES = {
+    "repeated_scene": ((0, 1, 0), [(0, [(1, 1)])], [(100, 0, 1)]),
+    "category_label_twice": ((0, 1), [(0, [(0, 1)]), (0, [(1, 1)])], []),
+    "description_takes_a_category_id": ((0, 1), [(0, [(0, 1)]), (1, [(1, 2)])], [(1, 0, 1)]),
+    "description_label_twice": ((0, 1), [], [(100, 0, 1), (100, 1, 0)]),
+    "category_scene_not_in_benchmark": ((0, 1), [(0, [(0, 1), (7, 1)])], [(100, 1, 0)]),
+    "description_scene_not_in_benchmark": ((0, 1), [(0, [(0, 1)])], [(100, 7, 1)]),
+    "category_scene_listed_twice": ((0, 1), [(0, [(1, 1), (1, 2)])], []),
+}
+
+
+def _write_truth_by_hand(path, scene_ids, cats, descs) -> None:
+    cat_counts = [n for _, scenes in cats for _, n in scenes]
+    desc_counts = [n for _, _, n in descs]
+    columns = (scene_ids, [label_id for label_id, _ in cats], [len(scenes) for _, scenes in cats],
+               [scene_id for _, scenes in cats for scene_id, _ in scenes], cat_counts,
+               [_BOX] * sum(cat_counts), [label_id for label_id, _, _ in descs],
+               [scene_id for _, scene_id, _ in descs], [3] * len(descs), [0] * len(descs),
+               desc_counts, [_BOX] * sum(desc_counts))
+    counts = (len(scene_ids), len(cats), len(cat_counts), sum(cat_counts), len(descs),
+              sum(desc_counts))
+    write_table(path, evalkit.TRUTH_TABLE, counts, [[column] for column in columns])
+
+
+@pytest.mark.parametrize("case", list(_CLASHES))
+def test_truth_table_rejects_ids_that_would_score_the_wrong_rows(tmp_path, case):
+    """A repeated scene id, a label id used twice (also across the two kinds
+    of label), a label on a scene that is not the benchmark's, or a category
+    label that lists a scene twice would each make matching pool the wrong
+    rows or drop ground truth; the reader rejects them and names the file."""
+    path = tmp_path / "benchmark_truth.bin"
+    _write_truth_by_hand(path, *_CLASHES[case])
+    with pytest.raises(ValueError, match=r"benchmark_truth\.bin"):
+        evalkit.read_benchmark_truth(path)
+
+
+def test_hand_written_truth_table_with_distinct_ids_reads_back(tmp_path):
+    path = tmp_path / "benchmark_truth.bin"
+    _write_truth_by_hand(path, (4, 2), [(0, [(2, 1), (4, 2)]), (1, [])], [(9, 4, 1), (8, 2, 0)])
+    bench = evalkit.read_benchmark_truth(path)
+    assert bench.scene_ids == (4, 2)
+    assert [(label.label_id, label.gt_boxes) for label in bench.category_labels] == [
+        (0, {2: [_BOX], 4: [_BOX, _BOX]}), (1, {})]
+    assert [(label.label_id, label.scene_id, label.gt_boxes)
+            for label in bench.description_labels] == [(9, 4, (_BOX,)), (8, 2, ())]
+
+
+# Scores from a small set with both zeros, NaN and the infinities make ties
+# within a pool, ties across pools and runs of NaN common.
+_RANK_SCORES = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.25, 0.5])
+_rng = np.random.default_rng(7)
+_MANY = list(zip(_rng.integers(0, 300, 5000).tolist(),
+                 _rng.choice([0.25, 0.5, math.nan, *_rng.random(200)], 5000).tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _RANK_SCORES), max_size=40),
+       st.sampled_from([1, 70_000]))
+@example([(0, 0.5), (0, 0.5), (1, 0.5), (0, 0.25)], 1)  # a tie within a pool
+@example([(0, 0.5), (1, 0.5), (2, 0.5), (1, 0.25), (0, 0.25)], 1)  # ties only across pools
+@example([(3, s) for s in (math.nan, 0.0, -0.0, math.nan, math.inf, -math.inf, 0.0)], 1)
+@example(_MANY, 1)
+@example(_MANY, 70_000)
+def test_ranking_is_the_stable_lexsort(entries, pool_scale):
+    """_ranking() gives np.lexsort((-scores, pools)) exactly: pool by pool,
+    highest score first, NaN last, equal scores (0.0 and -0.0 too) in index
+    order, with the pools as uint16 or, when they do not fit, as they are."""
+    pools = np.array([pool for pool, _ in entries], dtype=np.intp) * pool_scale
+    scores = np.array([score for _, score in entries], dtype=float)
+    assert evalkit._ranking(scores, pools).tolist() == np.lexsort((-scores, pools)).tolist()
+
+
+_LARGE_CASES = [pytest.param(thr, tied, id=f"{thr}-three_scores" if tied else str(thr))
+                for tied in (False, True) for thr in (0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize("thr,tied", _LARGE_CASES)
+def test_report_of_a_large_table_equals_the_per_label_loop_reference(desk20, thr, tied):
     """Pools with hundreds of detections and dozens of true positives, where
-    a sum in any other order than rank order would round differently."""
+    a sum in any other order than rank order would round differently. At IoU
+    1.0 every other detection of a ground truth box is the box itself; with
+    `tied`, every score is one of three values, so that nearly every pool
+    has runs of equal scores that the ranking must keep in index order."""
     bench = make_benchmark(desk20, 120, seed=3, config=BenchmarkConfig(fraction_negative=0.5))
     rng = np.random.default_rng(0)
     rows = []
@@ -655,6 +771,12 @@ def test_report_of_a_large_table_equals_the_per_label_loop_reference(desk20, thr
                      "score": float(rng.choice([0.5, rng.random()]))} for box in gt]
             dets += [{"box": [*rng.uniform(0, 0.7, 2), *rng.uniform(0.05, 0.3, 2)],
                       "score": float(rng.random())} for _ in range(int(rng.integers(0, 4)))]
+            if thr == 1.0:  # only a box itself can reach IoU 1: copy every other one
+                dets[:len(gt):2] = [{**det, "box": list(box)} for det, box
+                                    in zip(dets[:len(gt):2], gt[::2])]
+            if tied:
+                for det in dets:
+                    det["score"] = (0.25, 0.5, 0.75)[min(int(det["score"] * 3), 2)]
             rows.append({"label_id": label.label_id, "scene_id": scene.scene_id,
                          "detections": dets})
     rng.shuffle(rows)
