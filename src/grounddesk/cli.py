@@ -281,13 +281,13 @@ def fanout(fn, items, workers: int = 1):
         return list(pool.map(fn, items, chunksize=8))
 
 
-def _read_bundle(config, out_dir, features=None) -> pipeline.CorpusBundle:
-    """The corpus as the gen and scenes stages wrote it."""
+def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
+    """The corpus as the gen and scenes stages wrote it, without features."""
     pool, lexicon = _pool_and_lexicon(config)
     return pipeline.CorpusBundle(
         pool=pool, lexicon=lexicon,
         descriptions=_read(out_dir, "descriptions.jsonl", corpus.read_descriptions),
-        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features=features or {})
+        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={})
 
 
 def _read_examples(out_dir, filename, features) -> list[TrainExample]:
@@ -303,10 +303,6 @@ def _load_model(out_dir):
     with _reading(vocab_path):
         vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
     return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=vocab)
-
-
-def _example_row(example: TrainExample) -> dict:
-    return targets.example_to_json(example.scene_id, example.query, example.target)
 
 
 # stages -----------------------------------------------------------------
@@ -352,20 +348,26 @@ def _label(config, out, workers):
 
 
 def _targets(config, out, workers):
-    bundle = _read_bundle(config, out, _read(out, "features.bin", scenegen.read_features))
+    """Each scene's region count is its objects plus the background boxes
+    (scenegen.region_count()), so the stage reads no features."""
+    bundle = _read_bundle(config, out)
+    scenes = {scene.scene_id: scene for scene in bundle.scenes}
     triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
-    tc = config["targets"]
+    tc, seed = config["targets"], config["seed"]
+    background = config["features"]["background_boxes"]
     variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
                                   include_struct_pos=tc["include_struct_pos"],
                                   target_config=_target_config(config))
     # Each example is written as soon as it is built; no list of them is kept.
-    storage.write_jsonl(os.path.join(out, "examples.jsonl"),
-                        (_example_row(pipeline.training_example(bundle, t, variant, config["seed"]))
-                         for t in triplets if t.assignments))
-    storage.write_jsonl(os.path.join(out, "detection_examples.jsonl"),
-                        (_example_row(pipeline.detection_example(bundle, scene, config["seed"],
-                                                                 tc["absent_categories"]))
-                         for scene in bundle.scenes))
+    storage.write_jsonl(os.path.join(out, "examples.jsonl"), (
+        targets.example_to_json(t.scene_id, *pipeline.training_target(
+            bundle, t, variant, seed, scenegen.region_count(scenes[t.scene_id], background)))
+        for t in triplets if t.assignments))
+    storage.write_jsonl(os.path.join(out, "detection_examples.jsonl"), (
+        targets.example_to_json(scene.scene_id, *pipeline.detection_target(
+            bundle, scene, seed, tc["absent_categories"],
+            scenegen.region_count(scene, background)))
+        for scene in bundle.scenes))
     print(f"targets: wrote alignment targets to examples.jsonl and detection_examples.jsonl")
 
 
@@ -386,10 +388,11 @@ def _train(config, out, workers):
 
 def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
-    benchmark, run the model on it and write its detections and ground
-    truth. Matching reads the two tables, results.bin and
-    benchmark_truth.bin; results.jsonl, benchmark_scenes.jsonl and
-    benchmark_labels.jsonl are their JSON exports."""
+    benchmark, run the model on it and write what matching needs,
+    match_table.bin: each label's ranking, joined to its ground truth, and
+    each candidate detection's IoUs. results.jsonl and results.bin record
+    the detections, and benchmark_scenes.jsonl, benchmark_labels.jsonl and
+    benchmark_truth.bin the benchmark; no stage reads them."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -403,15 +406,16 @@ def _eval_scores(config, out, workers):
     evalkit.write_description_labels(os.path.join(out, "benchmark_labels.jsonl"),
                                      bench.description_labels)
     evalkit.write_benchmark_truth(os.path.join(out, "benchmark_truth.bin"), bench)
+    evalkit.write_match_table(os.path.join(out, "match_table.bin"),
+                              evalkit.match_table(results, bench))
     print(f"eval: scored {len(bench.scenes)} benchmark scenes")
 
 
 def _eval(config, out, workers):
-    """The matching half of eval: match the detections the scoring half wrote
-    at eval.iou_threshold, always from its two tables."""
-    bench = _read(out, "benchmark_truth.bin", evalkit.read_benchmark_truth)
+    """The matching half of eval: match at eval.iou_threshold from the one
+    table the scoring half wrote for it, match_table.bin."""
     iou_threshold = config["eval"]["iou_threshold"]
-    report = evalkit.omnilabel_report(_read(out, "results.bin", evalkit.read_results_table), bench,
+    report = evalkit.omnilabel_report(_read(out, "match_table.bin", evalkit.read_match_table),
                                       iou_threshold=iou_threshold)
     payload = report.to_json()
     payload["d3"] = {"full": payload["d3_full"], "pres": payload["d3_pres"],
@@ -465,9 +469,9 @@ STAGES = {
     "label": (Stage("label", ("pool", "detector", "labeler"),
                     {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes"},
                     ("triplets.jsonl", "label_stats.json"), _label),),
-    "targets": (Stage("targets", ("pool", "targets", "seed"),
+    "targets": (Stage("targets", ("pool", "targets", "features.background_boxes", "seed"),
                       {"descriptions.jsonl": "gen", "scenes.jsonl": "scenes",
-                       "triplets.jsonl": "label", "features.bin": "scenes"},
+                       "triplets.jsonl": "label"},
                       ("examples.jsonl", "detection_examples.jsonl"), _targets),),
     "train": (Stage("train", ("pool", "features", "train", "seed"),
                     {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
@@ -479,9 +483,9 @@ STAGES = {
                                    "eval.aggregation"),
                    {"model.ckpt": "train", "model.vocab.json": "train"},
                    ("results.jsonl", "results.bin", "benchmark_scenes.jsonl",
-                    "benchmark_labels.jsonl", "benchmark_truth.bin"), _eval_scores),
-             Stage("eval", ("eval.iou_threshold",),
-                   {"results.bin": "eval", "benchmark_truth.bin": "eval"}, ("report.json",),
+                    "benchmark_labels.jsonl", "benchmark_truth.bin", "match_table.bin"),
+                   _eval_scores),
+             Stage("eval", ("eval.iou_threshold",), {"match_table.bin": "eval"}, ("report.json",),
                    _eval)),
     "report": (Stage("report", tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),
                      {"report.json": "eval"}, ("summary.json",), _report, manifest=False),),
@@ -512,15 +516,16 @@ def _input_hashes(out_dir, stage: Stage, digests: dict) -> dict:
     return inputs
 
 
-def _run_stage(name: str, config: dict, workers: int) -> None:
+def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
     """Run a command's stages in order. A stage is skipped while its manifest
     still matches its config keys, inputs and declared outputs and no earlier
     stage of the command ran; a stage that runs records a new manifest of
-    what it wrote. Each file is hashed at most once per command: the hashes
-    of outputs that a skipped stage verified or a stage that ran recorded
-    serve as the input hashes of the stages after it."""
+    what it wrote. Each file is hashed at most once per map of `digests`
+    (file name -> hash): the hashes of outputs that a skipped stage verified
+    or a stage that ran recorded serve as the input hashes of the stages
+    after it."""
     out = _out(config)
-    reused, ran, digests = [], False, {}
+    reused, ran = [], False
     for stage in STAGES[name]:
         used = _config_slice(config, stage.keys)
         if not stage.manifest:
@@ -547,6 +552,15 @@ def _run_stage(name: str, config: dict, workers: int) -> None:
         storage.write_manifest(out, stage.name, used, inputs, outputs)
     if not ran:
         print(f"{name}: up to date, skipping")
+
+
+def _run_commands(names, config: dict, workers: int) -> None:
+    """Run the commands in order with one digest map, so that `grounddesk
+    all` hashes each file at most once: no stage writes a file except as a
+    declared output, whose hash then replaces the one in the map."""
+    digests = {}
+    for name in names:
+        _run_stage(name, config, workers, digests)
 
 
 # ablations ---------------------------------------------------------------
@@ -615,8 +629,7 @@ def _ablate(name, config, workers: int = 1) -> list[dict]:
         configs.append(cfg)
     rows = []
     for setting, cfg in zip(ablation.settings, configs):
-        for stage in PIPELINE_STAGES:
-            _run_stage(stage, cfg, workers)
+        _run_commands(PIPELINE_STAGES, cfg, workers)
         summary = _read(tree, "summary.json", storage.read_json)
         row = {ablation.column: setting.value}
         for metric in ablation.metrics:
@@ -647,8 +660,8 @@ def run(subcommand: str, config: dict, workers: int = 1) -> int:
     """Execute one pipeline subcommand; returns the process exit code."""
     try:
         if subcommand in STAGES or subcommand == "all":
-            for stage in PIPELINE_STAGES if subcommand == "all" else (subcommand,):
-                _run_stage(stage, config, workers)
+            _run_commands(PIPELINE_STAGES if subcommand == "all" else (subcommand,), config,
+                          workers)
             return 0
         experiment = subcommand.removeprefix("ablate:")
         if experiment == subcommand or experiment not in ABLATE_CHOICES:

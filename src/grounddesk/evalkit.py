@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -220,65 +220,55 @@ def _all_point_aps(hit_pool: np.ndarray, hit_rank: np.ndarray, n_gt: np.ndarray)
     return np.cumsum(steps * best, axis=1)[:, -1] if best.shape[1] else np.zeros(len(n_gt))
 
 
-def _greedy_hits(boxes: np.ndarray, task: np.ndarray, position: np.ndarray,
-                 gt_boxes: np.ndarray, gt_counts: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Which task detections are true positives. Detection i has box
-    boxes[i] and belongs to task task[i], whose ground truth is the
-    gt_counts[task[i]] rows of gt_boxes after those of the tasks before it;
-    position[i] is its place in the ranking. In rank order, each detection
-    of a task takes the untaken ground truth box of its task with the
-    highest IoU at or above the threshold, the first on exact ties.
+class MatchTable(NamedTuple):
+    """Everything matching needs that does not depend on the IoU threshold,
+    as match_table.bin holds it. A pool is one label: the category labels in
+    benchmark order, then the description labels, whose word counts and
+    absence flags are `words` and `absent`. A task is one (pool, scene) that
+    has both detections and ground truth, in pool order. A candidate is a
+    detection of a task whose IoU with some ground-truth box of its task is
+    above 0; no other detection can reach a threshold in (0, 1]. Candidates
+    are ordered by (task, rank)."""
+    pool_dets: np.ndarray  # (pools,) detections per pool
+    pool_gt: np.ndarray  # (pools,) ground-truth boxes per pool
+    words: np.ndarray  # (descriptions,) word count of each description pool
+    absent: np.ndarray  # (descriptions,) uint8 absence flag of each description pool
+    task_pool: np.ndarray  # (tasks,) each task's pool, non-decreasing
+    task_gt: np.ndarray  # (tasks,) ground-truth boxes per task, at least 1
+    cand_task: np.ndarray  # (candidates,) each candidate's task
+    cand_rank: np.ndarray  # (candidates,) its 1-based rank in its pool's ranking
+    cand_ious: np.ndarray  # (candidates, boxes) its IoU with each box of its task, 0 after the last
 
-    A detection whose IoU reaches the threshold with no box of its task, a
-    non-candidate, can neither hit nor take a box, so the steps go over the
-    candidates only: step k takes the k-th candidate of every task, in rank
-    order, at once. Only the tasks' ground truth is padded, to the most
-    boxes a task has, and each detection's IoUs with it are computed once,
-    before the first step."""
-    hit = np.zeros(len(task), dtype=bool)
-    if not len(task):
-        return hit
-    valid = np.arange(gt_counts.max()) < gt_counts[:, None]
-    gt_pad = np.zeros((*valid.shape, 4))
-    gt_pad[valid] = gt_boxes
-    ious = iou_array(boxes[:, None, :], np.take(gt_pad, task, axis=0))
-    reach = valid[task] & (ious >= iou_threshold)
-    entry = np.flatnonzero(reach.any(axis=1))
-    entry = entry[np.lexsort((position[entry], task[entry]))]
-    per_task = np.bincount(task[entry], minlength=len(gt_counts))
-    step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task[entry]]
-    entry = entry[_stable_argsort(step)]
-    t_all = task[entry]
-    ious = np.where(reach[entry], ious[entry], -math.inf)
-    taken = np.zeros(valid.shape, dtype=bool)
-    lo = 0
-    for hi in np.cumsum(np.bincount(step)).tolist():
-        t = t_all[lo:hi]
-        free = np.where(taken[t], -math.inf, ious[lo:hi])
-        best = free.argmax(axis=1)
-        matched = free[np.arange(hi - lo), best] > -math.inf
-        taken[t[matched], best[matched]] = True
-        hit[entry[lo:hi]] = matched
-        lo = hi
-    return hit
+    @property
+    def n_categories(self) -> int:
+        return len(self.pool_dets) - len(self.words)
+
+    def pools(self, lo: int, hi: int) -> MatchTable:
+        """The table of pools lo..hi-1 alone: their tasks and candidates are
+        contiguous runs, renumbered from 0."""
+        t0, t1 = np.searchsorted(self.task_pool, (lo, hi)).tolist()
+        c0, c1 = np.searchsorted(self.cand_task, (t0, t1)).tolist()
+        d0, d1 = max(lo - self.n_categories, 0), max(hi - self.n_categories, 0)
+        return MatchTable(self.pool_dets[lo:hi], self.pool_gt[lo:hi], self.words[d0:d1],
+                          self.absent[d0:d1], self.task_pool[t0:t1] - lo, self.task_gt[t0:t1],
+                          self.cand_task[c0:c1] - t0, self.cand_rank[c0:c1],
+                          self.cand_ious[c0:c1])
 
 
-def _pooled_aps(columns: ResultColumns, pools, iou_threshold: float) -> list[float]:
-    """The AP of each pool (label_id, scene_ids, gt_by_scene): the rows of
-    label_id on scene_ids, in that order, ranked as one list and matched
-    scene by scene against gt_by_scene. NaN for a pool with neither ground
-    truth nor detections, 0 for one with only one of them.
+def _pooled_table(columns: ResultColumns, pools) -> MatchTable:
+    """The MatchTable of pools (label_id, scene_ids, gt_by_scene), without
+    description columns. A pool is the rows of label_id on scene_ids, in that
+    order, ranked as one list and matched scene by scene against
+    gt_by_scene.
 
     Each (pool, scene) is a segment. Segments find their rows, and their
     ground truth, by sorted-key joins: the (label, scene) keys are coded by
     _index_of() and the rows' codes sorted once, stably, so that rows that
     share a key join in file order. Each pool ranks its detections highest
-    score first, stable on ties (_ranking()): one SIMD argsort of the
-    negated scores and a stable pass on the pools, after which only runs of
-    equal scores within a pool are put back in file order. A segment with
-    detections and ground truth is a task, and _greedy_hits() steps over
-    every task's candidates in one pass; a true positive's rank in its pool
-    comes from the inverse permutation of the ranking.
+    score first, stable on ties (_ranking()), and a detection's rank in its
+    pool comes from the inverse permutation of the ranking. A segment with
+    detections and ground truth is a task; each of its detections' IoUs with
+    the task's boxes, padded to the most boxes a task has, is computed once.
     """
     boxes, counts, scores = columns.boxes, columns.counts, columns.scores
     dtype = object if columns.keys.dtype == object else None
@@ -324,29 +314,80 @@ def _pooled_aps(columns: ResultColumns, pools, iou_threshold: float) -> list[flo
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     size = np.bincount(pool, minlength=n_pools)
+    rank = position + 1 - (np.cumsum(size) - size)[pool]
     task = seg_task[det_seg]
     tasked = np.flatnonzero(task >= 0)
-    gt_boxes = np.array([box for i in task_gt.tolist() for box in gt_lists[i]],
-                        dtype=float).reshape(-1, 4)
-    hit = _greedy_hits(np.take(boxes, det[tasked], axis=0), task[tasked], position[tasked],
-                       gt_boxes, gt_counts[task_gt], iou_threshold)
-    hit_at = np.sort(position[tasked[hit]])
-    hit_pool = pool[order[hit_at]]
-    rank = hit_at + 1 - (np.cumsum(size) - size)[hit_pool]
-    aps = _all_point_aps(hit_pool, rank, np.maximum(n_gt, 1))
+    task, tasked_det = task[tasked], det[tasked]
+    n_boxes = gt_counts[task_gt]
+    valid = np.arange(n_boxes.max(initial=0)) < n_boxes[:, None]
+    gt_pad = np.zeros((*valid.shape, 4))
+    gt_pad[valid] = np.array([box for i in task_gt.tolist() for box in gt_lists[i]],
+                             dtype=float).reshape(-1, 4)
+    ious = np.where(valid[task], iou_array(np.take(boxes, tasked_det, axis=0)[:, None, :],
+                                           np.take(gt_pad, task, axis=0)), 0.0)
+    cand = np.flatnonzero((ious > 0.0).any(axis=1))
+    cand = cand[np.lexsort((rank[tasked[cand]], task[cand]))]
+    return MatchTable(size, n_gt, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8),
+                      seg_pool[is_task], n_boxes, task[cand], rank[tasked[cand]], ious[cand])
+
+
+def _table_aps(table: MatchTable, iou_threshold: float) -> np.ndarray:
+    """The AP of each pool of `table` at iou_threshold, which must lie in
+    (0, 1]: NaN for a pool with neither ground truth nor detections, 0 for
+    one with only one of them.
+
+    In rank order, each detection of a task takes the untaken ground-truth
+    box of its task with the highest IoU at or above the threshold, the
+    first on exact ties. A candidate whose IoU reaches the threshold with no
+    box of its task can neither hit nor take a box, so the steps go over the
+    others only: step k takes the k-th of every task, in rank order, at once.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold {iou_threshold} does not lie in (0, 1]")
+    n_tasks, width = len(table.task_gt), table.cand_ious.shape[1]
+    reach = ((table.cand_ious >= iou_threshold)
+             & (np.arange(width) < table.task_gt[table.cand_task][:, None]))
+    entry = np.flatnonzero(reach.any(axis=1))
+    task = table.cand_task[entry]
+    per_task = np.bincount(task, minlength=n_tasks)
+    step = np.arange(len(entry)) - (np.cumsum(per_task) - per_task)[task]
+    by_step = _stable_argsort(step)
+    entry, task = entry[by_step], task[by_step]
+    ious = np.where(reach[entry], table.cand_ious[entry], -math.inf)
+    taken = np.zeros((n_tasks, width), dtype=bool)
+    hit = np.zeros(len(entry), dtype=bool)
+    lo = 0
+    for hi in np.cumsum(np.bincount(step)).tolist():
+        t = task[lo:hi]
+        free = np.where(taken[t], -math.inf, ious[lo:hi])
+        best = free.argmax(axis=1)
+        matched = free[np.arange(hi - lo), best] > -math.inf
+        taken[t[matched], best[matched]] = True
+        hit[lo:hi] = matched
+        lo = hi
+    hits = entry[hit]
+    pool, rank = table.task_pool[table.cand_task[hits]], table.cand_rank[hits]
+    by_rank = np.lexsort((rank, pool))
+    n_gt, size = table.pool_gt, table.pool_dets
+    aps = _all_point_aps(pool[by_rank], rank[by_rank], np.maximum(n_gt, 1))
     aps[n_gt == 0] = np.where(size[n_gt == 0] > 0, 0.0, math.nan)
-    return aps.tolist()
+    return aps
 
 
-def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float:
+def average_precision(detections, gt_boxes=None, iou_threshold: float = 0.5) -> float:
     """AP for one label: NaN when it has neither ground truth nor detections,
     0 when it has only one of them. `detections` and `gt_boxes` are its
     detections and ground truth boxes on one scene or, to pool the label
     across scenes, a mapping scene_id -> boxes with, for the detections,
     either a mapping scene_id -> detections or the ResultColumns of the
     label's rows. Pooled detections are ranked as one list, in scene order
-    on equal scores, and matched scene by scene, as _pooled_aps() scores a
-    pool."""
+    on equal scores, and matched scene by scene. `detections` may also be
+    the MatchTable of the label alone, which holds its ground truth; then
+    `gt_boxes` is None."""
+    if isinstance(detections, MatchTable):
+        if gt_boxes is not None or len(detections.pool_dets) != 1:
+            raise ValueError("a MatchTable is scored alone, and only the table of one label")
+        return _table_aps(detections, iou_threshold).item()
     if not isinstance(gt_boxes, Mapping):
         detections, gt_boxes = {0: detections}, {0: list(gt_boxes)}
     if isinstance(detections, ResultColumns):
@@ -356,15 +397,16 @@ def average_precision(detections, gt_boxes, iou_threshold: float = 0.5) -> float
     else:
         columns = result_columns({(0, scene_id): dets for scene_id, dets in detections.items()})
         label_id, scene_ids = 0, tuple(detections)
-    return _pooled_aps(columns, [(label_id, scene_ids, gt_boxes)], iou_threshold)[0]
+    table = _pooled_table(columns, [(label_id, scene_ids, gt_boxes)])
+    return _table_aps(table, iou_threshold).item()
 
 
-def pooled_average_precision(dets_by_scene, gt_by_scene: dict,
+def pooled_average_precision(dets_by_scene, gt_by_scene: dict | None = None,
                              iou_threshold: float = 0.5) -> float:
     """AP for one label pooled across scenes: average_precision() of its
     detections by scene (a mapping, or the ResultColumns of its rows) and its
-    ground truth by scene. omnilabel_report() scores each category label by
-    one call."""
+    ground truth by scene, or of its MatchTable alone. omnilabel_report()
+    scores each category label by one call on its slice of the table."""
     return average_precision(dets_by_scene, gt_by_scene, iou_threshold)
 
 
@@ -470,61 +512,57 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def _description_pools(benchmark) -> list[tuple]:
-    """One _pooled_aps() pool per description label: its own scene."""
-    return [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
-            for label in benchmark.description_labels]
+def match_table(results, benchmark: BenchmarkInstance | None = None) -> MatchTable:
+    """The one converter to a MatchTable, the half of scoring that does not
+    depend on the IoU threshold: a MatchTable as it is, or the detections of
+    `results` (anything result_columns() takes) on `benchmark`. Each
+    category label pools its rows on the benchmark's scenes in their order;
+    each description label has its own scene."""
+    if isinstance(results, MatchTable):
+        return results
+    if benchmark is None:
+        raise TypeError("scoring detections needs the benchmark they were scored on")
+    descs = benchmark.description_labels
+    pools = [(label.label_id, benchmark.scene_ids, label.gt_boxes)
+             for label in benchmark.category_labels]
+    pools += [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
+              for label in descs]
+    return _pooled_table(result_columns(results), pools)._replace(
+        words=np.array([label.words for label in descs], dtype=np.int64),
+        absent=np.array([label.absent for label in descs], dtype=np.uint8))
 
 
-def _category_rows(columns: ResultColumns, benchmark) -> Iterator[ResultColumns]:
-    """Each category label's rows of `columns`, in benchmark scene order
-    (rows that share a key stay in file order), one label at a time; rows
-    on other scenes are left out. One stable sort orders the rows by
-    (label, scene position), and each label takes its slice."""
-    dtype = object if columns.keys.dtype == object else None
-    label_ids = np.array([label.label_id for label in benchmark.category_labels], dtype=dtype)
-    scene_ids = np.array(benchmark.scene_ids, dtype=dtype)
-    label, first = _index_of(label_ids, columns.keys[:, 0], label_ids)
-    (position,) = _index_of(scene_ids, columns.keys[:, 1])
-    rows = np.flatnonzero((label >= 0) & (position >= 0))
-    rows = rows[_stable_argsort(label[rows] * len(scene_ids) + position[rows])]
-    lo = np.searchsorted(label[rows], first, "left")
-    hi = np.searchsorted(label[rows], first, "right")
-    keys, n = columns.keys[rows], columns.counts[rows]
-    det = _ranges((np.cumsum(columns.counts) - columns.counts)[rows], n)
-    ends = np.concatenate([[0], np.cumsum(n)])
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        label_det = det[ends[a]:ends[b]]
-        yield ResultColumns(keys[a:b], n[a:b], np.take(columns.boxes, label_det, axis=0),
-                            columns.scores[label_det])
+def _description_aps(table: MatchTable, iou_threshold: float) -> list[float]:
+    return _table_aps(table.pools(table.n_categories, len(table.pool_dets)),
+                      iou_threshold).tolist()
 
 
-def omnilabel_report(results, benchmark: BenchmarkInstance,
+def omnilabel_report(results, benchmark: BenchmarkInstance | None = None,
                      iou_threshold: float = 0.5) -> MetricReport:
     """Full description-aware report over a benchmark instance.
 
-    `results` covers both category and description labels, as anything
-    result_columns() takes: the columns of results.bin, a Results table,
-    JSONL rows {label_id, scene_id, detections:[{box, score}]} or a mapping
-    keyed by (label_id, scene_id). Each category label is scored by one
-    pooled_average_precision() call on its rows, pooled in benchmark scene
-    order; the description labels by one _pooled_aps() call.
+    `results` is the benchmark's MatchTable, as match_table.bin holds it,
+    or covers both category and description labels of `benchmark` as
+    anything result_columns() takes: the columns of results.bin, a Results
+    table, JSONL rows {label_id, scene_id, detections:[{box, score}]} or a
+    mapping keyed by (label_id, scene_id); match_table() then builds the
+    table. Each category label is scored by one pooled_average_precision()
+    call on its slice of the table; the description labels by one
+    _table_aps() call.
     """
-    columns = result_columns(results)
-    cat_aps = [pooled_average_precision(rows, label.gt_boxes, iou_threshold)
-               for label, rows in zip(benchmark.category_labels,
-                                      _category_rows(columns, benchmark))]
-    desc_aps = _pooled_aps(columns, _description_pools(benchmark), iou_threshold)
-    labels = benchmark.description_labels
+    table = match_table(results, benchmark)
+    cat_aps = [pooled_average_precision(table.pools(i, i + 1), None, iou_threshold)
+               for i in range(table.n_categories)]
+    desc_aps = _description_aps(table, iou_threshold)
+    desc_gt = table.pool_gt[table.n_categories:].tolist()
 
     ap_categ = 100.0 * _mean(cat_aps)
     ap_descr = 100.0 * _mean(desc_aps)
-    ap_pos = 100.0 * _mean(ap for label, ap in zip(labels, desc_aps) if label.gt_boxes)
+    ap_pos = 100.0 * _mean(ap for n_gt, ap in zip(desc_gt, desc_aps) if n_gt)
     buckets = ([], [], [])
-    for label, ap in zip(labels, desc_aps):
-        buckets[_bucket(label.words)].append(ap)
-    d3_full, d3_pres, d3_abs = d3_report(columns, benchmark, iou_threshold,
-                                         description_aps=desc_aps)
+    for words, ap in zip(table.words.tolist(), desc_aps):
+        buckets[_bucket(words)].append(ap)
+    d3_full, d3_pres, d3_abs = d3_report(table, None, iou_threshold, description_aps=desc_aps)
     return MetricReport(
         AP=harmonic_mean(ap_categ, ap_descr),
         AP_categ=ap_categ,
@@ -544,20 +582,20 @@ def omnilabel_report(results, benchmark: BenchmarkInstance,
     )
 
 
-def d3_report(results, benchmark: BenchmarkInstance, iou_threshold: float = 0.5, *,
+def d3_report(results, benchmark: BenchmarkInstance | None = None, iou_threshold: float = 0.5, *,
               description_aps=None) -> tuple[float, float, float]:
     """(FULL, PRES, ABS) description APs partitioned by each label's
-    absence flag.
+    absence flag, from anything omnilabel_report() takes.
 
     `description_aps`, one AP per description label in benchmark order, are
     used instead of scoring `results` again; omnilabel_report passes its own.
     """
+    table = match_table(results, benchmark)
     if description_aps is None:
-        description_aps = _pooled_aps(result_columns(results), _description_pools(benchmark),
-                                      iou_threshold)
+        description_aps = _description_aps(table, iou_threshold)
     pres, absent = [], []
-    for label, ap in zip(benchmark.description_labels, description_aps):
-        (absent if label.absent else pres).append(ap)
+    for flag, ap in zip(table.absent.tolist(), description_aps):
+        (absent if flag else pres).append(ap)
     return 100.0 * _mean(description_aps), 100.0 * _mean(pres), 100.0 * _mean(absent)
 
 
@@ -768,3 +806,73 @@ def read_benchmark_truth(path) -> BenchmarkInstance:
                   in zip(desc_ids.tolist(), desc_scenes.tolist(), desc_words.tolist(),
                          desc_absent.tolist(), row_slices(path, desc_box_counts, n_desc_boxes)))
     return BenchmarkInstance(tuple(scene_ids.tolist()), cats, descs)
+
+
+MATCH_TABLE = TableFormat(
+    "match table", b"GDMT", 1, ("pools", "descriptions", "tasks", "candidates", "boxes"),
+    (("<i8", ("pools",)),  # detections per pool
+     ("<i8", ("pools",)),  # ground-truth boxes per pool
+     ("<i8", ("descriptions",)),  # word count of each description pool, the last pools
+     ("<u1", ("descriptions",)),  # their absence flags, 0 or 1
+     ("<i8", ("tasks",)),  # each task's pool
+     ("<i8", ("tasks",)),  # ground-truth boxes per task
+     ("<i8", ("candidates",)),  # each candidate's task
+     ("<i8", ("candidates",)),  # its 1-based rank in its pool
+     ("<f8", ("candidates", "boxes"))))  # its IoU with each box of its task
+
+
+def write_match_table(path, table: MatchTable) -> None:
+    """match_table.bin: a MatchTable (match_table() builds one) as one
+    MATCH_TABLE, each column as it is."""
+    counts = (len(table.pool_dets), len(table.words), len(table.task_gt), len(table.cand_task),
+              table.cand_ious.shape[1])
+    write_table(path, MATCH_TABLE, counts, [[column] for column in table])
+
+
+def _check_match_table(table: MatchTable) -> str | None:
+    """What makes `table` unfit to match from, or None: matching indexes
+    pools by task and tasks by candidate, steps each task's candidates in
+    the order they are stored and takes a true positive's precision from
+    its rank, so each of these would score the wrong detections or fail."""
+    n_pools, n_tasks = len(table.pool_dets), len(table.task_gt)
+    if len(table.words) > n_pools:
+        return f"{len(table.words)} description pools of {n_pools} pools"
+    if min(table.pool_dets.min(initial=0), table.pool_gt.min(initial=0)) < 0:
+        return "a pool's detection or ground-truth count is negative"
+    if table.absent.max(initial=0) > 1:
+        return "absence flags must be 0 or 1"
+    if n_tasks and not (0 <= table.task_pool[0] and table.task_pool[-1] < n_pools
+                        and (np.diff(table.task_pool) >= 0).all()):
+        return f"task pools must be non-decreasing pool indices below {n_pools}"
+    width = table.cand_ious.shape[1]
+    if table.task_gt.min(initial=1) < 1 or table.task_gt.max(initial=0) != width:
+        return (f"every task needs ground-truth boxes, and the most a task has must be the "
+                f"table's box count, {width}")
+    if (np.bincount(table.task_pool, weights=table.task_gt, minlength=n_pools) > table.pool_gt).any():
+        return "a pool's tasks have more ground-truth boxes than the pool"
+    task, rank = table.cand_task, table.cand_rank
+    if len(task) and not (0 <= task[0] and task[-1] < n_tasks):
+        return f"candidate tasks must be task indices below {n_tasks}"
+    step = np.diff(task)
+    if (step < 0).any() or (np.diff(rank)[step == 0] <= 0).any():
+        return "candidates must be ordered by task, then by rank"
+    pool = table.task_pool[task]
+    if len(rank) and not (1 <= rank.min() and (rank <= table.pool_dets[pool]).all()):
+        return "a candidate's rank must lie between 1 and its pool's detection count"
+    pool_rank = np.lexsort((rank, pool))
+    if ((np.diff(pool[pool_rank]) == 0) & (np.diff(rank[pool_rank]) == 0)).any():
+        return "two candidates of one pool share a rank"
+    return None
+
+
+def read_match_table(path) -> MatchTable:
+    """The MatchTable of a write_match_table() file, bit for bit as written.
+    Checks the magic, the version and the exact length, and the indices,
+    counts and order that matching relies on (_check_match_table()). Raises
+    ValueError naming the file."""
+    _, columns = read_table(path, MATCH_TABLE)
+    table = MatchTable(*columns)
+    problem = _check_match_table(table)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
+    return table

@@ -25,8 +25,8 @@ from .langparse import Lexicon, parse
 from .scenegen import BenchmarkConfig, DistractorConfig, RegionFeatures, Scene, \
     make_benchmark, render_features, synthesize_scene
 from .seeding import derive_seed
-from .targets import TargetConfig, assemble_query, build_alignment_target, \
-    build_detection_target, make_detection_query
+from .targets import AlignmentTarget, Query, TargetConfig, assemble_query, \
+    build_alignment_target, build_detection_target, make_detection_query
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,21 @@ SIGNAL_LADDER = (
 FULL_VARIANT = SIGNAL_LADDER[-1]
 
 
-def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,
-                     seed: int) -> TrainExample:
-    """One triplet's query, seeded under the variant's name, and its alignment target."""
+def training_target(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,
+                    seed: int, n_regions: int) -> tuple[Query, AlignmentTarget]:
+    """One triplet's query, seeded under the variant's name, and its alignment
+    target over the scene's n_regions regions."""
     query = assemble_query(triplet, bundle.descriptions, variant.k_neg, variant.include_struct_pos,
                            seed=derive_seed(seed, "query", variant.name), lexicon=bundle.lexicon)
+    return query, build_alignment_target(query, triplet, n_regions,
+                                         config=variant.target_config, lexicon=bundle.lexicon)
+
+
+def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,
+                     seed: int) -> TrainExample:
+    """training_target() over the scene's features, with them."""
     rf = bundle.features[triplet.scene_id]
-    target = build_alignment_target(query, triplet, rf.features.shape[0],
-                                    config=variant.target_config, lexicon=bundle.lexicon)
+    query, target = training_target(bundle, triplet, variant, seed, rf.features.shape[0])
     return TrainExample(features=rf.features, query=query, target=target,
                         scene_id=triplet.scene_id)
 
@@ -218,10 +225,11 @@ def build_training_examples(bundle: CorpusBundle, triplets, variant: SignalVaria
     return [training_example(bundle, t, variant, seed) for t in triplets if t.assignments]
 
 
-def detection_example(bundle: CorpusBundle, scene: Scene, seed: int = 0,
-                      absent_categories: int = 2) -> TrainExample:
-    """GLIP-style detection-format example: the scene's categories plus absent
-    ones, in a seeded order, as one category prompt."""
+def detection_target(bundle: CorpusBundle, scene: Scene, seed: int, absent_categories: int,
+                     n_regions: int) -> tuple[Query, AlignmentTarget]:
+    """GLIP-style detection-format query and target over the scene's
+    n_regions regions: the scene's categories plus absent ones, in a seeded
+    order, as one category prompt."""
     rng = np.random.default_rng(derive_seed(seed, "det-example", scene.scene_id))
     present = sorted({o.category for o in scene.objects})
     absent = [c.name for c in bundle.pool if c.name not in present]
@@ -229,8 +237,14 @@ def detection_example(bundle: CorpusBundle, scene: Scene, seed: int = 0,
     listed = present + extra
     order = rng.permutation(len(listed))
     query = make_detection_query([listed[int(i)] for i in order])
+    return query, build_detection_target(query, scene, n_regions)
+
+
+def detection_example(bundle: CorpusBundle, scene: Scene, seed: int = 0,
+                      absent_categories: int = 2) -> TrainExample:
+    """detection_target() over the scene's features, with them."""
     rf = bundle.features[scene.scene_id]
-    target = build_detection_target(query, scene, rf.features.shape[0])
+    query, target = detection_target(bundle, scene, seed, absent_categories, rf.features.shape[0])
     return TrainExample(features=rf.features, query=query, target=target,
                         scene_id=scene.scene_id)
 

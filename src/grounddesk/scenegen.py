@@ -371,9 +371,16 @@ def word_vector(word: str, d: int) -> np.ndarray:
     return v
 
 
+def region_count(scene: Scene, b: int = 2) -> int:
+    """The number of regions render_features() gives the scene with b
+    background boxes: one per object plus the background boxes."""
+    return len(scene.objects) + b
+
+
 def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
                     sigma: float = 0.05) -> RegionFeatures:
-    """Region features: one row per object plus b pure-noise background rows.
+    """Region features: one row per object plus b pure-noise background rows
+    (region_count()).
 
     Object row = sum of word vectors over the lexical profile, plus a
     4-component box-position encoding, plus zero-mean noise of scale sigma.
@@ -381,7 +388,7 @@ def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
     if d < 8:
         raise ValueError("feature width d must be >= 8")
     rng = np.random.default_rng(derive_seed(noise_seed, "features", scene.scene_id))
-    n = len(scene.objects) + b
+    n = region_count(scene, b)
     feats = np.zeros((n, d))
     proposals = []
     for i, obj in enumerate(scene.objects):

@@ -202,7 +202,7 @@ def test_pipeline_writes_all_artifacts(pipeline_dir):
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
                 "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
                 "benchmark_labels.jsonl", "report.json", "summary.json", "features.bin",
-                "label_stats.json", "results.bin", "benchmark_truth.bin"]
+                "label_stats.json", "results.bin", "benchmark_truth.bin", "match_table.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
     assert not os.path.exists(os.path.join(pipeline_dir, "features"))
@@ -276,28 +276,32 @@ def test_half_length_checkpoint_is_an_artifact_error(corrupt_copy, capsys):
                          ids=["short_payload", "short_header", "cut_in_half"])
 def test_truncated_feature_file_is_an_artifact_error(corrupt_copy, capsys, keep):
     _truncate(corrupt_copy / "features.bin", keep)
-    os.remove(storage.manifest_path(corrupt_copy, "targets"))
-    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 5
+    os.remove(storage.manifest_path(corrupt_copy, "train"))
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and "features.bin" in err
 
 
 def test_deleted_feature_file_is_a_missing_artifact(corrupt_copy, capsys):
     os.remove(corrupt_copy / "features.bin")
-    os.remove(storage.manifest_path(corrupt_copy, "targets"))
-    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 3
+    os.remove(storage.manifest_path(corrupt_copy, "train"))
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 3
     assert "features.bin" in capsys.readouterr().err
 
 
-def test_truncated_feature_file_reruns_targets_and_train(corrupt_copy, capsys):
+def test_truncated_feature_file_reruns_train_and_leaves_targets_current(corrupt_copy, capsys):
+    """targets takes each scene's region count from scenes.jsonl and the
+    config, so a damaged features.bin leaves it current; train reads the
+    file and fails naming it."""
     _truncate(corrupt_copy / "features.bin", lambda n: n - 8)
-    for stage in ("targets", "train"):
-        assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
-        err = capsys.readouterr().err
-        assert "artifact error" in err and "features.bin" in err
+    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 0
+    assert "targets: up to date, skipping" in capsys.readouterr().out
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "features.bin" in err
 
 
-@pytest.mark.parametrize("stage", ["targets", "train"])
+@pytest.mark.parametrize("stage", ["train"])
 def test_feature_file_deleted_under_a_current_manifest_is_missing(corrupt_copy, capsys, stage):
     os.remove(corrupt_copy / "features.bin")
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 3
@@ -406,6 +410,53 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
     assert written("benchmark_truth.bin", evalkit.write_benchmark_truth,
                    bench) == cli_bytes("benchmark_truth.bin")
+    results = evalkit.read_results(os.path.join(pipeline_dir, "results.jsonl"))
+    assert written("match_table.bin", evalkit.write_match_table,
+                   evalkit.match_table(results, bench)) == cli_bytes("match_table.bin")
+
+
+def test_region_count_is_the_feature_rows_of_every_default_scene(tmp_path):
+    """The targets stage counts each scene's regions as its objects plus
+    features.background_boxes; for every scene of the default config that
+    is the number of rows features.bin holds for it, and at other
+    background counts the number render_features() makes."""
+    config = load_config()
+    pool, lexicon = cli._pool_and_lexicon(config)
+    d = config["descriptions"]
+    descriptions = pipeline.build_description_corpus(pool, d["num_descriptions"],
+                                                     d["target_length_words"], config["seed"])
+    scenes, features = pipeline.build_scene_corpus(
+        pool, descriptions, config["images_per_description"], config["seed"],
+        cli._distractor_config(config), cli._feature_config(config), lexicon)
+    scenegen.write_features(tmp_path / "features.bin", features)
+    rows = scenegen.read_features(tmp_path / "features.bin")
+    background = config["features"]["background_boxes"]
+    assert len(scenes) == len(rows) == 3200
+    assert [scenegen.region_count(scene, background) for scene in scenes] == [
+        rows[scene.scene_id].features.shape[0] for scene in scenes]
+    for b in (0, 3):
+        assert [scenegen.region_count(scene, b) for scene in scenes[:20]] == [
+            scenegen.render_features(scene, 0, b=b).features.shape[0] for scene in scenes[:20]]
+
+
+def test_new_background_box_count_reruns_targets(pipeline_dir, corrupt_copy, capsys):
+    """scenes.jsonl does not change with features.background_boxes, so the
+    key alone makes targets run again, and it writes the examples the
+    library builds over features rendered with the new count."""
+    args = SMALL + ["--set", "features.background_boxes=3"]
+    assert run_cli(["targets", "--out", str(corrupt_copy)] + args) == 0
+    assert "up to date" not in capsys.readouterr().out
+    bundle = pipeline.build_corpus("desk20", num_descriptions=3, target_length_words=10,
+                                   images_per_description=2, seed=0,
+                                   features=pipeline.FeatureConfig(background_boxes=3))
+    triplets = pipeline.label_corpus(bundle)
+    for name, examples in (
+            ("examples.jsonl", pipeline.build_training_examples(bundle, triplets, seed=0)),
+            ("detection_examples.jsonl", pipeline.build_detection_examples(bundle, seed=0))):
+        got = (corrupt_copy / name).read_bytes()
+        assert got == _examples_jsonl(examples), name
+        with open(os.path.join(pipeline_dir, name), "rb") as fh:
+            assert got != fh.read(), name
 
 
 MANIFEST_STAGES = [name for name, stages in cli.STAGES.items()
@@ -644,57 +695,89 @@ def test_scoring_setting_or_new_model_rebuilds_the_scores(corrupt_copy, capsys, 
     assert "up to date" not in capsys.readouterr().out
 
 
+def _record_as_scored(out, filename) -> None:
+    """Record the file's hash as the scoring half's output, as if it was
+    damaged before the eval_scores manifest was written."""
+    manifest = storage.read_json(storage.manifest_path(out, "eval_scores"))
+    manifest["outputs"][filename] = storage.sha256_file(out / filename)
+    storage.write_json(storage.manifest_path(out, "eval_scores"), manifest)
+
+
 @pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2],
                                     lambda raw: b"JUNK" + raw[4:]], ids=["truncated", "magic"])
 def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, damage):
-    """The score file of the ground truth that matching reads,
-    benchmark_truth.bin, cut in half or with a bad magic before its
-    manifest was written, counts as current; matching from it fails and
-    names the file."""
+    """The score file that matching reads, match_table.bin, cut in half or
+    with a bad magic before its manifest was written, counts as current;
+    matching from it fails and names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    path = corrupt_copy / "benchmark_truth.bin"
+    path = corrupt_copy / "match_table.bin"
     path.write_bytes(damage(path.read_bytes()))
-    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
-    manifest["outputs"]["benchmark_truth.bin"] = storage.sha256_file(path)
-    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    _record_as_scored(corrupt_copy, "match_table.bin")
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
-    assert "artifact error" in err and "benchmark_truth.bin" in err
+    assert "artifact error" in err and "match_table.bin" in err
 
 
 def test_truth_table_with_a_clashing_label_id_is_an_artifact_error(corrupt_copy, capsys):
-    """A benchmark_truth.bin whose first description label has the first
-    category label's id, recorded as the scoring half's output, would pool
-    that category's detections into the description; matching rejects it
-    and names the file."""
+    """Matching reads labels only as the pool indices of match_table.bin, so
+    the clash a truth table could carry, one label id for two labels, shows
+    there as a task of a pool the table does not have. Recorded as the
+    scoring half's output, such a table would index past the pools;
+    matching rejects it and names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    path = corrupt_copy / "benchmark_truth.bin"
-    counts, columns = storage.read_table(path, evalkit.TRUTH_TABLE)
-    assert len(columns[1]) and len(columns[6])
-    columns[6][0] = columns[1][0]  # description label ids, category label ids
-    storage.write_table(path, evalkit.TRUTH_TABLE, counts, [[column] for column in columns])
-    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
-    manifest["outputs"]["benchmark_truth.bin"] = storage.sha256_file(path)
-    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    path = corrupt_copy / "match_table.bin"
+    counts, columns = storage.read_table(path, evalkit.MATCH_TABLE)
+    assert len(columns[4])
+    columns[4][-1] = counts[0]  # the last task's pool: one past the last pool
+    storage.write_table(path, evalkit.MATCH_TABLE, counts, [[column] for column in columns])
+    _record_as_scored(corrupt_copy, "match_table.bin")
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
-    assert "artifact error" in err and "benchmark_truth.bin" in err and "used twice" in err
+    assert "artifact error" in err and "match_table.bin" in err and "pool indices below" in err
 
 
 @pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: b"JUNK" + raw[4:]],
                          ids=["truncated", "magic"])
 def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage):
-    """A results table damaged before its manifest was written counts as
-    current; matching from it fails and names the file."""
+    """The table matching reads, match_table.bin, damaged before its
+    manifest was written, counts as current; matching from it fails and
+    names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    path = corrupt_copy / "results.bin"
+    path = corrupt_copy / "match_table.bin"
     path.write_bytes(damage(path.read_bytes()))
-    manifest = storage.read_json(storage.manifest_path(corrupt_copy, "eval_scores"))
-    manifest["outputs"]["results.bin"] = storage.sha256_file(path)
-    storage.write_json(storage.manifest_path(corrupt_copy, "eval_scores"), manifest)
+    _record_as_scored(corrupt_copy, "match_table.bin")
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
-    assert "artifact error" in err and "results.bin" in err
+    assert "artifact error" in err and "match_table.bin" in err
+
+
+def test_a_rematch_reads_only_the_match_table(corrupt_copy, monkeypatch):
+    """A re-match at a new IoU threshold opens no artifact for reading but
+    match_table.bin, apart from the manifests and the files the runner
+    hashes to verify them; in particular neither results.bin nor
+    benchmark_truth.bin."""
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
+    opened, hashing = set(), []
+    real_open, real_sha = builtins.open, storage.sha256_file
+
+    def spy_sha(path):
+        hashing.append(path)
+        try:
+            return real_sha(path)
+        finally:
+            hashing.pop()
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not hashing and not set(mode) & set("wax+"):
+            opened.add(os.path.relpath(os.fspath(file), corrupt_copy))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(storage, "sha256_file", spy_sha)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + AT_075) == 0
+    monkeypatch.undo()
+    assert {name for name in opened if not name.startswith("manifests")} == {"match_table.bin"}
+    assert json.loads((corrupt_copy / "report.json").read_text())["config"]["iou_threshold"] == 0.75
 
 
 def test_results_table_holds_what_results_jsonl_holds(corrupt_copy):
@@ -767,19 +850,21 @@ def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypa
 def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(
         pipeline_dir, corrupt_copy, capsys):
     """A tree whose label and eval_scores manifests were written before
-    label_stats.json and results.bin existed runs those stages again instead
-    of skipping them, and ends as a fresh run's tree."""
+    label_stats.json and the tables results.bin and match_table.bin existed
+    runs those stages again instead of skipping them, and ends as a fresh
+    run's tree."""
     fresh = storage.hash_tree(pipeline_dir)
     out = corrupt_copy
-    for name in ("label_stats.json", "results.bin"):
+    for name in ("label_stats.json", "results.bin", "match_table.bin"):
         os.remove(out / name)
-    for stage, dropped in (("label", "label_stats.json"), ("eval_scores", "results.bin")):
+    for stage, dropped in (("label", ("label_stats.json",)),
+                           ("eval_scores", ("results.bin", "match_table.bin"))):
         manifest = storage.read_json(storage.manifest_path(out, stage))
-        del manifest["outputs"][dropped]
+        for name in dropped:
+            del manifest["outputs"][name]
         storage.write_json(storage.manifest_path(out, stage), manifest)
     manifest = storage.read_json(storage.manifest_path(out, "eval"))
-    del manifest["inputs"]["results.bin"]
-    manifest["inputs"]["results.jsonl"] = storage.sha256_file(out / "results.jsonl")
+    manifest["inputs"] = {"results.jsonl": storage.sha256_file(out / "results.jsonl")}
     storage.write_json(storage.manifest_path(out, "eval"), manifest)
     assert run_cli(["report", "--out", str(out)] + SMALL) == 3
     assert "label_stats.json" in capsys.readouterr().err
@@ -812,10 +897,11 @@ def _write_feature_files(out) -> dict:
 
 def _declare_feature_files(out, feature_files):
     """List the feature files in the scenes, targets and train manifests in
-    place of features.bin, as those manifests did before it existed."""
+    place of features.bin, as those manifests did before it existed; the
+    targets stage read them then, and reads no features now."""
     for stage, key in (("scenes", "outputs"), ("targets", "inputs"), ("train", "inputs")):
         manifest = storage.read_json(storage.manifest_path(out, stage))
-        del manifest[key]["features.bin"]
+        manifest[key].pop("features.bin", None)
         manifest[key].update(feature_files)
         storage.write_json(storage.manifest_path(out, stage), manifest)
 
@@ -880,12 +966,17 @@ def test_tree_with_a_version_1_checkpoint_retrains_once_it_is_deleted(pipeline_d
     assert storage.hash_tree(out) == fresh
 
 
-@pytest.mark.parametrize("before,args", [
-    (None, []), (None, AT_075), ("eval_scores", []), ("eval", []),
-], ids=["warm", "new_iou", "scores_rerun", "matching_rerun"])
-def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, before, args):
+@pytest.mark.parametrize("commands,before,args", [
+    (cli.PIPELINE_STAGES, None, []), (cli.PIPELINE_STAGES, None, AT_075),
+    (cli.PIPELINE_STAGES, "eval_scores", []), (cli.PIPELINE_STAGES, "eval", []),
+    (("all",), None, []), (("all",), None, AT_075), (("all",), "targets", []),
+], ids=["warm", "new_iou", "scores_rerun", "matching_rerun", "all_warm", "all_new_iou",
+        "all_targets_rerun"])
+def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, commands, before,
+                                                 args):
     """The output hashes a stage verifies or records serve as the input
-    hashes of the stages after it in the same command."""
+    hashes of the stages after it in the same command; `all` shares them
+    across all seven commands."""
     if before:
         os.remove(storage.manifest_path(corrupt_copy, before))
     hashed = []
@@ -896,12 +987,14 @@ def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, befo
         return real_sha(path)
 
     monkeypatch.setattr(storage, "sha256_file", spy)
-    for name in cli.PIPELINE_STAGES:
+    for name in commands:
         hashed.clear()
         assert run_cli([name, "--out", str(corrupt_copy)] + SMALL + args) == 0
         assert len(hashed) == len(set(hashed)), name
-        if name == "eval":
-            assert "results.bin" in hashed
+        if name in ("eval", "all"):
+            assert "results.bin" in hashed and "match_table.bin" in hashed
+        if name == "all":
+            assert "features.bin" in hashed and "scenes.jsonl" in hashed
 
 
 def test_stage_lists_match_the_benchmark(monkeypatch):

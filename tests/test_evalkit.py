@@ -404,6 +404,9 @@ TEXTS = ("a dog", "a dog without dots", "a small brown dog next to a red cup",
 tie_scores = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 quarter_boxes = st.tuples(*[st.integers(0, 3).map(lambda v: v / 4)] * 2,
                           *[st.integers(1, 2).map(lambda v: v / 4)] * 2)
+# Boxes without area overlap nothing, themselves included.
+flat_boxes = st.tuples(*[st.integers(0, 3).map(lambda v: v / 4)] * 2,
+                       *[st.sampled_from([0.0, 0.25])] * 2).filter(lambda b: b[2] * b[3] == 0)
 
 
 @st.composite
@@ -414,7 +417,7 @@ def report_cases(draw):
     may have no row and no ground truth. Detections often repeat a ground
     truth box of their label."""
     scene_ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
-    gt_boxes = st.lists(st.one_of(quarter_boxes, any_boxes), max_size=3)
+    gt_boxes = st.lists(st.one_of(quarter_boxes, any_boxes, flat_boxes), max_size=3)
     categories = []
     for label_id in range(draw(st.integers(0, 3))):
         gt = {scene_id: draw(gt_boxes) for scene_id in scene_ids}
@@ -437,7 +440,8 @@ def report_cases(draw):
     for _ in range(draw(st.integers(0, 12))):
         key = draw(st.one_of(key_with_gt, any_key))
         own = boxes_of.get(key, [])
-        box = st.one_of(quarter_boxes, st.sampled_from(own) if own else any_boxes, any_boxes)
+        box = st.one_of(quarter_boxes, st.sampled_from(own) if own else any_boxes, any_boxes,
+                        flat_boxes)
         dets = draw(st.lists(st.tuples(box, tie_scores), max_size=4))
         rows.append({"label_id": key[0], "scene_id": key[1],
                      "detections": [{"box": list(b), "score": score} for b, score in dets]})
@@ -463,12 +467,9 @@ def loop_aps(rows, bench, thr) -> list[float]:
 
 
 def kernel_aps(results, bench, thr) -> list[float]:
-    """The same APs from one _pooled_aps() call over the columns."""
-    return evalkit._pooled_aps(
-        result_columns(results),
-        [(label.label_id, bench.scene_ids, label.gt_boxes) for label in bench.category_labels]
-        + [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
-           for label in bench.description_labels], thr)
+    """The same APs from the benchmark's MatchTable, built in memory and
+    thresholded by one _table_aps() call."""
+    return evalkit._table_aps(evalkit.match_table(results, bench), thr).tolist()
 
 
 def loop_report(rows, bench, thr) -> tuple[dict, tuple]:
@@ -720,6 +721,182 @@ def test_hand_written_truth_table_with_distinct_ids_reads_back(tmp_path):
         (0, {2: [_BOX], 4: [_BOX, _BOX]}), (1, {})]
     assert [(label.label_id, label.scene_id, label.gt_boxes)
             for label in bench.description_labels] == [(9, 4, (_BOX,)), (8, 2, ())]
+
+
+# match_table.bin ----------------------------------------------------------
+
+def _shift_ids(case, offset: int):
+    """The case with every label and scene id raised by `offset`."""
+    bench, rows = case
+    cats = tuple(CategoryLabel(label.label_id + offset, label.name,
+                               {k + offset: v for k, v in label.gt_boxes.items()})
+                 for label in bench.category_labels)
+    descs = tuple(dataclasses.replace(label, label_id=label.label_id + offset,
+                                      scene_id=label.scene_id + offset)
+                  for label in bench.description_labels)
+    return (BenchmarkInstance(tuple(k + offset for k in bench.scene_ids), cats, descs),
+            [{**row, "label_id": row["label_id"] + offset, "scene_id": row["scene_id"] + offset}
+             for row in rows])
+
+
+def _same_tables(a: evalkit.MatchTable, b: evalkit.MatchTable) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b, strict=True))
+
+
+# A category label whose detections all miss its boxes and a description
+# label with ground truth and no detections: pools without candidates.
+_NO_CANDIDATES = (BenchmarkInstance(
+    scene_ids=(0, 1), category_labels=(CategoryLabel(0, "c0", {0: [(0, 0, _Q, _Q)]}),),
+    description_labels=(_described(100, 1, "a dog", ((0, 0, _Q, _Q),)),)),
+    [{"label_id": 0, "scene_id": 0, "detections": [{"box": [3 * _Q, 3 * _Q, _Q, _Q], "score": 0.9},
+                                                   {"box": [0, 0, 0, _Q], "score": 0.8}]},
+     {"label_id": 0, "scene_id": 1, "detections": [{"box": [0, 0, _Q, _Q], "score": 0.7}]}])
+thresholds = st.one_of(st.sampled_from([0.5, 0.75, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_cases(), thresholds, st.sampled_from([0, 70_000, 2**40]))
+@example(_IOU_TIE, 0.5, 0)
+@example(_JOINED_TIE, 0.5, 2**40)
+@example(_MISS_THEN_HIT, 0.5, 0)
+@example(_MISS_THEN_HIT, 1.0, 70_000)
+@example(_ALL_TIED, 0.5, 0)
+@example(_NO_CANDIDATES, 0.5, 0)
+def test_match_table_thresholded_equals_the_per_label_loop_reference(tmp_path_factory, case, thr,
+                                                                     offset):
+    """The MatchTable built in memory, from rows with ids of any size or from
+    columns that keep rows sharing a key apart, and thresholded by one
+    _table_aps() call, gives each label's AP of the per-label loop bit for
+    bit, NaN for NaN, at any threshold in (0, 1]. Written to match_table.bin
+    and read back, it is the same table, and omnilabel_report() of it is the
+    report of the rows and the loop's."""
+    bench, rows = _shift_ids(case, offset)
+    want_aps = loop_aps(rows, bench, thr)
+    want, _ = loop_report(rows, bench, thr)
+    path = tmp_path_factory.mktemp("match") / "match_table.bin"
+    tables = [evalkit.match_table(form, bench) for form in (rows, _unjoined_columns(rows))]
+    assert _same_tables(*tables)
+    evalkit.write_match_table(path, tables[0])
+    back = evalkit.read_match_table(path)
+    assert _same_tables(back, tables[0])
+    for table in (tables[0], back):
+        assert _same_floats(evalkit._table_aps(table, thr).tolist(), want_aps)
+        got = omnilabel_report(table, iou_threshold=thr).to_json()
+        assert {k: got[k] for k in want} == want
+        assert got == omnilabel_report(rows, bench, iou_threshold=thr).to_json()
+    assert (back.cand_ious > 0).any(axis=1).all()
+
+
+def test_empty_match_table_round_trips(tmp_path):
+    path = tmp_path / "match_table.bin"
+    evalkit.write_match_table(path, evalkit.match_table([], BenchmarkInstance((), (), ())))
+    assert path.read_bytes() == b"GDMT" + struct.pack("<H5Q", 1, *[0] * 5)
+    table = evalkit.read_match_table(path)
+    assert [column.shape for column in table] == [(0,)] * 8 + [(0, 0)]
+    assert all(math.isnan(v) for v in omnilabel_report(table).to_json().values()
+               if isinstance(v, float))
+
+
+def test_scoring_rejects_a_threshold_outside_the_unit_interval_and_a_missing_benchmark():
+    bench, rows = _MISS_THEN_HIT
+    table = evalkit.match_table(rows, bench)
+    for thr in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="does not lie in"):
+            omnilabel_report(table, iou_threshold=thr)
+    with pytest.raises(ValueError, match="only the table of one label"):
+        average_precision(table)
+    with pytest.raises(TypeError, match="needs the benchmark"):
+        omnilabel_report(rows)
+
+
+def _damaged_match_tables(raw: bytes):
+    """Every proper prefix of a match table, and the table with one magic
+    byte, its version or one header count changed."""
+    fmt = evalkit.MATCH_TABLE
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    head = len(fmt.magic)
+    for i in range(head):
+        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+    counts = struct.unpack_from(f"<{len(fmt.counts)}Q", raw, head + 2)
+    for at, size in [(head, "<H")] + [(head + 2 + 8 * i, "<Q") for i in range(len(counts))]:
+        (value,) = struct.unpack_from(size, raw, at)
+        for other in (value + 1, value - 1):
+            if other >= 0:
+                yield raw[:at] + struct.pack(size, other) + raw[at + struct.calcsize(size):]
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_cases())
+@example(_MISS_THEN_HIT)
+def test_match_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory, case):
+    path = tmp_path_factory.mktemp("bad") / "match_table.bin"
+    evalkit.write_match_table(path, evalkit.match_table(case[1], case[0]))
+    for damaged in _damaged_match_tables(path.read_bytes()):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=r"match_table\.bin"):
+            evalkit.read_match_table(path)
+
+
+def _set(*changes):
+    """A damage that sets column[at] = value for each (column, at, value)."""
+    def damage(table):
+        columns = [column.copy() for column in table]
+        for column, at, value in changes:
+            columns[column][at] = value
+        return columns
+    return damage
+
+
+# Columns: 0 pool detections, 1 pool ground truth, 2 words, 3 absence flags,
+# 4 task pools, 5 task ground truth, 6 candidate tasks, 7 ranks, 8 IoUs.
+# _MISS_THEN_HIT has two pools (7 and 3 detections), three tasks and five
+# candidates: ranks 5 and 7 of task 0, 3 and 4 of task 1, 3 of task 2.
+_BAD_MATCH_TABLES = {
+    "more_descriptions_than_pools": (
+        lambda table: [*table[:2], np.array([2, 2, 2]), np.zeros(3, dtype=np.uint8), *table[4:]],
+        "3 description pools of 2 pools"),
+    "task_pool_past_the_pools": (_set((4, 2, 2)), "pool indices below 2"),
+    "negative_task_pool": (_set((4, 0, -1)), "pool indices below 2"),
+    "task_pools_out_of_order": (_set((4, 1, 1), (4, 2, 0)), "non-decreasing"),
+    "candidate_task_past_the_tasks": (_set((6, 4, 3)), "task indices below 3"),
+    "negative_candidate_task": (_set((6, 0, -1)), "task indices below 3"),
+    "candidates_out_of_task_order": (_set((6, 1, 1), (6, 2, 0)), "ordered by task"),
+    "rank_zero": (_set((7, 0, 0)), "between 1 and"),
+    "rank_past_the_pool": (_set((7, 1, 8)), "between 1 and"),
+    "ranks_out_of_order": (_set((7, 1, 4)), "ordered by task, then by rank"),
+    "rank_shared_across_tasks": (_set((7, 3, 5)), "share a rank"),
+    "task_without_ground_truth": (_set((5, 0, 0)), "ground-truth boxes"),
+    "task_with_more_boxes_than_its_row": (_set((5, 1, 3)), "ground-truth boxes"),
+    "tasks_with_more_boxes_than_the_pool": (_set((1, 0, 2)), "more ground-truth boxes"),
+    "negative_detection_count": (_set((0, 0, -1)), "negative"),
+    "absence_flag_2": (_set((3, 0, 2)), "absence flags"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MATCH_TABLES))
+def test_match_table_rejects_indices_counts_and_order_matching_cannot_use(tmp_path, case):
+    """A pool, task or rank out of range, candidates out of (task, rank)
+    order, two candidates of one pool at one rank, or a count that
+    contradicts another would each make matching index past an array or
+    score the wrong detections; the reader rejects them and names the file."""
+    damage, message = _BAD_MATCH_TABLES[case]
+    table = evalkit.match_table(_MISS_THEN_HIT[1], _MISS_THEN_HIT[0])
+    assert table.cand_task.tolist() == [0, 0, 1, 1, 2]
+    assert table.cand_rank.tolist() == [5, 7, 3, 4, 3]
+    assert table.pool_dets.tolist() == [7, 3] and table.pool_gt.tolist() == [3, 1]
+    assert table.task_gt.tolist() == [2, 1, 1] and table.cand_ious.shape == (5, 2)
+    path = tmp_path / "match_table.bin"
+    evalkit.write_match_table(path, table)
+    evalkit.read_match_table(path)
+    columns = damage(table)
+    counts = (len(columns[0]), len(columns[2]), len(columns[4]), len(columns[6]),
+              columns[8].shape[1])
+    write_table(path, evalkit.MATCH_TABLE, counts, [[column] for column in columns])
+    with pytest.raises(ValueError, match=r"match_table\.bin: .*" + message):
+        evalkit.read_match_table(path)
 
 
 # Scores from a small set with both zeros, NaN and the infinities make ties
