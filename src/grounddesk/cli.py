@@ -390,9 +390,9 @@ def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
     benchmark, run the model on it and write what matching needs,
     match_table.bin: each label's ranking, joined to its ground truth, and
-    each candidate detection's IoUs. results.jsonl and results.bin record
-    the detections, and benchmark_scenes.jsonl, benchmark_labels.jsonl and
-    benchmark_truth.bin the benchmark; no stage reads them."""
+    each candidate detection's IoUs. results.jsonl records the detections,
+    and benchmark_scenes.jsonl and benchmark_labels.jsonl the benchmark; no
+    stage reads them."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -401,11 +401,9 @@ def _eval_scores(config, out, workers):
     results = pipeline.run_model_on_benchmark(model, bench, e["score_threshold"],
                                               lexicon, agg=e["aggregation"])
     evalkit.write_results(os.path.join(out, "results.jsonl"), results)
-    evalkit.write_results_table(os.path.join(out, "results.bin"), results)
     scenegen.write_scenes(os.path.join(out, "benchmark_scenes.jsonl"), bench.scenes)
     evalkit.write_description_labels(os.path.join(out, "benchmark_labels.jsonl"),
                                      bench.description_labels)
-    evalkit.write_benchmark_truth(os.path.join(out, "benchmark_truth.bin"), bench)
     evalkit.write_match_table(os.path.join(out, "match_table.bin"),
                               evalkit.match_table(results, bench))
     print(f"eval: scored {len(bench.scenes)} benchmark scenes")
@@ -448,8 +446,9 @@ class Stage:
     """What one manifest covers, declared once: its name, the config keys
     its body reads (dotted paths reach into a block), each file it reads
     with the command that writes that file, and the files it writes. A
-    manifest that does not record every declared output is stale, so a tree
-    from before an output was added runs the stage again."""
+    manifest that does not record exactly the declared outputs is stale, so
+    a tree from before an output was added or dropped runs the stage again;
+    a dropped output's file is left where it is, and no longer hashed."""
     name: str
     keys: tuple[str, ...]
     inputs: dict[str, str]
@@ -482,8 +481,8 @@ STAGES = {
                                    "eval.nw_choices", "eval.score_threshold",
                                    "eval.aggregation"),
                    {"model.ckpt": "train", "model.vocab.json": "train"},
-                   ("results.jsonl", "results.bin", "benchmark_scenes.jsonl",
-                    "benchmark_labels.jsonl", "benchmark_truth.bin", "match_table.bin"),
+                   ("results.jsonl", "benchmark_scenes.jsonl", "benchmark_labels.jsonl",
+                    "match_table.bin"),
                    _eval_scores),
              Stage("eval", ("eval.iou_threshold",), {"match_table.bin": "eval"}, ("report.json",),
                    _eval)),

@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .langparse import Lexicon, ParseTree, is_absence, parse
-from .storage import (TableFormat, check_row_counts, read_jsonl, read_table, row_slices,
-                      write_jsonl, write_table)
+from .storage import TableFormat, read_jsonl, read_table, write_jsonl, write_table
 
 LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
@@ -119,10 +118,10 @@ def _normalize_results(results) -> Results:
 
 
 class ResultColumns(NamedTuple):
-    """The result table as the four columns of results.bin, in row order:
-    keys (rows, 2) of (label_id, scene_id), counts (rows,), boxes (n, 4) and
-    scores (n,). Row i holds the counts[i] detections that follow those of
-    the rows before it; rows that share a key are one row, joined in order."""
+    """The result table as four columns, in row order: keys (rows, 2) of
+    (label_id, scene_id), counts (rows,), boxes (n, 4) and scores (n,). Row
+    i holds the counts[i] detections that follow those of the rows before
+    it; rows that share a key are one row, joined in order."""
     keys: np.ndarray
     counts: np.ndarray
     boxes: np.ndarray
@@ -419,7 +418,7 @@ def harmonic_mean(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class CategoryLabel:
     label_id: int
-    name: str | None  # None when read back from benchmark_truth.bin
+    name: str
     gt_boxes: dict  # scene_id -> list of boxes
 
 
@@ -428,11 +427,10 @@ class DescriptionLabel:
     """A description label on one scene. `words`, the text's word count,
     sets its length bucket, and `absent` says whether the text expresses
     absence; both are fixed when the label is made (description_label()),
-    so scoring never parses. A label read back from benchmark_truth.bin has
-    no text."""
+    so scoring never parses."""
     label_id: int
     scene_id: int
-    text: str | None
+    text: str
     gt_boxes: tuple
     words: int
     absent: bool
@@ -462,9 +460,9 @@ def category_labels(pool, scenes) -> tuple[CategoryLabel, ...]:
 @dataclass(frozen=True)
 class BenchmarkInstance:
     """The benchmark's scene ids in order and its labels: all that matching
-    needs, and all that read_benchmark_truth() gives back. A benchmark built
-    in memory also holds its Scenes and their features (scene_id ->
-    RegionFeatures), which running a model on it needs."""
+    needs. A benchmark built in memory also holds its Scenes and their
+    features (scene_id -> RegionFeatures), which running a model on it
+    needs."""
     scene_ids: tuple[int, ...]
     category_labels: tuple[CategoryLabel, ...]
     description_labels: tuple[DescriptionLabel, ...]
@@ -543,12 +541,11 @@ def omnilabel_report(results, benchmark: BenchmarkInstance | None = None,
 
     `results` is the benchmark's MatchTable, as match_table.bin holds it,
     or covers both category and description labels of `benchmark` as
-    anything result_columns() takes: the columns of results.bin, a Results
-    table, JSONL rows {label_id, scene_id, detections:[{box, score}]} or a
-    mapping keyed by (label_id, scene_id); match_table() then builds the
-    table. Each category label is scored by one pooled_average_precision()
-    call on its slice of the table; the description labels by one
-    _table_aps() call.
+    anything result_columns() takes: ResultColumns, a Results table, JSONL
+    rows {label_id, scene_id, detections:[{box, score}]} or a mapping keyed
+    by (label_id, scene_id); match_table() then builds the table. Each
+    category label is scored by one pooled_average_precision() call on its
+    slice of the table; the description labels by one _table_aps() call.
     """
     table = match_table(results, benchmark)
     cat_aps = [pooled_average_precision(table.pools(i, i + 1), None, iou_threshold)
@@ -657,34 +654,6 @@ def read_results(path) -> Results:
     return table
 
 
-RESULTS_MAGIC = b"GDRT"
-RESULTS_TABLE = TableFormat("results table", RESULTS_MAGIC, 1, ("rows", "detections"),
-                            (("<i8", ("rows", 2)), ("<i8", ("rows",)),
-                             ("<f8", ("detections", 4)), ("<f8", ("detections",))))
-
-
-def write_results_table(path, results) -> None:
-    """results.bin: the Results table (anything _normalize_results() takes)
-    as a RESULTS_TABLE in row order: int64 (label_id, scene_id) pairs, int64
-    per-row detection counts, float64 boxes (n, 4) and float64 scores (n,).
-    Each row's arrays are written as they are, without a joined copy."""
-    table = _normalize_results(results)
-    dets = list(table.values())
-    write_table(path, RESULTS_TABLE, (len(dets), sum(len(d.scores) for d in dets)),
-                ([list(table)], [[len(d.scores) for d in dets]],
-                 [d.boxes for d in dets], [d.scores for d in dets]))
-
-
-def read_results_table(path) -> ResultColumns:
-    """The ResultColumns of a write_results_table() file, bit for bit as
-    written. Checks the magic, the version, that the file is exactly as long
-    as its counts say, and that the per-row counts are non-negative and sum
-    to the detection count. Raises ValueError naming the file."""
-    (_, n_dets), columns = read_table(path, RESULTS_TABLE)
-    check_row_counts(path, columns[1], n_dets)
-    return ResultColumns(*columns)
-
-
 def write_description_labels(path, labels) -> None:
     """benchmark_labels.jsonl: one line {label_id, scene_id, text, gt_boxes}
     per description label."""
@@ -698,114 +667,6 @@ def read_description_labels(path, lexicon: Lexicon | None = None) -> list[Descri
     return read_jsonl(path, lambda row: description_label(
         row["label_id"], row["scene_id"], row["text"],
         (tuple(box) for box in row["gt_boxes"]), parse(row["text"], lexicon)))
-
-
-TRUTH_TABLE = TableFormat(
-    "benchmark truth table", b"GDBT", 1,
-    ("scenes", "category_labels", "category_scenes", "category_boxes",
-     "description_labels", "description_boxes"),
-    (("<i8", ("scenes",)),  # scene ids, in benchmark order
-     ("<i8", ("category_labels",)),  # category label ids
-     ("<i8", ("category_labels",)),  # scenes per category label
-     ("<i8", ("category_scenes",)),  # each category label's scenes, in order
-     ("<i8", ("category_scenes",)),  # boxes per (category label, scene)
-     ("<f8", ("category_boxes", 4)),
-     ("<i8", ("description_labels",)),  # description label ids
-     ("<i8", ("description_labels",)),  # their scenes
-     ("<i8", ("description_labels",)),  # their word counts
-     ("<u1", ("description_labels",)),  # their absence flags, 0 or 1
-     ("<i8", ("description_labels",)),  # boxes per description label
-     ("<f8", ("description_boxes", 4))))
-
-
-def _box_chunk(boxes) -> np.ndarray:
-    return np.array(boxes, dtype=float).reshape(-1, 4)
-
-
-def write_benchmark_truth(path, benchmark: BenchmarkInstance) -> None:
-    """benchmark_truth.bin: what matching needs of the benchmark, as one
-    TRUTH_TABLE: its scene ids, each category label's boxes by scene (the
-    scenes that have its objects, in order) and each description label's
-    scene, boxes, word count and absence flag. Label names and texts are
-    left out. A later version can add per-description columns, such as the
-    role of each object on the label's scene, after these."""
-    cats, descs = benchmark.category_labels, benchmark.description_labels
-    cat_gt = [gt for label in cats for gt in label.gt_boxes.values()]
-    columns = ([benchmark.scene_ids], [[label.label_id for label in cats]],
-               [[len(label.gt_boxes) for label in cats]],
-               [[scene_id for label in cats for scene_id in label.gt_boxes]],
-               [[len(gt) for gt in cat_gt]], [_box_chunk(gt) for gt in cat_gt],
-               [[label.label_id for label in descs]], [[label.scene_id for label in descs]],
-               [[label.words for label in descs]], [[label.absent for label in descs]],
-               [[len(label.gt_boxes) for label in descs]],
-               [_box_chunk(label.gt_boxes) for label in descs])
-    counts = (len(benchmark.scene_ids), len(cats), len(cat_gt), sum(map(len, cat_gt)),
-              len(descs), sum(len(label.gt_boxes) for label in descs))
-    write_table(path, TRUTH_TABLE, counts, columns)
-
-
-def _first_repeat(values: np.ndarray):
-    """The smallest value that occurs more than once in `values`, or None."""
-    values = np.sort(values)
-    repeats = values[1:][values[1:] == values[:-1]]
-    return repeats[0].item() if len(repeats) else None
-
-
-def _check_truth_ids(path, scene_ids, cat_ids, cat_owner, cat_scenes, desc_ids,
-                     desc_scenes) -> None:
-    """Raise ValueError naming `path` unless the scene ids are distinct, no
-    label id is used twice (category and description labels alike), every
-    label's scene is one of the benchmark's and no category label lists a
-    scene twice. Matching joins rows to labels and scenes by these ids, so
-    any of these would make it score the wrong rows. cat_owner is the
-    category label of each of cat_scenes."""
-    repeat = _first_repeat(scene_ids)
-    if repeat is not None:
-        raise ValueError(f"{path}: scene id {repeat} is repeated")
-    repeat = _first_repeat(np.concatenate([cat_ids, desc_ids]))
-    if repeat is not None:
-        raise ValueError(f"{path}: label id {repeat} is used twice")
-    label_scenes = np.concatenate([cat_scenes, desc_scenes])
-    (position,) = _index_of(scene_ids, label_scenes)
-    if (position < 0).any():
-        at = int(np.argmax(position < 0))
-        label_id = np.concatenate([cat_ids[cat_owner], desc_ids])[at]
-        raise ValueError(f"{path}: label {label_id} is on scene {label_scenes[at]}, which is not "
-                         f"one of the benchmark's scenes")
-    repeat = _first_repeat(cat_owner * len(scene_ids) + position[:len(cat_owner)])
-    if repeat is not None:
-        raise ValueError(f"{path}: category label {cat_ids[repeat // len(scene_ids)]} lists "
-                         f"scene {scene_ids[repeat % len(scene_ids)]} twice")
-
-
-def read_benchmark_truth(path) -> BenchmarkInstance:
-    """The BenchmarkInstance of a write_benchmark_truth() file: scene ids and
-    labels, with boxes as written bit for bit, and no scenes, features,
-    names or texts. Checks the magic, the version and the exact length; that
-    the scenes per category label, the boxes per (category label, scene) and
-    the boxes per description label are non-negative and sum to the counts
-    in the header; that every absence flag is 0 or 1; and the ids, as
-    _check_truth_ids() does. Raises ValueError naming the file."""
-    (_, _, n_cat_scenes, n_cat_boxes, _, n_desc_boxes), columns = read_table(path, TRUTH_TABLE)
-    (scene_ids, cat_ids, cat_scene_counts, cat_scenes, cat_box_counts, cat_boxes,
-     desc_ids, desc_scenes, desc_words, desc_absent, desc_box_counts, desc_boxes) = columns
-    if desc_absent.max(initial=0) > 1:
-        raise ValueError(f"{path}: absence flags must be 0 or 1")
-    cat_rows = row_slices(path, cat_scene_counts, n_cat_scenes)
-    cat_owner = np.repeat(np.arange(len(cat_ids)), cat_scene_counts)
-    _check_truth_ids(path, scene_ids, cat_ids, cat_owner, cat_scenes, desc_ids, desc_scenes)
-    cat_boxes = list(map(tuple, cat_boxes.tolist()))
-    cat_gt = [cat_boxes[rows] for rows in row_slices(path, cat_box_counts, n_cat_boxes)]
-    cat_scenes = cat_scenes.tolist()
-    cats = tuple(CategoryLabel(label_id, None, dict(zip(cat_scenes[rows], cat_gt[rows])))
-                 for label_id, rows in zip(cat_ids.tolist(), cat_rows))
-    desc_boxes = list(map(tuple, desc_boxes.tolist()))
-    descs = tuple(DescriptionLabel(label_id, scene_id, None, tuple(desc_boxes[rows]), words,
-                                   bool(absent))
-                  for label_id, scene_id, words, absent, rows
-                  in zip(desc_ids.tolist(), desc_scenes.tolist(), desc_words.tolist(),
-                         desc_absent.tolist(), row_slices(path, desc_box_counts, n_desc_boxes)))
-    return BenchmarkInstance(tuple(scene_ids.tolist()), cats, descs)
 
 
 MATCH_TABLE = TableFormat(

@@ -139,19 +139,13 @@ def read_table(path, fmt: TableFormat) -> tuple[tuple[int, ...], list[np.ndarray
     return tuple(counts), columns
 
 
-def check_row_counts(path, counts: np.ndarray, total: int) -> list[int]:
-    """The rows' counts as ints, checked to be non-negative and to sum to
-    `total` exactly; raises ValueError naming the file otherwise."""
+def row_slices(path, counts: np.ndarray, total: int) -> list[slice]:
+    """The slice of the grouped columns that each row holds, from the rows'
+    counts, which must be non-negative and sum to `total` exactly; raises
+    ValueError naming the file otherwise."""
     counts = counts.tolist()
     if min(counts, default=0) < 0 or sum(counts) != total:
         raise ValueError(f"{path}: per-row counts must be non-negative and sum to {total}")
-    return counts
-
-
-def row_slices(path, counts: np.ndarray, total: int) -> list[slice]:
-    """The slice of the grouped columns that each row holds, from the rows'
-    counts, which must be non-negative and sum to `total`."""
-    counts = check_row_counts(path, counts, total)
     return [slice(end - n, end) for n, end in zip(counts, itertools.accumulate(counts))]
 
 
@@ -201,9 +195,9 @@ def read_manifest(path) -> dict:
 def stage_is_current(out_dir, stage: str, config_slice, inputs: dict,
                      outputs) -> dict | None:
     """The manifest's output hashes, each just verified, when the stage is
-    current: its manifest matches config and inputs, records every file in
-    `outputs` (the files the stage is declared to write), and every recorded
-    output still exists with its recorded hash. None otherwise."""
+    current: its manifest matches config and inputs, records exactly the
+    files in `outputs` (the files the stage is declared to write), and every
+    recorded output still exists with its recorded hash. None otherwise."""
     path = manifest_path(out_dir, stage)
     if not os.path.exists(path):
         return None
@@ -211,7 +205,7 @@ def stage_is_current(out_dir, stage: str, config_slice, inputs: dict,
     if manifest["config_hash"] != config_hash(config_slice) or manifest["inputs"] != inputs:
         return None
     recorded = manifest["outputs"]
-    if not set(outputs) <= set(recorded):
+    if set(outputs) != set(recorded):
         return None
     for rel, digest in recorded.items():
         full = os.path.join(out_dir, rel)

@@ -202,10 +202,11 @@ def test_pipeline_writes_all_artifacts(pipeline_dir):
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
                 "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
                 "benchmark_labels.jsonl", "report.json", "summary.json", "features.bin",
-                "label_stats.json", "results.bin", "benchmark_truth.bin", "match_table.bin"]
+                "label_stats.json", "match_table.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
-    assert not os.path.exists(os.path.join(pipeline_dir, "features"))
+    for name in ("features", "results.bin", "benchmark_truth.bin"):
+        assert not os.path.exists(os.path.join(pipeline_dir, name)), name
     for stage in ("gen", "scenes", "label", "targets", "train", "eval_scores", "eval"):
         manifest = storage.read_json(storage.manifest_path(pipeline_dir, stage))
         assert manifest["stage"] == stage
@@ -408,8 +409,6 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bench.scenes) == cli_bytes("benchmark_scenes.jsonl")
     assert written("benchmark_labels.jsonl", evalkit.write_description_labels,
                    bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
-    assert written("benchmark_truth.bin", evalkit.write_benchmark_truth,
-                   bench) == cli_bytes("benchmark_truth.bin")
     results = evalkit.read_results(os.path.join(pipeline_dir, "results.jsonl"))
     assert written("match_table.bin", evalkit.write_match_table,
                    evalkit.match_table(results, bench)) == cli_bytes("match_table.bin")
@@ -720,8 +719,8 @@ def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, dam
 
 def test_truth_table_with_a_clashing_label_id_is_an_artifact_error(corrupt_copy, capsys):
     """Matching reads labels only as the pool indices of match_table.bin, so
-    the clash a truth table could carry, one label id for two labels, shows
-    there as a task of a pool the table does not have. Recorded as the
+    the clash a ground-truth table could carry, one label id for two labels,
+    shows there as a task of a pool the table does not have. Recorded as the
     scoring half's output, such a table would index past the pools;
     matching rejects it and names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
@@ -754,8 +753,8 @@ def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage
 def test_a_rematch_reads_only_the_match_table(corrupt_copy, monkeypatch):
     """A re-match at a new IoU threshold opens no artifact for reading but
     match_table.bin, apart from the manifests and the files the runner
-    hashes to verify them; in particular neither results.bin nor
-    benchmark_truth.bin."""
+    hashes to verify them; in particular none of the scoring half's JSON
+    records."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
     opened, hashing = set(), []
     real_open, real_sha = builtins.open, storage.sha256_file
@@ -780,23 +779,9 @@ def test_a_rematch_reads_only_the_match_table(corrupt_copy, monkeypatch):
     assert json.loads((corrupt_copy / "report.json").read_text())["config"]["iou_threshold"] == 0.75
 
 
-def test_results_table_holds_what_results_jsonl_holds(corrupt_copy):
-    """Matching reads results.bin; its columns are the table that
-    results.jsonl exports, bit for bit, on a tree with a detection for every
-    region."""
-    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    columns = evalkit.read_results_table(corrupt_copy / "results.bin")
-    exported = evalkit.result_columns(evalkit.read_results(corrupt_copy / "results.jsonl"))
-    assert len(columns.counts) >= 6
-    assert columns.keys.tolist() == exported.keys.tolist()
-    assert columns.counts.tolist() == exported.counts.tolist()
-    for got, want in ((columns.boxes, exported.boxes), (columns.scores, exported.scores)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def test_matching_report_is_the_report_of_the_json_export(corrupt_copy):
     """On a tree with a detection for every region, the report that matching
-    writes from results.bin and benchmark_truth.bin equals omnilabel_report
+    writes from match_table.bin equals omnilabel_report
     of the JSON exports at IoU 0.5, 0.75 and 1.0: results.jsonl, and the
     benchmark rebuilt from benchmark_scenes.jsonl and benchmark_labels.jsonl
     with each absence flag from the parse of its text. Re-matching leaves
@@ -850,15 +835,14 @@ def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypa
 def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(
         pipeline_dir, corrupt_copy, capsys):
     """A tree whose label and eval_scores manifests were written before
-    label_stats.json and the tables results.bin and match_table.bin existed
-    runs those stages again instead of skipping them, and ends as a fresh
-    run's tree."""
+    label_stats.json and match_table.bin existed runs those stages again
+    instead of skipping them, and ends as a fresh run's tree."""
     fresh = storage.hash_tree(pipeline_dir)
     out = corrupt_copy
-    for name in ("label_stats.json", "results.bin", "match_table.bin"):
+    for name in ("label_stats.json", "match_table.bin"):
         os.remove(out / name)
     for stage, dropped in (("label", ("label_stats.json",)),
-                           ("eval_scores", ("results.bin", "match_table.bin"))):
+                           ("eval_scores", ("match_table.bin",))):
         manifest = storage.read_json(storage.manifest_path(out, stage))
         for name in dropped:
             del manifest["outputs"][name]
@@ -874,6 +858,43 @@ def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(
     for name in ("gen", "scenes", "targets", "train"):
         assert f"{name}: up to date, skipping" in printed
     assert storage.hash_tree(out) == fresh
+
+
+def test_tree_with_the_packed_eval_records_rescores_once_and_keeps_them(
+        pipeline_dir, corrupt_copy, capsys, monkeypatch):
+    """An eval_scores manifest written when the scoring half also wrote
+    results.bin and benchmark_truth.bin records more than the stage's
+    declared outputs, so the scores run once more. The leftover files stay
+    as they are, and a re-match at a new IoU threshold then reuses the
+    scores without hashing them."""
+    fresh = storage.hash_tree(pipeline_dir)
+    out = corrupt_copy
+    leftovers = {"results.bin": b"GDRT old detections", "benchmark_truth.bin": b"GDBT old truth"}
+    manifest = storage.read_json(storage.manifest_path(out, "eval_scores"))
+    for name, data in leftovers.items():
+        (out / name).write_bytes(data)
+        manifest["outputs"][name] = storage.sha256_file(out / name)
+    storage.write_json(storage.manifest_path(out, "eval_scores"), manifest)
+    assert run_cli(["eval", "--out", str(out)] + SMALL) == 0
+    printed = capsys.readouterr().out
+    assert "eval: scored" in printed and "up to date" not in printed
+    tree = storage.hash_tree(out)
+    assert {rel: digest for rel, digest in tree.items() if rel not in leftovers} == fresh
+    assert {name: (out / name).read_bytes() for name in leftovers} == leftovers
+    recorded = storage.read_json(storage.manifest_path(out, "eval_scores"))["outputs"]
+    assert set(recorded) == set(cli.STAGES["eval"][0].outputs)
+    hashed = []
+    real_sha = storage.sha256_file
+
+    def spy(path):
+        hashed.append(os.path.basename(path))
+        return real_sha(path)
+
+    monkeypatch.setattr(storage, "sha256_file", spy)
+    assert run_cli(["eval", "--out", str(out)] + SMALL + AT_075) == 0
+    assert "eval: scores up to date, reused" in capsys.readouterr().out
+    assert "match_table.bin" in hashed and not set(hashed) & set(leftovers)
+    assert {name: (out / name).read_bytes() for name in leftovers} == leftovers
 
 
 def _write_feature_files(out) -> dict:
@@ -992,7 +1013,7 @@ def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, comm
         assert run_cli([name, "--out", str(corrupt_copy)] + SMALL + args) == 0
         assert len(hashed) == len(set(hashed)), name
         if name in ("eval", "all"):
-            assert "results.bin" in hashed and "match_table.bin" in hashed
+            assert "results.jsonl" in hashed and "match_table.bin" in hashed
         if name == "all":
             assert "features.bin" in hashed and "scenes.jsonl" in hashed
 

@@ -508,7 +508,7 @@ def _same_floats(a, b) -> bool:
 
 def _unjoined_columns(rows) -> ResultColumns:
     """One column row per results.jsonl row, in file order: rows that share
-    a key stay apart, as a results.bin that another writer made may hold them."""
+    a key stay apart, as ResultColumns built elsewhere may hold them."""
     keys = np.array([(row["label_id"], row["scene_id"]) for row in rows], dtype=np.int64)
     dets = [as_detection_arrays(row["detections"]) for row in rows]
     return ResultColumns(keys.reshape(-1, 2), np.array([len(d.scores) for d in dets], dtype=np.int64),
@@ -571,156 +571,20 @@ _ALL_TIED = (BenchmarkInstance(
 @example(_JOINED_TIE, 0.5)
 @example(_MISS_THEN_HIT, 0.5)
 @example(_ALL_TIED, 0.5)
-def test_reports_equal_the_per_label_loop_reference(tmp_path_factory, case, thr):
+def test_reports_equal_the_per_label_loop_reference(case, thr):
     """omnilabel_report and d3_report score every label from the table's
     columns; each figure equals the per-label loop's bit for bit,
     NaN for NaN, from rows, from the Results table, from its columns, and
-    from a results.bin whose rows that share a key stay apart."""
+    from columns whose rows that share a key stay apart."""
     bench, rows = case
     want, want_d3 = loop_report(rows, bench, thr)
-    path = tmp_path_factory.mktemp("unjoined") / "results.bin"
-    columns = _unjoined_columns(rows)
-    write_table(path, evalkit.RESULTS_TABLE, (len(columns.counts), len(columns.scores)),
-                [[column] for column in columns])
     want_aps = loop_aps(rows, bench, thr)
     for form in (rows, evalkit._normalize_results(rows), result_columns(rows),
-                 evalkit.read_results_table(path)):
+                 _unjoined_columns(rows)):
         assert _same_floats(kernel_aps(form, bench, thr), want_aps)
         got = omnilabel_report(form, bench, iou_threshold=thr).to_json()
         assert {k: got[k] for k in want} == want
         assert _same_floats(d3_report(form, bench, thr), want_d3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(report_cases(), st.sampled_from([0.5, 0.75, 1.0]))
-@example(_IOU_TIE, 0.5)
-@example(_JOINED_TIE, 0.5)
-def test_truth_table_reads_back_a_benchmark_that_scores_the_same(tmp_path_factory, case, thr):
-    """benchmark_truth.bin gives back the scene ids and each label's id,
-    scenes, boxes, word count and absence flag as written, and the report
-    of the read-back benchmark equals the original's bit for bit, NaN for
-    NaN."""
-    bench, rows = case
-    path = tmp_path_factory.mktemp("truth") / "benchmark_truth.bin"
-    evalkit.write_benchmark_truth(path, bench)
-    back = evalkit.read_benchmark_truth(path)
-    assert back.scene_ids == bench.scene_ids
-    assert [(label.label_id, label.gt_boxes) for label in back.category_labels] == [
-        (label.label_id, {k: list(v) for k, v in label.gt_boxes.items()})
-        for label in bench.category_labels]
-    assert back.description_labels == tuple(
-        dataclasses.replace(label, text=None, gt_boxes=tuple(map(tuple, label.gt_boxes)))
-        for label in bench.description_labels)
-    want = omnilabel_report(rows, bench, iou_threshold=thr)
-    got = omnilabel_report(rows, back, iou_threshold=thr)
-    assert got.to_json() == want.to_json()
-
-
-def _damaged_truth_tables(raw: bytes):
-    """Every proper prefix of a truth table; the table with one magic byte,
-    its version or one header count changed; each per-label scene count,
-    per-scene box count and per-description box count column with its first
-    count raised, and, with two counts or more, made -1 with the second
-    raised to keep the sum; and the first absence flag made 2."""
-    fmt = evalkit.TRUTH_TABLE
-    for cut in range(len(raw)):
-        yield raw[:cut]
-    head = len(fmt.magic)
-    for i in range(head):
-        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
-    counts = struct.unpack_from(f"<{len(fmt.counts)}Q", raw, head + 2)
-    for at, size in [(head, "<H")] + [(head + 2 + 8 * i, "<Q") for i in range(len(counts))]:
-        (value,) = struct.unpack_from(size, raw, at)
-        for other in (value + 1, value - 1):
-            if other >= 0:
-                yield raw[:at] + struct.pack(size, other) + raw[at + struct.calcsize(size):]
-    at, offsets = head + 2 + 8 * len(counts), []
-    for (dtype, _), shape in zip(fmt.columns, fmt.shapes(counts)):
-        offsets.append(at)
-        at += np.dtype(dtype).itemsize * math.prod(shape)
-    shapes = fmt.shapes(counts)
-    for column in (2, 4, 10):  # the three per-row count columns
-        at, n = offsets[column], shapes[column][0]
-        if n >= 1:
-            (first,) = struct.unpack_from("<q", raw, at)
-            yield raw[:at] + struct.pack("<q", first + 1) + raw[at + 8:]
-        if n >= 2:
-            first, second = struct.unpack_from("<qq", raw, at)
-            yield raw[:at] + struct.pack("<qq", -1, second + first + 1) + raw[at + 16:]
-    if shapes[9][0]:
-        at = offsets[9]
-        yield raw[:at] + b"\x02" + raw[at + 1:]
-
-
-@settings(max_examples=60, deadline=None)
-@given(report_cases())
-@example(_IOU_TIE)
-def test_truth_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory, case):
-    path = tmp_path_factory.mktemp("bad") / "benchmark_truth.bin"
-    evalkit.write_benchmark_truth(path, case[0])
-    raw = path.read_bytes()
-    for damaged in _damaged_truth_tables(raw):
-        path.write_bytes(damaged)
-        with pytest.raises(ValueError, match=r"benchmark_truth\.bin"):
-            evalkit.read_benchmark_truth(path)
-
-
-def test_empty_truth_table_round_trips(tmp_path):
-    path = tmp_path / "benchmark_truth.bin"
-    evalkit.write_benchmark_truth(path, BenchmarkInstance((), (), ()))
-    assert path.read_bytes() == b"GDBT" + struct.pack("<H6Q", 1, *[0] * 6)
-    assert evalkit.read_benchmark_truth(path) == BenchmarkInstance((), (), ())
-
-
-# A truth table written by hand: category labels as (label_id, [(scene_id,
-# boxes), ...]) and description labels as (label_id, scene_id, boxes), so
-# that an id can repeat where write_benchmark_truth() cannot repeat it.
-_BOX = (0.0, 0.0, 0.25, 0.25)
-_CLASHES = {
-    "repeated_scene": ((0, 1, 0), [(0, [(1, 1)])], [(100, 0, 1)]),
-    "category_label_twice": ((0, 1), [(0, [(0, 1)]), (0, [(1, 1)])], []),
-    "description_takes_a_category_id": ((0, 1), [(0, [(0, 1)]), (1, [(1, 2)])], [(1, 0, 1)]),
-    "description_label_twice": ((0, 1), [], [(100, 0, 1), (100, 1, 0)]),
-    "category_scene_not_in_benchmark": ((0, 1), [(0, [(0, 1), (7, 1)])], [(100, 1, 0)]),
-    "description_scene_not_in_benchmark": ((0, 1), [(0, [(0, 1)])], [(100, 7, 1)]),
-    "category_scene_listed_twice": ((0, 1), [(0, [(1, 1), (1, 2)])], []),
-}
-
-
-def _write_truth_by_hand(path, scene_ids, cats, descs) -> None:
-    cat_counts = [n for _, scenes in cats for _, n in scenes]
-    desc_counts = [n for _, _, n in descs]
-    columns = (scene_ids, [label_id for label_id, _ in cats], [len(scenes) for _, scenes in cats],
-               [scene_id for _, scenes in cats for scene_id, _ in scenes], cat_counts,
-               [_BOX] * sum(cat_counts), [label_id for label_id, _, _ in descs],
-               [scene_id for _, scene_id, _ in descs], [3] * len(descs), [0] * len(descs),
-               desc_counts, [_BOX] * sum(desc_counts))
-    counts = (len(scene_ids), len(cats), len(cat_counts), sum(cat_counts), len(descs),
-              sum(desc_counts))
-    write_table(path, evalkit.TRUTH_TABLE, counts, [[column] for column in columns])
-
-
-@pytest.mark.parametrize("case", list(_CLASHES))
-def test_truth_table_rejects_ids_that_would_score_the_wrong_rows(tmp_path, case):
-    """A repeated scene id, a label id used twice (also across the two kinds
-    of label), a label on a scene that is not the benchmark's, or a category
-    label that lists a scene twice would each make matching pool the wrong
-    rows or drop ground truth; the reader rejects them and names the file."""
-    path = tmp_path / "benchmark_truth.bin"
-    _write_truth_by_hand(path, *_CLASHES[case])
-    with pytest.raises(ValueError, match=r"benchmark_truth\.bin"):
-        evalkit.read_benchmark_truth(path)
-
-
-def test_hand_written_truth_table_with_distinct_ids_reads_back(tmp_path):
-    path = tmp_path / "benchmark_truth.bin"
-    _write_truth_by_hand(path, (4, 2), [(0, [(2, 1), (4, 2)]), (1, [])], [(9, 4, 1), (8, 2, 0)])
-    bench = evalkit.read_benchmark_truth(path)
-    assert bench.scene_ids == (4, 2)
-    assert [(label.label_id, label.gt_boxes) for label in bench.category_labels] == [
-        (0, {2: [_BOX], 4: [_BOX, _BOX]}), (1, {})]
-    assert [(label.label_id, label.scene_id, label.gt_boxes)
-            for label in bench.description_labels] == [(9, 4, (_BOX,)), (8, 2, ())]
 
 
 # match_table.bin ----------------------------------------------------------
@@ -1031,84 +895,3 @@ def test_write_results_matches_json_dumps_on_any_float(tmp_path_factory, rows):
 def test_results_rows_round_trip_through_the_table(small_benchmark):
     rows = perfect_results(small_benchmark)
     assert list(evalkit._normalize_results(rows).rows()) == rows
-
-
-def _same_columns(a: ResultColumns, b: ResultColumns) -> bool:
-    """Same keys and counts in the same order, and the same boxes and scores
-    with the same shapes, bit for bit."""
-    return (a.keys.tolist() == b.keys.tolist() and a.counts.tolist() == b.counts.tolist()
-            and a.keys.shape == b.keys.shape and a.counts.shape == b.counts.shape
-            and all(x.dtype == y.dtype == np.float64 and x.shape == y.shape
-                    and x.tobytes() == y.tobytes()
-                    for x, y in ((a.boxes, b.boxes), (a.scores, b.scores))))
-
-
-def test_empty_results_table_round_trips(tmp_path):
-    path = tmp_path / "results.bin"
-    evalkit.write_results_table(path, Results())
-    assert path.read_bytes() == evalkit.RESULTS_MAGIC + struct.pack("<HQQ", 1, 0, 0)
-    columns = evalkit.read_results_table(path)
-    assert isinstance(columns, ResultColumns)
-    assert [column.shape for column in columns] == [(0, 2), (0,), (0, 4), (0,)]
-    assert columns.keys.dtype == columns.counts.dtype == np.int64
-
-
-any_rows = st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1),
-                              st.lists(st.tuples(st.lists(finite_or_not, min_size=4, max_size=4),
-                                                 finite_or_not), max_size=3)),
-                    max_size=4, unique_by=lambda r: (r[0], r[1]))
-
-
-def _rows(rows):
-    return [{"label_id": label, "scene_id": scene,
-             "detections": [{"box": box, "score": score} for box, score in dets]}
-            for label, scene, dets in rows]
-
-
-@settings(max_examples=200, deadline=None)
-@given(any_rows)
-def test_results_table_round_trips_bit_for_bit(tmp_path_factory, rows):
-    """Any float, NaN payloads, infinities and -0.0 included, reads back as
-    written, and a row without detections stays a row."""
-    rows = _rows(rows)
-    path = tmp_path_factory.mktemp("table") / "results.bin"
-    evalkit.write_results_table(path, rows)
-    columns = evalkit.read_results_table(path)
-    assert columns.keys.dtype == columns.counts.dtype == np.int64
-    assert _same_columns(columns, result_columns(rows))
-
-
-def _damaged_tables(raw: bytes, n_rows: int):
-    """Every proper prefix of a table; the table with one magic byte, its
-    version, its row or detection count, or one per-row count changed; and,
-    with two rows or more, the first count made -1 and the second raised to
-    keep the sum."""
-    for cut in range(len(raw)):
-        yield raw[:cut]
-    head = len(evalkit.RESULTS_MAGIC)
-    for i in range(head):
-        yield raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
-    fields = [(head, "<H"), (head + 2, "<Q"), (head + 10, "<Q")]
-    fields += [(head + 18 + 16 * n_rows + 8 * r, "<q") for r in range(n_rows)]
-    for at, fmt in fields:
-        (value,) = struct.unpack_from(fmt, raw, at)
-        for other in (value + 1, value - 1):
-            if other >= 0 or fmt == "<q":
-                yield raw[:at] + struct.pack(fmt, other) + raw[at + struct.calcsize(fmt):]
-    if n_rows >= 2:
-        at = head + 18 + 16 * n_rows
-        first, second = struct.unpack_from("<qq", raw, at)
-        yield raw[:at] + struct.pack("<qq", -1, second + first + 1) + raw[at + 16:]
-
-
-@settings(max_examples=60, deadline=None)
-@given(any_rows)
-def test_results_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory,
-                                                                        rows):
-    path = tmp_path_factory.mktemp("bad") / "results.bin"
-    evalkit.write_results_table(path, _rows(rows))
-    raw = path.read_bytes()
-    for damaged in _damaged_tables(raw, len(rows)):
-        path.write_bytes(damaged)
-        with pytest.raises(ValueError, match=r"results\.bin"):
-            evalkit.read_results_table(path)

@@ -104,16 +104,15 @@ def test_benchmark_evaluation_roundtrip(default_bundle, tiny_trained):
 
 def test_report_from_the_score_files_equals_the_report_in_memory(default_bundle, tiny_trained,
                                                                  tmp_path):
-    """The eval's matching half reads the results and the benchmark's ground
-    truth back from their tables; every AP it reports equals the in-memory
-    one, and so does every AP from the JSON exports of both."""
+    """The eval's matching half reads the match table back from
+    match_table.bin; every AP it reports equals the in-memory one, and so
+    does every AP from the JSON exports of the results and the benchmark."""
     model, _ = tiny_trained
     lexicon = default_bundle.lexicon
     bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=8,
                                        config=BenchmarkConfig(fraction_negative=0.5))
     results = pipeline.run_model_on_benchmark(model, bench, score_threshold=0.0, lexicon=lexicon)
-    evalkit.write_results_table(tmp_path / "results.bin", results)
-    evalkit.write_benchmark_truth(tmp_path / "benchmark_truth.bin", bench)
+    evalkit.write_match_table(tmp_path / "match_table.bin", evalkit.match_table(results, bench))
     evalkit.write_results(tmp_path / "results.jsonl", results)
     write_scenes(tmp_path / "scenes.jsonl", bench.scenes)
     evalkit.write_description_labels(tmp_path / "labels.jsonl", bench.description_labels)
@@ -125,12 +124,11 @@ def test_report_from_the_score_files_equals_the_report_in_memory(default_bundle,
                                                                  lexicon)))
     for iou_threshold in (0.5, 0.75):
         in_memory = evalkit.omnilabel_report(results, bench, iou_threshold)
-        from_tables = evalkit.omnilabel_report(
-            evalkit.read_results_table(tmp_path / "results.bin"),
-            evalkit.read_benchmark_truth(tmp_path / "benchmark_truth.bin"), iou_threshold)
+        from_table = evalkit.omnilabel_report(
+            evalkit.read_match_table(tmp_path / "match_table.bin"), iou_threshold=iou_threshold)
         from_exports = evalkit.omnilabel_report(evalkit.read_results(tmp_path / "results.jsonl"),
                                                 exported, iou_threshold)
-        assert from_tables == in_memory and from_exports == in_memory
+        assert from_table == in_memory and from_exports == in_memory
         assert in_memory.AP_categ > 0
 
 
