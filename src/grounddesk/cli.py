@@ -390,9 +390,11 @@ def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
     benchmark, run the model on it and write what matching needs,
     match_table.bin: each label's ranking, joined to its ground truth, and
-    each candidate detection's IoUs. results.jsonl records the detections,
-    and benchmark_scenes.jsonl and benchmark_labels.jsonl the benchmark; no
-    stage reads them."""
+    each candidate detection's IoUs. It also exports the detections as
+    results.jsonl and the benchmark as benchmark_scenes.jsonl and
+    benchmark_labels.jsonl. No stage reads the exports, so they are not
+    declared outputs: the manifest does not hash them, and an edited export
+    leaves the scores current."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]
@@ -445,10 +447,13 @@ def _report(config, out, workers):
 class Stage:
     """What one manifest covers, declared once: its name, the config keys
     its body reads (dotted paths reach into a block), each file it reads
-    with the command that writes that file, and the files it writes. A
-    manifest that does not record exactly the declared outputs is stale, so
-    a tree from before an output was added or dropped runs the stage again;
-    a dropped output's file is left where it is, and no longer hashed."""
+    with the command that writes that file, and the files it writes. Exports
+    that no stage reads (the scoring half's results.jsonl,
+    benchmark_scenes.jsonl and benchmark_labels.jsonl) are written but not
+    declared, so no manifest hashes them. A manifest that does not record
+    exactly the declared outputs is stale, so a tree from before an output
+    was added or dropped runs the stage again; a dropped output's file is
+    left where it is, and no longer hashed."""
     name: str
     keys: tuple[str, ...]
     inputs: dict[str, str]
@@ -480,9 +485,7 @@ STAGES = {
                                    "eval.benchmark_scenes", "eval.fraction_negative",
                                    "eval.nw_choices", "eval.score_threshold",
                                    "eval.aggregation"),
-                   {"model.ckpt": "train", "model.vocab.json": "train"},
-                   ("results.jsonl", "benchmark_scenes.jsonl", "benchmark_labels.jsonl",
-                    "match_table.bin"),
+                   {"model.ckpt": "train", "model.vocab.json": "train"}, ("match_table.bin",),
                    _eval_scores),
              Stage("eval", ("eval.iou_threshold",), {"match_table.bin": "eval"}, ("report.json",),
                    _eval)),
@@ -522,7 +525,8 @@ def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
     what it wrote. Each file is hashed at most once per map of `digests`
     (file name -> hash): the hashes of outputs that a skipped stage verified
     or a stage that ran recorded serve as the input hashes of the stages
-    after it."""
+    after it. Across commands, storage.sha256_file reads each settled file
+    at most once per process."""
     out = _out(config)
     reused, ran = [], False
     for stage in STAGES[name]:

@@ -16,16 +16,53 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from time import time_ns
 
 import numpy as np
 
+# The most bytes sha256_file reads at a time.
+HASH_CHUNK = 1 << 20
+
+# A file whose mtime and ctime are both this much older than the moment its
+# hashing starts is settled: FAT's 2 s timestamps are the coarsest on Linux,
+# so any write during or after the hash gives the file a later ctime than
+# the one recorded, which user space cannot set back.
+SETTLE_NS = 2_000_000_000
+
+# Absolute path -> (stat signature, digest) of each settled file hashed in
+# this process.
+_DIGESTS: dict[str, tuple[tuple, str]] = {}
+
+
+def _signature(st) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
 
 def sha256_file(path) -> str:
+    """The file's sha256. A settled file's digest is reused while its stat
+    signature (device, inode, size, mtime, ctime) is unchanged, so each is
+    read at most once per process; a file written within SETTLE_NS is always
+    read."""
+    key = os.path.abspath(path)
+    st = os.stat(key)
+    before = _signature(st)
+    known = _DIGESTS.get(key)
+    if known is not None and known[0] == before:
+        return known[1]
+    started = time_ns()
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    # Sized to the file, up to HASH_CHUNK: bytearray() zeroes, and so
+    # touches, all of its memory. An empty buffer would end the loop at once.
+    buf = bytearray(max(1, min(st.st_size, HASH_CHUNK)))
+    view = memoryview(buf)
+    with open(key, "rb") as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
+        after = _signature(os.fstat(fh.fileno()))
+    digest = h.hexdigest()
+    if before == after and max(st.st_mtime_ns, st.st_ctime_ns) < started - SETTLE_NS:
+        _DIGESTS[key] = (before, digest)
+    return digest
 
 
 def sha256_text(text: str) -> str:

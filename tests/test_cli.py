@@ -1,4 +1,5 @@
 import builtins
+import collections
 import dataclasses
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import re
 import shutil
 import struct
 import sys
+import time
 
 import pytest
 
@@ -606,11 +608,13 @@ def test_corrupt_declared_input_reruns_or_is_an_artifact_error(corrupt_copy, cap
             for stage in stages[:first]]
 
 
-# Every file either half of eval reads, and every score file.
+# Every file either half of eval reads, and the scoring half's output.
 EVAL_FILES = list(dict.fromkeys([*(filename for stage in cli.STAGES["eval"]
                                    for filename in stage.inputs),
                                  *cli.STAGES["eval"][0].outputs]))
 AT_075 = ["--set", "eval.iou_threshold=0.75"]
+# What the scoring half writes besides its one output; no stage reads them.
+EXPORTS = ("results.jsonl", "benchmark_scenes.jsonl", "benchmark_labels.jsonl")
 # At score threshold 0 every region is a detection, so results.jsonl has a
 # line for every label on every scene.
 EVERY_REGION = ["--set", "eval.score_threshold=0.0"]
@@ -675,6 +679,27 @@ def test_new_iou_reuses_the_scores(pipeline_dir, tmp_path, capsys, benchmark_cal
     assert json.loads((reused / "report.json").read_text())["AP_categ"] > 0
 
 
+def test_an_edited_export_leaves_the_scores_current(pipeline_dir, tmp_path, capsys):
+    """No stage reads the exports, so no manifest hashes them: after a cold
+    eval, an edit to results.jsonl does not make a re-match at a new IoU
+    threshold score again. The edit stays, and the report is a fresh eval's."""
+    edited, fresh = tmp_path / "edited", tmp_path / "fresh"
+    shutil.copytree(pipeline_dir, edited)
+    assert run_cli(["eval", "--out", str(edited)] + SMALL + EVERY_REGION) == 0
+    with open(edited / "results.jsonl", "ab") as fh:
+        fh.write(b"x")
+    results = (edited / "results.jsonl").read_bytes()
+    capsys.readouterr()
+    assert run_cli(["eval", "--out", str(edited)] + SMALL + EVERY_REGION + AT_075) == 0
+    assert "eval: scores up to date, reused" in capsys.readouterr().out
+    assert (edited / "results.jsonl").read_bytes() == results
+    shutil.copytree(pipeline_dir, fresh)
+    for name in ("eval_scores", "eval"):
+        os.remove(storage.manifest_path(fresh, name))
+    assert run_cli(["eval", "--out", str(fresh)] + SMALL + EVERY_REGION + AT_075) == 0
+    assert (edited / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
+
 @pytest.mark.parametrize("retrain,args", [
     (False, ["--set", "eval.score_threshold=0.3"]),
     (False, ["--set", "eval.aggregation=mean"]),
@@ -702,12 +727,13 @@ def _record_as_scored(out, filename) -> None:
     storage.write_json(storage.manifest_path(out, "eval_scores"), manifest)
 
 
-@pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2],
-                                    lambda raw: b"JUNK" + raw[4:]], ids=["truncated", "magic"])
+@pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2], lambda raw: raw[:-8],
+                                    lambda raw: b"JUNK" + raw[4:]],
+                         ids=["truncated", "last_8_bytes", "magic"])
 def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, damage):
-    """The score file that matching reads, match_table.bin, cut in half or
-    with a bad magic before its manifest was written, counts as current;
-    matching from it fails and names the file."""
+    """The score file that matching reads, match_table.bin, cut in half,
+    without its last 8 bytes or with a bad magic before its manifest was
+    written, counts as current; matching from it fails and names the file."""
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
     path = corrupt_copy / "match_table.bin"
     path.write_bytes(damage(path.read_bytes()))
@@ -717,7 +743,7 @@ def test_cut_line_in_a_score_file_is_an_artifact_error(corrupt_copy, capsys, dam
     assert "artifact error" in err and "match_table.bin" in err
 
 
-def test_truth_table_with_a_clashing_label_id_is_an_artifact_error(corrupt_copy, capsys):
+def test_task_of_a_pool_past_the_last_is_an_artifact_error(corrupt_copy, capsys):
     """Matching reads labels only as the pool indices of match_table.bin, so
     the clash a ground-truth table could carry, one label id for two labels,
     shows there as a task of a pool the table does not have. Recorded as the
@@ -733,21 +759,6 @@ def test_truth_table_with_a_clashing_label_id_is_an_artifact_error(corrupt_copy,
     assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and "match_table.bin" in err and "pool indices below" in err
-
-
-@pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: b"JUNK" + raw[4:]],
-                         ids=["truncated", "magic"])
-def test_corrupt_results_table_is_an_artifact_error(corrupt_copy, capsys, damage):
-    """The table matching reads, match_table.bin, damaged before its
-    manifest was written, counts as current; matching from it fails and
-    names the file."""
-    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION) == 0
-    path = corrupt_copy / "match_table.bin"
-    path.write_bytes(damage(path.read_bytes()))
-    _record_as_scored(corrupt_copy, "match_table.bin")
-    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL + EVERY_REGION + AT_075) == 5
-    err = capsys.readouterr().err
-    assert "artifact error" in err and "match_table.bin" in err
 
 
 def test_a_rematch_reads_only_the_match_table(corrupt_copy, monkeypatch):
@@ -789,7 +800,7 @@ def test_matching_report_is_the_report_of_the_json_export(corrupt_copy):
     out = corrupt_copy
     pool = corpus.build_entity_pool("desk20")
     lexicon = langparse.Lexicon.from_categories(pool)
-    score_files = cli.STAGES["eval"][0].outputs
+    score_files = (*cli.STAGES["eval"][0].outputs, *EXPORTS)
     written = {}
     for thr in (0.5, 0.75, 1.0):
         iou = ["--set", f"eval.iou_threshold={thr}"]
@@ -1013,9 +1024,43 @@ def test_a_command_hashes_each_file_at_most_once(corrupt_copy, monkeypatch, comm
         assert run_cli([name, "--out", str(corrupt_copy)] + SMALL + args) == 0
         assert len(hashed) == len(set(hashed)), name
         if name in ("eval", "all"):
-            assert "results.jsonl" in hashed and "match_table.bin" in hashed
+            assert "match_table.bin" in hashed and not set(hashed) & set(EXPORTS)
         if name == "all":
             assert "features.bin" in hashed and "scenes.jsonl" in hashed
+
+
+def test_commands_in_one_process_read_each_settled_file_once(corrupt_copy, monkeypatch):
+    """The seven commands run one at a time in one process, as a script
+    calling cli.run does, on a tree older than the settle window: each
+    artifact is opened for hashing at most once, and no export at all."""
+    out = str(corrupt_copy)
+    config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
+                         output_dir=out)
+    opened, hashing = collections.Counter(), []
+    real_open, real_sha = builtins.open, storage.sha256_file
+
+    def spy_sha(path):
+        hashing.append(path)
+        try:
+            return real_sha(path)
+        finally:
+            hashing.pop()
+
+    def spy_open(file, *args, **kwargs):
+        if hashing:
+            opened[os.path.relpath(os.fspath(file), out)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(storage, "_DIGESTS", {})
+    monkeypatch.setattr(storage, "time_ns", lambda: time.time_ns() + 3600 * 10**9)
+    monkeypatch.setattr(storage, "sha256_file", spy_sha)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    for name in cli.PIPELINE_STAGES:
+        assert cli.run(name, config) == 0
+    monkeypatch.undo()
+    assert max(opened.values()) == 1, opened
+    assert {"scenes.jsonl", "features.bin", "model.ckpt", "match_table.bin"} <= set(opened)
+    assert not set(opened) & set(EXPORTS)
 
 
 def test_stage_lists_match_the_benchmark(monkeypatch):

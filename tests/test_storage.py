@@ -1,9 +1,15 @@
+import builtins
+import collections
+import hashlib
 import json
+import os
 import struct
+import time
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grounddesk import corpus, evalkit, labeling, pipeline, scenegen, storage, targets
@@ -155,3 +161,135 @@ def test_a_cut_jsonl_row_names_the_file_and_the_line(jsonl_files, tmp_path_facto
     path.write_text("".join(lines[:row]) + text[:cut] + rest)
     with pytest.raises(ValueError, match=f"{name} line {row + 1}:"):
         read(path)
+
+
+# sha256_file -----------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3 * storage.HASH_CHUNK))
+@example(0)
+@example(storage.HASH_CHUNK - 1)
+@example(storage.HASH_CHUNK)
+@example(storage.HASH_CHUNK + 1)
+def test_sha256_file_is_the_digest_of_the_bytes_at_any_size(tmp_path_factory, size):
+    """The file is read into one reused buffer; every size, including the
+    edges of the buffer, gives hashlib's digest of the whole file."""
+    path = tmp_path_factory.mktemp("sha") / "data.bin"
+    data = np.random.default_rng(size).bytes(size)
+    path.write_bytes(data)
+    assert storage.sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def hashing(monkeypatch):
+    """An empty digest memo, the number of times each path has been
+    opened, and a clock that reads `clock[0]` (ns), first the real time."""
+    opened = collections.Counter()
+    clock = [time.time_ns()]
+    real_open = builtins.open
+
+    def spy_open(file, *args, **kwargs):
+        opened[os.path.abspath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(storage, "_DIGESTS", {})
+    monkeypatch.setattr(storage, "time_ns", lambda: clock[0])
+    monkeypatch.setattr(builtins, "open", spy_open)
+    return opened, clock
+
+
+HOUR_NS = 3600 * 10**9
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_a_settled_file_is_read_once(tmp_path, hashing):
+    opened, clock = hashing
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"settled")
+    clock[0] += HOUR_NS
+    assert storage.sha256_file(path) == storage.sha256_file(path) == _digest(b"settled")
+    assert opened[str(path)] == 1
+
+
+def test_a_file_rewritten_with_its_size_and_mtime_is_read_again(tmp_path, hashing):
+    """Only the ctime tells the rewrite apart: os.utime puts the mtime back,
+    but the kernel moves the ctime on every write and every utime."""
+    opened, clock = hashing
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"before")
+    clock[0] += HOUR_NS
+    assert storage.sha256_file(path) == _digest(b"before")
+    st = os.stat(path)
+    while os.stat(path).st_ctime_ns == st.st_ctime_ns:  # one timestamp tick at most
+        path.write_bytes(b"after!")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    now = os.stat(path)
+    assert (now.st_ino, now.st_size, now.st_mtime_ns) == (st.st_ino, st.st_size, st.st_mtime_ns)
+    assert storage.sha256_file(path) == _digest(b"after!")
+    assert opened[str(path)] == 2
+
+
+def test_a_file_replaced_by_another_inode_is_read_again(tmp_path, hashing, monkeypatch):
+    """A replacement with the same size, mtime and ctime as the file it
+    replaces is still read, because its inode is new. The times are pinned
+    so that only the inode differs."""
+    opened, clock = hashing
+    path, other = tmp_path / "a.bin", tmp_path / "b.bin"
+    path.write_bytes(b"first")
+    other.write_bytes(b"other")
+    real_stat, real_fstat = os.stat, os.fstat
+
+    def pinned(st):
+        return types.SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size,
+                                     st_mtime_ns=10**18, st_ctime_ns=10**18)
+
+    monkeypatch.setattr(os, "stat", lambda p, *a, **k: pinned(real_stat(p, *a, **k)))
+    monkeypatch.setattr(os, "fstat", lambda fd: pinned(real_fstat(fd)))
+    clock[0] += HOUR_NS
+    assert storage.sha256_file(path) == _digest(b"first")
+    os.replace(other, path)
+    assert storage.sha256_file(path) == _digest(b"other")
+    assert opened[str(path)] == 2
+
+
+@pytest.mark.parametrize("age_past_window_ns", [-storage.SETTLE_NS, 0],
+                         ids=["just_written", "at_the_window"])
+def test_a_file_within_the_settle_window_is_not_stored(tmp_path, hashing, age_past_window_ns):
+    """A file written now, or exactly SETTLE_NS before the clock, is read on
+    every call; one nanosecond older, it is stored."""
+    opened, clock = hashing
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"young")
+    st = os.stat(path)
+    newest = max(st.st_mtime_ns, st.st_ctime_ns)
+    clock[0] = newest + storage.SETTLE_NS + age_past_window_ns
+    for _ in range(2):
+        assert storage.sha256_file(path) == _digest(b"young")
+    assert opened[str(path)] == 2 and not storage._DIGESTS
+    clock[0] = newest + storage.SETTLE_NS + 1
+    storage.sha256_file(path)
+    assert str(path) in storage._DIGESTS
+
+
+def test_a_file_that_changes_while_it_is_hashed_is_not_stored(tmp_path, hashing, monkeypatch):
+    opened, clock = hashing
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"moving")
+    spy_open = builtins.open
+
+    def open_and_append(file, *args, **kwargs):
+        fh = spy_open(file, *args, **kwargs)
+        with spy_open(file, "ab") as writer:
+            writer.write(b"+")
+        return fh
+
+    clock[0] += HOUR_NS
+    monkeypatch.setattr(builtins, "open", open_and_append)
+    storage.sha256_file(path)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert not storage._DIGESTS
+    assert storage.sha256_file(path) == _digest(b"moving+")
+    assert opened[str(path)] == 3  # two reads and the append
