@@ -290,8 +290,13 @@ def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
         scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={})
 
 
-def _read_examples(out_dir, filename, features) -> list[TrainExample]:
+def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[TrainExample]:
+    """The examples of one examples file. A token outside `vocab` fails the
+    line, since training would fold it into the unknown token."""
     def decode(row):
+        unknown = [token for token in row["flat_tokens"] if token not in vocab.index]
+        if unknown:
+            raise ValueError(f"token {unknown[0]!r} is not in the vocabulary")
         scene_id, query, target = targets.example_from_json(row)
         return TrainExample(features=features[scene_id].features, query=query, target=target,
                             scene_id=scene_id)
@@ -372,10 +377,10 @@ def _targets(config, out, workers):
 
 
 def _train(config, out, workers):
-    features = _read(out, "features.bin", scenegen.read_features)
-    triplet_examples = _read_examples(out, "examples.jsonl", features)
-    detection_examples = _read_examples(out, "detection_examples.jsonl", features)
     vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
+    features = _read(out, "features.bin", scenegen.read_features)
+    triplet_examples = _read_examples(out, "examples.jsonl", features, vocab)
+    detection_examples = _read_examples(out, "detection_examples.jsonl", features, vocab)
     model = GroundingModel(vocab, d_in=config["features"]["dim"],
                            d_model=config["train"]["d_model"], seed=config["seed"])
     model, history = train(model, triplet_examples, detection_examples, _train_config(config))
@@ -388,13 +393,13 @@ def _train(config, out, workers):
 
 def _eval_scores(config, out, workers):
     """The half of eval that does not depend on the IoU threshold: build the
-    benchmark, run the model on it and write what matching needs,
-    match_table.bin: each label's ranking, joined to its ground truth, and
-    each candidate detection's IoUs. It also exports the detections as
-    results.jsonl and the benchmark as benchmark_scenes.jsonl and
-    benchmark_labels.jsonl. No stage reads the exports, so they are not
-    declared outputs: the manifest does not hash them, and an edited export
-    leaves the scores current."""
+    benchmark, run the model on it, which gives its detections as
+    evalkit.ResultColumns, and write what matching needs, match_table.bin:
+    each label's ranking, joined to its ground truth, and each candidate
+    detection's IoUs. It also exports the same columns as results.jsonl and
+    the benchmark as benchmark_scenes.jsonl and benchmark_labels.jsonl. No
+    stage reads the exports, so they are not declared outputs: the manifest
+    does not hash them, and an edited export leaves the scores current."""
     pool, lexicon = _pool_and_lexicon(config)
     model = _load_model(out)
     e = config["eval"]

@@ -10,8 +10,8 @@ penalized.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .langparse import Lexicon, ParseTree, is_absence, parse
-from .storage import TableFormat, read_jsonl, read_table, write_jsonl, write_table
+from .langparse import ParseTree, is_absence
+from .storage import TableFormat, read_table, write_jsonl, write_table
 
 LENGTH_BUCKETS = (5, 9)  # S <= 5 tokens, M 6..9, L >= 10
 
@@ -53,92 +53,26 @@ def iou_array(boxes_a, boxes_b) -> np.ndarray:
     return np.where((iw > 0.0) & (ih > 0.0), np.minimum(ratio, 1.0), 0.0)
 
 
-class DetectionArrays(NamedTuple):
-    """One label's detections on one scene: boxes (n, 4) and scores (n,)."""
-    boxes: np.ndarray
-    scores: np.ndarray
-
-
-def as_detection_arrays(dets) -> DetectionArrays:
-    """Arrays from DetectionArrays, Detection objects, (box, score) pairs or
-    results.jsonl {box, score} dicts."""
-    if isinstance(dets, DetectionArrays):
-        return dets
-    boxes, scores = [], []
-    for det in dets:
-        if hasattr(det, "box"):
-            box, score = det.box, det.score
-        elif isinstance(det, dict):
-            box, score = det["box"], det["score"]
-        else:
-            box, score = det
-        boxes.append(tuple(box))
-        scores.append(float(score))
-    return DetectionArrays(np.array(boxes, dtype=float).reshape(-1, 4),
-                           np.array(scores, dtype=float))
-
-
-_NO_DETECTIONS = DetectionArrays(np.empty((0, 4)), np.empty(0))
-
-
-class Results(dict):
-    """The eval's result table: (label_id, scene_id) -> DetectionArrays, in
-    row order. One row is one line of results.jsonl."""
-
-    def extend(self, label_id, scene_id, dets: DetectionArrays) -> None:
-        """Add a row, or append to the row already under its key."""
-        old = self.get((label_id, scene_id))
-        if old is not None:
-            dets = DetectionArrays(np.concatenate([old.boxes, dets.boxes]),
-                                   np.concatenate([old.scores, dets.scores]))
-        self[label_id, scene_id] = dets
-
-    def rows(self):
-        """The table as results.jsonl rows {label_id, scene_id, detections}."""
-        for (label_id, scene_id), dets in self.items():
-            yield {"label_id": label_id, "scene_id": scene_id,
-                   "detections": [{"box": box, "score": score} for box, score
-                                  in zip(dets.boxes.tolist(), dets.scores.tolist())]}
-
-
-def _normalize_results(results) -> Results:
-    """The one converter to a Results table, from a Results, from a
-    {(label_id, scene_id): detections} mapping or from results.jsonl rows
-    (rows that share a key are joined in order)."""
-    if isinstance(results, Results):
-        return results
-    table = Results()
-    if isinstance(results, dict):
-        for (label_id, scene_id), dets in results.items():
-            table[label_id, scene_id] = as_detection_arrays(dets)
-        return table
-    for row in results:
-        table.extend(row["label_id"], row["scene_id"], as_detection_arrays(row["detections"]))
-    return table
-
-
 class ResultColumns(NamedTuple):
-    """The result table as four columns, in row order: keys (rows, 2) of
-    (label_id, scene_id), counts (rows,), boxes (n, 4) and scores (n,). Row
-    i holds the counts[i] detections that follow those of the rows before
-    it; rows that share a key are one row, joined in order."""
+    """A detector's results on a benchmark as four columns, in row order:
+    int64 keys (rows, 2) of (label_id, scene_id), counts (rows,), boxes
+    (n, 4) and scores (n,). Row i holds the counts[i] detections that follow
+    those of the rows before it. run_model_on_benchmark() writes one row per
+    (label, scene) with detections; rows that share a key are joined in
+    order when matched."""
     keys: np.ndarray
     counts: np.ndarray
     boxes: np.ndarray
     scores: np.ndarray
 
-
-def result_columns(results) -> ResultColumns:
-    """The one converter to columns: ResultColumns as they are, anything
-    _normalize_results() takes converted once, one row per key."""
-    if isinstance(results, ResultColumns):
-        return results
-    table = _normalize_results(results)
-    dets = list(table.values())
-    return ResultColumns(np.array(list(table), dtype=object).reshape(-1, 2),
-                         np.array([len(d.scores) for d in dets], dtype=np.int64),
-                         np.concatenate([_NO_DETECTIONS.boxes, *(d.boxes for d in dets)]),
-                         np.concatenate([_NO_DETECTIONS.scores, *(d.scores for d in dets)]))
+    @staticmethod
+    def from_rows(keys, boxes, scores) -> ResultColumns:
+        """The columns of rows given as their (label_id, scene_id) keys and,
+        for each row, its (n, 4) boxes and (n,) scores."""
+        return ResultColumns(np.array(keys, dtype=np.int64).reshape(-1, 2),
+                             np.array([len(s) for s in scores], dtype=np.int64),
+                             np.concatenate([np.empty((0, 4)), *boxes]),
+                             np.concatenate([np.empty(0), *scores]))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -148,14 +82,8 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _index_of(values: np.ndarray, *queries: np.ndarray) -> list[np.ndarray]:
     """For each array of queries, the index of each query's first occurrence
-    in `values`, -1 where it has none. Numeric ids are found by
-    np.searchsorted in their sorted distinct values; object arrays, as
-    result_columns() makes from JSON rows, through a dict, so that any
-    hashable id works."""
-    if values.dtype == object or any(q.dtype == object for q in queries):
-        first = dict(zip(values.tolist()[::-1], range(len(values) - 1, -1, -1)))
-        return [np.fromiter((first.get(query, -1) for query in q.tolist()), dtype=np.intp,
-                            count=len(q)) for q in queries]
+    in `values`, -1 where it has none, by np.searchsorted in the sorted
+    distinct values."""
     if not len(values):
         return [np.full(len(q), -1, dtype=np.intp) for q in queries]
     distinct, first = np.unique(values, return_index=True)
@@ -263,20 +191,19 @@ def _pooled_table(columns: ResultColumns, pools) -> MatchTable:
     Each (pool, scene) is a segment. Segments find their rows, and their
     ground truth, by sorted-key joins: the (label, scene) keys are coded by
     _index_of() and the rows' codes sorted once, stably, so that rows that
-    share a key join in file order. Each pool ranks its detections highest
+    share a key join in row order. Each pool ranks its detections highest
     score first, stable on ties (_ranking()), and a detection's rank in its
     pool comes from the inverse permutation of the ranking. A segment with
     detections and ground truth is a task; each of its detections' IoUs with
     the task's boxes, padded to the most boxes a task has, is computed once.
     """
     boxes, counts, scores = columns.boxes, columns.counts, columns.scores
-    dtype = object if columns.keys.dtype == object else None
     label_ids, scene_lists, gts = zip(*pools) if pools else ((), (), ())
     n_pools = len(pools)
     n_scenes = np.fromiter(map(len, scene_lists), dtype=np.intp, count=n_pools)
     seg_pool = np.repeat(np.arange(n_pools), n_scenes)
-    label_ids = np.array(label_ids, dtype=dtype)
-    seg_scene = np.array(list(chain.from_iterable(scene_lists)), dtype=dtype)
+    label_ids = np.array(label_ids, dtype=np.int64)
+    seg_scene = np.array(list(chain.from_iterable(scene_lists)), dtype=np.int64)
     n_segs = len(seg_pool)
 
     # Each segment's rows, and its ground truth, by (label, scene) and
@@ -289,7 +216,7 @@ def _pooled_table(columns: ResultColumns, pools) -> MatchTable:
     row_label, label_code = _index_of(label_ids, columns.keys[:, 0], label_ids)
     row_scene, scene_code, gt_scene = _index_of(
         seg_scene, columns.keys[:, 1], seg_scene,
-        np.array(list(chain.from_iterable(gts)), dtype=dtype))
+        np.array(list(chain.from_iterable(gts)), dtype=np.int64))
     row_code = np.where((row_label >= 0) & (row_scene >= 0), row_label * n_segs + row_scene, -1)
     seg_code = label_code[seg_pool] * n_segs + scene_code
     rows = np.flatnonzero(row_code >= 0)
@@ -375,37 +302,34 @@ def _table_aps(table: MatchTable, iou_threshold: float) -> np.ndarray:
 
 def average_precision(detections, gt_boxes=None, iou_threshold: float = 0.5) -> float:
     """AP for one label: NaN when it has neither ground truth nor detections,
-    0 when it has only one of them. `detections` and `gt_boxes` are its
-    detections and ground truth boxes on one scene or, to pool the label
-    across scenes, a mapping scene_id -> boxes with, for the detections,
-    either a mapping scene_id -> detections or the ResultColumns of the
-    label's rows. Pooled detections are ranked as one list, in scene order
-    on equal scores, and matched scene by scene. `detections` may also be
-    the MatchTable of the label alone, which holds its ground truth; then
-    `gt_boxes` is None."""
+    0 when it has only one of them. The label comes in one of three forms:
+    its (box, score) detections on one scene with the list of its
+    ground-truth boxes there; a mapping scene_id -> (box, score) detections
+    with a mapping scene_id -> boxes, pooled across the scenes: ranked as one
+    list, in scene order on equal scores, and matched scene by scene; or the
+    MatchTable of the label alone, which holds its ground truth, with
+    `gt_boxes` None."""
     if isinstance(detections, MatchTable):
         if gt_boxes is not None or len(detections.pool_dets) != 1:
             raise ValueError("a MatchTable is scored alone, and only the table of one label")
         return _table_aps(detections, iou_threshold).item()
     if not isinstance(gt_boxes, Mapping):
         detections, gt_boxes = {0: detections}, {0: list(gt_boxes)}
-    if isinstance(detections, ResultColumns):
-        columns = detections
-        label_id = columns.keys[0, 0] if len(columns.keys) else 0
-        scene_ids = tuple(dict.fromkeys(columns.keys[:, 1].tolist()))
-    else:
-        columns = result_columns({(0, scene_id): dets for scene_id, dets in detections.items()})
-        label_id, scene_ids = 0, tuple(detections)
-    table = _pooled_table(columns, [(label_id, scene_ids, gt_boxes)])
+    pairs = [list(dets) for dets in detections.values()]
+    columns = ResultColumns.from_rows(
+        [(0, scene_id) for scene_id in detections],
+        [np.array([box for box, _ in dets], dtype=float).reshape(-1, 4) for dets in pairs],
+        [np.array([score for _, score in dets], dtype=float) for dets in pairs])
+    table = _pooled_table(columns, [(0, tuple(detections), gt_boxes)])
     return _table_aps(table, iou_threshold).item()
 
 
 def pooled_average_precision(dets_by_scene, gt_by_scene: dict | None = None,
                              iou_threshold: float = 0.5) -> float:
     """AP for one label pooled across scenes: average_precision() of its
-    detections by scene (a mapping, or the ResultColumns of its rows) and its
-    ground truth by scene, or of its MatchTable alone. omnilabel_report()
-    scores each category label by one call on its slice of the table."""
+    detections by scene with its ground truth by scene, or of its MatchTable
+    alone. omnilabel_report() scores each category label by one call on its
+    slice of the table."""
     return average_precision(dets_by_scene, gt_by_scene, iou_threshold)
 
 
@@ -510,22 +434,30 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def match_table(results, benchmark: BenchmarkInstance | None = None) -> MatchTable:
+def match_table(results: ResultColumns | MatchTable,
+                benchmark: BenchmarkInstance | None = None) -> MatchTable:
     """The one converter to a MatchTable, the half of scoring that does not
-    depend on the IoU threshold: a MatchTable as it is, or the detections of
-    `results` (anything result_columns() takes) on `benchmark`. Each
-    category label pools its rows on the benchmark's scenes in their order;
-    each description label has its own scene."""
+    depend on the IoU threshold: a MatchTable alone as it is, or the
+    ResultColumns of detections on `benchmark`. Each category label pools
+    its rows on the benchmark's scenes in their order; each description
+    label has its own scene. Two labels with one label_id raise ValueError,
+    since both would score the rows of that id."""
     if isinstance(results, MatchTable):
         return results
+    if not isinstance(results, ResultColumns) or results.keys.dtype.kind not in "iu":
+        raise TypeError("detections are scored as ResultColumns with integer keys")
     if benchmark is None:
         raise TypeError("scoring detections needs the benchmark they were scored on")
     descs = benchmark.description_labels
+    ids = Counter(label.label_id for label in (*benchmark.category_labels, *descs))
+    repeated = [label_id for label_id, n in ids.items() if n > 1]
+    if repeated:
+        raise ValueError(f"label id {repeated[0]} names two labels of the benchmark")
     pools = [(label.label_id, benchmark.scene_ids, label.gt_boxes)
              for label in benchmark.category_labels]
     pools += [(label.label_id, (label.scene_id,), {label.scene_id: label.gt_boxes})
               for label in descs]
-    return _pooled_table(result_columns(results), pools)._replace(
+    return _pooled_table(results, pools)._replace(
         words=np.array([label.words for label in descs], dtype=np.int64),
         absent=np.array([label.absent for label in descs], dtype=np.uint8))
 
@@ -539,13 +471,11 @@ def omnilabel_report(results, benchmark: BenchmarkInstance | None = None,
                      iou_threshold: float = 0.5) -> MetricReport:
     """Full description-aware report over a benchmark instance.
 
-    `results` is the benchmark's MatchTable, as match_table.bin holds it,
-    or covers both category and description labels of `benchmark` as
-    anything result_columns() takes: ResultColumns, a Results table, JSONL
-    rows {label_id, scene_id, detections:[{box, score}]} or a mapping keyed
-    by (label_id, scene_id); match_table() then builds the table. Each
-    category label is scored by one pooled_average_precision() call on its
-    slice of the table; the description labels by one _table_aps() call.
+    `results` is the benchmark's MatchTable alone, as match_table.bin holds
+    it, or the ResultColumns of a model's detections on `benchmark`, from
+    which match_table() builds the table. Each category label is scored by
+    one pooled_average_precision() call on its slice of the table; the
+    description labels by one _table_aps() call.
     """
     table = match_table(results, benchmark)
     cat_aps = [pooled_average_precision(table.pools(i, i + 1), None, iou_threshold)
@@ -582,7 +512,8 @@ def omnilabel_report(results, benchmark: BenchmarkInstance | None = None,
 def d3_report(results, benchmark: BenchmarkInstance | None = None, iou_threshold: float = 0.5, *,
               description_aps=None) -> tuple[float, float, float]:
     """(FULL, PRES, ABS) description APs partitioned by each label's
-    absence flag, from anything omnilabel_report() takes.
+    absence flag, from a MatchTable alone or ResultColumns with `benchmark`,
+    as omnilabel_report() takes them.
 
     `description_aps`, one AP per description label in benchmark order, are
     used instead of scoring `results` again; omnilabel_report passes its own.
@@ -602,56 +533,32 @@ def _json_floats(text: str) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
-def _json_id(value) -> str:
-    return repr(value) if type(value) is int else json.dumps(value)
-
-
 _BOX_BYTES = np.dtype((np.void, 32))  # one (x, y, w, h) float64 box
 
 
-def write_results(path, results) -> None:
-    """results.jsonl: one line per row of `results` (anything
-    _normalize_results() takes), byte-identical to json.dumps(row,
-    sort_keys=True) of its {label_id, scene_id, detections} row.
+def write_results(path, columns: ResultColumns) -> None:
+    """results.jsonl: one line per row of `columns`, byte-identical to
+    json.dumps(row, sort_keys=True) of its {label_id, scene_id, detections}
+    row, its detections [{box, score}] in column order.
 
     json writes a float as float.__repr__ and a list of floats as its repr,
     apart from the non-finite spellings. A box recurs in the rows of every
     label on its scene, so its text is made once, keyed by its exact bytes.
     """
-    table = _normalize_results(results)
+    box_keys = np.ascontiguousarray(columns.boxes, dtype=float).view(_BOX_BYTES).ravel().tolist()
     det_head: dict[bytes, str] = {}  # box bytes -> '{"box": [...], "score": '
+    for key, box in zip(box_keys, columns.boxes.tolist()):
+        if key not in det_head:
+            det_head[key] = f'{{"box": {box!r}, "score": '
+    dets = [f"{det_head[key]}{score!r}}}" for key, score in zip(box_keys, columns.scores.tolist())]
+    start = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for (label_id, scene_id), dets in table.items():
-            keys = np.ascontiguousarray(dets.boxes).view(_BOX_BYTES).ravel().tolist()
-            for key, box in zip(keys, dets.boxes.tolist()):
-                if key not in det_head:
-                    det_head[key] = f'{{"box": {box!r}, "score": '
-            body = ", ".join([f"{det_head[key]}{score!r}}}"
-                              for key, score in zip(keys, dets.scores.tolist())])
-            fh.write(f'{{"detections": [{_json_floats(body)}], "label_id": {_json_id(label_id)}, '
-                     f'"scene_id": {_json_id(scene_id)}}}\n')
-
-
-def _result_row(row) -> tuple:
-    """(label_id, scene_id, DetectionArrays) of one results.jsonl row."""
-    dets = row["detections"]
-    boxes = np.array([d["box"] for d in dets], dtype=float)
-    scores = np.array([d["score"] for d in dets], dtype=float)
-    if dets and (boxes.shape != (len(dets), 4) or scores.shape != (len(dets),)):
-        raise ValueError(f"{len(dets)} detections need (n, 4) boxes and (n,) scores, "
-                         f"found {boxes.shape} and {scores.shape}")
-    return row["label_id"], row["scene_id"], DetectionArrays(boxes.reshape(-1, 4), scores)
-
-
-def read_results(path) -> Results:
-    """The Results table of a results.jsonl file, each line decoded straight
-    into DetectionArrays; lines that share a key are joined in order. A line
-    that does not parse or decode raises ValueError naming the file and the
-    line."""
-    table = Results()
-    for label_id, scene_id, dets in read_jsonl(path, _result_row):
-        table.extend(label_id, scene_id, dets)
-    return table
+        for (label_id, scene_id), end in zip(columns.keys.tolist(),
+                                             np.cumsum(columns.counts).tolist()):
+            body = _json_floats(", ".join(dets[start:end]))
+            fh.write(f'{{"detections": [{body}], "label_id": {label_id}, '
+                     f'"scene_id": {scene_id}}}\n')
+            start = end
 
 
 def write_description_labels(path, labels) -> None:
@@ -659,14 +566,6 @@ def write_description_labels(path, labels) -> None:
     per description label."""
     write_jsonl(path, ({"label_id": label.label_id, "scene_id": label.scene_id, "text": label.text,
                         "gt_boxes": [list(box) for box in label.gt_boxes]} for label in labels))
-
-
-def read_description_labels(path, lexicon: Lexicon | None = None) -> list[DescriptionLabel]:
-    """The labels of a benchmark_labels.jsonl file, each text parsed with
-    `lexicon` for its absence flag."""
-    return read_jsonl(path, lambda row: description_label(
-        row["label_id"], row["scene_id"], row["text"],
-        (tuple(box) for box in row["gt_boxes"]), parse(row["text"], lexicon)))
 
 
 MATCH_TABLE = TableFormat(

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import pools
 from .corpus import DescriptionSpec, EntityCategory, GrammarConfig, ObjectDescription, generate_descriptions
-from .evalkit import BenchmarkInstance, DetectionArrays, MetricReport, Results, \
-    omnilabel_report
+from .evalkit import BenchmarkInstance, MetricReport, ResultColumns, omnilabel_report
 from .groundnet import (GroundingModel, TrainConfig, TrainExample, Vocabulary,
                         compile_prompt, predict_grouped, proposal_boxes, train)
 from .labeling import BowDetector, LabelerConfig, PseudoTriplet, \
@@ -256,16 +255,19 @@ def build_detection_examples(bundle: CorpusBundle, seed: int = 0, absent_categor
 def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
                            score_threshold: float = 0.5,
                            lexicon: Lexicon | None = None,
-                           prompt_chunk: int = 8, agg: str = "max") -> Results:
-    """The detector's results table for every label: (label_id, scene_id) ->
-    boxes and scores, with no row for a label without detections.
+                           prompt_chunk: int = 8, agg: str = "max") -> ResultColumns:
+    """The detector's results for every label as ResultColumns: one row per
+    (label_id, scene_id) with detections, its boxes and scores highest score
+    first, and no row for a label without detections. Rows come in inference
+    order: each scene's category chunks, scene by scene, then the
+    description labels by scene.
 
     Labels are scored through multi-caption prompts, the query format the
     model trains on: each scene's description labels form one prompt, and
     category labels are chunked into detection-style prompts, the same for
     every scene. Each distinct label text is parsed once.
     """
-    results = Results()
+    keys, boxes, scores = [], [], []
     trees: dict = {}
 
     def prompt(texts):
@@ -276,11 +278,13 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
 
     def score(scene_id, labels, label_prompt):
         rf = benchmark.features[scene_id]
-        boxes = proposal_boxes(rf)
+        scene_boxes = proposal_boxes(rf)
         per_label = predict_grouped(model, rf, label_prompt, score_threshold, agg=agg)
-        for label, (indices, scores) in zip(labels, per_label):
+        for label, (indices, label_scores) in zip(labels, per_label):
             if len(indices):
-                results[label.label_id, scene_id] = DetectionArrays(boxes[indices], scores)
+                keys.append((label.label_id, scene_id))
+                boxes.append(scene_boxes[indices])
+                scores.append(label_scores)
 
     cat_labels = list(benchmark.category_labels)
     cat_chunks = [cat_labels[lo:lo + prompt_chunk]
@@ -297,7 +301,7 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
         for lo in range(0, len(labels), prompt_chunk):
             chunk = labels[lo:lo + prompt_chunk]
             score(scene_id, chunk, prompt([l.text for l in chunk]))
-    return results
+    return ResultColumns.from_rows(keys, boxes, scores)
 
 
 def evaluate_model(model: GroundingModel, benchmark: BenchmarkInstance,

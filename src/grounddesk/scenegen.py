@@ -338,9 +338,8 @@ def scene_from_backend(description: str, image_seed: int, backend,
     synthesis stays outside the core library. Referent ids are recomputed
     here so the backend cannot mislabel them.
     """
-    row = backend(description, image_seed)
-    row = dict(row, scene_id=scene_id, description_id=description_id,
-               image_seed=image_seed, referent_ids=row.get("referent_ids", []))
+    row = dict(backend(description, image_seed), scene_id=scene_id,
+               description_id=description_id, image_seed=image_seed, referent_ids=[])
     scene = scene_from_json(row)
     for obj in scene.objects:
         if not _in_unit_square(obj.box):
@@ -542,13 +541,32 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(row: dict) -> Scene:
+    """The Scene of one scenes.jsonl row. A row that no stage can use raises
+    ValueError: two objects with one instance_id, a box whose width or
+    height is not above 0, or a referent or relation endpoint that names no
+    object of the scene."""
     objects = tuple(SceneObject(o["instance_id"], o["category"],
                                 frozenset(o["attributes"]), tuple(o["box"]))
                     for o in row["objects"])
-    return Scene(scene_id=row["scene_id"], description_id=row["description_id"],
-                 image_seed=row["image_seed"], objects=objects,
-                 referent_ids=frozenset(row["referent_ids"]),
-                 relation_edges=tuple((e[0], e[1], e[2]) for e in row["relation_edges"]))
+    scene = Scene(scene_id=row["scene_id"], description_id=row["description_id"],
+                  image_seed=row["image_seed"], objects=objects,
+                  referent_ids=frozenset(row["referent_ids"]),
+                  relation_edges=tuple((e[0], e[1], e[2]) for e in row["relation_edges"]))
+    ids = set()
+    for o in objects:
+        if o.instance_id in ids:
+            raise ValueError(f"two objects share instance_id {o.instance_id}")
+        ids.add(o.instance_id)
+        if not (o.box[2] > 0 and o.box[3] > 0):
+            raise ValueError(f"object {o.instance_id} has box {list(o.box)}, "
+                             f"whose width or height is not above 0")
+    unknown = sorted(scene.referent_ids - ids)
+    if unknown:
+        raise ValueError(f"referent {unknown[0]} names no object of the scene")
+    for edge in scene.relation_edges:
+        if not {edge[0], edge[2]} <= ids:
+            raise ValueError(f"relation edge {list(edge)} names no object of the scene")
+    return scene
 
 
 def write_scenes(path, scenes) -> None:

@@ -10,6 +10,7 @@ import struct
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from grounddesk import (cli, corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
@@ -368,6 +369,65 @@ def test_bad_example_target_string_is_an_artifact_error(corrupt_copy, capsys, da
     assert "artifact error" in err and "examples.jsonl line 2" in err
 
 
+def _edit_line_2(path, edit):
+    """Apply edit(row) to the JSON row on line 2 of `path`."""
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    edit(row)
+    lines[1] = json.dumps(row, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+def _set_box_side(side, value):
+    def edit(row):
+        row["objects"][0]["box"][side] = value
+    return edit
+
+
+# Each edit leaves a scene that parses but that no stage can use.
+_UNUSABLE_SCENES = {
+    "repeated_instance_id": (
+        lambda row: row["objects"][1].update(instance_id=row["objects"][0]["instance_id"]),
+        "two objects share instance_id"),
+    "zero_width": (_set_box_side(2, 0.0), "width or height is not above 0"),
+    "negative_height": (_set_box_side(3, -0.1), "width or height is not above 0"),
+    "unknown_referent": (lambda row: row["referent_ids"].append(10_000),
+                         "referent 10000 names no object"),
+    "unknown_relation_endpoint": (
+        lambda row: row["relation_edges"].append([row["objects"][0]["instance_id"], "near",
+                                                  10_000]),
+        "names no object of the scene"),
+}
+
+
+@pytest.mark.parametrize("stage", ["label", "targets"])
+@pytest.mark.parametrize("case", list(_UNUSABLE_SCENES))
+def test_unusable_scene_is_an_artifact_error(corrupt_copy, capsys, case, stage):
+    """A scenes.jsonl row with a repeated instance id, a box without area, or
+    a referent or relation endpoint that names no object fails the stage
+    that reads it, naming the file and the line."""
+    edit, message = _UNUSABLE_SCENES[case]
+    _edit_line_2(corrupt_copy / "scenes.jsonl", edit)
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "scenes.jsonl line 2" in err and message in err
+
+
+@pytest.mark.parametrize("filename", ["examples.jsonl", "detection_examples.jsonl"])
+def test_example_token_outside_the_vocabulary_is_an_artifact_error(corrupt_copy, capsys,
+                                                                    filename):
+    """Training would read a token outside the pool's vocabulary as the
+    unknown token; the train stage fails naming the file, the line and the
+    token instead."""
+    def edit(row):
+        row["flat_tokens"][0] = "zeppelin"
+    _edit_line_2(corrupt_copy / filename, edit)
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and f"{filename} line 2" in err
+    assert "'zeppelin' is not in the vocabulary" in err
+
+
 def _jsonl(rows) -> bytes:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
 
@@ -411,7 +471,12 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bench.scenes) == cli_bytes("benchmark_scenes.jsonl")
     assert written("benchmark_labels.jsonl", evalkit.write_description_labels,
                    bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
-    results = evalkit.read_results(os.path.join(pipeline_dir, "results.jsonl"))
+    # The CLI's own model, run on that benchmark at the default eval settings
+    e = cli.DEFAULT_CONFIG["eval"]
+    results = pipeline.run_model_on_benchmark(cli._load_model(pipeline_dir), bench,
+                                              e["score_threshold"], bundle.lexicon,
+                                              agg=e["aggregation"])
+    assert written("results.jsonl", evalkit.write_results, results) == cli_bytes("results.jsonl")
     assert written("match_table.bin", evalkit.write_match_table,
                    evalkit.match_table(results, bench)) == cli_bytes("match_table.bin")
 
@@ -818,8 +883,13 @@ def test_matching_report_is_the_report_of_the_json_export(corrupt_copy):
                 tuple(map(tuple, row["gt_boxes"])), len(row["text"].split()),
                 langparse.is_absence(langparse.parse(row["text"], lexicon))) for row in labels))
         assert any(label.absent for label in bench.description_labels)
-        want = evalkit.omnilabel_report(evalkit.read_results(out / "results.jsonl"), bench,
-                                        iou_threshold=thr).to_json()
+        rows = storage.read_jsonl(out / "results.jsonl", lambda row: row)
+        columns = evalkit.ResultColumns.from_rows(
+            [(row["label_id"], row["scene_id"]) for row in rows],
+            [np.array([det["box"] for det in row["detections"]], dtype=float).reshape(-1, 4)
+             for row in rows],
+            [np.array([det["score"] for det in row["detections"]], dtype=float) for row in rows])
+        want = evalkit.omnilabel_report(columns, bench, iou_threshold=thr).to_json()
         want["d3"] = {"full": want["d3_full"], "pres": want["d3_pres"], "abs": want["d3_abs"]}
         assert (out / "report.json").read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
         assert want["config"]["iou_threshold"] == thr and want["AP_categ"] > 0

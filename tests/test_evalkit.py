@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from grounddesk import evalkit
 from grounddesk.evalkit import (LENGTH_BUCKETS, BenchmarkInstance, CategoryLabel,
-                                DescriptionLabel, DetectionArrays, Results, ResultColumns,
-                                as_detection_arrays, average_precision, d3_report,
+                                DescriptionLabel, ResultColumns, average_precision, d3_report,
                                 harmonic_mean, iou, iou_array, omnilabel_report,
-                                pooled_average_precision, result_columns)
+                                pooled_average_precision)
 from grounddesk.langparse import is_absence, parse
 from grounddesk.scenegen import BenchmarkConfig, make_benchmark, read_scenes, write_scenes
 from grounddesk.storage import write_table
@@ -139,6 +138,27 @@ def _described(label_id, scene_id, text, gt_boxes) -> DescriptionLabel:
     return evalkit.description_label(label_id, scene_id, text, gt_boxes, parse(text))
 
 
+def _unjoined_columns(rows) -> ResultColumns:
+    """One column row per results.jsonl row, in file order: rows that share
+    a key stay apart, and matching joins them in order."""
+    return ResultColumns.from_rows(
+        [(row["label_id"], row["scene_id"]) for row in rows],
+        [np.array([d["box"] for d in row["detections"]], dtype=float).reshape(-1, 4)
+         for row in rows],
+        [np.array([d["score"] for d in row["detections"]], dtype=float) for row in rows])
+
+
+def _joined_columns(rows) -> ResultColumns:
+    """The columns with one row per key, as run_model_on_benchmark() writes
+    them: rows that share a key joined in file order, at the first one's
+    place."""
+    joined = {}
+    for row in rows:
+        joined.setdefault((row["label_id"], row["scene_id"]), []).extend(row["detections"])
+    return _unjoined_columns([{"label_id": label_id, "scene_id": scene_id, "detections": dets}
+                              for (label_id, scene_id), dets in joined.items()])
+
+
 def test_harmonic_mean_identities():
     assert harmonic_mean(0.0, 0.0) == 0.0
     assert harmonic_mean(30.0, 30.0) == 30.0
@@ -153,6 +173,7 @@ def small_benchmark(desk20):
 
 
 def perfect_results(benchmark):
+    """results.jsonl rows of a detector that finds each ground-truth box."""
     rows = []
     for label in benchmark.category_labels:
         for scene_id, boxes in label.gt_boxes.items():
@@ -167,7 +188,7 @@ def perfect_results(benchmark):
 
 
 def test_perfect_detector_scores_100(small_benchmark):
-    report = omnilabel_report(perfect_results(small_benchmark), small_benchmark)
+    report = omnilabel_report(_joined_columns(perfect_results(small_benchmark)), small_benchmark)
     assert report.AP_categ == pytest.approx(100.0)
     assert report.AP_descr == pytest.approx(100.0)
     assert report.AP == pytest.approx(100.0)
@@ -176,26 +197,26 @@ def test_perfect_detector_scores_100(small_benchmark):
 
 def test_negative_description_detection_decreases_ap(small_benchmark):
     rows = perfect_results(small_benchmark)
-    base = omnilabel_report(rows, small_benchmark).AP_descr
+    base = omnilabel_report(_joined_columns(rows), small_benchmark).AP_descr
     neg = next(l for l in small_benchmark.description_labels if not l.gt_boxes)
     rows.append({"label_id": neg.label_id, "scene_id": neg.scene_id,
                  "detections": [{"box": [0.1, 0.1, 0.2, 0.2], "score": 0.99}]})
-    worse = omnilabel_report(rows, small_benchmark).AP_descr
+    worse = omnilabel_report(_joined_columns(rows), small_benchmark).AP_descr
     assert worse < base
 
 
 def test_bucket_move_preserves_overall_ap(small_benchmark, monkeypatch):
-    rows = perfect_results(small_benchmark)
-    before = omnilabel_report(rows, small_benchmark)
+    columns = _joined_columns(perfect_results(small_benchmark))
+    before = omnilabel_report(columns, small_benchmark)
     monkeypatch.setattr(evalkit, "LENGTH_BUCKETS", (4, 8))
-    after = omnilabel_report(rows, small_benchmark)
+    after = omnilabel_report(columns, small_benchmark)
     assert after.AP_descr == pytest.approx(before.AP_descr)
     assert sum(after.bucket_counts) == sum(before.bucket_counts)
     assert after.bucket_counts != before.bucket_counts
 
 
 def test_report_json_marks_nan_as_null(small_benchmark):
-    report = omnilabel_report([], small_benchmark)
+    report = omnilabel_report(_joined_columns([]), small_benchmark)
     payload = report.to_json()
     assert payload["config"]["interpolation"] == "all-point"
     # with no detections at all, negatives are undefined rather than zero
@@ -203,8 +224,8 @@ def test_report_json_marks_nan_as_null(small_benchmark):
 
 
 def test_d3_partition(small_benchmark):
-    rows = perfect_results(small_benchmark)
-    full, pres, absent = d3_report(rows, small_benchmark)
+    full, pres, absent = d3_report(_joined_columns(perfect_results(small_benchmark)),
+                                   small_benchmark)
     # perfect results fire only on ground truth, so a partition is defined
     # exactly when it holds a label with ground truth
     defined_absence = any("without" in l.text.split() and l.gt_boxes
@@ -231,66 +252,23 @@ def test_d3_hand_computed_mix():
         {"label_id": 1, "scene_id": 0, "detections": [{"box": list(box), "score": 0.9},
                                                       {"box": list(far), "score": 0.5}]},
     ]
-    full, pres, absent = d3_report(rows, bench)
+    full, pres, absent = d3_report(_joined_columns(rows), bench)
     assert pres == pytest.approx(100.0)
     assert absent == pytest.approx(50.0)
     assert full == pytest.approx((100.0 + 50.0) / 2)
 
 
-def test_results_jsonl_roundtrip(tmp_path, small_benchmark):
-    rows = perfect_results(small_benchmark)
-    path = tmp_path / "results.jsonl"
-    evalkit.write_results(path, rows)
-    assert list(evalkit.read_results(path).rows()) == rows
-
-
-def test_read_results_decodes_straight_into_arrays(tmp_path, small_benchmark):
-    path = tmp_path / "results.jsonl"
-    evalkit.write_results(path, perfect_results(small_benchmark))
-    table = evalkit.read_results(path)
-    assert isinstance(table, Results) and len(table)
-    for dets in table.values():
-        assert isinstance(dets, DetectionArrays)
-        assert dets.boxes.dtype == dets.scores.dtype == np.float64
-        assert dets.boxes.shape == (len(dets.scores), 4)
-
-
-def test_read_results_joins_lines_that_share_a_key(tmp_path):
-    path = tmp_path / "results.jsonl"
-    path.write_text('{"detections": [{"box": [0, 0, 1, 1], "score": 0.5}], '
-                    '"label_id": 1, "scene_id": 2}\n'
-                    '{"detections": [], "label_id": 3, "scene_id": 2}\n'
-                    '{"detections": [{"box": [0.5, 0, 0.5, 1], "score": NaN}], '
-                    '"label_id": 1, "scene_id": 2}\n')
-    table = evalkit.read_results(path)
-    assert list(table) == [(1, 2), (3, 2)]
-    assert table[1, 2].boxes.tolist() == [[0, 0, 1, 1], [0.5, 0, 0.5, 1]]
-    assert table[1, 2].scores[0] == 0.5 and math.isnan(table[1, 2].scores[1])
-    assert table[3, 2].boxes.shape == (0, 4) and table[3, 2].scores.shape == (0,)
-
-
-@pytest.mark.parametrize("line", [
-    '{"detections": [{"box": [0, 0, 1, 1], "score": 0.5}], "label_id": 1, "sce',
-    '{"detections": [{"box": [0, 0, 1], "score": 0.5}], "label_id": 1, "scene_id": 2}',
-    '{"detections": [{"box": [0, 0, 1, 1, 1], "score": 0.5}], "label_id": 1, "scene_id": 2}',
-    '{"detections": [{"box": [0, 0, 1, 1], "score": [0.5]}], "label_id": 1, "scene_id": 2}',
-    '{"detections": [{"box": [0, 0, 1, 1], "score": "x"}], "label_id": 1, "scene_id": 2}',
-    '{"detections": [{"box": [0, 0, 1, 1]}], "label_id": 1, "scene_id": 2}',
-    '{"detections": [], "label_id": 1}',
-    '[1, 2]',
-], ids=["cut", "short_box", "long_box", "list_score", "text_score", "no_score", "no_scene",
-        "not_a_row"])
-def test_read_results_names_the_file_and_line_of_a_bad_row(tmp_path, line):
-    path = tmp_path / "results.jsonl"
-    path.write_text('{"detections": [], "label_id": 0, "scene_id": 0}\n' + line + "\n")
-    with pytest.raises(ValueError, match=r"results\.jsonl line 2"):
-        evalkit.read_results(path)
-
-
 def test_description_labels_round_trip(tmp_path, small_benchmark):
+    """benchmark_labels.jsonl holds one JSON row per description label, from
+    which the label, its absence flag parsed from its text, is made again."""
     path = tmp_path / "benchmark_labels.jsonl"
     evalkit.write_description_labels(path, small_benchmark.description_labels)
-    assert tuple(evalkit.read_description_labels(path)) == small_benchmark.description_labels
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert all(sorted(row) == ["gt_boxes", "label_id", "scene_id", "text"] for row in rows)
+    back = tuple(evalkit.description_label(row["label_id"], row["scene_id"], row["text"],
+                                           map(tuple, row["gt_boxes"]), parse(row["text"]))
+                 for row in rows)
+    assert back == small_benchmark.description_labels
     assert any(not label.gt_boxes for label in small_benchmark.description_labels)
 
 
@@ -332,9 +310,10 @@ def test_iou_array_equals_iou_bit_for_bit(a, b):
 @settings(max_examples=200, deadline=None)
 @given(scored, st.lists(any_boxes, max_size=5), st.sampled_from([0.5, 0.75, 1.0]))
 def test_array_ap_equals_list_ap_and_the_oracle(dets, gts, thr):
-    arrays = DetectionArrays(np.array([b for b, _ in dets], dtype=float).reshape(-1, 4),
-                             np.array([s for _, s in dets], dtype=float))
-    from_arrays = average_precision(arrays, gts, thr)
+    """The AP of a label's detections as ResultColumns, through its
+    MatchTable, equals the AP of its (box, score) list and the oracle's."""
+    from_arrays = _table_ap([{"label_id": 0, "scene_id": 0, "detections": [
+        {"box": box, "score": score} for box, score in dets]}], {0: gts}, thr)
     from_list = average_precision(dets, gts, thr)
     want = oracle_ap(dets, gts, thr)
     if math.isnan(want):
@@ -342,6 +321,14 @@ def test_array_ap_equals_list_ap_and_the_oracle(dets, gts, thr):
     else:
         assert from_arrays == from_list
         assert abs(from_arrays - want) <= 1e-9
+
+
+def _table_ap(rows, gt_by_scene, thr) -> float:
+    """average_precision() of the MatchTable of one category label, label 0,
+    whose detections are the ResultColumns of `rows` and whose ground truth
+    is gt_by_scene, pooled over gt_by_scene's scenes in their order."""
+    bench = BenchmarkInstance(tuple(gt_by_scene), (CategoryLabel(0, "c0", gt_by_scene),), ())
+    return average_precision(evalkit.match_table(_unjoined_columns(rows), bench), None, thr)
 
 
 def loop_pooled_ap(dets_by_scene, gt_by_scene, thr):
@@ -380,19 +367,17 @@ def test_pooled_ap_equals_the_loop_reference(scenes, thr):
     dets = {k: d for k, (d, _g) in enumerate(scenes)}
     gts = {k: g for k, (_d, g) in enumerate(scenes)}
     want = loop_pooled_ap(dets, gts, thr)
-    arrays = {k: as_detection_arrays(d) for k, d in dets.items()}
     # The label's rows as columns, in scene order; the first scene's
     # detections are split over two rows that share its key.
     first = dets[0]
-    rows = [{"label_id": 7, "scene_id": 0, "detections": first[:len(first) // 2]},
-            {"label_id": 7, "scene_id": 0, "detections": first[len(first) // 2:]}]
-    rows += [{"label_id": 7, "scene_id": k, "detections": d} for k, d in dets.items() if k]
-    columns = _unjoined_columns([{**row, "detections": [{"box": b, "score": s}
-                                                         for b, s in row["detections"]]}
-                                 for row in rows])
-    for form in (dets, arrays, columns):
-        for got in (pooled_average_precision(form, gts, thr), average_precision(form, gts, thr)):
-            assert (math.isnan(got) and math.isnan(want)) or got == want
+    rows = [{"label_id": 0, "scene_id": 0, "detections": first[:len(first) // 2]},
+            {"label_id": 0, "scene_id": 0, "detections": first[len(first) // 2:]}]
+    rows += [{"label_id": 0, "scene_id": k, "detections": d} for k, d in dets.items() if k]
+    rows = [{**row, "detections": [{"box": b, "score": s} for b, s in row["detections"]]}
+            for row in rows]
+    for got in (pooled_average_precision(dets, gts, thr), average_precision(dets, gts, thr),
+                _table_ap(rows, gts, thr)):
+        assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
 # S, M and L descriptions, with and without an expression of absence.
@@ -466,10 +451,10 @@ def loop_aps(rows, bench, thr) -> list[float]:
         for label in bench.description_labels]
 
 
-def kernel_aps(results, bench, thr) -> list[float]:
-    """The same APs from the benchmark's MatchTable, built in memory and
-    thresholded by one _table_aps() call."""
-    return evalkit._table_aps(evalkit.match_table(results, bench), thr).tolist()
+def kernel_aps(columns, bench, thr) -> list[float]:
+    """The same APs from the benchmark's MatchTable, built in memory from
+    ResultColumns and thresholded by one _table_aps() call."""
+    return evalkit._table_aps(evalkit.match_table(columns, bench), thr).tolist()
 
 
 def loop_report(rows, bench, thr) -> tuple[dict, tuple]:
@@ -504,16 +489,6 @@ def loop_report(rows, bench, thr) -> tuple[dict, tuple]:
 
 def _same_floats(a, b) -> bool:
     return all((math.isnan(x) and math.isnan(y)) or x == y for x, y in zip(a, b, strict=True))
-
-
-def _unjoined_columns(rows) -> ResultColumns:
-    """One column row per results.jsonl row, in file order: rows that share
-    a key stay apart, as ResultColumns built elsewhere may hold them."""
-    keys = np.array([(row["label_id"], row["scene_id"]) for row in rows], dtype=np.int64)
-    dets = [as_detection_arrays(row["detections"]) for row in rows]
-    return ResultColumns(keys.reshape(-1, 2), np.array([len(d.scores) for d in dets], dtype=np.int64),
-                         np.concatenate([np.empty((0, 4)), *(d.boxes for d in dets)]),
-                         np.concatenate([np.empty(0), *(d.scores for d in dets)]))
 
 
 _Q = 0.25
@@ -573,14 +548,13 @@ _ALL_TIED = (BenchmarkInstance(
 @example(_ALL_TIED, 0.5)
 def test_reports_equal_the_per_label_loop_reference(case, thr):
     """omnilabel_report and d3_report score every label from the table's
-    columns; each figure equals the per-label loop's bit for bit,
-    NaN for NaN, from rows, from the Results table, from its columns, and
-    from columns whose rows that share a key stay apart."""
+    columns; each figure equals the per-label loop's bit for bit, NaN for
+    NaN, from columns with one row per key and from columns whose rows that
+    share a key stay apart."""
     bench, rows = case
     want, want_d3 = loop_report(rows, bench, thr)
     want_aps = loop_aps(rows, bench, thr)
-    for form in (rows, evalkit._normalize_results(rows), result_columns(rows),
-                 _unjoined_columns(rows)):
+    for form in (_joined_columns(rows), _unjoined_columns(rows)):
         assert _same_floats(kernel_aps(form, bench, thr), want_aps)
         got = omnilabel_report(form, bench, iou_threshold=thr).to_json()
         assert {k: got[k] for k in want} == want
@@ -630,17 +604,18 @@ thresholds = st.one_of(st.sampled_from([0.5, 0.75, 1.0]),
 @example(_NO_CANDIDATES, 0.5, 0)
 def test_match_table_thresholded_equals_the_per_label_loop_reference(tmp_path_factory, case, thr,
                                                                      offset):
-    """The MatchTable built in memory, from rows with ids of any size or from
-    columns that keep rows sharing a key apart, and thresholded by one
+    """The MatchTable built in memory, from columns with ids of any size,
+    one row per key or rows sharing a key kept apart, and thresholded by one
     _table_aps() call, gives each label's AP of the per-label loop bit for
     bit, NaN for NaN, at any threshold in (0, 1]. Written to match_table.bin
     and read back, it is the same table, and omnilabel_report() of it is the
-    report of the rows and the loop's."""
+    report of the columns and the loop's."""
     bench, rows = _shift_ids(case, offset)
     want_aps = loop_aps(rows, bench, thr)
     want, _ = loop_report(rows, bench, thr)
     path = tmp_path_factory.mktemp("match") / "match_table.bin"
-    tables = [evalkit.match_table(form, bench) for form in (rows, _unjoined_columns(rows))]
+    columns = _joined_columns(rows)
+    tables = [evalkit.match_table(form, bench) for form in (columns, _unjoined_columns(rows))]
     assert _same_tables(*tables)
     evalkit.write_match_table(path, tables[0])
     back = evalkit.read_match_table(path)
@@ -649,13 +624,14 @@ def test_match_table_thresholded_equals_the_per_label_loop_reference(tmp_path_fa
         assert _same_floats(evalkit._table_aps(table, thr).tolist(), want_aps)
         got = omnilabel_report(table, iou_threshold=thr).to_json()
         assert {k: got[k] for k in want} == want
-        assert got == omnilabel_report(rows, bench, iou_threshold=thr).to_json()
+        assert got == omnilabel_report(columns, bench, iou_threshold=thr).to_json()
     assert (back.cand_ious > 0).any(axis=1).all()
 
 
 def test_empty_match_table_round_trips(tmp_path):
     path = tmp_path / "match_table.bin"
-    evalkit.write_match_table(path, evalkit.match_table([], BenchmarkInstance((), (), ())))
+    evalkit.write_match_table(path, evalkit.match_table(_joined_columns([]),
+                                                        BenchmarkInstance((), (), ())))
     assert path.read_bytes() == b"GDMT" + struct.pack("<H5Q", 1, *[0] * 5)
     table = evalkit.read_match_table(path)
     assert [column.shape for column in table] == [(0,)] * 8 + [(0, 0)]
@@ -665,14 +641,45 @@ def test_empty_match_table_round_trips(tmp_path):
 
 def test_scoring_rejects_a_threshold_outside_the_unit_interval_and_a_missing_benchmark():
     bench, rows = _MISS_THEN_HIT
-    table = evalkit.match_table(rows, bench)
+    columns = _joined_columns(rows)
+    table = evalkit.match_table(columns, bench)
     for thr in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match="does not lie in"):
             omnilabel_report(table, iou_threshold=thr)
     with pytest.raises(ValueError, match="only the table of one label"):
         average_precision(table)
     with pytest.raises(TypeError, match="needs the benchmark"):
-        omnilabel_report(rows)
+        omnilabel_report(columns)
+    # Detections are scored in one form: JSON rows, or columns whose keys
+    # are not integers, are not taken.
+    for form in (rows, columns._replace(keys=columns.keys.astype(object))):
+        with pytest.raises(TypeError, match="scored as ResultColumns"):
+            evalkit.match_table(form, bench)
+
+
+def test_match_table_rejects_a_repeated_label_id():
+    """Two labels of one benchmark with one label_id would both score the
+    rows of that id: one row on a description label's box, under the id its
+    category label shares, would read as AP_categ 0 and AP_descr 100."""
+    box = (0.0, 0.0, _Q, _Q)
+    columns = _joined_columns([{"label_id": 0, "scene_id": 0,
+                                "detections": [{"box": list(box), "score": 0.9}]}])
+    shared = BenchmarkInstance((0,), (CategoryLabel(0, "c0", {}),),
+                               (_described(0, 0, "a dog", (box,)),))
+    two_categories = BenchmarkInstance((0,), (CategoryLabel(3, "c3", {}),
+                                              CategoryLabel(3, "c4", {0: [box]})), ())
+    two_descriptions = BenchmarkInstance((0,), (), (_described(5, 0, "a dog", (box,)),
+                                                    _described(5, 0, "a cat", ())))
+    for bench, label_id in ((shared, 0), (two_categories, 3), (two_descriptions, 5)):
+        with pytest.raises(ValueError, match=f"label id {label_id} names two labels"):
+            evalkit.match_table(columns, bench)
+        with pytest.raises(ValueError, match=f"label id {label_id} names two labels"):
+            omnilabel_report(columns, bench)
+    # Apart, the row is the category label's alone.
+    apart = BenchmarkInstance((0,), (CategoryLabel(0, "c0", {}),),
+                              (_described(1, 0, "a dog", (box,)),))
+    report = omnilabel_report(columns, apart)
+    assert (report.AP_categ, report.AP_descr) == (0.0, 0.0)
 
 
 def _damaged_match_tables(raw: bytes):
@@ -697,7 +704,7 @@ def _damaged_match_tables(raw: bytes):
 @example(_MISS_THEN_HIT)
 def test_match_table_rejects_every_truncation_and_bad_header_or_count(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("bad") / "match_table.bin"
-    evalkit.write_match_table(path, evalkit.match_table(case[1], case[0]))
+    evalkit.write_match_table(path, evalkit.match_table(_joined_columns(case[1]), case[0]))
     for damaged in _damaged_match_tables(path.read_bytes()):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=r"match_table\.bin"):
@@ -747,7 +754,7 @@ def test_match_table_rejects_indices_counts_and_order_matching_cannot_use(tmp_pa
     contradicts another would each make matching index past an array or
     score the wrong detections; the reader rejects them and names the file."""
     damage, message = _BAD_MATCH_TABLES[case]
-    table = evalkit.match_table(_MISS_THEN_HIT[1], _MISS_THEN_HIT[0])
+    table = evalkit.match_table(_joined_columns(_MISS_THEN_HIT[1]), _MISS_THEN_HIT[0])
     assert table.cand_task.tolist() == [0, 0, 1, 1, 2]
     assert table.cand_rank.tolist() == [5, 7, 3, 4, 3]
     assert table.pool_dets.tolist() == [7, 3] and table.pool_gt.tolist() == [3, 1]
@@ -821,9 +828,10 @@ def test_report_of_a_large_table_equals_the_per_label_loop_reference(desk20, thr
             rows.append({"label_id": label.label_id, "scene_id": scene.scene_id,
                          "detections": dets})
     rng.shuffle(rows)
-    assert _same_floats(kernel_aps(rows, bench, thr), loop_aps(rows, bench, thr))
+    columns = _joined_columns(rows)
+    assert _same_floats(kernel_aps(columns, bench, thr), loop_aps(rows, bench, thr))
     want, want_d3 = loop_report(rows, bench, thr)
-    got = omnilabel_report(rows, bench, iou_threshold=thr)
+    got = omnilabel_report(columns, bench, iou_threshold=thr)
     assert {k: got.to_json()[k] for k in want} == want
     assert _same_floats((got.d3_full, got.d3_pres, got.d3_abs), want_d3)
     assert 0 < got.AP_categ < 100
@@ -864,15 +872,8 @@ def test_write_results_matches_json_dumps_on_edge_floats(tmp_path):
         {"label_id": 8, "scene_id": 1, "detections": []},
     ]
     path = tmp_path / "results.jsonl"
-    evalkit.write_results(path, rows)
+    evalkit.write_results(path, _unjoined_columns(rows))
     assert path.read_text(encoding="utf-8") == _dumped(rows)
-    # the array table and the {(label, scene): detections} mapping write the same bytes
-    table = evalkit._normalize_results(rows)
-    assert isinstance(table, Results)
-    for form in (table, {key: list(zip(d.boxes.tolist(), d.scores.tolist()))
-                         for key, d in table.items()}):
-        evalkit.write_results(path, form)
-        assert path.read_text(encoding="utf-8") == _dumped(rows)
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
@@ -888,10 +889,5 @@ def test_write_results_matches_json_dumps_on_any_float(tmp_path_factory, rows):
              "detections": [{"box": box, "score": score} for box, score in dets]}
             for label, scene, dets in rows]
     path = tmp_path_factory.mktemp("enc") / "results.jsonl"
-    evalkit.write_results(path, rows)
+    evalkit.write_results(path, _unjoined_columns(rows))
     assert path.read_text(encoding="utf-8") == _dumped(rows)
-
-
-def test_results_rows_round_trip_through_the_table(small_benchmark):
-    rows = perfect_results(small_benchmark)
-    assert list(evalkit._normalize_results(rows).rows()) == rows

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -91,22 +92,52 @@ def test_benchmark_evaluation_roundtrip(default_bundle, tiny_trained):
     model, _ = tiny_trained
     bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=6,
                                        config=BenchmarkConfig(fraction_negative=0.5))
-    rows = list(pipeline.run_model_on_benchmark(model, bench, score_threshold=0.2,
-                                                lexicon=default_bundle.lexicon).rows())
+    columns = pipeline.run_model_on_benchmark(model, bench, score_threshold=0.2,
+                                              lexicon=default_bundle.lexicon)
     label_ids = {l.label_id for l in bench.category_labels} | \
         {l.label_id for l in bench.description_labels}
-    assert all(row["label_id"] in label_ids for row in rows)
+    assert set(columns.keys[:, 0].tolist()) <= label_ids
     report = pipeline.evaluate_model(model, bench, score_threshold=0.2,
                                      lexicon=default_bundle.lexicon)
     assert 0.0 <= report.AP_categ <= 100.0 or np.isnan(report.AP_categ)
     assert sum(report.bucket_counts) == len(bench.description_labels)
 
 
+def test_inference_returns_int64_columns_in_inference_order(default_bundle, tiny_trained):
+    """run_model_on_benchmark() gives ResultColumns with int64 keys that
+    never repeat and counts that sum to the detections, each row's scores
+    highest first, in inference order: each scene's category labels, scene
+    by scene, then the description labels by scene. At score threshold 0
+    every label has a row on its every scene."""
+    model, _ = tiny_trained
+    bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=6,
+                                       config=BenchmarkConfig(fraction_negative=0.5))
+    columns = pipeline.run_model_on_benchmark(model, bench, score_threshold=0.0,
+                                              lexicon=default_bundle.lexicon)
+    assert isinstance(columns, evalkit.ResultColumns)
+    assert columns.keys.dtype == columns.counts.dtype == np.int64
+    assert columns.keys.shape == (len(columns.counts), 2) and (columns.counts > 0).all()
+    assert columns.counts.sum() == len(columns.scores) == len(columns.boxes)
+    assert columns.boxes.shape[1:] == (4,)
+    keys = [tuple(key) for key in columns.keys.tolist()]
+    assert len(set(keys)) == len(keys)
+    by_scene = {}
+    for label in bench.description_labels:
+        by_scene.setdefault(label.scene_id, []).append(label.label_id)
+    assert keys == ([(label.label_id, scene_id) for scene_id in bench.scene_ids
+                     for label in bench.category_labels]
+                    + [(label_id, scene_id) for scene_id, label_ids in by_scene.items()
+                       for label_id in label_ids])
+    for row in np.split(columns.scores, np.cumsum(columns.counts)[:-1]):
+        assert (np.diff(row) <= 0).all()
+
+
 def test_report_from_the_score_files_equals_the_report_in_memory(default_bundle, tiny_trained,
                                                                  tmp_path):
     """The eval's matching half reads the match table back from
-    match_table.bin; every AP it reports equals the in-memory one, and so
-    does every AP from the JSON exports of the results and the benchmark."""
+    match_table.bin; every AP it reports equals the in-memory one. The JSON
+    exports hold the in-memory columns, the labels' JSON rows and scenes
+    whose category labels are the benchmark's."""
     model, _ = tiny_trained
     lexicon = default_bundle.lexicon
     bench = pipeline.default_benchmark(default_bundle.pool, seed=0, n_scenes=8,
@@ -116,19 +147,27 @@ def test_report_from_the_score_files_equals_the_report_in_memory(default_bundle,
     evalkit.write_results(tmp_path / "results.jsonl", results)
     write_scenes(tmp_path / "scenes.jsonl", bench.scenes)
     evalkit.write_description_labels(tmp_path / "labels.jsonl", bench.description_labels)
+
+    def rows(name):
+        return [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+
+    exported = rows("results.jsonl")
+    dets = [det for row in exported for det in row["detections"]]
+    assert [[row["label_id"], row["scene_id"]] for row in exported] == results.keys.tolist()
+    assert [len(row["detections"]) for row in exported] == results.counts.tolist()
+    assert [det["box"] for det in dets] == results.boxes.tolist()
+    assert [det["score"] for det in dets] == results.scores.tolist()
+    assert rows("labels.jsonl") == [
+        {"label_id": label.label_id, "scene_id": label.scene_id, "text": label.text,
+         "gt_boxes": [list(box) for box in label.gt_boxes]} for label in bench.description_labels]
     scenes = tuple(read_scenes(tmp_path / "scenes.jsonl"))
-    exported = evalkit.BenchmarkInstance(
-        scene_ids=tuple(scene.scene_id for scene in scenes),
-        category_labels=evalkit.category_labels(default_bundle.pool, scenes),
-        description_labels=tuple(evalkit.read_description_labels(tmp_path / "labels.jsonl",
-                                                                 lexicon)))
+    assert [scene.scene_id for scene in scenes] == list(bench.scene_ids)
+    assert evalkit.category_labels(default_bundle.pool, scenes) == bench.category_labels
     for iou_threshold in (0.5, 0.75):
         in_memory = evalkit.omnilabel_report(results, bench, iou_threshold)
         from_table = evalkit.omnilabel_report(
             evalkit.read_match_table(tmp_path / "match_table.bin"), iou_threshold=iou_threshold)
-        from_exports = evalkit.omnilabel_report(evalkit.read_results(tmp_path / "results.jsonl"),
-                                                exported, iou_threshold)
-        assert from_table == in_memory and from_exports == in_memory
+        assert from_table == in_memory
         assert in_memory.AP_categ > 0
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grounddesk import corpus, evalkit, labeling, pipeline, scenegen, storage, targets
+from grounddesk import corpus, labeling, pipeline, scenegen, storage, targets
 from grounddesk.scenegen import RegionFeatures
 
 PAIRS = storage.TableFormat("pair table", b"TEST", 3, ("rows", "width"),
@@ -114,10 +114,9 @@ def _read_with(decode):
 @pytest.fixture(scope="module")
 def jsonl_files(default_bundle, default_triplets, tmp_path_factory):
     """{file name: (its first rows as lines, its reader)} for each JSON-lines
-    artifact, written by the writer its stage uses."""
+    artifact that a stage reads, written by the writer its stage uses."""
     bundle, rows = default_bundle, 4
     examples = pipeline.build_training_examples(bundle, default_triplets[:rows])
-    benchmark = scenegen.make_benchmark(bundle.pool, 3, seed=0, lexicon=bundle.lexicon)
     files = {
         "descriptions.jsonl": (corpus.write_descriptions, bundle.descriptions[:rows],
                                corpus.read_descriptions),
@@ -128,9 +127,6 @@ def jsonl_files(default_bundle, default_triplets, tmp_path_factory):
         "examples.jsonl": (storage.write_jsonl,
                            [targets.example_to_json(ex.scene_id, ex.query, ex.target)
                             for ex in examples], _read_with(targets.example_from_json)),
-        "benchmark_labels.jsonl": (evalkit.write_description_labels,
-                                   benchmark.description_labels[:rows],
-                                   evalkit.read_description_labels),
     }
     out = {}
     for name, (write, items, read) in files.items():
@@ -144,7 +140,7 @@ def jsonl_files(default_bundle, default_triplets, tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
-                        "examples.jsonl", "benchmark_labels.jsonl"]),
+                        "examples.jsonl"]),
        st.integers(0), st.floats(0, 1, exclude_min=True, exclude_max=True), st.booleans())
 def test_a_cut_jsonl_row_names_the_file_and_the_line(jsonl_files, tmp_path_factory, name, row,
                                                      at, keep_rest):
