@@ -110,6 +110,7 @@ _RANGES = (
     ("train.epochs", lambda v: v >= 1, "must be >= 1"),
     ("train.batch_size", lambda v: v >= 1, "must be >= 1"),
     ("train.learning_rate", lambda v: v > 0, "must be > 0"),
+    ("train.momentum", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     ("train.detection_mix_ratio", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
 )
 
@@ -282,12 +283,18 @@ def fanout(fn, items, workers: int = 1):
 
 
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
-    """The corpus as the gen and scenes stages wrote it, without features."""
+    """The corpus as the gen and scenes stages wrote it, without features. A
+    scene whose description_id names no description fails its line."""
     pool, lexicon = _pool_and_lexicon(config)
-    return pipeline.CorpusBundle(
+    bundle = pipeline.CorpusBundle(
         pool=pool, lexicon=lexicon,
         descriptions=_read(out_dir, "descriptions.jsonl", corpus.read_descriptions),
         scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={})
+    path = os.path.join(out_dir, "scenes.jsonl")
+    for lineno, scene in enumerate(bundle.scenes, 1):  # one scene per line
+        with _reading(f"{path} line {lineno}"):
+            bundle.description_by_id(scene.description_id)
+    return bundle
 
 
 def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[TrainExample]:

@@ -14,6 +14,7 @@ intra-class negatives and structural positives from structural negatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -119,8 +120,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows;
     its underflow to 0 far from the origin is exact in both branches."""
     with np.errstate(under="ignore"):
-        ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        ex = np.exp(np.copysign(x, -1.0))  # e^-|x|
+    out = np.where(x >= 0, 1.0, ex)
+    out /= 1.0 + ex
+    return out
 
 
 def _segments(query: Query):
@@ -146,11 +149,57 @@ def compile_query(model: GroundingModel, query: Query) -> np.ndarray:
                      np.minimum(within, model.max_positions - 1), seg_ids], dtype=np.int32)
 
 
-def _scatter_rows(flat_ids: np.ndarray, rows: np.ndarray, n_rows: int = 0) -> np.ndarray:
-    """out[i] = sum of rows[k] with ids[k] == i, added in k order from zero,
-    i.e. np.add.at; flat_ids holds ids[k] * width + column for every entry."""
-    width = rows.shape[1]
-    return np.bincount(flat_ids, weights=rows.ravel(), minlength=n_rows * width).reshape(-1, width)
+@functools.lru_cache(maxsize=None)
+def _slot_table(d: int, rows: int) -> np.ndarray:
+    """Scatter slots shared by every forward() at one d_model: entry (i, j) is
+    i * d + j, the flat np.bincount slot of entry (i, j) of an (n, d) sum.
+    Read-only; callers round `rows` up to a power of two, so that few tables
+    are ever built."""
+    table = np.arange(rows * d, dtype=np.intp).reshape(rows, d)
+    table.flags.writeable = False
+    return table
+
+
+class Gradients(dict):
+    """Every parameter block's gradient by name, each a view into `flat`, one
+    float64 buffer, so that a batch sums all of them with one add."""
+    __slots__ = ("flat",)
+
+
+class _Layout(NamedTuple):
+    """Where each block lies in a flat gradient buffer: the d_model-wide
+    blocks' rows, token embeddings first and positions next, so that one
+    np.bincount scatters both into the buffer it allocates, then
+    logit_scale as the last float."""
+    size: int
+    rows: tuple[tuple[str, slice], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(tokens: int, positions: int, d_in: int, d: int) -> _Layout:
+    rows, start = [], 0
+    for name, n in (("text.embeddings", tokens), ("text.positions", positions),
+                    ("visual.weight", d_in), ("mix.global", d), ("mix.self", d),
+                    ("mix.prev", d), ("visual.bias", 1)):
+        rows.append((name, slice(start, start + n)))
+        start += n
+    return _Layout(start * d + 1, tuple(rows))
+
+
+def _model_layout(model: GroundingModel) -> _Layout:
+    p = model.params
+    return _layout(len(p["text.embeddings"]), len(p["text.positions"]), model.d_in,
+                   model.d_model)
+
+
+def _gradient_views(flat: np.ndarray, layout: _Layout, d: int) -> Gradients:
+    grads = Gradients()
+    rows = flat[:-1].reshape(-1, d)
+    for name, block in layout.rows:
+        grads[name] = rows[block]
+    grads["logit_scale"] = flat[-1:].reshape(1, 1)
+    grads.flat = flat
+    return grads
 
 
 def forward(model: GroundingModel, region_features,
@@ -166,74 +215,101 @@ def forward(model: GroundingModel, region_features,
         query = compile_query(model, query)
     p = model.params
     d = model.d_model
-    o = x @ p["visual.weight"] + p["visual.bias"]
-    tok_ids, pos_ids, seg_ids = query
-    # Entry (k, j) of id row r scatters to flat slot ids[r, k] * d + j.
-    flat_ids = (query[:, :, None] * d + np.arange(d, dtype=query.dtype)).reshape(3, -1)
-    e = p["text.embeddings"][tok_ids]
-    c = e + p["text.positions"][pos_ids]
-    seg_sum = _scatter_rows(flat_ids[2], c)
-    seg_count = np.bincount(seg_ids).astype(float)
-    seg_mean = seg_sum / seg_count[:, None]
+    embeddings, positions = p["text.embeddings"], p["text.positions"]
+    tok_ids, pos_ids, seg_ids = query[0], query[1], query[2]
+    seg_count = np.bincount(seg_ids)[:, None]
+    # Entry (k, j) of id row r scatters to flat slot ids[r, k] * d + j; the
+    # position slots then move past the embedding rows, as in the gradient.
+    rows = max(len(embeddings), len(positions), len(seg_count))
+    flat_ids = _slot_table(d, 1 << (rows - 1).bit_length()).take(query, axis=0).reshape(3, -1)
+    flat_ids[1] += len(embeddings) * d
+    o = x @ p["visual.weight"]
+    o += p["visual.bias"]
+    e = embeddings[tok_ids]
+    # c (positions + embeddings) and c_prev (c one row down, zero first) are
+    # two views of one buffer.
+    c_rows = np.empty((len(e) + 1, d))
+    c_rows[0] = 0.0
+    c, c_prev = c_rows[1:], c_rows[:-1]
+    np.add(positions[pos_ids], e, out=c)
+    seg_mean = np.bincount(flat_ids[2], weights=c.ravel()).reshape(-1, d)
+    seg_mean /= seg_count
     mean_rows = seg_mean[seg_ids]
-    c_prev = np.empty_like(c)
-    c_prev[:1] = 0.0
-    c_prev[1:] = c[:-1]
-    h = e + mean_rows @ p["mix.global"].T + c @ p["mix.self"].T + c_prev @ p["mix.prev"].T
-    scale = p["logit_scale"][0, 0]
+    # ((e + mean_rows G^T) + c S^T) + c_prev P^T, one sum at a time.
+    h = mean_rows @ p["mix.global"].T
+    h += e
+    h += c @ p["mix.self"].T
+    h += c_prev @ p["mix.prev"].T
     logits_raw = o @ h.T
-    cache = {"X": x, "O": o, "E": e, "C": c, "Cprev": c_prev, "mean_rows": mean_rows,
+    cache = {"X": x, "O": o, "C": c, "Cprev": c_prev, "mean_rows": mean_rows,
              "seg_ids": seg_ids, "seg_count": seg_count, "H": h, "flat_ids": flat_ids,
              "A": logits_raw}
-    return AlignmentScores(S=scale * logits_raw, cache=cache)
+    return AlignmentScores(S=p["logit_scale"][0, 0] * logits_raw, cache=cache)
+
+
+# The step's sums call np.add.reduce, which ndarray.sum() wraps in Python:
+# the same reduction, without the wrapper's cost on these small arrays.
+def _loss_mask_sum(mask: np.ndarray):
+    denom = np.add.reduce(mask, axis=None)
+    if denom == 0:
+        raise ValueError("empty loss mask: every column is a separator")
+    return denom
+
+
+def _masked_loss(s: np.ndarray, t: np.ndarray, mask: np.ndarray, denom) -> float:
+    """mask * (log(1 + e^s) - t * s), summed and divided by denom."""
+    cell = np.logaddexp(0.0, s)
+    cell -= t * s
+    cell *= mask
+    return float(np.add.reduce(cell, axis=None) / denom)
 
 
 def alignment_loss(scores_matrix: np.ndarray, target: AlignmentTarget) -> float:
     """Mean masked elementwise binary cross-entropy of sigmoid(S) against T."""
     mask = target.loss_mask
-    denom = mask.sum()
-    if denom == 0:
-        raise ValueError("empty loss mask: every column is a separator")
-    s, t = scores_matrix, target.matrix
-    return float((mask * (np.logaddexp(0.0, s) - t * s)).sum() / denom)
+    return _masked_loss(scores_matrix, target.matrix, mask, _loss_mask_sum(mask))
 
 
 def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
-                  target: AlignmentTarget) -> tuple[LossReport, dict]:
-    """Loss plus analytic gradients for every parameter block."""
-    if scores.cache is None:
-        raise ValueError("scores must come from forward() to carry gradients")
-    loss = alignment_loss(scores.S, target)
+                  target: AlignmentTarget) -> tuple[LossReport, Gradients]:
+    """Loss plus analytic gradients for every parameter block, as views into
+    one fresh flat buffer, Gradients.flat."""
     cache = scores.cache
+    if cache is None:
+        raise ValueError("scores must come from forward() to carry gradients")
     p = model.params
-    mask, t = target.loss_mask, target.matrix
-    denom = mask.sum()
-    g = mask * (sigmoid(scores.S) - t) / denom
+    d = model.d_model
+    s, mask, t = scores.S, target.loss_mask, target.matrix
+    denom = _loss_mask_sum(mask)
+    loss = _masked_loss(s, t, mask, denom)
+    g = sigmoid(s)
+    g -= t
+    g *= mask
+    g /= denom  # mask * (sigmoid(S) - T) / denom
 
-    scale = p["logit_scale"][0, 0]
-    d_raw = scale * g
-    d_o = d_raw @ cache["H"]
+    d_raw = p["logit_scale"][0, 0] * g
     d_h = d_raw.T @ cache["O"]
-    seg_ids, seg_count = cache["seg_ids"], cache["seg_count"]
-    tok_flat, pos_flat, seg_flat = cache["flat_ids"]
-
-    d_mean_rows = d_h @ p["mix.global"]
-    d_seg = _scatter_rows(seg_flat, d_mean_rows)
-    d_c = d_h @ p["mix.self"]
+    seg_ids, flat_ids = cache["seg_ids"], cache["flat_ids"]
+    d_seg = np.bincount(flat_ids[2], weights=(d_h @ p["mix.global"]).ravel()).reshape(-1, d)
+    d_seg /= cache["seg_count"]
+    # The rows scattered to the embeddings (d_h + d_c), then to the positions (d_c).
+    scattered = np.empty((2,) + d_h.shape)
+    d_c = np.matmul(d_h, p["mix.self"], out=scattered[1])
     d_c[:-1] += (d_h @ p["mix.prev"])[1:]
-    d_c += (d_seg / seg_count[:, None])[seg_ids]
-    d_e = d_h + d_c
+    d_c += d_seg[seg_ids]
+    np.add(d_h, d_c, out=scattered[0])
 
-    grads = {
-        "logit_scale": np.array([[float((g * cache["A"]).sum())]]),
-        "visual.weight": cache["X"].T @ d_o,
-        "visual.bias": d_o.sum(axis=0, keepdims=True),
-        "mix.global": d_h.T @ cache["mean_rows"],
-        "mix.self": d_h.T @ cache["C"],
-        "mix.prev": d_h.T @ cache["Cprev"],
-        "text.embeddings": _scatter_rows(tok_flat, d_e, len(p["text.embeddings"])),
-        "text.positions": _scatter_rows(pos_flat, d_c, len(p["text.positions"])),
-    }
+    layout = _model_layout(model)
+    flat = np.bincount(flat_ids[:2].ravel(), weights=scattered.ravel(), minlength=layout.size)
+    grads = _gradient_views(flat, layout, d)
+    d_o = d_raw @ cache["H"]
+    np.matmul(cache["X"].T, d_o, out=grads["visual.weight"])
+    np.add.reduce(d_o, axis=0, out=grads["visual.bias"], keepdims=True)
+    d_h_t = d_h.T
+    np.matmul(d_h_t, cache["mean_rows"], out=grads["mix.global"])
+    np.matmul(d_h_t, cache["C"], out=grads["mix.self"])
+    np.matmul(d_h_t, cache["Cprev"], out=grads["mix.prev"])
+    flat[-1] = np.add.reduce(g * cache["A"], axis=None)
     return LossReport(grounding_loss=loss), grads
 
 
@@ -258,8 +334,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """The ranges the CLI's train.* config rules check."""
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= self.detection_mix_ratio <= 1.0:
             raise ValueError("detection_mix_ratio must lie in [0, 1]")
 
@@ -282,7 +365,13 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
         raise CorpusError("detection_mix_ratio < 1 requires a triplet corpus")
     frozen = model.frozen_names(config.freeze_visual, config.freeze_language,
                                 config.freeze_fusion)
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    # The velocity and each batch's step are flat, laid out as loss_and_grad's
+    # Gradients.flat; each unfrozen parameter array is updated in place.
+    layout = _model_layout(model)
+    velocity = np.zeros(layout.size)
+    step = np.empty_like(velocity)
+    updates = [(model.params[name], block) for name, block in
+               _gradient_views(step, layout, model.d_model).items() if name not in frozen]
     history = []
     n_source = len(det) if ratio >= 1.0 else len(trip)
     n_batches = max(1, math.ceil(n_source / config.batch_size))
@@ -306,26 +395,28 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
                     cursors[key] = 0
                 batch.append(int(orders[key][cursors[key]]))
                 cursors[key] += 1
-            grad_sum: dict[str, np.ndarray] = {}
+            grad_sum = None
             loss_sum = 0.0
             for i in batch:
                 ex = source[i]
                 scores = forward(model, ex.features, compiled[key][i])
                 report, grads = loss_and_grad(model, scores, ex.target)
-                if not np.isfinite(report.grounding_loss):
+                if not math.isfinite(report.grounding_loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 loss_sum += report.grounding_loss
-                if not grad_sum:
-                    grad_sum = grads  # fresh arrays, safe to accumulate into
-                    continue
-                for name, grad in grads.items():
-                    grad_sum[name] += grad
+                if grad_sum is None:
+                    grad_sum = grads.flat  # a fresh buffer, safe to accumulate into
+                else:
+                    grad_sum += grads.flat
             inv = 1.0 / len(batch)
-            for name, grad in grad_sum.items():
-                if name in frozen:
-                    continue
-                velocity[name] = config.momentum * velocity[name] + grad * inv
-                model.params[name] -= config.learning_rate * velocity[name]
+            # velocity = momentum * velocity + grad_sum * inv, then
+            # param -= learning_rate * velocity, one product or sum at a time.
+            grad_sum *= inv
+            velocity *= config.momentum
+            velocity += grad_sum
+            np.multiply(velocity, config.learning_rate, out=step)
+            for param, block in updates:
+                param -= block
             epoch_losses.append(loss_sum * inv)
         mean_loss = float(np.mean(epoch_losses))
         if not np.isfinite(mean_loss):

@@ -44,6 +44,11 @@ class CorpusBundle:
     features: dict[int, RegionFeatures]
 
     def description_by_id(self, description_id: int) -> ObjectDescription:
+        """Description ids are positions in the corpus; any other id raises
+        ValueError."""
+        if not 0 <= description_id < len(self.descriptions):
+            raise ValueError(f"description_id {description_id} names no description "
+                             f"of the corpus's {len(self.descriptions)}")
         return self.descriptions[description_id]
 
 

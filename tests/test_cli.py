@@ -16,7 +16,7 @@ import pytest
 from grounddesk import (cli, corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
                         targets)
 from grounddesk.cli import ConfigError, load_config
-from grounddesk.groundnet import GroundingModel, Vocabulary, load_checkpoint
+from grounddesk.groundnet import GroundingModel, TrainConfig, Vocabulary, load_checkpoint
 
 SMALL = ["--set", "descriptions.num_descriptions=3",
          "--set", "images_per_description=2",
@@ -79,6 +79,51 @@ def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, valu
     out = tmp_path / "o"
     assert run_cli(["all", "--out", str(out), "--set", f"{field}={value}"]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each train.* config rule guards the TrainConfig field of the same name;
+# values on both sides of each range.
+_TRAIN_RANGE_CASES = [
+    ("epochs", 0, False), ("epochs", -1, False), ("epochs", 1, True),
+    ("batch_size", 0, False), ("batch_size", -2, False), ("batch_size", 1, True),
+    ("learning_rate", 0, False), ("learning_rate", -0.1, False), ("learning_rate", 1e-3, True),
+    ("momentum", -1, False), ("momentum", -0.01, False), ("momentum", 1.0, False),
+    ("momentum", 1.5, False), ("momentum", 0, True), ("momentum", 0.99, True),
+    ("detection_mix_ratio", -0.1, False), ("detection_mix_ratio", 1.5, False),
+    ("detection_mix_ratio", 0, True), ("detection_mix_ratio", 1, True),
+]
+
+
+@pytest.mark.parametrize("field,value,valid", _TRAIN_RANGE_CASES)
+def test_cli_train_rules_and_train_config_reject_the_same_values(field, value, valid):
+    dotted = f"train.{field}"
+    try:
+        load_config(overrides=[(dotted, json.dumps(value))])
+        cli_accepts = True
+    except ConfigError as exc:
+        assert dotted in str(exc)
+        cli_accepts = False
+    try:
+        TrainConfig(**{field: value})
+        library_accepts = True
+    except ValueError as exc:
+        assert field in str(exc)
+        library_accepts = False
+    assert cli_accepts == library_accepts == valid
+
+
+def test_every_train_config_rule_has_range_cases():
+    """d_model is the model's width, not a TrainConfig field."""
+    ruled = {path.split(".", 1)[1] for path, _, _ in cli._RANGES if path.startswith("train.")}
+    assert ruled - {"d_model"} == {field for field, _, _ in _TRAIN_RANGE_CASES}
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_momentum_outside_its_range_fails_before_any_stage(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    assert run_cli(["all", "--out", str(out), "--set", f"train.momentum={value}"]) == 2
+    assert "train.momentum" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -397,15 +442,20 @@ _UNUSABLE_SCENES = {
         lambda row: row["relation_edges"].append([row["objects"][0]["instance_id"], "near",
                                                   10_000]),
         "names no object of the scene"),
+    "negative_description_id": (lambda row: row.update(description_id=-1),
+                                "description_id -1 names no description"),
+    "description_id_past_the_corpus": (lambda row: row.update(description_id=10**6),
+                                       "description_id 1000000 names no description"),
 }
 
 
 @pytest.mark.parametrize("stage", ["label", "targets"])
 @pytest.mark.parametrize("case", list(_UNUSABLE_SCENES))
 def test_unusable_scene_is_an_artifact_error(corrupt_copy, capsys, case, stage):
-    """A scenes.jsonl row with a repeated instance id, a box without area, or
-    a referent or relation endpoint that names no object fails the stage
-    that reads it, naming the file and the line."""
+    """A scenes.jsonl row with a repeated instance id, a box without area, a
+    referent or relation endpoint that names no object, or a description_id
+    that names no description fails the stage that reads it, naming the file
+    and the line."""
     edit, message = _UNUSABLE_SCENES[case]
     _edit_line_2(corrupt_copy / "scenes.jsonl", edit)
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5

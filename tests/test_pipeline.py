@@ -28,6 +28,18 @@ def test_vocabulary_covers_corpus(default_bundle):
         assert unk not in ids, desc.text
 
 
+def test_description_by_id_is_the_description_at_that_position(default_bundle):
+    for k in (0, len(default_bundle.descriptions) - 1):
+        assert default_bundle.description_by_id(k) is default_bundle.descriptions[k]
+        assert default_bundle.description_by_id(k).id == k
+
+
+@pytest.mark.parametrize("description_id", [-1, 10**6])
+def test_description_by_id_rejects_an_id_outside_the_corpus(default_bundle, description_id):
+    with pytest.raises(ValueError, match=f"description_id {description_id} names no description"):
+        default_bundle.description_by_id(description_id)
+
+
 def test_label_corpus_covers_every_scene(default_bundle, default_triplets):
     assert len(default_triplets) == len(default_bundle.scenes)
     assert all(t.scene_id == i for i, t in enumerate(default_triplets))
