@@ -6,14 +6,17 @@
 The corpus is the one the `pipeline_default` benchmark workload trains on:
 the default config with 5 descriptions per category (800 triplets) and 12
 epochs. `--set` overrides config keys on top of that, as the CLI's `--set`
-does. The gen, scenes, label and targets stages build it once, in a
-temporary directory, with this checkout's `grounddesk`.
+does. The source trees are this checkout's `src/` and, with `--parent DIR`,
+the `src/` of another checkout (for example an archive of the parent
+commit). The gen, scenes, label and targets stages build the corpus once
+per source tree, each in its own temporary directory with that tree's own
+`grounddesk`, so each reads example files in the format its own code
+writes.
 
-Each repeat then runs one fresh child process per source tree: this
-checkout's, and with `--parent DIR` the `src/` of another checkout (for
-example an archive of the parent commit). The order of the trees alternates
-from repeat to repeat. A child runs with one BLAS thread, reads the examples
-and trains two fresh models with `groundnet.train`:
+Each repeat then runs one fresh child process per source tree, on that
+tree's corpus. The order of the trees alternates from repeat to repeat. A
+child runs with one BLAS thread, reads the examples and trains two fresh
+models with `groundnet.train`:
 
 - once as is, for `train_s`, the seconds of the whole `train()` call;
 - once with `forward`, `loss_and_grad` and `compile_query` timed through
@@ -81,6 +84,20 @@ class _Timed:
             self.calls += 1
 
 
+def build(src: str, tree: str, overrides: list) -> dict:
+    """Write the corpus into `tree` with the `grounddesk` of `src`."""
+    _import_grounddesk(src)
+    from grounddesk import cli
+
+    config = cli.load_config(None, overrides, output_dir=tree)
+    for stage in BUILD_STAGES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(stage, config)
+        if code != 0:
+            raise RuntimeError(f"building the corpus: stage {stage} exited {code}")
+    return {}
+
+
 def child(src: str, tree: str, overrides: list) -> dict:
     """Measure one source tree on the built corpus; see the module docstring.
     It reads the examples and builds the model and TrainConfig as the CLI's
@@ -131,10 +148,11 @@ def child(src: str, tree: str, overrides: list) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
-def _run_child(src: str, tree: str, overrides: list) -> dict:
+def _run_child(src: str, tree: str, overrides: list, task: str = "measure") -> dict:
     env = {**os.environ, **ONE_THREAD}
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                           json.dumps({"src": src, "tree": tree, "overrides": overrides})],
+                           json.dumps({"src": src, "tree": tree, "overrides": overrides,
+                                       "task": task})],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"the child for {src} failed:\n{proc.stderr}")
@@ -174,7 +192,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.child:
         req = json.loads(args.child)
-        print(json.dumps(child(req["src"], req["tree"], req["overrides"])))
+        task = build if req["task"] == "build" else child
+        print(json.dumps(task(req["src"], req["tree"], req["overrides"])))
         return 0
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
@@ -190,20 +209,15 @@ def main(argv=None) -> int:
     if args.parent:
         trees["parent"] = os.path.join(os.path.abspath(args.parent), "src")
 
-    with tempfile.TemporaryDirectory(prefix="bench-step-") as tree:
-        _import_grounddesk(trees["change"])
-        from grounddesk import cli
-        config = cli.load_config(None, overrides, output_dir=tree)
-        for stage in BUILD_STAGES:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.run(stage, config)
-            if code != 0:
-                raise RuntimeError(f"building the corpus: stage {stage} exited {code}")
+    with tempfile.TemporaryDirectory(prefix="bench-step-") as tmp:
+        corpora = {name: os.path.join(tmp, name) for name in trees}
+        for name, src in trees.items():
+            _run_child(src, corpora[name], overrides, task="build")
         runs = {name: [] for name in trees}
         for repeat in range(args.repeats):
             order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
             for name in order:
-                runs[name].append(_run_child(trees[name], tree, overrides))
+                runs[name].append(_run_child(trees[name], corpora[name], overrides))
                 print(f"repeat {repeat} {name}: step "
                       f"{runs[name][-1]['step_us']:.1f} us", file=sys.stderr)
 

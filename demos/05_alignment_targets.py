@@ -26,14 +26,12 @@ target = build_alignment_target(query, triplet, n_regions=2)
 names = {0: "avocado box", 1: "board box  "}
 print("query tokens:")
 print("  " + " ".join(f"{t}" for t in query.tokens))
-print("\ntarget matrix (rows are boxes, columns are tokens; . marks masked separators):")
+captions = {col for i in range(len(query.items)) for col in query.item_columns(i)}
+print("\ntarget matrix (rows are boxes, columns are tokens; . marks the separators,")
+print("which the loss leaves out):")
 for row in range(2):
-    cells = []
-    for col in range(query.m):
-        if target.loss_mask[row, col] == 0:
-            cells.append(".")
-        else:
-            cells.append(str(int(target.matrix[row, col])))
+    cells = [str(int(target.matrix[row, col])) if col in captions else "."
+             for col in range(query.m)]
     print(f"  {names[row]}  " + " ".join(f"{c:>{len(tok)}}" for c, tok in zip(cells, query.tokens)))
 
 print("""

@@ -299,14 +299,18 @@ def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
 
 def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[TrainExample]:
     """The examples of one examples file. A token outside `vocab` fails the
-    line, since training would fold it into the unknown token."""
+    line, since training would fold it into the unknown token, as does a
+    region count other than the scene's."""
     def decode(row):
-        unknown = [token for token in row["flat_tokens"] if token not in vocab.index]
+        scene_id, query, target = targets.example_from_json(row)
+        unknown = [token for token in query.tokens if token not in vocab.index]
         if unknown:
             raise ValueError(f"token {unknown[0]!r} is not in the vocabulary")
-        scene_id, query, target = targets.example_from_json(row)
-        return TrainExample(features=features[scene_id].features, query=query, target=target,
-                            scene_id=scene_id)
+        x = features[scene_id].features
+        if len(x) != len(target.matrix):
+            raise ValueError(f"n_regions {len(target.matrix)} does not match the {len(x)} "
+                             f"regions of scene {scene_id}")
+        return TrainExample(features=x, query=query, target=target, scene_id=scene_id)
     return _read(out_dir, filename, storage.read_jsonl, decode=decode)
 
 
@@ -361,20 +365,28 @@ def _label(config, out, workers):
 
 def _targets(config, out, workers):
     """Each scene's region count is its objects plus the background boxes
-    (scenegen.region_count()), so the stage reads no features."""
+    (scenegen.region_count()), so the stage reads no features. A triplet
+    that does not resolve against them and the corpus fails its line."""
     bundle = _read_bundle(config, out)
     scenes = {scene.scene_id: scene for scene in bundle.scenes}
     triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
+    path = os.path.join(out, "triplets.jsonl")
     tc, seed = config["targets"], config["seed"]
     background = config["features"]["background_boxes"]
     variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
                                   include_struct_pos=tc["include_struct_pos"],
                                   target_config=_target_config(config))
+
+    def example(lineno, t):
+        with _reading(f"{path} line {lineno}"):
+            if t.scene_id not in scenes:
+                raise ValueError(f"scene_id {t.scene_id} names no scene of scenes.jsonl")
+            return targets.example_to_json(t.scene_id, *pipeline.training_target(
+                bundle, t, variant, seed, scenegen.region_count(scenes[t.scene_id], background)))
+
     # Each example is written as soon as it is built; no list of them is kept.
     storage.write_jsonl(os.path.join(out, "examples.jsonl"), (
-        targets.example_to_json(t.scene_id, *pipeline.training_target(
-            bundle, t, variant, seed, scenegen.region_count(scenes[t.scene_id], background)))
-        for t in triplets if t.assignments))
+        example(lineno, t) for lineno, t in enumerate(triplets, 1) if t.assignments))
     storage.write_jsonl(os.path.join(out, "detection_examples.jsonl"), (
         targets.example_to_json(scene.scene_id, *pipeline.detection_target(
             bundle, scene, seed, tc["absent_categories"],

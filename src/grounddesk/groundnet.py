@@ -249,25 +249,16 @@ def forward(model: GroundingModel, region_features,
 
 # The step's sums call np.add.reduce, which ndarray.sum() wraps in Python:
 # the same reduction, without the wrapper's cost on these small arrays.
-def _loss_mask_sum(mask: np.ndarray):
-    denom = np.add.reduce(mask, axis=None)
+def _masked_loss(s: np.ndarray, t: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """mask * (log(1 + e^s) - t * s), summed and divided by the number of
+    supervised cells, N x the sum of the (1, M) mask row; and that number."""
+    denom = len(s) * np.add.reduce(mask, axis=None)
     if denom == 0:
         raise ValueError("empty loss mask: every column is a separator")
-    return denom
-
-
-def _masked_loss(s: np.ndarray, t: np.ndarray, mask: np.ndarray, denom) -> float:
-    """mask * (log(1 + e^s) - t * s), summed and divided by denom."""
     cell = np.logaddexp(0.0, s)
     cell -= t * s
     cell *= mask
-    return float(np.add.reduce(cell, axis=None) / denom)
-
-
-def alignment_loss(scores_matrix: np.ndarray, target: AlignmentTarget) -> float:
-    """Mean masked elementwise binary cross-entropy of sigmoid(S) against T."""
-    mask = target.loss_mask
-    return _masked_loss(scores_matrix, target.matrix, mask, _loss_mask_sum(mask))
+    return float(np.add.reduce(cell, axis=None) / denom), denom
 
 
 def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
@@ -279,9 +270,13 @@ def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
         raise ValueError("scores must come from forward() to carry gradients")
     p = model.params
     d = model.d_model
-    s, mask, t = scores.S, target.loss_mask, target.matrix
-    denom = _loss_mask_sum(mask)
-    loss = _masked_loss(s, t, mask, denom)
+    s, t = scores.S, target.matrix
+    seg_ids, flat_ids = cache["seg_ids"], cache["flat_ids"]
+    # The loss mask, one (1, M) row: 1 on caption columns, 0 on separators.
+    # compile_query gives n captions the segments 0..n-1 and the separators
+    # n..2n-2, so a separator's segment id is at or above n.
+    mask = (seg_ids < (len(cache["seg_count"]) + 1) // 2).astype(float)[None]
+    loss, denom = _masked_loss(s, t, mask)
     g = sigmoid(s)
     g -= t
     g *= mask
@@ -289,7 +284,6 @@ def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
 
     d_raw = p["logit_scale"][0, 0] * g
     d_h = d_raw.T @ cache["O"]
-    seg_ids, flat_ids = cache["seg_ids"], cache["flat_ids"]
     d_seg = np.bincount(flat_ids[2], weights=(d_h @ p["mix.global"]).ravel()).reshape(-1, d)
     d_seg /= cache["seg_count"]
     # The rows scattered to the embeddings (d_h + d_c), then to the positions (d_c).
@@ -334,7 +328,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """The ranges the CLI's train.* config rules check."""
+        """The types and ranges the CLI's train.* config rules check."""
+        if type(self.epochs) is not int or type(self.batch_size) is not int:
+            raise ValueError("epochs and batch_size must be integers")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -6,12 +6,13 @@ positives (one per non-negated non-subject phrase). The target matrix encodes,
 in order: sentence-level positives for subject boxes, structural negatives for
 non-subject boxes inside the sentence, structural positives on the standalone
 items, all-zero columns for intra-class negatives, and zeros elsewhere.
-Separator columns are masked out of the loss, everything else is supervised.
+Separator columns are query structure, not supervision: the loss
+(groundnet.loss_and_grad) leaves them out, and supervises everything else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +41,17 @@ class Query:
     items: tuple[CaptionItem, ...]
     tokens: tuple[str, ...] = ()
     item_offsets: tuple[int, ...] = ()
-    token_map: dict = field(default_factory=dict)  # flat index -> (item, within-item)
 
     def __post_init__(self):
         flat: list[str] = []
         offsets = []
-        token_map = {}
         for idx, item in enumerate(self.items):
             if idx > 0:
                 flat.append(SEPARATOR)
             offsets.append(len(flat))
-            for j, tok in enumerate(item.tokens):
-                token_map[len(flat)] = (idx, j)
-                flat.append(tok)
+            flat.extend(item.tokens)
         self.tokens = tuple(flat)
         self.item_offsets = tuple(offsets)
-        self.token_map = token_map
 
     @property
     def m(self) -> int:
@@ -69,7 +65,6 @@ class Query:
 @dataclass(frozen=True)
 class AlignmentTarget:
     matrix: np.ndarray  # N x M, entries in {0, 1}
-    loss_mask: np.ndarray  # N x M, 0 on separator columns
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
     subject_span = (tree.subject.start_token, tree.subject.end_token)
 
     for idx, span in triplet.assignments:
-        if idx >= n_regions:
+        if not 0 <= idx < n_regions:
             raise ValueError(f"assignment proposal {idx} out of range for N={n_regions}")
         if span not in spans:
             raise ValueError(f"assignment span {span} matches no phrase of the description")
@@ -138,11 +133,6 @@ def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
     pos_off = query.item_offsets[pos_idx]
 
     t = np.zeros((n_regions, query.m))
-    mask = np.ones((n_regions, query.m))
-    for col, tok in enumerate(query.tokens):
-        if col not in query.token_map:
-            mask[:, col] = 0.0
-
     subject_boxes = sorted({idx for idx, span in triplet.assignments if span == subject_span})
     nonsubject = [(idx, span) for idx, span in triplet.assignments if span != subject_span]
 
@@ -179,7 +169,7 @@ def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
         for b in subject_boxes:
             t[b, cols] = 0.0
 
-    return AlignmentTarget(matrix=t, loss_mask=mask)
+    return AlignmentTarget(matrix=t)
 
 
 def make_detection_query(category_names) -> Query:
@@ -191,10 +181,6 @@ def make_detection_query(category_names) -> Query:
 def build_detection_target(query: Query, scene: Scene, n_regions: int) -> AlignmentTarget:
     """Box rows get 1 on their category's token columns; background rows stay 0."""
     t = np.zeros((n_regions, query.m))
-    mask = np.ones((n_regions, query.m))
-    for col in range(query.m):
-        if col not in query.token_map:
-            mask[:, col] = 0.0
     by_category = {}
     for i, item in enumerate(query.items):
         if item.kind == "detection_category":
@@ -204,52 +190,51 @@ def build_detection_target(query: Query, scene: Scene, n_regions: int) -> Alignm
             continue
         for i in by_category.get(tuple(obj.category.split()), ()):
             t[obj.instance_id, list(query.item_columns(i))] = 1.0
-    return AlignmentTarget(matrix=t, loss_mask=mask)
+    return AlignmentTarget(matrix=t)
 
 
-def _encode_binary(matrix: np.ndarray, what: str) -> str:
-    """Row-major "0"/"1" string of a binary matrix, one character per cell."""
+def _encode_binary(matrix: np.ndarray) -> str:
+    """Row-major "0"/"1" string of a binary target matrix, one character per cell."""
     flat = matrix.reshape(-1)
     if not ((flat == 0) | (flat == 1)).all():
-        raise ValueError(f"{what} matrix is not binary")
+        raise ValueError("target matrix is not binary")
     return (flat.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def _decode_binary(text: str, n: int, m: int, what: str) -> np.ndarray:
+def _decode_binary(text: str, n: int, m: int) -> np.ndarray:
     """Inverse of _encode_binary: an n x m float64 matrix."""
     if not isinstance(text, str):
-        raise ValueError(f"{what} is not a string")
+        raise ValueError("target is not a string")
     # a non-ASCII character encodes as "?", which the range check rejects
     codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
     if codes.size != n * m:
-        raise ValueError(f"{what} string has {codes.size} cells, expected {n} x {m}")
+        raise ValueError(f"target string has {codes.size} cells, expected {n} x {m}")
     if (codes > 1).any():
-        raise ValueError(f"{what} string holds a character other than 0/1")
+        raise ValueError("target string holds a character other than 0/1")
     return codes.astype(np.float64).reshape(n, m)
 
 
 def example_to_json(scene_id: int, query: Query, target: AlignmentTarget) -> dict:
-    n, m = target.matrix.shape
+    """One examples-file row: the query's captions in order, each as [kind,
+    tokens], and the target as a row-major bit string."""
     return {
         "scene_id": scene_id,
-        "flat_tokens": list(query.tokens),
-        "item_kinds": [item.kind for item in query.items],
-        "token_map": [[flat, loc[0], loc[1]] for flat, loc in sorted(query.token_map.items())],
-        "n_regions": n,
-        "target": _encode_binary(target.matrix, "target"),
-        "mask": _encode_binary(target.loss_mask, "mask"),
+        "captions": [[item.kind, list(item.tokens)] for item in query.items],
+        "n_regions": len(target.matrix),
+        "target": _encode_binary(target.matrix),
     }
 
 
 def example_from_json(row: dict) -> tuple[int, Query, AlignmentTarget]:
-    kinds = row["item_kinds"]
-    groups: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(kinds))}
-    for flat, item, within in row["token_map"]:
-        groups[item].append((within, row["flat_tokens"][flat]))
-    items = tuple(CaptionItem(tuple(tok for _w, tok in sorted(groups[i])), kinds[i])
-                  for i in range(len(kinds)))
-    query = Query(items=items)
-    n, m = row["n_regions"], len(row["flat_tokens"])
-    t = _decode_binary(row["target"], n, m, "target")
-    mask = _decode_binary(row["mask"], n, m, "mask")
-    return row["scene_id"], query, AlignmentTarget(matrix=t, loss_mask=mask)
+    """Inverse of example_to_json. A caption of an unknown kind or without
+    tokens raises ValueError."""
+    items = []
+    for kind, tokens in row["captions"]:
+        if kind not in KINDS:
+            raise ValueError(f"unknown caption kind {kind!r}")
+        if not isinstance(tokens, list) or not tokens:
+            raise ValueError(f"a {kind} caption is not a non-empty token list")
+        items.append(CaptionItem(tuple(tokens), kind))
+    query = Query(items=tuple(items))
+    t = _decode_binary(row["target"], row["n_regions"], query.m)
+    return row["scene_id"], query, AlignmentTarget(matrix=t)

@@ -92,6 +92,8 @@ _TRAIN_RANGE_CASES = [
     ("momentum", 1.5, False), ("momentum", 0, True), ("momentum", 0.99, True),
     ("detection_mix_ratio", -0.1, False), ("detection_mix_ratio", 1.5, False),
     ("detection_mix_ratio", 0, True), ("detection_mix_ratio", 1, True),
+    ("epochs", 2.5, False), ("epochs", True, False), ("epochs", 2.0, False),
+    ("batch_size", 2.5, False), ("batch_size", True, False), ("batch_size", 8.0, False),
 ]
 
 
@@ -470,12 +472,80 @@ def test_example_token_outside_the_vocabulary_is_an_artifact_error(corrupt_copy,
     unknown token; the train stage fails naming the file, the line and the
     token instead."""
     def edit(row):
-        row["flat_tokens"][0] = "zeppelin"
+        row["captions"][0][1][0] = "zeppelin"
     _edit_line_2(corrupt_copy / filename, edit)
     assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and f"{filename} line 2" in err
     assert "'zeppelin' is not in the vocabulary" in err
+
+
+def _add_region(row):
+    row["target"] += "0" * (len(row["target"]) // row["n_regions"])
+    row["n_regions"] += 1
+
+
+# Each edit leaves an example row that parses but that training cannot use.
+_UNUSABLE_EXAMPLES = {
+    "unknown_kind": (lambda row: row["captions"][0].__setitem__(0, "caption"),
+                     "unknown caption kind 'caption'"),
+    "empty_caption": (lambda row: row["captions"][0].__setitem__(1, []),
+                      "not a non-empty token list"),
+    "region_count": (_add_region, "does not match the"),
+    "scene_id": (lambda row: row.update(scene_id=10**6), "1000000"),
+}
+
+
+@pytest.mark.parametrize("filename", ["examples.jsonl", "detection_examples.jsonl"])
+@pytest.mark.parametrize("case", list(_UNUSABLE_EXAMPLES))
+def test_unusable_example_is_an_artifact_error(corrupt_copy, capsys, case, filename):
+    edit, message = _UNUSABLE_EXAMPLES[case]
+    _edit_line_2(corrupt_copy / filename, edit)
+    assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and f"{filename} line 2" in err and message in err
+
+
+def _first_line_with_assignments(path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return next(k for k, line in enumerate(fh, 1) if json.loads(line)["assignments"])
+
+
+def _set_assignment(field, value):
+    def edit(row):
+        row["assignments"][0][field] = value
+    return edit
+
+
+# Each edit leaves a triplet that parses but whose example cannot be built.
+_UNUSABLE_TRIPLETS = {
+    "unknown_scene": (lambda row: row.update(scene_id=10**6),
+                      "scene_id 1000000 names no scene"),
+    "description_not_in_the_corpus": (lambda row: row.update(description="a zzz qqq"),
+                                      "not found in pool"),
+    "proposal_past_the_regions": (_set_assignment("proposal_index", 999),
+                                  "proposal 999 out of range"),
+    "negative_proposal": (_set_assignment("proposal_index", -1), "proposal -1 out of range"),
+    "span_no_phrase": (_set_assignment("span", [1, 2]), "matches no phrase"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNUSABLE_TRIPLETS))
+def test_unusable_triplet_is_an_artifact_error(corrupt_copy, capsys, case):
+    """A triplet whose scene, description, proposal index or span does not
+    resolve fails the targets stage, naming the file and the line; before,
+    a negative proposal index trained the scene's last region."""
+    edit, message = _UNUSABLE_TRIPLETS[case]
+    path = corrupt_copy / "triplets.jsonl"
+    lineno = _first_line_with_assignments(path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and f"triplets.jsonl line {lineno}:" in err and message in err
 
 
 def _jsonl(rows) -> bytes:
@@ -1115,6 +1185,52 @@ def test_tree_with_a_version_1_checkpoint_retrains_once_it_is_deleted(pipeline_d
     os.remove(path)
     assert run_cli(["all", "--out", str(out)] + SMALL) == 0
     assert "triplet examples, loss" in capsys.readouterr().out
+    assert storage.hash_tree(out) == fresh
+
+
+def _old_example_row(row) -> dict:
+    """An examples-file row as written before the row held its captions: the
+    flat tokens, each caption's kind, each caption token's (flat index,
+    caption, position) and the loss mask, 0 on separator columns."""
+    flat, kinds, token_map = [], [], []
+    for k, (kind, tokens) in enumerate(row["captions"]):
+        if k:
+            flat.append(".")
+        kinds.append(kind)
+        token_map += [[len(flat) + j, k, j] for j in range(len(tokens))]
+        flat += tokens
+    supervised = {index for index, _, _ in token_map}
+    mask = "".join("1" if c in supervised else "0" for c in range(len(flat))) * row["n_regions"]
+    return {"scene_id": row["scene_id"], "flat_tokens": flat, "item_kinds": kinds,
+            "token_map": token_map, "n_regions": row["n_regions"], "target": row["target"],
+            "mask": mask}
+
+
+def test_tree_with_old_example_rows_rebuilds_them_once_the_targets_manifest_is_deleted(
+        pipeline_dir, corrupt_copy, capsys):
+    """A tree whose examples files hold the rows written before captions
+    were stored keeps them while targets and train are current. A re-train
+    fails naming the file and the line; deleting the targets manifest
+    rebuilds them, and the tree ends as a fresh run's."""
+    fresh = storage.hash_tree(pipeline_dir)
+    out = corrupt_copy
+    for name in ("examples.jsonl", "detection_examples.jsonl"):
+        path = out / name
+        path.write_bytes(_jsonl(_old_example_row(row)
+                                for row in storage.read_jsonl(path, lambda row: row)))
+        for stage, key in (("targets", "outputs"), ("train", "inputs")):
+            manifest = storage.read_json(storage.manifest_path(out, stage))
+            manifest[key][name] = storage.sha256_file(path)
+            storage.write_json(storage.manifest_path(out, stage), manifest)
+    assert run_cli(["all", "--out", str(out)] + SMALL) == 0
+    assert "train: up to date, skipping" in capsys.readouterr().out
+    os.remove(storage.manifest_path(out, "train"))
+    assert run_cli(["train", "--out", str(out)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "examples.jsonl line 1" in err and "captions" in err
+    os.remove(storage.manifest_path(out, "targets"))
+    assert run_cli(["all", "--out", str(out)] + SMALL) == 0
+    assert "targets: wrote" in capsys.readouterr().out
     assert storage.hash_tree(out) == fresh
 
 

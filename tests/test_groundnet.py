@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from grounddesk import groundnet, pipeline, targets
 from grounddesk.groundnet import (GroundingDetector, GroundingModel, NumericError,
-                                  TrainConfig, TrainExample, Vocabulary, alignment_loss,
+                                  TrainConfig, TrainExample, Vocabulary,
                                   compile_query, forward, load_checkpoint, load_history,
                                   loss_and_grad, predict, save_checkpoint, save_history,
                                   sigmoid, train)
@@ -32,9 +32,19 @@ def small_query():
 
 
 def random_target(rng, n, query):
-    t = (rng.random((n, query.m)) < 0.4).astype(float)
-    mask = np.ones((n, query.m))
-    return t, mask
+    return AlignmentTarget((rng.random((n, query.m)) < 0.4).astype(float))
+
+
+def separator_mask(query, n):
+    """The n x M loss mask: 1 on every caption's columns, 0 on separators."""
+    mask = np.zeros((n, query.m))
+    for i in range(len(query.items)):
+        mask[:, list(query.item_columns(i))] = 1.0
+    return mask
+
+
+def loss_of(model, feats, query, target):
+    return loss_and_grad(model, forward(model, feats, query), target)[0].grounding_loss
 
 
 def test_zeroed_model_scores_zero():
@@ -67,28 +77,39 @@ def test_feature_width_mismatch():
 
 
 def test_loss_at_zero_scores_is_ln2():
-    query = small_query()
-    n = 4
-    mask = np.ones((n, query.m))
-    target = AlignmentTarget(np.zeros((n, query.m)), mask)
-    assert alignment_loss(np.zeros((n, query.m)), target) == pytest.approx(np.log(2))
-    target1 = AlignmentTarget(np.ones((n, query.m)), mask)
-    assert alignment_loss(np.zeros((n, query.m)), target1) == pytest.approx(np.log(2))
+    n, m = 4, small_query().m
+    row = np.ones((1, m))
+    for t in (np.zeros((n, m)), np.ones((n, m))):
+        loss, denom = groundnet._masked_loss(np.zeros((n, m)), t, row)
+        assert loss == pytest.approx(np.log(2))
+        assert denom == n * m
 
 
 def test_saturated_scores_reach_tiny_loss():
     rng = np.random.default_rng(5)
     t = (rng.random((3, 9)) < 0.5).astype(float)
-    target = AlignmentTarget(t, np.ones_like(t))
     s = 20.0 * (2.0 * t - 1.0)
-    assert alignment_loss(s, target) < 1e-3
+    assert groundnet._masked_loss(s, t, np.ones((1, 9)))[0] < 1e-3
 
 
 def test_empty_mask_rejected():
-    t = np.zeros((2, 3))
-    target = AlignmentTarget(t, np.zeros_like(t))
     with pytest.raises(ValueError, match="mask"):
-        alignment_loss(np.zeros((2, 3)), target)
+        groundnet._masked_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+
+
+def test_loss_supervises_caption_columns_only():
+    """The loss derived from the query's separators equals the mean cell loss
+    over the caption columns, whatever the separator columns hold."""
+    rng = np.random.default_rng(8)
+    model = _randomized(small_model(), 4)
+    feats = rng.normal(0, 1, (3, 12))
+    one_caption = Query(items=(CaptionItem(("a", "dog"), "positive_description"),))
+    for query in (small_query(), one_caption, _edge_queries()[1]):
+        s = forward(model, feats, query).S
+        mask = separator_mask(query, 3).astype(bool)
+        for t in (np.zeros((3, query.m)), np.ones((3, query.m))):
+            expected = (np.logaddexp(0.0, s) - t * s)[mask].mean()
+            assert loss_of(model, feats, query, AlignmentTarget(t)) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -100,10 +121,7 @@ def test_gradients_match_finite_differences(seed):
     model.params["logit_scale"] = np.array([[rng.uniform(0.5, 2.0)]])
     query = small_query()
     feats = rng.normal(0, 1, (4, 12))
-    t = (rng.random((4, query.m)) < 0.4).astype(float)
-    mask = np.ones((4, query.m))
-    mask[:, [c for c in range(query.m) if c not in query.token_map]] = 0
-    target = AlignmentTarget(t, mask)
+    target = AlignmentTarget((rng.random((4, query.m)) < 0.4).astype(float))
     _, grads = loss_and_grad(model, forward(model, feats, query), target)
     eps = 1e-5
     for name, grad in grads.items():
@@ -113,9 +131,9 @@ def test_gradients_match_finite_differences(seed):
             i, j = int(i), int(j)
             orig = arr[i, j]
             arr[i, j] = orig + eps
-            up = alignment_loss(forward(model, feats, query).S, target)
+            up = loss_of(model, feats, query, target)
             arr[i, j] = orig - eps
-            down = alignment_loss(forward(model, feats, query).S, target)
+            down = loss_of(model, feats, query, target)
             arr[i, j] = orig
             fd = (up - down) / (2 * eps)
             rel = abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-8)
@@ -135,7 +153,7 @@ def test_context_separates_repeated_tokens_after_one_step():
     assert np.allclose(h[in_sentence], h[standalone])  # mixing starts at zero
     t = np.zeros((2, query.m))
     t[0, in_sentence] = 1.0
-    target = AlignmentTarget(t, np.ones_like(t))
+    target = AlignmentTarget(t)
     example = TrainExample(features=feats, query=query, target=target)
     train(model, [example], [], TrainConfig(epochs=1, batch_size=1, seed=0))
     h2 = forward(model, feats, query).token_features
@@ -150,10 +168,7 @@ def tiny_examples(n_examples=16, seed=0):
         query = small_query()
         feats = rng.normal(0, 1, (3, 12))
         t = (rng.random((3, query.m)) < 0.3).astype(float)
-        mask = np.ones_like(t)
-        mask[:, [c for c in range(query.m) if c not in query.token_map]] = 0
-        out.append(TrainExample(features=feats, query=query,
-                                target=AlignmentTarget(t, mask)))
+        out.append(TrainExample(features=feats, query=query, target=AlignmentTarget(t)))
     return out
 
 
@@ -391,7 +406,7 @@ def _reference_step(model, feats, query, target):
     h = e + mean_rows @ p["mix.global"].T + c @ p["mix.self"].T + c_prev @ p["mix.prev"].T
     a = o @ h.T
     s = p["logit_scale"][0, 0] * a
-    mask, t = target.loss_mask, target.matrix
+    mask, t = separator_mask(query, len(feats)), target.matrix
     g = mask * (sigmoid(s) - t) / mask.sum()
     d_raw = p["logit_scale"][0, 0] * g
     d_o, d_h = d_raw @ h, d_raw.T @ o
@@ -472,7 +487,7 @@ def test_step_paths_agree_on_edge_queries(d_model):
     rng = np.random.default_rng(3)
     for query in _edge_queries():
         feats = rng.normal(0, 1, (4, 12))
-        _assert_paths_agree(model, feats, query, AlignmentTarget(*random_target(rng, 4, query)))
+        _assert_paths_agree(model, feats, query, random_target(rng, 4, query))
     assert compile_query(model, _edge_queries()[1])[1].max() == model.max_positions - 1
 
 

@@ -1,7 +1,12 @@
 """groundnet's forward, loss_and_grad and train against groundnet_reference,
-the step before the flat gradient buffer: every output equal bit for bit."""
+the step before the flat gradient buffer: every output equal bit for bit.
+The reference reads an N x M loss mask from its target; it is fed the
+separator mask broadcast over the rows, which is what loss_and_grad derives
+from the query."""
 
 import copy
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,16 +34,24 @@ def _query(captions) -> Query:
                              for k, tokens in enumerate(captions)))
 
 
-def _target(rng, n, query, density, drop) -> AlignmentTarget:
-    """Separator columns masked out, and with `drop` some cells too; the
-    first token column always counts."""
-    t = (rng.random((n, query.m)) < density).astype(float)
-    mask = np.ones((n, query.m))
-    mask[:, [c for c in range(query.m) if c not in query.token_map]] = 0.0
-    if drop:
-        mask *= rng.random((n, query.m)) < 0.7
-        mask[:, 0] = 1.0
-    return AlignmentTarget(t, mask)
+def _target(rng, n, query, density) -> AlignmentTarget:
+    return AlignmentTarget((rng.random((n, query.m)) < density).astype(float))
+
+
+def _reference_target(query, target):
+    """The target as the reference reads it: the matrix, and as loss_mask
+    the separator mask, one row of 1 on caption columns and 0 on separators
+    broadcast over the regions."""
+    row = np.zeros(query.m)
+    for i in range(len(query.items)):
+        row[list(query.item_columns(i))] = 1.0
+    return SimpleNamespace(matrix=target.matrix,
+                           loss_mask=np.broadcast_to(row, target.matrix.shape))
+
+
+def _reference_examples(examples):
+    return [dataclasses.replace(ex, target=_reference_target(ex.query, ex.target))
+            for ex in examples]
 
 
 def _model(rng, d_in, d_model, max_positions, scale, vocab_words=WORDS) -> GroundingModel:
@@ -57,7 +70,7 @@ def step_cases(draw):
                 d_model=draw(st.integers(1, 12)), max_positions=draw(st.integers(1, 10)),
                 n_regions=draw(st.integers(1, 6)),
                 scale=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0, 40.0])),
-                density=draw(st.sampled_from([0.0, 0.3, 1.0])), drop=draw(st.booleans()),
+                density=draw(st.sampled_from([0.0, 0.3, 1.0])),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -66,19 +79,20 @@ def step_cases(draw):
 def test_step_equals_the_reference_bit_for_bit(case):
     """S, the loss and every gradient block, over queries (repeated, unknown
     and clipped-position tokens), features, parameters from zero to
-    saturating, and masks."""
+    saturating, and targets."""
     rng = np.random.default_rng(case["seed"])
     model = _model(rng, case["d_in"], case["d_model"], case["max_positions"], case["scale"])
     query = _query(case["captions"])
     feats = rng.normal(0.0, 1.0 + case["scale"], (case["n_regions"], case["d_in"]))
-    target = _target(rng, case["n_regions"], query, case["density"], case["drop"])
+    target = _target(rng, case["n_regions"], query, case["density"])
     for q in (query, compile_query(model, query)):
         expected = reference.forward(model, feats, q)
         got = forward(model, feats, q)
         assert _bytes_equal(got.S, expected.S)
         assert _bytes_equal(got.token_features, expected.cache["H"])
         report, grads = loss_and_grad(model, got, target)
-        ref_report, ref_grads = reference.loss_and_grad(model, expected, target)
+        ref_report, ref_grads = reference.loss_and_grad(model, expected,
+                                                        _reference_target(query, target))
         assert _bytes_equal(report.grounding_loss, ref_report.grounding_loss)
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
@@ -93,7 +107,7 @@ def test_loss_and_grad_twice_on_one_forward_is_the_same():
     model = _model(rng, 4, 6, 8, 0.5)
     query = _query([["a", "red", "dog"], ["the", "bowl"]])
     scores = forward(model, rng.normal(0, 1, (3, 4)), query)
-    target = _target(rng, 3, query, 0.3, False)
+    target = _target(rng, 3, query, 0.3)
     first = loss_and_grad(model, scores, target)[1]
     second = loss_and_grad(model, scores, target)[1]
     assert _bytes_equal(first.flat, second.flat)
@@ -109,7 +123,7 @@ def _examples(seed, n, d_in):
         query = _query(captions)
         n_regions = int(rng.integers(1, 6))
         out.append(TrainExample(features=rng.normal(0, 1, (n_regions, d_in)), query=query,
-                                target=_target(rng, n_regions, query, 0.3, k % 3 == 0),
+                                target=_target(rng, n_regions, query, 0.3),
                                 scene_id=k))
     return out
 
@@ -138,8 +152,9 @@ TRAIN_CASES = {
 def test_train_equals_the_reference_bit_for_bit(case):
     config = TrainConfig(**{"epochs": 4, "batch_size": 4, "seed": 3, **TRAIN_CASES[case]})
     model = _model(np.random.default_rng(4), 5, 6, 5, 0.3)
-    expected_model, expected_history = reference.train(copy.deepcopy(model), TRIPLETS,
-                                                       DETECTIONS, config)
+    expected_model, expected_history = reference.train(
+        copy.deepcopy(model), _reference_examples(TRIPLETS), _reference_examples(DETECTIONS),
+        config)
     trained, history = train(model, TRIPLETS, DETECTIONS, config)
     assert history == expected_history
     assert trained.params.keys() == expected_model.params.keys()
@@ -153,7 +168,8 @@ def test_train_updates_the_parameter_arrays_in_place():
     config = TrainConfig(epochs=3, batch_size=4, seed=1, freeze_fusion=True)
     model = _model(np.random.default_rng(6), 5, 6, 5, 0.3)
     arrays = dict(model.params)
-    expected_model, _ = reference.train(copy.deepcopy(model), TRIPLETS, DETECTIONS, config)
+    expected_model, _ = reference.train(copy.deepcopy(model), _reference_examples(TRIPLETS),
+                                        _reference_examples(DETECTIONS), config)
     trained, _ = train(model, TRIPLETS, DETECTIONS, config)
     assert trained is model
     for name, array in arrays.items():

@@ -79,14 +79,18 @@ def test_assemble_deterministic_and_seed_sensitive():
     assert len(orders) > 1
 
 
+def caption_columns(query):
+    return {c for i in range(len(query.items)) for c in query.item_columns(i)}
+
+
 def test_separators_between_items():
     query = assemble_query(make_triplet(), make_pool(), 1, True, seed=0)
-    seps = [i for i, t in enumerate(query.tokens) if i not in query.token_map]
+    seps = [i for i in range(query.m) if i not in caption_columns(query)]
     assert len(seps) == len(query.items) - 1
     assert all(query.tokens[i] == "." for i in seps)
-    # token_map round-trips every non-separator token
-    for flat, (item, within) in query.token_map.items():
-        assert query.items[item].tokens[within] == query.tokens[flat]
+    # each caption's columns hold its tokens
+    for i, item in enumerate(query.items):
+        assert tuple(query.tokens[c] for c in query.item_columns(i)) == item.tokens
 
 
 def fig5_query():
@@ -103,12 +107,12 @@ def fig5_query():
 def test_alignment_target_fig5_layout():
     query = fig5_query()
     target = build_alignment_target(query, make_triplet(), n_regions=2)
-    t, mask = target.matrix, target.loss_mask
+    t = target.matrix
     assert t.shape == (2, query.m)
     pos_cols = list(query.item_columns(0))
     neg_cols = list(query.item_columns(1))
     struct_cols = list(query.item_columns(2))
-    sep_cols = [c for c in range(query.m) if c not in query.token_map]
+    sep_cols = [c for c in range(query.m) if c not in caption_columns(query)]
 
     # subject box: the entire positive sentence, nothing else
     assert t[0, pos_cols].tolist() == [1.0] * 7
@@ -119,9 +123,9 @@ def test_alignment_target_fig5_layout():
     assert t[1, struct_cols].tolist() == [1.0] * 3
     assert t[1, board_in_sentence] .sum() == 0
     assert t[1].sum() == 3.0
-    # separators masked, everything else supervised
-    assert mask[:, sep_cols].sum() == 0
-    assert mask.sum() == 2 * (query.m - len(sep_cols))
+    # separators are never targets
+    assert sep_cols == [7, 15]
+    assert t[:, sep_cols].sum() == 0
 
 
 def test_alignment_single_phrase_no_negatives():
@@ -215,9 +219,10 @@ def test_alignment_errors():
     bad_span = PseudoTriplet(0, POSITIVE, ((0, (1, 3)),), "weak_to_strong")
     with pytest.raises(ValueError, match="matches no phrase"):
         build_alignment_target(query, bad_span, 2)
-    big_index = PseudoTriplet(0, POSITIVE, ((9, SUBJ_SPAN),), "weak_to_strong")
-    with pytest.raises(ValueError, match="out of range"):
-        build_alignment_target(query, big_index, 2)
+    for index in (2, 9, -1):
+        bad_index = PseudoTriplet(0, POSITIVE, ((index, SUBJ_SPAN),), "weak_to_strong")
+        with pytest.raises(ValueError, match=f"proposal {index} out of range"):
+            build_alignment_target(query, bad_index, 2)
 
 
 def test_detection_target_two_categories():
@@ -239,14 +244,26 @@ def test_example_serialization_roundtrip():
     triplet = make_triplet()
     target = build_alignment_target(query, triplet, 3)
     row = targets.example_to_json(7, query, target)
-    assert set(row) == {"scene_id", "flat_tokens", "item_kinds", "token_map",
-                        "n_regions", "target", "mask"}
+    assert set(row) == {"scene_id", "captions", "n_regions", "target"}
+    assert row["captions"] == [[item.kind, list(item.tokens)] for item in query.items]
+    assert len(row["target"]) == 3 * query.m
     scene_id, query2, target2 = targets.example_from_json(row)
     assert scene_id == 7
     assert query2.tokens == query.tokens
+    assert query2.item_offsets == query.item_offsets
     assert [i.kind for i in query2.items] == [i.kind for i in query.items]
     assert np.array_equal(target2.matrix, target.matrix)
-    assert np.array_equal(target2.loss_mask, target.loss_mask)
+
+
+@pytest.mark.parametrize("captions,message", [
+    ([["caption", ["a", "dog"]]], "unknown caption kind 'caption'"),
+    ([["positive_description", []]], "not a non-empty token list"),
+    ([["positive_description", "a dog"]], "not a non-empty token list"),
+])
+def test_example_with_an_unusable_caption_is_rejected(captions, message):
+    row = {"scene_id": 0, "captions": captions, "n_regions": 1, "target": "00"}
+    with pytest.raises(ValueError, match=message):
+        targets.example_from_json(row)
 
 
 # The encoding before the codec was vectorised, kept here to pin its bytes.
@@ -269,32 +286,28 @@ binary_matrices = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_si
 @example(np.ones((9, 1)))
 def test_example_codec_roundtrip_keeps_the_old_bytes(matrix):
     n, m = matrix.shape
-    target = targets.AlignmentTarget(matrix=matrix, loss_mask=1.0 - matrix)
-    row = targets.example_to_json(0, query_of_width(m), target)
+    row = targets.example_to_json(0, query_of_width(m), targets.AlignmentTarget(matrix=matrix))
     assert row["target"] == old_encoding(matrix)
-    assert row["mask"] == old_encoding(1.0 - matrix)
     _, query, decoded = targets.example_from_json(row)
     assert query.m == m
-    for got, want in ((decoded.matrix, matrix), (decoded.loss_mask, 1.0 - matrix)):
-        assert got.dtype == np.float64 and got.shape == (n, m)
-        assert np.array_equal(got, want)
+    assert decoded.matrix.dtype == np.float64 and decoded.matrix.shape == (n, m)
+    assert np.array_equal(decoded.matrix, matrix)
 
 
 @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
 def test_example_codec_rejects_non_binary_matrices(value):
-    bad, ok = np.zeros((2, 3)), np.zeros((2, 3))
+    bad = np.zeros((2, 3))
     bad[1, 2] = value
-    for matrices, what in (((bad, ok), "target"), ((ok, bad), "mask")):
-        with pytest.raises(ValueError, match=f"{what} matrix is not binary"):
-            targets.example_to_json(0, query_of_width(3), targets.AlignmentTarget(*matrices))
+    with pytest.raises(ValueError, match="target matrix is not binary"):
+        targets.example_to_json(0, query_of_width(3), targets.AlignmentTarget(matrix=bad))
 
 
 def two_by_three_row():
-    target = targets.AlignmentTarget(matrix=np.zeros((2, 3)), loss_mask=np.ones((2, 3)))
+    target = targets.AlignmentTarget(matrix=np.zeros((2, 3)))
     return targets.example_to_json(0, query_of_width(3), target)
 
 
-@pytest.mark.parametrize("field", ["target", "mask"])
+@pytest.mark.parametrize("field", ["target"])
 @pytest.mark.parametrize("text", ["010012", "01001x", "01001 ", "01001\u00e9", "01001/"])
 def test_example_codec_rejects_bad_characters(field, text):
     row = two_by_three_row()
@@ -303,7 +316,7 @@ def test_example_codec_rejects_bad_characters(field, text):
         targets.example_from_json(row)
 
 
-@pytest.mark.parametrize("field", ["target", "mask"])
+@pytest.mark.parametrize("field", ["target"])
 @pytest.mark.parametrize("text", ["", "01001", "0100110"])
 def test_example_codec_rejects_wrong_lengths(field, text):
     row = two_by_three_row()
