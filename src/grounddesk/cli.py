@@ -99,6 +99,10 @@ _RANGES = (
     ("features.dim", lambda v: v >= 8, "must be >= 8"),
     ("features.background_boxes", lambda v: v >= 0, "must be >= 0"),
     ("targets.k_neg", lambda v: v >= 0, "must be >= 0"),
+    ("targets.absent_categories", lambda v: v >= 0, "must be >= 0"),
+    ("distractors.extra_attribute_weights",
+     lambda v: all(isinstance(w, (int, float)) and w >= 0 for w in v) and sum(v) > 0,
+     "must be a list of numbers >= 0 with a positive sum"),
     ("train.d_model", lambda v: v >= 1, "must be >= 1"),
     ("eval.nw_choices", lambda v: v and all(isinstance(n, int) and n >= 3 for n in v),
      "must be a non-empty list of integers >= 3"),
@@ -155,6 +159,10 @@ def validate_config(config) -> None:
     if 1 <= n <= k_neg:
         raise ConfigError(f"config field descriptions.num_descriptions: {n} leaves {n - 1} "
                           f"same-category alternatives, but targets.k_neg needs {k_neg}")
+    low, high = config["distractors"]["min_fillers"], config["distractors"]["max_fillers"]
+    if low > high:
+        raise ConfigError(f"config field distractors.min_fillers: {low} is above "
+                          f"distractors.max_fillers {high}")
     try:
         pool = corpus.build_entity_pool(config["pool"])
     except corpus.PoolError as exc:
@@ -282,17 +290,38 @@ def fanout(fn, items, workers: int = 1):
         return list(pool.map(fn, items, chunksize=8))
 
 
+def _read_descriptions(out_dir, pool, lexicon) -> list[corpus.ObjectDescription]:
+    """The descriptions as the gen stage wrote them. A description whose
+    category_id names no category of the pool, or whose text does not parse
+    with the pool's lexicon, fails its line."""
+    descriptions = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions)
+    path = os.path.join(out_dir, "descriptions.jsonl")
+    category_ids = {cat.id for cat in pool}
+    for lineno, desc in enumerate(descriptions, 1):  # one description per line
+        with _reading(f"{path} line {lineno}"):
+            if desc.category_id not in category_ids:
+                raise ValueError(f"category_id {desc.category_id} names no category of the "
+                                 f"pool's {len(pool)}")
+            if not isinstance(desc.text, str):
+                raise ValueError(f"text {desc.text!r} is not a string")
+            langparse.parse(desc.text, lexicon)
+    return descriptions
+
+
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
     """The corpus as the gen and scenes stages wrote it, without features. A
-    scene whose description_id names no description fails its line."""
+    scene whose scene_id is not its 0-based line position, or whose
+    description_id names no description, fails its line."""
     pool, lexicon = _pool_and_lexicon(config)
     bundle = pipeline.CorpusBundle(
-        pool=pool, lexicon=lexicon,
-        descriptions=_read(out_dir, "descriptions.jsonl", corpus.read_descriptions),
+        pool=pool, lexicon=lexicon, descriptions=_read_descriptions(out_dir, pool, lexicon),
         scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={})
     path = os.path.join(out_dir, "scenes.jsonl")
     for lineno, scene in enumerate(bundle.scenes, 1):  # one scene per line
         with _reading(f"{path} line {lineno}"):
+            if scene.scene_id != lineno - 1:
+                raise ValueError(f"scene_id {scene.scene_id} is not the scene's position "
+                                 f"{lineno - 1}")
             bundle.description_by_id(scene.description_id)
     return bundle
 
@@ -306,6 +335,8 @@ def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[Train
         unknown = [token for token in query.tokens if token not in vocab.index]
         if unknown:
             raise ValueError(f"token {unknown[0]!r} is not in the vocabulary")
+        if scene_id not in features:
+            raise ValueError(f"scene_id {scene_id} names no scene of features.bin")
         x = features[scene_id].features
         if len(x) != len(target.matrix):
             raise ValueError(f"n_regions {len(target.matrix)} does not match the {len(x)} "
@@ -339,7 +370,7 @@ def _gen(config, out, workers):
 
 def _scenes(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
-    descriptions = _read(out, "descriptions.jsonl", corpus.read_descriptions)
+    descriptions = _read_descriptions(out, pool, lexicon)
     images = config["images_per_description"]
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
@@ -366,7 +397,8 @@ def _label(config, out, workers):
 def _targets(config, out, workers):
     """Each scene's region count is its objects plus the background boxes
     (scenegen.region_count()), so the stage reads no features. A triplet
-    that does not resolve against them and the corpus fails its line."""
+    that does not resolve against the scenes and the corpus, or whose
+    description is not its scene's, fails its line."""
     bundle = _read_bundle(config, out)
     scenes = {scene.scene_id: scene for scene in bundle.scenes}
     triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
@@ -381,8 +413,12 @@ def _targets(config, out, workers):
         with _reading(f"{path} line {lineno}"):
             if t.scene_id not in scenes:
                 raise ValueError(f"scene_id {t.scene_id} names no scene of scenes.jsonl")
+            scene = scenes[t.scene_id]
+            if t.description != bundle.description_by_id(scene.description_id).text:
+                raise ValueError(f"description {t.description!r} is not the description of "
+                                 f"scene {t.scene_id}")
             return targets.example_to_json(t.scene_id, *pipeline.training_target(
-                bundle, t, variant, seed, scenegen.region_count(scenes[t.scene_id], background)))
+                bundle, t, variant, seed, scenegen.region_count(scene, background)))
 
     # Each example is written as soon as it is built; no list of them is kept.
     storage.write_jsonl(os.path.join(out, "examples.jsonl"), (
@@ -671,12 +707,12 @@ def _ablate(name, config, workers: int = 1) -> list[dict]:
 
 def _ablate_length(config) -> list[dict]:
     """Description statistics at each target length; trains nothing."""
-    pool, _ = _pool_and_lexicon(config)
+    pool, lexicon = _pool_and_lexicon(config)
     rows = []
     for nw in (6, 8, 10, 12):
         descs = pipeline.build_description_corpus(
             pool, config["descriptions"]["num_descriptions"], nw, config["seed"])
-        stats = corpus.text_stats(descs)
+        stats = corpus.text_stats(descs, lexicon)
         rows.append({"target_length_words": nw, "mean_nouns": stats.mean_nouns,
                      "mean_adjectives": stats.mean_adjectives, "count": stats.count})
         print(f"ablate length NW={nw}: NOUN={stats.mean_nouns:.2f} ADJ={stats.mean_adjectives:.2f}")

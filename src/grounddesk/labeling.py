@@ -10,12 +10,12 @@ sentence, which is exactly the failure the decomposition repairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pools
-from .langparse import Lexicon, noun_phrases, parse
+from .langparse import DEFAULT_LEXICON, Lexicon, noun_phrases, parse
 from .scenegen import RegionFeatures, Scene, box_iou, phrase_referents, word_vector
 from .seeding import derive_seed
 
@@ -65,25 +65,21 @@ def content_words(query_text: str) -> list[str]:
     return [t for t in query_text.lower().split() if t not in STOPWORDS]
 
 
-def _default_vocabulary() -> tuple[str, ...]:
-    nouns, adjectives = pools.all_known_words()
-    words = set(adjectives)
-    for noun in nouns:
-        words.update(noun.split())
-    return tuple(sorted(words))
-
-
 class BowDetector:
     """Bag-of-words lexical matcher over scenes or rendered region features.
 
     Given raw features, region profiles are decoded against a word-vector
-    table for the detector's vocabulary; background rows decode to empty
-    profiles and score from noise only.
+    table for the detector's vocabulary, by default the noun and adjective
+    tokens of the built-in lexicon; background rows decode to empty profiles
+    and score from noise only.
     """
 
     def __init__(self, config: BowConfig | None = None, vocabulary=None):
         self.config = config or BowConfig()
-        self.vocabulary = tuple(vocabulary) if vocabulary is not None else _default_vocabulary()
+        if vocabulary is None:
+            vocabulary = sorted(replace(DEFAULT_LEXICON, determiners=frozenset(),
+                                        participles=frozenset(), relation_words=frozenset()).tokens)
+        self.vocabulary = tuple(vocabulary)
         self._vocab_matrix = None
 
     def _decode_profiles(self, features: np.ndarray):

@@ -50,6 +50,14 @@ class Lexicon:
             variants.sort(key=len, reverse=True)
         object.__setattr__(self, "noun_firsts", firsts)
 
+    @property
+    def tokens(self) -> frozenset[str]:
+        """The tokens of every word the lexicon holds: nouns, adjectives,
+        determiners, participles and relation words, multi-token words split."""
+        return frozenset(t for noun in self.nouns for t in noun).union(
+            self.adjectives, self.determiners, self.participles,
+            (t for word in self.relation_words for t in word.split()))
+
     @staticmethod
     def build(nouns, adjectives) -> "Lexicon":
         """Build from iterables of noun strings (possibly multi-word) and adjective words."""

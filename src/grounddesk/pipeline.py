@@ -13,7 +13,6 @@ from functools import partial
 
 import numpy as np
 
-from . import pools
 from .corpus import DescriptionSpec, EntityCategory, GrammarConfig, ObjectDescription, generate_descriptions
 from .evalkit import BenchmarkInstance, MetricReport, ResultColumns, omnilabel_report
 from .groundnet import (GroundingModel, TrainConfig, TrainExample, Vocabulary,
@@ -53,18 +52,11 @@ class CorpusBundle:
 
 
 def build_vocabulary(pool) -> Vocabulary:
-    """Token vocabulary covering everything the pool's grammar can emit."""
-    words = set(pools.DETERMINERS) | set(pools.PARTICIPLES) | set(pools.GENERIC_ATTRIBUTES)
-    for rel in pools.RELATION_WORDS:
-        words.update(rel.split())
-    for noun in pools.EXTRA_NOUNS:
-        words.update(noun.split())
-    for cat in pool:
-        words.update(cat.name.split())
-        words.update(cat.attribute_vocab)
-        for partner in cat.relation_partners:
-            words.update(partner.split())
-    return Vocabulary.build(words)
+    """Every token a run's queries can hold: the tokens of the pool's lexicon,
+    and the names of the fillers that scenes of any pool place, which
+    detection queries list."""
+    fillers = {t for name, _ in DistractorConfig().filler_categories for t in name.split()}
+    return Vocabulary.build(Lexicon.from_categories(pool).tokens | fillers)
 
 
 def _category_descriptions(cat, num_descriptions: int, target_length_words: int, seed: int,

@@ -72,6 +72,8 @@ def test_config_rejects_unknown_and_badly_typed_fields():
     ("eval.iou_threshold", "1.5"), ("eval.iou_threshold", "-0.5"),
     ("eval.benchmark_scenes", "0"), ("eval.benchmark_scenes", "-3"),
     ("descriptions.num_descriptions", "1"), ("descriptions.num_descriptions", "2"),
+    ("distractors.min_fillers", "3"), ("targets.absent_categories", "-1"),
+    ("distractors.extra_attribute_weights", "[0, 0]"),
 ])
 def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -448,6 +450,10 @@ _UNUSABLE_SCENES = {
                                 "description_id -1 names no description"),
     "description_id_past_the_corpus": (lambda row: row.update(description_id=10**6),
                                        "description_id 1000000 names no description"),
+    "scene_id_past_the_scenes": (lambda row: row.update(scene_id=10**6),
+                                 "scene_id 1000000 is not the scene's position 1"),
+    "scene_id_of_another_line": (lambda row: row.update(scene_id=0),
+                                 "scene_id 0 is not the scene's position 1"),
 }
 
 
@@ -455,9 +461,9 @@ _UNUSABLE_SCENES = {
 @pytest.mark.parametrize("case", list(_UNUSABLE_SCENES))
 def test_unusable_scene_is_an_artifact_error(corrupt_copy, capsys, case, stage):
     """A scenes.jsonl row with a repeated instance id, a box without area, a
-    referent or relation endpoint that names no object, or a description_id
-    that names no description fails the stage that reads it, naming the file
-    and the line."""
+    referent or relation endpoint that names no object, a scene_id other than
+    its line position or a description_id that names no description fails
+    the stage that reads it, naming the file and the line."""
     edit, message = _UNUSABLE_SCENES[case]
     _edit_line_2(corrupt_copy / "scenes.jsonl", edit)
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
@@ -492,7 +498,8 @@ _UNUSABLE_EXAMPLES = {
     "empty_caption": (lambda row: row["captions"][0].__setitem__(1, []),
                       "not a non-empty token list"),
     "region_count": (_add_region, "does not match the"),
-    "scene_id": (lambda row: row.update(scene_id=10**6), "1000000"),
+    "scene_id": (lambda row: row.update(scene_id=10**6),
+                 "scene_id 1000000 names no scene of features.bin"),
 }
 
 
@@ -504,6 +511,39 @@ def test_unusable_example_is_an_artifact_error(corrupt_copy, capsys, case, filen
     assert run_cli(["train", "--out", str(corrupt_copy)] + SMALL) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and f"{filename} line 2" in err and message in err
+
+
+# Each edit leaves a description that parses but that no stage can use.
+_UNUSABLE_DESCRIPTIONS = {
+    "unknown_category": (lambda row: row.update(category_id=999),
+                         "category_id 999 names no category"),
+    "negative_category": (lambda row: row.update(category_id=-1),
+                          "category_id -1 names no category"),
+    "text_outside_the_lexicon": (lambda row: row.update(text="zzz qqq"),
+                                 "expected a noun, got 'zzz'"),
+    "text_not_a_string": (lambda row: row.update(text=5), "text 5 is not a string"),
+}
+
+
+@pytest.mark.parametrize("stage", ["scenes", "label", "targets"])
+@pytest.mark.parametrize("case", list(_UNUSABLE_DESCRIPTIONS))
+def test_unusable_description_is_an_artifact_error(corrupt_copy, capsys, case, stage):
+    """Every stage that reads descriptions.jsonl checks that each category_id
+    names a pool category and that each text is a string that parses with
+    the pool's lexicon; before, scenes failed with a KeyError, a ParseError
+    or an AttributeError."""
+    edit, message = _UNUSABLE_DESCRIPTIONS[case]
+    _edit_line_2(corrupt_copy / "descriptions.jsonl", edit)
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and "descriptions.jsonl line 2" in err and message in err
+
+
+def _another_description(row):
+    """Give the triplet a description of SMALL's corpus that is not its own."""
+    texts = [d.text for d in pipeline.build_description_corpus(
+        corpus.build_entity_pool("desk20"), 3, 10, 0)]
+    row["description"] = next(text for text in texts if text != row["description"])
 
 
 def _first_line_with_assignments(path) -> int:
@@ -522,19 +562,21 @@ _UNUSABLE_TRIPLETS = {
     "unknown_scene": (lambda row: row.update(scene_id=10**6),
                       "scene_id 1000000 names no scene"),
     "description_not_in_the_corpus": (lambda row: row.update(description="a zzz qqq"),
-                                      "not found in pool"),
+                                      "'a zzz qqq' is not the description of scene"),
     "proposal_past_the_regions": (_set_assignment("proposal_index", 999),
                                   "proposal 999 out of range"),
     "negative_proposal": (_set_assignment("proposal_index", -1), "proposal -1 out of range"),
     "span_no_phrase": (_set_assignment("span", [1, 2]), "matches no phrase"),
+    "description_of_another_scene": (_another_description, "is not the description of scene"),
 }
 
 
 @pytest.mark.parametrize("case", list(_UNUSABLE_TRIPLETS))
 def test_unusable_triplet_is_an_artifact_error(corrupt_copy, capsys, case):
     """A triplet whose scene, description, proposal index or span does not
-    resolve fails the targets stage, naming the file and the line; before,
-    a negative proposal index trained the scene's last region."""
+    resolve, or whose description is not its scene's, fails the targets
+    stage, naming the file and the line; before, a negative proposal index
+    trained the scene's last region."""
     edit, message = _UNUSABLE_TRIPLETS[case]
     path = corrupt_copy / "triplets.jsonl"
     lineno = _first_line_with_assignments(path)
@@ -1344,6 +1386,30 @@ def test_ablate_length_writes_monotone_table(tmp_path, capsys):
     adjs = [r["mean_adjectives"] for r in rows]
     assert nouns == sorted(nouns)
     assert adjs == sorted(adjs)
+
+
+def test_pool_file_runs_end_to_end(tmp_path):
+    """A pool whose words the built-in pools lack: every stage and the length
+    table run on it. Its scenes place desk20 fillers, which detection examples
+    list, so the model vocabulary covers both example files."""
+    pool = tmp_path / "pool.txt"
+    pool.write_text("lantern | brass, rusty, small | table, teapot, crate\n"
+                    "teapot | ceramic, chipped, white | table, lantern, saucer\n"
+                    "crate | wooden, battered, large | lantern, teapot, table\n")
+    out = tmp_path / "o"
+    config = load_config(overrides=[("pool", str(pool)), ("descriptions.num_descriptions", "3"),
+                                    ("images_per_description", "2"), ("train.epochs", "1"),
+                                    ("eval.benchmark_scenes", "4")], output_dir=str(out))
+    assert cli.run("all", config) == 0
+    vocab = set(storage.read_json(out / "model.vocab.json")["tokens"])
+    for name in ("examples.jsonl", "detection_examples.jsonl"):
+        with open(out / name, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert rows
+        tokens = {t for row in rows for _kind, caption in row["captions"] for t in caption}
+        assert tokens <= vocab, (name, sorted(tokens - vocab))
+    assert cli.run("ablate:length", config) == 0
+    assert len(storage.read_json(out / "ablate" / "length" / "length.json")) == 4
 
 
 def test_label_worker_fanout_matches_sequential(tmp_path_factory):

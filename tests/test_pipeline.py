@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from grounddesk import evalkit, groundnet, pipeline
+from grounddesk import corpus, evalkit, groundnet, pipeline
 from grounddesk.groundnet import UNK, TrainConfig
+from grounddesk.labeling import BowDetector
 from grounddesk.scenegen import BenchmarkConfig, read_scenes, write_scenes
 
 
@@ -26,6 +27,47 @@ def test_vocabulary_covers_corpus(default_bundle):
     for desc in default_bundle.descriptions:
         ids = vocab.ids(desc.text.split())
         assert unk not in ids, desc.text
+
+
+# The model's and the weak detector's vocabularies, pinned: a model vocabulary
+# fixes the rows of every trained checkpoint, and the detector's fixes which
+# words a region's features decode to.
+CLOSED = (
+    '.', '<unk>', 'a', 'an', 'holding', 'inside', 'leaning', 'lying', 'near', 'next', 'on',
+    'perched', 'placed', 'resting', 'sitting', 'standing', 'the', 'to', 'under', 'with',
+    'without')
+DESK20_WORDS = (
+    'apple', 'avocado', 'backpack', 'ball', 'banana', 'bicycle', 'black', 'blanket', 'blue',
+    'board', 'book', 'bottle', 'bowl', 'brown', 'car', 'cat', 'ceramic', 'chair', 'collar',
+    'cup', 'cushion', 'cutting', 'dog', 'dots', 'empty', 'fluffy', 'folded', 'fresh', 'glass',
+    'gray', 'green', 'halved', 'handle', 'knife', 'lamp', 'laptop', 'large', 'leash',
+    'leather', 'lid', 'metal', 'old', 'person', 'pillow', 'plastic', 'red', 'ripe', 'saucer',
+    'shiny', 'silver', 'small', 'soft', 'spots', 'spotted', 'sticker', 'striped', 'stripes',
+    'table', 'tall', 'white', 'wooden', 'worn', 'yellow', 'young')
+DESK80_WORDS = (
+    'bag', 'basket', 'bench', 'boot', 'box', 'bucket', 'cabinet', 'camera', 'candle',
+    'cardboard', 'charger', 'clock', 'couch', 'cracked', 'curtain', 'desk', 'drawer', 'flower',
+    'folder', 'fork', 'frame', 'framed', 'glove', 'hat', 'headphones', 'hook', 'jacket',
+    'kettle', 'keyboard', 'leafy', 'long', 'mat', 'mirror', 'monitor', 'mouse', 'muddy', 'mug',
+    'notebook', 'pan', 'pen', 'pencil', 'phone', 'pink', 'plant', 'plate', 'pot', 'remote',
+    'round', 'rug', 'scarf', 'scissors', 'sharpened', 'shelf', 'shirt', 'shoe', 'sock',
+    'speaker', 'spoon', 'stapler', 'stool', 'strap', 'tablet', 'tangled', 'tape', 'teapot',
+    'towel', 'umbrella', 'vase', 'wall', 'window', 'woven')
+
+
+@pytest.mark.parametrize("pool,words,size", [("desk20", DESK20_WORDS, 85),
+                                             ("desk80", DESK20_WORDS + DESK80_WORDS, 156)])
+def test_build_vocabulary_is_pinned(pool, words, size):
+    tokens = pipeline.build_vocabulary(corpus.build_entity_pool(pool)).tokens
+    assert tokens == tuple(sorted(CLOSED + words))
+    assert len(tokens) == size
+
+
+def test_default_detector_vocabulary_is_pinned():
+    """The built-in lexicon's nouns and adjectives, split into tokens."""
+    vocabulary = BowDetector().vocabulary
+    assert vocabulary == tuple(sorted(DESK20_WORDS + DESK80_WORDS))
+    assert len(vocabulary) == 135
 
 
 def test_description_by_id_is_the_description_at_that_position(default_bundle):
