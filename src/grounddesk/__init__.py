@@ -15,11 +15,11 @@ from .scenegen import (BenchmarkConfig, DistractorConfig, RegionFeatures, Scene,
                        SceneObject, evaluate_referents, make_benchmark,
                        render_features, synthesize_scene)
 from .labeling import (BowConfig, BowDetector, Detection, LabelerConfig, PseudoTriplet,
-                       bow_detect, grounding_label, label_recall, weak_to_strong_label)
+                       grounding_label, label_recall, weak_to_strong_label)
 from .targets import (AlignmentTarget, CaptionItem, Query, TargetConfig, assemble_query,
                       build_alignment_target, build_detection_target, make_detection_query)
-from .groundnet import (AlignmentScores, GroundingDetector, GroundingModel, LossReport,
-                        TrainConfig, TrainExample, Vocabulary, forward, load_checkpoint,
+from .groundnet import (AlignmentScores, GroundingModel, LossReport, Prompt, TrainConfig,
+                        TrainExample, Vocabulary, compile_prompt, forward, load_checkpoint,
                         loss_and_grad, predict, predict_grouped, save_checkpoint, train)
 from .evalkit import (BenchmarkInstance, MetricReport, average_precision, d3_report,
                       harmonic_mean, iou, omnilabel_report)
@@ -35,11 +35,11 @@ __all__ = [
     "BenchmarkConfig", "DistractorConfig", "RegionFeatures", "Scene", "SceneObject",
     "evaluate_referents", "make_benchmark", "render_features", "synthesize_scene",
     "BowConfig", "BowDetector", "Detection", "LabelerConfig", "PseudoTriplet",
-    "bow_detect", "grounding_label", "label_recall", "weak_to_strong_label",
+    "grounding_label", "label_recall", "weak_to_strong_label",
     "AlignmentTarget", "CaptionItem", "Query", "TargetConfig", "assemble_query",
     "build_alignment_target", "build_detection_target", "make_detection_query",
-    "AlignmentScores", "GroundingDetector", "GroundingModel", "LossReport",
-    "TrainConfig", "TrainExample", "Vocabulary", "forward", "load_checkpoint",
+    "AlignmentScores", "GroundingModel", "LossReport", "Prompt", "TrainConfig",
+    "TrainExample", "Vocabulary", "compile_prompt", "forward", "load_checkpoint",
     "loss_and_grad", "predict", "predict_grouped", "save_checkpoint", "train",
     "BenchmarkInstance", "MetricReport", "average_precision", "d3_report",
     "harmonic_mean", "iou", "omnilabel_report",

@@ -291,20 +291,28 @@ def fanout(fn, items, workers: int = 1):
 
 
 def _read_descriptions(out_dir, pool, lexicon) -> list[corpus.ObjectDescription]:
-    """The descriptions as the gen stage wrote them. A description whose
-    category_id names no category of the pool, or whose text does not parse
-    with the pool's lexicon, fails its line."""
+    """The descriptions as the gen stage wrote them. A description whose id
+    is not its 0-based line position, whose category_id names no category of
+    the pool, whose text does not parse with the pool's lexicon, or whose
+    subject noun is not its category's name fails its line."""
     descriptions = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions)
     path = os.path.join(out_dir, "descriptions.jsonl")
-    category_ids = {cat.id for cat in pool}
+    categories = {cat.id: cat for cat in pool}
     for lineno, desc in enumerate(descriptions, 1):  # one description per line
         with _reading(f"{path} line {lineno}"):
-            if desc.category_id not in category_ids:
+            if desc.id != lineno - 1:
+                raise ValueError(f"id {desc.id} is not the description's position {lineno - 1}")
+            category = categories.get(desc.category_id)
+            if category is None:
                 raise ValueError(f"category_id {desc.category_id} names no category of the "
                                  f"pool's {len(pool)}")
             if not isinstance(desc.text, str):
                 raise ValueError(f"text {desc.text!r} is not a string")
-            langparse.parse(desc.text, lexicon)
+            tree = langparse.parse(desc.text, lexicon)
+            noun = langparse.phrase_noun_tokens(tree, tree.subject)
+            if noun != tuple(category.name.split()):
+                raise ValueError(f"subject noun {' '.join(noun)!r} is not the name of category "
+                                 f"{category.id}, {category.name!r}")
     return descriptions
 
 
@@ -485,6 +493,13 @@ def _eval(config, out, workers):
           f"AP_descr={report.AP_descr:.2f}")
 
 
+def _training_summary(path) -> dict:
+    history = load_history(path)
+    if not history:
+        raise ValueError("no epochs recorded")
+    return {"epochs": len(history), "initial_loss": history[0][1], "final_loss": history[-1][1]}
+
+
 def _report(config, out, workers):
     """Summarise the run. The mean label recall that the label stage recorded
     and the loss curve are added when their stages have run, so the stage has
@@ -493,12 +508,10 @@ def _report(config, out, workers):
                "metrics": _read(out, "report.json", storage.read_json)}
     if os.path.exists(os.path.join(out, "triplets.jsonl")):
         _require(out, "label_stats.json", "label")
-        summary["label_recall_mean"] = _read(out, "label_stats.json",
-                                             storage.read_json)["label_recall_mean"]
+        summary["label_recall_mean"] = _read(
+            out, "label_stats.json", lambda path: storage.read_json(path)["label_recall_mean"])
     if os.path.exists(os.path.join(out, "history.csv")):
-        history = _read(out, "history.csv", load_history)
-        summary["training"] = {"epochs": len(history),
-                               "initial_loss": history[0][1], "final_loss": history[-1][1]}
+        summary["training"] = _read(out, "history.csv", _training_summary)
     storage.write_json(os.path.join(out, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True, indent=2))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pools
-from .langparse import Lexicon, parse
+from .langparse import Lexicon, ParseError, parse
 from .storage import read_jsonl, write_jsonl
 
 PROMPT_TEMPLATE = (
@@ -279,7 +279,7 @@ def descriptions_from_backend(category: EntityCategory, spec: DescriptionSpec, b
             metadata = GeneratorMetadata(
                 subject_span=(tree.subject.start_token, tree.subject.end_token),
                 nonsubject_spans=tuple((p.start_token, p.end_token) for p in tree.phrases[1:]))
-        except Exception:
+        except ParseError:
             metadata = None
         out.append(ObjectDescription(id=i, category_id=category.id, text=text,
                                      seed=spec.seed, provenance="external",

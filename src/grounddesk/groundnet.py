@@ -475,25 +475,21 @@ def predict(model: GroundingModel, region_features, query_text: str,
             score_threshold: float = 0.5, lexicon: Lexicon | None = None) -> list[Detection]:
     """Detections for a free-text query: per-region max sigmoid score over the
     query's subject-span tokens, above the threshold, sorted descending."""
-    [(indices, scores)] = predict_grouped(model, region_features, [query_text],
-                                          score_threshold, lexicon, span="subject")
+    prompt = compile_prompt(model, [parse(query_text, lexicon)], span="subject")
+    [(indices, scores)] = predict_grouped(model, region_features, prompt, score_threshold)
     boxes = proposal_boxes(region_features)[indices].tolist()
     return [Detection(i, tuple(box), s, query_text)
             for i, box, s in zip(indices.tolist(), boxes, scores.tolist())]
 
 
-def predict_grouped(model: GroundingModel, region_features, query_texts,
-                    score_threshold: float = 0.5, lexicon: Lexicon | None = None,
-                    span: str = "caption", agg: str = "max") -> list[tuple[np.ndarray, np.ndarray]]:
+def predict_grouped(model: GroundingModel, region_features, prompt: Prompt,
+                    score_threshold: float = 0.5,
+                    agg: str = "max") -> list[tuple[np.ndarray, np.ndarray]]:
     """Score several labels in one multi-caption prompt (separator-joined),
-    matching the query format the model is trained on.
-
-    With span="caption" a region's score for a label aggregates over all of
-    that label's tokens (agg "mean" or "max"), the regime under which
-    entity-blind models fire on every mentioned object; span="subject"
-    restricts to the label's subject phrase as in predict(). `query_texts`
-    is the label texts, or a compile_prompt() of them for this model, which
-    then fixes the span.
+    matching the query format the model is trained on. `prompt` is a
+    compile_prompt() of the labels for this model, which fixes each label's
+    score columns; a region's score for a label aggregates over them (agg
+    "mean" or "max").
 
     Returns, for each label, the proposal indices and scores of the regions
     scoring above the threshold, highest score first, lower index first on
@@ -501,23 +497,8 @@ def predict_grouped(model: GroundingModel, region_features, query_texts,
     """
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}; expected one of {list(AGGREGATIONS)}")
-    prompt = query_texts
-    if not isinstance(prompt, Prompt):
-        prompt = compile_prompt(model, [parse(text, lexicon) for text in query_texts], span)
     sig = sigmoid(forward(model, region_features, prompt.compiled).S)
     return [_label_detections(sig, columns, score_threshold, agg) for columns in prompt.columns]
-
-
-class GroundingDetector:
-    """Adapter so a trained model satisfies the labeling detector interface."""
-
-    def __init__(self, model: GroundingModel, lexicon: Lexicon | None = None):
-        self.model = model
-        self.lexicon = lexicon
-
-    def detect(self, region_features, query_text: str) -> list[Detection]:
-        return predict(self.model, region_features, query_text,
-                       score_threshold=-1.0, lexicon=self.lexicon)
 
 
 # model.ckpt: the parameter blocks in sorted-name order, each shaped from
@@ -568,7 +549,7 @@ def load_history(path) -> list:
     was dropped still read: only the first two columns are used."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        next(fh)
+        fh.readline()  # the header
         for line in fh:
             epoch, grounding = line.strip().split(",")[:2]
             out.append((int(epoch), float(grounding)))

@@ -1,22 +1,23 @@
 """The compositionally blind weak detector and weak-to-strong pseudo-box
 generation, with the single-pass grounding baseline it improves on.
 
-The weak detector scores a region by lexical coverage: the fraction of the
-region's profile words mentioned in the query, degraded geometrically for
-long queries and perturbed by a small seeded noise term. It localizes short
-positive phrases well but fires on every mentioned entity when handed a full
-sentence, which is exactly the failure the decomposition repairs.
+The weak detector scores each object of a Scene by lexical coverage: the
+fraction of the object's profile words mentioned in the query, degraded
+geometrically for long queries and perturbed by a small seeded noise term.
+It localizes short positive phrases well but fires on every mentioned
+entity when handed a full sentence, which is exactly the failure the
+decomposition repairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pools
-from .langparse import DEFAULT_LEXICON, Lexicon, noun_phrases, parse
-from .scenegen import RegionFeatures, Scene, box_iou, phrase_referents, word_vector
+from .langparse import Lexicon, noun_phrases, parse
+from .scenegen import Scene, box_iou, phrase_referents
 from .seeding import derive_seed
 
 STOPWORDS = frozenset(pools.DETERMINERS) | frozenset(
@@ -66,62 +67,31 @@ def content_words(query_text: str) -> list[str]:
 
 
 class BowDetector:
-    """Bag-of-words lexical matcher over scenes or rendered region features.
+    """Bag-of-words lexical matcher over a scene's objects: each object is
+    scored by the coverage of its lexical profile."""
 
-    Given raw features, region profiles are decoded against a word-vector
-    table for the detector's vocabulary, by default the noun and adjective
-    tokens of the built-in lexicon; background rows decode to empty profiles
-    and score from noise only.
-    """
-
-    def __init__(self, config: BowConfig | None = None, vocabulary=None):
+    def __init__(self, config: BowConfig | None = None):
         self.config = config or BowConfig()
-        if vocabulary is None:
-            vocabulary = sorted(replace(DEFAULT_LEXICON, determiners=frozenset(),
-                                        participles=frozenset(), relation_words=frozenset()).tokens)
-        self.vocabulary = tuple(vocabulary)
-        self._vocab_matrix = None
 
-    def _decode_profiles(self, features: np.ndarray):
-        if self._vocab_matrix is None or self._vocab_matrix.shape[1] != features.shape[1]:
-            d = features.shape[1]
-            self._vocab_matrix = np.stack([word_vector(w, d) for w in self.vocabulary])
-        dots = features @ self._vocab_matrix.T
-        return [frozenset(self.vocabulary[j] for j in np.nonzero(row >= 0.5)[0])
-                for row in dots]
-
-    def detect(self, features_or_scene, query_text: str) -> list[Detection]:
-        """Score every region against the query, highest first."""
+    def detect(self, scene: Scene, query_text: str) -> list[Detection]:
+        """Score every object of the scene against the query, highest first."""
         words = content_words(query_text)
         if not words:
             raise EmptyQueryError(f"query {query_text!r} has no content words")
         cfg = self.config
-        if isinstance(features_or_scene, Scene):
-            scene = features_or_scene
-            profiles = [o.lexical_profile for o in scene.objects]
-            boxes = [o.box for o in scene.objects]
-            noise_key = scene.scene_id
-        else:
-            rf: RegionFeatures = features_or_scene
-            profiles = self._decode_profiles(rf.features)
-            boxes = list(rf.proposals)
-            noise_key = rf.noise_seed
         qset = set(words)
         degrade = cfg.gamma ** max(0, len(words) - cfg.length_floor)
-        rng = np.random.default_rng(derive_seed(cfg.seed, "bow", noise_key, " ".join(sorted(qset))))
-        eta = rng.uniform(0.0, cfg.noise_scale, size=len(profiles))
+        rng = np.random.default_rng(derive_seed(cfg.seed, "bow", scene.scene_id,
+                                                " ".join(sorted(qset))))
+        eta = rng.uniform(0.0, cfg.noise_scale, size=len(scene.objects))
         dets = []
-        for i, prof in enumerate(profiles):
+        for i, obj in enumerate(scene.objects):
+            prof = obj.lexical_profile
             coverage = len(qset & prof) / len(prof) if prof else 0.0
             score = min(1.0, max(0.0, coverage * degrade + eta[i]))
-            dets.append(Detection(i, tuple(boxes[i]), float(score), query_text))
+            dets.append(Detection(i, tuple(obj.box), float(score), query_text))
         dets.sort(key=lambda d: (-d.score, d.proposal_index))
         return dets
-
-
-def bow_detect(features_or_scene, query_text: str, config: BowConfig | None = None,
-               vocabulary=None) -> list[Detection]:
-    return BowDetector(config, vocabulary).detect(features_or_scene, query_text)
 
 
 def _thresholded(dets, config: LabelerConfig):
@@ -131,18 +101,17 @@ def _thresholded(dets, config: LabelerConfig):
 
 
 def weak_to_strong_label(scene: Scene, description: str, detector, config: LabelerConfig,
-                         features=None, lexicon: Lexicon | None = None) -> PseudoTriplet:
+                         lexicon: Lexicon | None = None) -> PseudoTriplet:
     """Decompose the description into per-noun-phrase detection tasks.
 
     Each phrase is run through the detector alone; surviving boxes are
     re-assigned to the phrase's original span in the description.
     """
     tree = parse(description, lexicon)
-    target = features if features is not None else scene
     assignments = []
     for phrase in noun_phrases(tree):
         query = " ".join(tree.tokens[phrase.start_token:phrase.end_token])
-        for det in _thresholded(detector.detect(target, query), config):
+        for det in _thresholded(detector.detect(scene, query), config):
             assignments.append((det.proposal_index, (phrase.start_token, phrase.end_token)))
     return PseudoTriplet(scene_id=scene.scene_id, description=description,
                          assignments=tuple(dict.fromkeys(assignments)),
@@ -150,18 +119,17 @@ def weak_to_strong_label(scene: Scene, description: str, detector, config: Label
 
 
 def grounding_label(scene: Scene, description: str, detector, config: LabelerConfig,
-                    features=None, lexicon: Lexicon | None = None) -> PseudoTriplet:
+                    lexicon: Lexicon | None = None) -> PseudoTriplet:
     """Single whole-description detector pass, the baseline strategy.
 
     A bag-of-words detector cannot attribute detections to individual
     phrases, so every surviving box lands on the subject span.
     """
     tree = parse(description, lexicon)
-    target = features if features is not None else scene
     subj = tree.subject
     span = (subj.start_token, subj.end_token)
     assignments = [(det.proposal_index, span)
-                   for det in _thresholded(detector.detect(target, description), config)]
+                   for det in _thresholded(detector.detect(scene, description), config)]
     return PseudoTriplet(scene_id=scene.scene_id, description=description,
                          assignments=tuple(dict.fromkeys(assignments)),
                          provenance="grounding_baseline")

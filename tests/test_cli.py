@@ -522,16 +522,22 @@ _UNUSABLE_DESCRIPTIONS = {
     "text_outside_the_lexicon": (lambda row: row.update(text="zzz qqq"),
                                  "expected a noun, got 'zzz'"),
     "text_not_a_string": (lambda row: row.update(text=5), "text 5 is not a string"),
+    "id_of_another_line": (lambda row: row.update(id=0),
+                           "id 0 is not the description's position 1"),
+    "category_of_another_subject": (lambda row: row.update(category_id=row["category_id"] + 1),
+                                    "is not the name of category"),
 }
 
 
 @pytest.mark.parametrize("stage", ["scenes", "label", "targets"])
 @pytest.mark.parametrize("case", list(_UNUSABLE_DESCRIPTIONS))
 def test_unusable_description_is_an_artifact_error(corrupt_copy, capsys, case, stage):
-    """Every stage that reads descriptions.jsonl checks that each category_id
-    names a pool category and that each text is a string that parses with
-    the pool's lexicon; before, scenes failed with a KeyError, a ParseError
-    or an AttributeError."""
+    """Every stage that reads descriptions.jsonl checks that each id is its
+    line position, that each category_id names a pool category and that each
+    text is a string that parses with the pool's lexicon, with the category's
+    name as its subject noun; before, scenes failed with a KeyError, a
+    ParseError, an AttributeError or a SceneConstructionError, or labeled
+    scenes with another description's text."""
     edit, message = _UNUSABLE_DESCRIPTIONS[case]
     _edit_line_2(corrupt_copy / "descriptions.jsonl", edit)
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
@@ -1073,6 +1079,21 @@ def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypa
     assert opened == {"report.json", "label_stats.json", "history.csv"}
     recall = storage.read_json(corrupt_copy / "label_stats.json")["label_recall_mean"]
     assert storage.read_json(corrupt_copy / "summary.json")["label_recall_mean"] == recall
+
+
+@pytest.mark.parametrize("filename,damage,message", [
+    ("label_stats.json", "{}", "missing field 'label_recall_mean'"),
+    ("history.csv", "epoch,grounding_loss\n", "no epochs recorded"),
+    ("history.csv", "", "no epochs recorded"),
+], ids=["label_stats_without_the_recall", "history_without_epochs", "empty_history"])
+def test_unusable_report_input_is_an_artifact_error(corrupt_copy, capsys, filename, damage,
+                                                     message):
+    """The report stage reads every field of its inputs under the file's
+    name; before, both ended in a traceback."""
+    (corrupt_copy / filename).write_text(damage)
+    assert run_cli(["report", "--out", str(corrupt_copy)] + SMALL) == 5
+    err = capsys.readouterr().err
+    assert "artifact error" in err and filename in err and message in err
 
 
 def test_tree_from_before_label_stats_and_the_table_reruns_label_and_scoring(

@@ -154,6 +154,17 @@ def test_external_backend_recorded_verbatim(avocado):
     assert descs[1].text == "totally unparseable zzzq text"
 
 
+def test_external_backend_propagates_a_fault_that_is_not_a_parse_error(avocado, monkeypatch):
+    """Only a line outside the grammar is recorded without metadata; any
+    other failure while parsing is a fault and propagates."""
+    def broken_parse(text, lexicon=None):
+        raise RuntimeError("parser fault")
+    monkeypatch.setattr(corpus, "parse", broken_parse)
+    with pytest.raises(RuntimeError, match="parser fault"):
+        corpus.descriptions_from_backend(avocado, DescriptionSpec(2, 8, seed=0),
+                                         lambda prompt: ["a green avocado on a table"])
+
+
 def test_generation_is_prefix_stable(avocado):
     # per-item streams are seeded by seed XOR index, so a longer request
     # extends a shorter one instead of reshuffling it

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grounddesk import groundnet, pipeline, targets
-from grounddesk.groundnet import (GroundingDetector, GroundingModel, NumericError,
+from grounddesk.groundnet import (GroundingModel, NumericError,
                                   TrainConfig, TrainExample, Vocabulary,
                                   compile_query, forward, load_checkpoint, load_history,
                                   loss_and_grad, predict, save_checkpoint, save_history,
@@ -276,8 +276,8 @@ def test_predict_grouped_ranks_each_label_by_score_then_index(span, agg):
         query = Query(items=tuple(CaptionItem(tuple(t.tokens), "positive_description")
                                   for t in trees))
         sig = sigmoid(forward(model, feats, query).S)
-        got = groundnet.predict_grouped(model, feats, texts, score_threshold=0.45,
-                                        span=span, agg=agg)
+        got = groundnet.predict_grouped(model, feats, groundnet.compile_prompt(model, trees, span),
+                                        score_threshold=0.45, agg=agg)
         assert len(got) == len(texts)
         for idx, (tree, (indices, scores)) in enumerate(zip(trees, got)):
             off = query.item_offsets[idx]
@@ -291,20 +291,11 @@ def test_predict_grouped_ranks_each_label_by_score_then_index(span, agg):
             assert scores.tolist() == [float(per_region[i]) for i in want]
 
 
-def test_predict_grouped_takes_a_compiled_prompt():
-    model = _randomized_model(6)
-    feats = np.random.default_rng(7).normal(0, 1, (5, 12))
-    texts = ["the red dog", "a green avocado"]
-    prompt = groundnet.compile_prompt(model, [groundnet.parse(t) for t in texts], "subject")
-    by_text = groundnet.predict_grouped(model, feats, texts, 0.0, span="subject")
-    by_prompt = groundnet.predict_grouped(model, feats, prompt, 0.0)
-    for (i_a, s_a), (i_b, s_b) in zip(by_text, by_prompt):
-        assert np.array_equal(i_a, i_b) and np.array_equal(s_a, s_b)
-
-
 def test_predict_grouped_rejects_unknown_aggregation():
+    model = small_model()
+    prompt = groundnet.compile_prompt(model, [groundnet.parse("a dog")])
     with pytest.raises(ValueError, match="avg"):
-        groundnet.predict_grouped(small_model(), np.ones((2, 12)), ["a dog"], agg="avg")
+        groundnet.predict_grouped(model, np.ones((2, 12)), prompt, agg="avg")
 
 
 def test_predict_is_the_subject_span_of_predict_grouped():
@@ -312,20 +303,11 @@ def test_predict_is_the_subject_span_of_predict_grouped():
     feats = np.random.default_rng(9).normal(0, 1, (6, 12))
     text = "a ripe avocado on a cutting board"
     dets = predict(model, feats, text, score_threshold=0.3)
-    [(indices, scores)] = groundnet.predict_grouped(model, feats, [text], 0.3, span="subject")
+    prompt = groundnet.compile_prompt(model, [groundnet.parse(text)], "subject")
+    [(indices, scores)] = groundnet.predict_grouped(model, feats, prompt, 0.3)
     assert [d.proposal_index for d in dets] == indices.tolist()
     assert [d.score for d in dets] == scores.tolist()
     assert all(d.box == (0.0, 0.0, 1.0, 1.0) and d.query_text == text for d in dets)
-
-
-def test_grounding_detector_adapts_model(default_bundle):
-    vocab = pipeline.build_vocabulary(default_bundle.pool)
-    model = GroundingModel(vocab, d_in=64, d_model=8, seed=0)
-    rf = default_bundle.features[0]
-    detector = GroundingDetector(model, lexicon=default_bundle.lexicon)
-    dets = detector.detect(rf, "an avocado")
-    assert len(dets) == rf.features.shape[0]
-    assert all(0.0 <= d.score <= 1.0 for d in dets)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -3,10 +3,10 @@ import pytest
 
 from grounddesk import labeling, scenegen
 from grounddesk.labeling import (BowConfig, BowDetector, EmptyQueryError, LabelerConfig,
-                                 PseudoTriplet, bow_detect, content_words,
+                                 PseudoTriplet, content_words,
                                  grounding_label, label_recall, weak_to_strong_label)
 from grounddesk.langparse import parse
-from grounddesk.scenegen import DistractorConfig, render_features, synthesize_scene
+from grounddesk.scenegen import DistractorConfig, synthesize_scene
 
 BARE = DistractorConfig(confuser_prob=0.0, min_fillers=0, max_fillers=0,
                         extra_attribute_weights=(1.0,))
@@ -32,14 +32,14 @@ def test_empty_query_rejected(board_scene):
 
 
 def test_short_phrase_scores_its_object_uniquely(board_scene):
-    dets = {d.proposal_index: d.score for d in bow_detect(board_scene, "an avocado")}
+    dets = {d.proposal_index: d.score for d in BowDetector().detect(board_scene, "an avocado")}
     assert dets[0] >= 0.9
     assert dets[1] < 0.5
 
 
 def test_full_sentence_fires_on_both_objects(board_scene):
     dets = {d.proposal_index: d.score for d in
-            bow_detect(board_scene, "an avocado on a cutting board")}
+            BowDetector().detect(board_scene, "an avocado on a cutting board")}
     assert dets[0] > 0.5 and dets[1] > 0.5
 
 
@@ -61,17 +61,6 @@ def test_detector_deterministic(board_scene):
     a = det.detect(board_scene, "an avocado")
     b = det.detect(board_scene, "an avocado")
     assert a == b
-
-
-def test_feature_path_matches_scene_path(board_scene):
-    rf = render_features(board_scene, noise_seed=3, d=64, b=2, sigma=0.05)
-    det = BowDetector(BowConfig(noise_scale=0.0))
-    from_scene = {d.proposal_index: d.score for d in det.detect(board_scene, "an avocado")}
-    from_feats = {d.proposal_index: d.score for d in det.detect(rf, "an avocado")}
-    for idx, score in from_scene.items():
-        assert from_feats[idx] == pytest.approx(score)
-    # background rows decode to empty profiles and score zero without noise
-    assert from_feats[2] == 0.0 and from_feats[3] == 0.0
 
 
 def test_weak_to_strong_assigns_phrases(board_scene):

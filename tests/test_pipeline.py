@@ -6,7 +6,6 @@ import pytest
 
 from grounddesk import corpus, evalkit, groundnet, pipeline
 from grounddesk.groundnet import UNK, TrainConfig
-from grounddesk.labeling import BowDetector
 from grounddesk.scenegen import BenchmarkConfig, read_scenes, write_scenes
 
 
@@ -61,13 +60,6 @@ def test_build_vocabulary_is_pinned(pool, words, size):
     tokens = pipeline.build_vocabulary(corpus.build_entity_pool(pool)).tokens
     assert tokens == tuple(sorted(CLOSED + words))
     assert len(tokens) == size
-
-
-def test_default_detector_vocabulary_is_pinned():
-    """The built-in lexicon's nouns and adjectives, split into tokens."""
-    vocabulary = BowDetector().vocabulary
-    assert vocabulary == tuple(sorted(DESK20_WORDS + DESK80_WORDS))
-    assert len(vocabulary) == 135
 
 
 def test_description_by_id_is_the_description_at_that_position(default_bundle):
