@@ -290,14 +290,16 @@ def fanout(fn, items, workers: int = 1):
         return list(pool.map(fn, items, chunksize=8))
 
 
-def _read_descriptions(out_dir, pool, lexicon) -> list[corpus.ObjectDescription]:
-    """The descriptions as the gen stage wrote them. A description whose id
-    is not its 0-based line position, whose category_id names no category of
-    the pool, whose text does not parse with the pool's lexicon, or whose
-    subject noun is not its category's name fails its line."""
+def _read_descriptions(out_dir, pool, lexicon):
+    """The descriptions as the gen stage wrote them, and the parse tree of
+    each. A description whose id is not its 0-based line position, whose
+    category_id names no category of the pool, whose text does not parse with
+    the pool's lexicon, or whose subject noun is not its category's name
+    fails its line."""
     descriptions = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions)
     path = os.path.join(out_dir, "descriptions.jsonl")
     categories = {cat.id: cat for cat in pool}
+    trees = []
     for lineno, desc in enumerate(descriptions, 1):  # one description per line
         with _reading(f"{path} line {lineno}"):
             if desc.id != lineno - 1:
@@ -313,7 +315,8 @@ def _read_descriptions(out_dir, pool, lexicon) -> list[corpus.ObjectDescription]
             if noun != tuple(category.name.split()):
                 raise ValueError(f"subject noun {' '.join(noun)!r} is not the name of category "
                                  f"{category.id}, {category.name!r}")
-    return descriptions
+        trees.append(tree)
+    return descriptions, trees
 
 
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
@@ -321,9 +324,10 @@ def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
     scene whose scene_id is not its 0-based line position, or whose
     description_id names no description, fails its line."""
     pool, lexicon = _pool_and_lexicon(config)
+    descriptions, trees = _read_descriptions(out_dir, pool, lexicon)
     bundle = pipeline.CorpusBundle(
-        pool=pool, lexicon=lexicon, descriptions=_read_descriptions(out_dir, pool, lexicon),
-        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={})
+        pool=pool, lexicon=lexicon, descriptions=descriptions,
+        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={}, trees=trees)
     path = os.path.join(out_dir, "scenes.jsonl")
     for lineno, scene in enumerate(bundle.scenes, 1):  # one scene per line
         with _reading(f"{path} line {lineno}"):
@@ -378,11 +382,12 @@ def _gen(config, out, workers):
 
 def _scenes(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
-    descriptions = _read_descriptions(out, pool, lexicon)
+    descriptions, trees = _read_descriptions(out, pool, lexicon)
     images = config["images_per_description"]
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
-        _feature_config(config), lexicon, map_fn=functools.partial(fanout, workers=workers))
+        _feature_config(config), lexicon, map_fn=functools.partial(fanout, workers=workers),
+        trees=trees)
     scenegen.write_scenes(os.path.join(out, "scenes.jsonl"), scenes)
     scenegen.write_features(os.path.join(out, "features.bin"), features)
     print(f"scenes: wrote {len(scenes)} scenes "
@@ -500,6 +505,14 @@ def _training_summary(path) -> dict:
     return {"epochs": len(history), "initial_loss": history[0][1], "final_loss": history[-1][1]}
 
 
+def _label_recall(path) -> float:
+    recall = storage.read_json(path)["label_recall_mean"]
+    if isinstance(recall, bool) or not isinstance(recall, (int, float)) \
+            or not 0.0 <= recall <= 1.0:
+        raise ValueError(f"label_recall_mean {recall!r} is not a number in [0, 1]")
+    return recall
+
+
 def _report(config, out, workers):
     """Summarise the run. The mean label recall that the label stage recorded
     and the loss curve are added when their stages have run, so the stage has
@@ -508,8 +521,7 @@ def _report(config, out, workers):
                "metrics": _read(out, "report.json", storage.read_json)}
     if os.path.exists(os.path.join(out, "triplets.jsonl")):
         _require(out, "label_stats.json", "label")
-        summary["label_recall_mean"] = _read(
-            out, "label_stats.json", lambda path: storage.read_json(path)["label_recall_mean"])
+        summary["label_recall_mean"] = _read(out, "label_stats.json", _label_recall)
     if os.path.exists(os.path.join(out, "history.csv")):
         summary["training"] = _read(out, "history.csv", _training_summary)
     storage.write_json(os.path.join(out, "summary.json"), summary)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pools
-from .langparse import Lexicon, ParseError, parse
+from .langparse import Lexicon, ParseError, ParseTree, parse
+from .seeding import cumulative_weights, weighted_index
 from .storage import read_jsonl, write_jsonl
 
 PROMPT_TEMPLATE = (
@@ -63,6 +64,11 @@ class GrammarConfig:
     adjective_rate: float = 0.28
     adjective_offset: float = -0.2
     adjective_jitter: float = 0.7
+
+    def __post_init__(self):
+        if len(self.relation_weights) != len(pools.RELATION_WORDS):
+            raise CorpusError(f"relation_weights has {len(self.relation_weights)} weights, "
+                              f"one per relation word needs {len(pools.RELATION_WORDS)}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     name_tokens = category.name.split()
     r_max = min(MAX_CLAUSES, len(category.relation_partners))
     r_target = min(float(r_max), max(0.0, cfg.relation_rate * (nw - cfg.relation_offset)))
-    rel_p = np.asarray(cfg.relation_weights, dtype=float)
-    rel_p = rel_p / rel_p.sum()
+    relation_cdf = cumulative_weights(tuple(cfg.relation_weights))
 
     base = int(r_target)
     frac = r_target - base
@@ -186,7 +191,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     clauses = []
     for pid in partner_ids:
         partner = category.relation_partners[int(pid)]
-        relword = pools.RELATION_WORDS[int(rng.choice(len(pools.RELATION_WORDS), p=rel_p))]
+        relword = pools.RELATION_WORDS[weighted_index(rng, relation_cdf)]
         det_prob = cfg.negated_det_prob if relword == "without" else cfg.object_det_prob
         has_det = rng.random() < det_prob
         clauses.append((relword, has_det, partner))
@@ -219,7 +224,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     tokens.extend(name_tokens)
     subject_span = (0, len(tokens))
     if participle:
-        tokens.append(pools.PARTICIPLES[int(rng.choice(len(pools.PARTICIPLES)))])
+        tokens.append(pools.PARTICIPLES[int(rng.integers(0, len(pools.PARTICIPLES)))])
     nonsubject_spans = []
     for i, (relword, has_det, partner) in enumerate(clauses):
         tokens.extend(relword.split())
@@ -287,6 +292,35 @@ def descriptions_from_backend(category: EntityCategory, spec: DescriptionSpec, b
     return out
 
 
+class DescriptionIndex:
+    """A description list indexed once: the first description of each text,
+    each category's descriptions in list order, and each description's parse
+    tree, taken from `trees` (parallel to the list) or parsed on first use."""
+
+    def __init__(self, descriptions, lexicon: Lexicon | None = None, trees=None):
+        self.descriptions = descriptions
+        self.lexicon = lexicon
+        self._trees = list(trees) if trees is not None else [None] * len(descriptions)
+        self._by_text: dict[str, int] = {}
+        self._by_category: dict[int, list[ObjectDescription]] = {}
+        for position, desc in enumerate(descriptions):
+            self._by_text.setdefault(desc.text, position)
+            self._by_category.setdefault(desc.category_id, []).append(desc)
+
+    def position(self, text: str) -> int | None:
+        """The position of the first description with this text, if any."""
+        return self._by_text.get(text)
+
+    def tree(self, position: int) -> ParseTree:
+        tree = self._trees[position]
+        if tree is None:
+            tree = self._trees[position] = parse(self.descriptions[position].text, self.lexicon)
+        return tree
+
+    def of_category(self, category_id: int) -> list[ObjectDescription]:
+        return self._by_category.get(category_id, [])
+
+
 @dataclass(frozen=True)
 class TextStats:
     per_description: tuple[tuple[int, int, int], ...]  # (id, noun count, adjective count)
@@ -305,7 +339,7 @@ def text_stats(descriptions, lexicon: Lexicon | None = None) -> TextStats:
     for desc in descriptions:
         try:
             tree = parse(desc.text, lexicon)
-        except Exception as exc:
+        except ParseError as exc:
             raise CorpusError(f"description {desc.id} is unparseable: {exc}") from exc
         rows.append((desc.id, len(tree.phrases), sum(len(p.modifiers) for p in tree.phrases)))
     n = len(rows)

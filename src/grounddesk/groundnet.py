@@ -140,13 +140,33 @@ def _segments(query: Query):
     return np.array(seg, dtype=np.int64), np.array(within, dtype=np.int64)
 
 
-def compile_query(model: GroundingModel, query: Query) -> np.ndarray:
-    """The per-token indices forward() needs, as one 3 x M int32 array: token
-    ids in the model's vocabulary, within-caption positions clipped to the
-    model's last position, and segment ids."""
+class CompiledQuery(NamedTuple):
+    """A query compiled once for one model: what forward() and
+    loss_and_grad() need besides the parameters.
+
+    ids: one 3 x M int32 array of token ids in the model's vocabulary,
+    within-caption positions clipped to the model's last position, and
+    segment ids. seg_count: each segment's token count, an (S, 1) int64
+    column. mask: the loss mask, one (1, M) bool row, true on caption columns
+    and false on separators: n captions take the segments 0..n-1 and the
+    separators n..2n-2, so a separator's segment id is at or above n. As a
+    factor it is exactly 1.0 or 0.0, and its sum is the number of caption
+    columns."""
+    ids: np.ndarray
+    seg_count: np.ndarray
+    mask: np.ndarray
+
+
+def compile_query(model: GroundingModel, query: Query) -> CompiledQuery:
+    """The query's CompiledQuery for this model."""
     seg_ids, within = _segments(query)
-    return np.array([model.vocabulary.ids(query.tokens),
-                     np.minimum(within, model.max_positions - 1), seg_ids], dtype=np.int32)
+    # Each array owns its data: a view would keep its base alive as a second
+    # object, and train holds one CompiledQuery per example.
+    seg_count = np.bincount(seg_ids)[:, None].copy()
+    return CompiledQuery(np.array([model.vocabulary.ids(query.tokens),
+                                   np.minimum(within, model.max_positions - 1), seg_ids],
+                                  dtype=np.int32),
+                         seg_count, (seg_ids < (len(seg_count) + 1) // 2)[None].copy())
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +223,7 @@ def _gradient_views(flat: np.ndarray, layout: _Layout, d: int) -> Gradients:
 
 
 def forward(model: GroundingModel, region_features,
-            query: Query | np.ndarray) -> AlignmentScores:
+            query: Query | CompiledQuery) -> AlignmentScores:
     """Alignment logits S = encoded regions x encoded tokens^T x logit_scale.
 
     `query` is a Query or its compile_query() form for this model."""
@@ -216,12 +236,12 @@ def forward(model: GroundingModel, region_features,
     p = model.params
     d = model.d_model
     embeddings, positions = p["text.embeddings"], p["text.positions"]
-    tok_ids, pos_ids, seg_ids = query[0], query[1], query[2]
-    seg_count = np.bincount(seg_ids)[:, None]
+    ids, seg_count = query.ids, query.seg_count
+    tok_ids, pos_ids, seg_ids = ids[0], ids[1], ids[2]
     # Entry (k, j) of id row r scatters to flat slot ids[r, k] * d + j; the
     # position slots then move past the embedding rows, as in the gradient.
     rows = max(len(embeddings), len(positions), len(seg_count))
-    flat_ids = _slot_table(d, 1 << (rows - 1).bit_length()).take(query, axis=0).reshape(3, -1)
+    flat_ids = _slot_table(d, 1 << (rows - 1).bit_length()).take(ids, axis=0).reshape(3, -1)
     flat_ids[1] += len(embeddings) * d
     o = x @ p["visual.weight"]
     o += p["visual.bias"]
@@ -242,14 +262,14 @@ def forward(model: GroundingModel, region_features,
     h += c_prev @ p["mix.prev"].T
     logits_raw = o @ h.T
     cache = {"X": x, "O": o, "C": c, "Cprev": c_prev, "mean_rows": mean_rows,
-             "seg_ids": seg_ids, "seg_count": seg_count, "H": h, "flat_ids": flat_ids,
-             "A": logits_raw}
+             "seg_ids": seg_ids, "seg_count": seg_count, "mask": query.mask, "H": h,
+             "flat_ids": flat_ids, "A": logits_raw}
     return AlignmentScores(S=p["logit_scale"][0, 0] * logits_raw, cache=cache)
 
 
 # The step's sums call np.add.reduce, which ndarray.sum() wraps in Python:
 # the same reduction, without the wrapper's cost on these small arrays.
-def _masked_loss(s: np.ndarray, t: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+def _masked_loss(s: np.ndarray, t: np.ndarray, mask: np.ndarray) -> tuple[float, int]:
     """mask * (log(1 + e^s) - t * s), summed and divided by the number of
     supervised cells, N x the sum of the (1, M) mask row; and that number."""
     denom = len(s) * np.add.reduce(mask, axis=None)
@@ -271,11 +291,7 @@ def loss_and_grad(model: GroundingModel, scores: AlignmentScores,
     p = model.params
     d = model.d_model
     s, t = scores.S, target.matrix
-    seg_ids, flat_ids = cache["seg_ids"], cache["flat_ids"]
-    # The loss mask, one (1, M) row: 1 on caption columns, 0 on separators.
-    # compile_query gives n captions the segments 0..n-1 and the separators
-    # n..2n-2, so a separator's segment id is at or above n.
-    mask = (seg_ids < (len(cache["seg_count"]) + 1) // 2).astype(float)[None]
+    seg_ids, flat_ids, mask = cache["seg_ids"], cache["flat_ids"], cache["mask"]
     loss, denom = _masked_loss(s, t, mask)
     g = sigmoid(s)
     g -= t
@@ -371,7 +387,7 @@ def train(model: GroundingModel, triplet_examples, detection_examples,
     history = []
     n_source = len(det) if ratio >= 1.0 else len(trip)
     n_batches = max(1, math.ceil(n_source / config.batch_size))
-    # Each example's token indices, compiled once; parallel to its corpus.
+    # Each example's CompiledQuery, built once; parallel to its corpus.
     compiled = {"trip": [compile_query(model, ex.query) for ex in trip],
                 "det": [compile_query(model, ex.query) for ex in det]}
 
@@ -427,10 +443,12 @@ AGGREGATIONS = ("max", "mean")
 
 class Prompt(NamedTuple):
     """Labels compiled into one multi-caption prompt for one model: forward()'s
-    index array, and for each label the score columns its detections
-    aggregate over."""
-    compiled: np.ndarray
+    compiled query; for each label the score columns its detections
+    aggregate over, one run of adjacent columns; and the runs' bounds as
+    np.maximum.reduceat indices, under which segment 2k is label k's run."""
+    compiled: CompiledQuery
     columns: tuple[np.ndarray, ...]
+    bounds: np.ndarray
 
 
 def compile_prompt(model: GroundingModel, trees, span: str = "caption") -> Prompt:
@@ -447,7 +465,12 @@ def compile_prompt(model: GroundingModel, trees, span: str = "caption") -> Promp
                                      off + tree.subject.end_token))
         else:
             columns.append(np.arange(off, off + len(tree.tokens)))
-    return Prompt(compile_query(model, query), tuple(columns))
+    # A separator follows every caption but the last, so each run ends before
+    # the next begins; the last run's end is no index when it is the prompt's.
+    bounds = [int(edge) for cols in columns for edge in (cols[0], cols[-1] + 1)]
+    if bounds and bounds[-1] == query.m:
+        bounds.pop()
+    return Prompt(compile_query(model, query), tuple(columns), np.array(bounds, dtype=np.intp))
 
 
 def proposal_boxes(region_features) -> np.ndarray:
@@ -458,17 +481,6 @@ def proposal_boxes(region_features) -> np.ndarray:
         return np.array(proposals, dtype=float)
     return np.tile((0.0, 0.0, 1.0, 1.0), (len(getattr(region_features, "features",
                                                      region_features)), 1))
-
-
-def _label_detections(sig, columns, score_threshold, agg):
-    """(proposal indices, scores) of the regions whose aggregated score is
-    above the threshold, highest score first, lower index first on ties."""
-    block = sig[:, columns]
-    per_region = block.mean(axis=1) if agg == "mean" else block.max(axis=1)
-    keep = np.flatnonzero(per_region > score_threshold)
-    scores = per_region[keep]
-    order = np.argsort(-scores, kind="stable")
-    return keep[order], scores[order]
 
 
 def predict(model: GroundingModel, region_features, query_text: str,
@@ -498,7 +510,22 @@ def predict_grouped(model: GroundingModel, region_features, prompt: Prompt,
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}; expected one of {list(AGGREGATIONS)}")
     sig = sigmoid(forward(model, region_features, prompt.compiled).S)
-    return [_label_detections(sig, columns, score_threshold, agg) for columns in prompt.columns]
+    if not prompt.columns:
+        return []
+    # Each region's score for each label, (N, labels). A max is exact in any
+    # order; a mean keeps the per-label sum.
+    if agg == "max":
+        per_label = np.maximum.reduceat(sig, prompt.bounds, axis=1)[:, ::2]
+    else:
+        per_label = np.stack([sig[:, columns].mean(axis=1) for columns in prompt.columns],
+                             axis=1)
+    hit = per_label > score_threshold
+    regions, labels = np.nonzero(hit)
+    scores = per_label[hit]
+    order = np.lexsort((regions, -scores, labels))
+    regions, scores = regions[order], scores[order]
+    ends = np.cumsum(np.bincount(labels, minlength=len(prompt.columns))).tolist()
+    return [(regions[lo:hi], scores[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
 # model.ckpt: the parameter blocks in sorted-name order, each shaped from

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pools
-from .langparse import Lexicon, noun_phrases, parse
+from .langparse import Lexicon, ParseTree, noun_phrases, parse
 from .scenegen import Scene, box_iou, phrase_referents
 from .seeding import derive_seed
 
@@ -74,7 +74,8 @@ class BowDetector:
         self.config = config or BowConfig()
 
     def detect(self, scene: Scene, query_text: str) -> list[Detection]:
-        """Score every object of the scene against the query, highest first."""
+        """Score every object of the scene against the query, highest first,
+        lower proposal index first on ties."""
         words = content_words(query_text)
         if not words:
             raise EmptyQueryError(f"query {query_text!r} has no content words")
@@ -83,15 +84,16 @@ class BowDetector:
         degrade = cfg.gamma ** max(0, len(words) - cfg.length_floor)
         rng = np.random.default_rng(derive_seed(cfg.seed, "bow", scene.scene_id,
                                                 " ".join(sorted(qset))))
-        eta = rng.uniform(0.0, cfg.noise_scale, size=len(scene.objects))
-        dets = []
-        for i, obj in enumerate(scene.objects):
+        objects = scene.objects
+        eta = rng.uniform(0.0, cfg.noise_scale, size=len(objects)).tolist()
+        ranked = []
+        for i, (obj, noise) in enumerate(zip(objects, eta)):
             prof = obj.lexical_profile
             coverage = len(qset & prof) / len(prof) if prof else 0.0
-            score = min(1.0, max(0.0, coverage * degrade + eta[i]))
-            dets.append(Detection(i, tuple(obj.box), float(score), query_text))
-        dets.sort(key=lambda d: (-d.score, d.proposal_index))
-        return dets
+            ranked.append((-min(1.0, max(0.0, coverage * degrade + noise)), i))
+        ranked.sort()
+        return [Detection(i, tuple(objects[i].box), -neg_score, query_text)
+                for neg_score, i in ranked]
 
 
 def _thresholded(dets, config: LabelerConfig):
@@ -101,13 +103,15 @@ def _thresholded(dets, config: LabelerConfig):
 
 
 def weak_to_strong_label(scene: Scene, description: str, detector, config: LabelerConfig,
-                         lexicon: Lexicon | None = None) -> PseudoTriplet:
+                         lexicon: Lexicon | None = None,
+                         tree: ParseTree | None = None) -> PseudoTriplet:
     """Decompose the description into per-noun-phrase detection tasks.
 
     Each phrase is run through the detector alone; surviving boxes are
-    re-assigned to the phrase's original span in the description.
+    re-assigned to the phrase's original span in the description. `tree`
+    is the description's parse tree, parsed here when not given.
     """
-    tree = parse(description, lexicon)
+    tree = tree or parse(description, lexicon)
     assignments = []
     for phrase in noun_phrases(tree):
         query = " ".join(tree.tokens[phrase.start_token:phrase.end_token])
@@ -119,13 +123,15 @@ def weak_to_strong_label(scene: Scene, description: str, detector, config: Label
 
 
 def grounding_label(scene: Scene, description: str, detector, config: LabelerConfig,
-                    lexicon: Lexicon | None = None) -> PseudoTriplet:
+                    lexicon: Lexicon | None = None,
+                    tree: ParseTree | None = None) -> PseudoTriplet:
     """Single whole-description detector pass, the baseline strategy.
 
     A bag-of-words detector cannot attribute detections to individual
-    phrases, so every surviving box lands on the subject span.
+    phrases, so every surviving box lands on the subject span. `tree` is as
+    in weak_to_strong_label().
     """
-    tree = parse(description, lexicon)
+    tree = tree or parse(description, lexicon)
     subj = tree.subject
     span = (subj.start_token, subj.end_token)
     assignments = [(det.proposal_index, span)
@@ -135,12 +141,14 @@ def grounding_label(scene: Scene, description: str, detector, config: LabelerCon
                          provenance="grounding_baseline")
 
 
-def label_recall(triplet: PseudoTriplet, scene: Scene, lexicon: Lexicon | None = None) -> float:
+def label_recall(triplet: PseudoTriplet, scene: Scene, lexicon: Lexicon | None = None,
+                 tree: ParseTree | None = None) -> float:
     """Fraction of the description's referent-bearing noun phrases covered by
-    an assigned box at IoU >= 0.5 with a matching span."""
+    an assigned box at IoU >= 0.5 with a matching span. `tree` is the
+    description's parse tree, parsed here when not given."""
     if triplet.scene_id != scene.scene_id:
         raise ValueError(f"triplet scene {triplet.scene_id} does not match scene {scene.scene_id}")
-    tree = parse(triplet.description, lexicon)
+    tree = tree or parse(triplet.description, lexicon)
     n_objects = len(scene.objects)
     eligible = 0
     covered = 0

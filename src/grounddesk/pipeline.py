@@ -13,13 +13,14 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import DescriptionSpec, EntityCategory, GrammarConfig, ObjectDescription, generate_descriptions
+from .corpus import DescriptionIndex, DescriptionSpec, EntityCategory, GrammarConfig, \
+    ObjectDescription, generate_descriptions
 from .evalkit import BenchmarkInstance, MetricReport, ResultColumns, omnilabel_report
 from .groundnet import (GroundingModel, TrainConfig, TrainExample, Vocabulary,
                         compile_prompt, predict_grouped, proposal_boxes, train)
 from .labeling import BowDetector, LabelerConfig, PseudoTriplet, \
     grounding_label, label_recall, weak_to_strong_label
-from .langparse import Lexicon, parse
+from .langparse import Lexicon, ParseTree, parse
 from .scenegen import BenchmarkConfig, DistractorConfig, RegionFeatures, Scene, \
     make_benchmark, render_features, synthesize_scene
 from .seeding import derive_seed
@@ -36,11 +37,23 @@ class FeatureConfig:
 
 @dataclass
 class CorpusBundle:
+    """The corpus a stage works on. `trees` holds one parse tree per
+    description, parsed on first use where not given; `index` indexes the
+    descriptions by text and by category once."""
     pool: list[EntityCategory]
     lexicon: Lexicon
     descriptions: list[ObjectDescription]
     scenes: list[Scene]
     features: dict[int, RegionFeatures]
+    trees: list[ParseTree] | None = None
+
+    def __post_init__(self):
+        self.index = DescriptionIndex(self.descriptions, self.lexicon, self.trees)
+
+    def tree_of(self, text: str) -> ParseTree | None:
+        """The parse tree of a description of the corpus with this text."""
+        position = self.index.position(text)
+        return None if position is None else self.index.tree(position)
 
     def description_by_id(self, description_id: int) -> ObjectDescription:
         """Description ids are positions in the corpus; any other id raises
@@ -85,10 +98,9 @@ def build_description_corpus(pool, num_descriptions: int, target_length_words: i
 
 
 def _description_scenes(item, images_per_description: int, seed: int,
-                        distractors: DistractorConfig, features: FeatureConfig,
-                        lexicon: Lexicon) -> list[tuple[Scene, RegionFeatures]]:
-    desc, cat, first_scene_id = item
-    tree = parse(desc.text, lexicon)
+                        distractors: DistractorConfig,
+                        features: FeatureConfig) -> list[tuple[Scene, RegionFeatures]]:
+    desc, tree, cat, first_scene_id = item
     out = []
     for k in range(images_per_description):
         scene_id = first_scene_id + k
@@ -104,16 +116,19 @@ def _description_scenes(item, images_per_description: int, seed: int,
 def build_scene_corpus(pool, descriptions, images_per_description: int, seed: int,
                        distractors: DistractorConfig | None = None,
                        features: FeatureConfig | None = None,
-                       lexicon: Lexicon | None = None, map_fn=map):
-    """Seed-indexed scene variants plus rendered region features per scene."""
+                       lexicon: Lexicon | None = None, map_fn=map, trees=None):
+    """Seed-indexed scene variants plus rendered region features per scene.
+    `trees` are the descriptions' parse trees, parsed here when not given."""
     by_id = {c.id: c for c in pool}
-    items = [(desc, by_id[desc.category_id], i * images_per_description)
-             for i, desc in enumerate(descriptions)]
+    if trees is None:
+        lexicon = lexicon or Lexicon.from_categories(pool)
+        trees = [parse(desc.text, lexicon) for desc in descriptions]
+    items = [(desc, tree, by_id[desc.category_id], i * images_per_description)
+             for i, (desc, tree) in enumerate(zip(descriptions, trees))]
     per_description = map_fn(partial(_description_scenes,
                                      images_per_description=images_per_description, seed=seed,
                                      distractors=distractors or DistractorConfig(),
-                                     features=features or FeatureConfig(),
-                                     lexicon=lexicon or Lexicon.from_categories(pool)), items)
+                                     features=features or FeatureConfig()), items)
     scenes: list[Scene] = []
     feats: dict[int, RegionFeatures] = {}
     for group in per_description:
@@ -133,10 +148,11 @@ def build_corpus(pool_name: str = "desk20", num_descriptions: int = 5,
     pool = build_entity_pool(pool_name)
     lexicon = Lexicon.from_categories(pool)
     descriptions = build_description_corpus(pool, num_descriptions, target_length_words, seed)
+    trees = [parse(desc.text, lexicon) for desc in descriptions]
     scenes, feats = build_scene_corpus(pool, descriptions, images_per_description,
-                                       seed, distractors, features, lexicon)
+                                       seed, distractors, features, lexicon, trees=trees)
     return CorpusBundle(pool=pool, lexicon=lexicon, descriptions=descriptions,
-                        scenes=scenes, features=feats)
+                        scenes=scenes, features=feats, trees=trees)
 
 
 def default_corpus(seed: int = 0) -> CorpusBundle:
@@ -149,11 +165,10 @@ def default_corpus(seed: int = 0) -> CorpusBundle:
 LABEL_STRATEGIES = ("weak_to_strong", "grounding")
 
 
-def _label_scene(item, detector, config: LabelerConfig, strategy: str,
-                 lexicon: Lexicon) -> PseudoTriplet:
-    scene, text = item
+def _label_scene(item, detector, config: LabelerConfig, strategy: str) -> PseudoTriplet:
+    scene, text, tree = item
     labeler = weak_to_strong_label if strategy == "weak_to_strong" else grounding_label
-    return labeler(scene, text, detector, config, lexicon=lexicon)
+    return labeler(scene, text, detector, config, tree=tree)
 
 
 def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | None = None,
@@ -161,15 +176,15 @@ def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | No
     if strategy not in LABEL_STRATEGIES:
         raise ValueError(f"unknown labeling strategy {strategy!r}; "
                          f"expected one of {list(LABEL_STRATEGIES)}")
-    items = [(scene, bundle.description_by_id(scene.description_id).text)
-             for scene in bundle.scenes]
+    items = [(scene, bundle.description_by_id(scene.description_id).text,
+              bundle.index.tree(scene.description_id)) for scene in bundle.scenes]
     return list(map_fn(partial(_label_scene, detector=detector or BowDetector(),
-                               config=config or LabelerConfig(), strategy=strategy,
-                               lexicon=bundle.lexicon), items))
+                               config=config or LabelerConfig(), strategy=strategy), items))
 
 
 def mean_label_recall(bundle: CorpusBundle, triplets) -> float:
-    vals = [label_recall(t, bundle.scenes[t.scene_id], lexicon=bundle.lexicon) for t in triplets]
+    vals = [label_recall(t, bundle.scenes[t.scene_id], lexicon=bundle.lexicon,
+                         tree=bundle.tree_of(t.description)) for t in triplets]
     return float(np.mean(vals)) if vals else 0.0
 
 
@@ -200,10 +215,11 @@ def training_target(bundle: CorpusBundle, triplet: PseudoTriplet, variant: Signa
                     seed: int, n_regions: int) -> tuple[Query, AlignmentTarget]:
     """One triplet's query, seeded under the variant's name, and its alignment
     target over the scene's n_regions regions."""
-    query = assemble_query(triplet, bundle.descriptions, variant.k_neg, variant.include_struct_pos,
+    query = assemble_query(triplet, bundle.index, variant.k_neg, variant.include_struct_pos,
                            seed=derive_seed(seed, "query", variant.name), lexicon=bundle.lexicon)
     return query, build_alignment_target(query, triplet, n_regions,
-                                         config=variant.target_config, lexicon=bundle.lexicon)
+                                         config=variant.target_config, lexicon=bundle.lexicon,
+                                         tree=bundle.tree_of(triplet.description))
 
 
 def training_example(bundle: CorpusBundle, triplet: PseudoTriplet, variant: SignalVariant,

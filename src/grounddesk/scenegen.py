@@ -21,7 +21,7 @@ from . import pools
 from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
 from .evalkit import BenchmarkInstance, category_labels, description_label, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
-from .seeding import derive_seed
+from .seeding import cumulative_weights, derive_seed, weighted_index
 from .storage import TableFormat, read_jsonl, read_table, row_slices, write_jsonl, write_table
 
 ADJACENCY_EPS = 0.02
@@ -43,7 +43,14 @@ class SceneObject:
 
     @property
     def lexical_profile(self) -> frozenset[str]:
-        return frozenset(self.category.split()) | self.attributes
+        """The category's words and the attributes, built on first use and
+        kept on the object: the labeler reads it once per phrase, and most
+        stages never read it."""
+        profile = self.__dict__.get("_lexical_profile")
+        if profile is None:
+            profile = self.__dict__["_lexical_profile"] = \
+                frozenset(self.category.split()) | self.attributes
+        return profile
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def _place_satisfying(rng, relation: str, subj_box, retries: int = 40):
 
 def _sample_extras(rng, vocab, exclude, weights) -> frozenset[str]:
     avail = [a for a in vocab if a not in exclude]
-    k = int(rng.choice(len(weights), p=np.asarray(weights) / np.sum(weights)))
+    k = weighted_index(rng, cumulative_weights(tuple(weights)))
     k = min(k, len(avail))
     if k == 0:
         return frozenset()
@@ -293,7 +300,7 @@ def _build_scene_once(rng, tree, category, config):
     fillers = [fc for fc in config.filler_categories if fc[0] not in mentioned]
     n_fill = int(rng.integers(config.min_fillers, config.max_fillers + 1)) if fillers else 0
     for _ in range(n_fill):
-        name, attrs = fillers[int(rng.choice(len(fillers)))]
+        name, attrs = fillers[int(rng.integers(0, len(fillers)))]
         fattrs = _sample_extras(rng, attrs, (), (0.2, 0.5, 0.3))
         objects.append(SceneObject(len(objects), name, fattrs, _random_box()))
 
@@ -376,6 +383,34 @@ def region_count(scene: Scene, b: int = 2) -> int:
     return len(scene.objects) + b
 
 
+# Per feature width d: each word's row in a word-vector table, and the table's
+# rows, of which row 0 is zeros and pads a short profile.
+_WORD_ROWS: dict[int, tuple[dict[str, int], list[np.ndarray]]] = {}
+_WORD_TABLES: dict[int, np.ndarray] = {}
+
+
+def _profile_sums(objects, d: int) -> np.ndarray:
+    """Each object's sum of word_vector()s over its sorted lexical profile, as
+    an (n, d) array. One padded gather from the word table and one
+    np.add.reduce over the word axis add the vectors in the same order as a
+    loop from a zero row, so the sums are the loop's, bit for bit."""
+    index, rows = _WORD_ROWS.setdefault(d, ({}, [np.zeros(d)]))
+    profiles = [sorted(obj.lexical_profile) for obj in objects]
+    width = max(map(len, profiles), default=0)
+    ids = np.zeros((len(profiles), width), dtype=np.intp)
+    for i, words in enumerate(profiles):
+        for j, word in enumerate(words):
+            row = index.get(word)
+            if row is None:
+                row = index[word] = len(rows)
+                rows.append(word_vector(word, d))
+            ids[i, j] = row
+    table = _WORD_TABLES.get(d)
+    if table is None or len(table) != len(rows):
+        table = _WORD_TABLES[d] = np.array(rows)
+    return np.add.reduce(table[ids], axis=1)
+
+
 def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
                     sigma: float = 0.05) -> RegionFeatures:
     """Region features: one row per object plus b pure-noise background rows
@@ -388,15 +423,12 @@ def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
         raise ValueError("feature width d must be >= 8")
     rng = np.random.default_rng(derive_seed(noise_seed, "features", scene.scene_id))
     n = region_count(scene, b)
+    proposals = [obj.box for obj in scene.objects]
     feats = np.zeros((n, d))
-    proposals = []
-    for i, obj in enumerate(scene.objects):
-        row = np.zeros(d)
-        for word in sorted(obj.lexical_profile):
-            row += word_vector(word, d)
-        row[:4] += np.asarray(obj.box) * BOX_ENCODING_SCALE
-        feats[i] = row
-        proposals.append(obj.box)
+    if proposals:
+        sums = _profile_sums(scene.objects, d)
+        sums[:, :4] += np.asarray(proposals) * BOX_ENCODING_SCALE
+        feats[:len(proposals)] = sums
     feats += rng.standard_normal((n, d)) * (sigma / np.sqrt(d))
     for _ in range(b):
         w, h = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)
@@ -434,8 +466,8 @@ def make_benchmark(pool, n_scenes: int, seed: int,
     neg_per_scene = f / (1.0 - f) if f < 1.0 else 1.0
 
     for i in range(n_scenes):
-        cat = pool[int(rng.choice(n_categories))]
-        nw = int(config.nw_choices[int(rng.choice(len(config.nw_choices)))])
+        cat = pool[int(rng.integers(0, n_categories))]
+        nw = int(config.nw_choices[int(rng.integers(0, len(config.nw_choices)))])
         dspec = DescriptionSpec(1, nw, seed=derive_seed(seed, "bench-desc", i))
         desc = generate_descriptions(cat, dspec)[0]
         tree = parse(desc.text, lexicon)
@@ -472,7 +504,7 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                 if not others:
                     continue
                 for attempt in range(5):
-                    alt = others[int(rng.choice(len(others)))]
+                    alt = others[int(rng.integers(0, len(others)))]
                     nspec = DescriptionSpec(1, nw, seed=derive_seed(seed, "bench-negalt", i, k, attempt))
                     cand = generate_descriptions(alt, nspec)[0].text
                     cand_tree = parse(cand, lexicon)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError
+from .corpus import CorpusError, DescriptionIndex
 from .labeling import PseudoTriplet
-from .langparse import Lexicon, parse
+from .langparse import Lexicon, ParseTree, parse
 from .scenegen import Scene
 from .seeding import derive_seed
 
@@ -85,12 +85,15 @@ class TargetConfig:
 def assemble_query(triplet: PseudoTriplet, pool, k_neg: int, include_struct_pos: bool,
                    seed: int, lexicon: Lexicon | None = None) -> Query:
     """Positive description + k_neg intra-class negatives + structural
-    positives, deterministically shuffled by seed."""
-    positive = next((d for d in pool if d.text == triplet.description), None)
-    if positive is None:
+    positives, deterministically shuffled by seed. `pool` is the description
+    list or its corpus.DescriptionIndex, which also gives the positive's
+    parse tree."""
+    index = pool if isinstance(pool, DescriptionIndex) else DescriptionIndex(pool, lexicon)
+    position = index.position(triplet.description)
+    if position is None:
         raise ValueError(f"triplet description not found in pool: {triplet.description!r}")
-    candidates = [d for d in pool
-                  if d.category_id == positive.category_id and d.text != positive.text]
+    positive = index.descriptions[position]
+    candidates = [d for d in index.of_category(positive.category_id) if d.text != positive.text]
     if len(candidates) < k_neg:
         raise CorpusError(f"pool has {len(candidates)} same-category alternatives, need {k_neg}")
     rng = np.random.default_rng(derive_seed(seed, "query", triplet.scene_id, positive.id))
@@ -100,7 +103,7 @@ def assemble_query(triplet: PseudoTriplet, pool, k_neg: int, include_struct_pos:
             neg = candidates[int(i)]
             items.append(CaptionItem(tuple(neg.text.split()), "intra_class_negative", neg.id))
     if include_struct_pos:
-        tree = parse(triplet.description, lexicon)
+        tree = index.tree(position)
         for phrase in tree.phrases[1:]:
             if phrase.negated:
                 continue
@@ -113,10 +116,12 @@ def assemble_query(triplet: PseudoTriplet, pool, k_neg: int, include_struct_pos:
 
 def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
                            config: TargetConfig | None = None,
-                           lexicon: Lexicon | None = None) -> AlignmentTarget:
-    """N x M binary target for a query/triplet pair (see module docstring)."""
+                           lexicon: Lexicon | None = None,
+                           tree: ParseTree | None = None) -> AlignmentTarget:
+    """N x M binary target for a query/triplet pair (see module docstring).
+    `tree` is the description's parse tree, parsed here when not given."""
     config = config or TargetConfig()
-    tree = parse(triplet.description, lexicon)
+    tree = tree or parse(triplet.description, lexicon)
     spans = {(p.start_token, p.end_token): p for p in tree.phrases}
     subject_span = (tree.subject.start_token, tree.subject.end_token)
 

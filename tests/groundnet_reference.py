@@ -10,10 +10,17 @@ import math
 import numpy as np
 
 from grounddesk.corpus import CorpusError
+from grounddesk import groundnet
 from grounddesk.groundnet import (AlignmentScores, GroundingModel, LossReport, NumericError,
-                                  TrainConfig, compile_query)
+                                  TrainConfig)
 from grounddesk.seeding import derive_seed
 from grounddesk.targets import AlignmentTarget, Query
+
+
+def compile_query(model: GroundingModel, query: Query) -> np.ndarray:
+    """The 3 x M int32 index array (token ids, positions, segment ids) that
+    forward() reads: the ids of groundnet's compiled query."""
+    return groundnet.compile_query(model, query).ids
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

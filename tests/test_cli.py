@@ -313,6 +313,27 @@ def corrupt_copy(pipeline_dir, tmp_path):
     return out
 
 
+@pytest.mark.parametrize("stage", ["scenes", "label", "targets"])
+def test_a_data_stage_parses_each_description_once(corrupt_copy, monkeypatch, stage):
+    """The stage keeps the tree that the descriptions check parses: scenes,
+    labeling, label recall, queries and targets all read it, so each
+    description is parsed once per stage."""
+    real_parse = langparse.parse
+    parsed = collections.Counter()
+
+    def counted(text, lexicon=None):
+        parsed[text] += 1
+        return real_parse(text, lexicon)
+
+    for module in (langparse, corpus, scenegen, labeling, targets, pipeline):
+        if getattr(module, "parse", None) is real_parse:
+            monkeypatch.setattr(module, "parse", counted)
+    os.remove(storage.manifest_path(corrupt_copy, stage))
+    assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
+    texts = [d.text for d in corpus.read_descriptions(corrupt_copy / "descriptions.jsonl")]
+    assert parsed == collections.Counter(texts)
+
+
 def _truncate(path, keep):
     data = path.read_bytes()
     path.write_bytes(data[:keep(len(data))])
@@ -1083,9 +1104,15 @@ def test_report_reads_the_recall_the_label_stage_recorded(corrupt_copy, monkeypa
 
 @pytest.mark.parametrize("filename,damage,message", [
     ("label_stats.json", "{}", "missing field 'label_recall_mean'"),
+    ("label_stats.json", '{"label_recall_mean": "high"}', "is not a number in [0, 1]"),
+    ("label_stats.json", '{"label_recall_mean": 1.5}', "is not a number in [0, 1]"),
+    ("label_stats.json", '{"label_recall_mean": true}', "is not a number in [0, 1]"),
+    ("label_stats.json", '{"label_recall_mean": NaN}', "is not a number in [0, 1]"),
     ("history.csv", "epoch,grounding_loss\n", "no epochs recorded"),
     ("history.csv", "", "no epochs recorded"),
-], ids=["label_stats_without_the_recall", "history_without_epochs", "empty_history"])
+], ids=["label_stats_without_the_recall", "label_stats_recall_a_string",
+        "label_stats_recall_above_1", "label_stats_recall_a_bool", "label_stats_recall_nan",
+        "history_without_epochs", "empty_history"])
 def test_unusable_report_input_is_an_artifact_error(corrupt_copy, capsys, filename, damage,
                                                      message):
     """The report stage reads every field of its inputs under the file's

@@ -123,6 +123,17 @@ def test_text_stats_identifies_bad_description():
         text_stats([bad])
 
 
+def test_text_stats_propagates_a_fault_that_is_not_a_parse_error(avocado, monkeypatch):
+    """Only text outside the grammar is an unparseable description; any other
+    failure while parsing is a fault and propagates as itself."""
+    def broken_parse(text, lexicon=None):
+        raise RuntimeError("parser fault")
+    descs = generate_descriptions(avocado, DescriptionSpec(2, 8, seed=0))
+    monkeypatch.setattr(corpus, "parse", broken_parse)
+    with pytest.raises(RuntimeError, match="parser fault"):
+        text_stats(descs)
+
+
 def test_noun_adjective_means_monotone_in_length(desk20):
     means = []
     for nw in (6, 8, 10, 12):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference as reference
 from grounddesk import groundnet, pipeline, targets
 from grounddesk.groundnet import (GroundingModel, NumericError,
                                   TrainConfig, TrainExample, Vocabulary,
@@ -291,6 +292,41 @@ def test_predict_grouped_ranks_each_label_by_score_then_index(span, agg):
             assert scores.tolist() == [float(per_region[i]) for i in want]
 
 
+def _bytes_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("span", ["caption", "subject"])
+@pytest.mark.parametrize("agg", ["max", "mean"])
+def test_predict_grouped_is_the_per_label_loop(span, agg):
+    """The one-sort ranking gives the per-label loop's indices and scores bit
+    for bit: over prompts of several labels, of one label, and of one-token
+    category names, at thresholds where some labels have no hit and others
+    do, and under a zero model, whose scores all tie at 0.5."""
+    texts = ["a green avocado on the table", "the red dog", "a bowl near a cutting board",
+             "an avocado"]
+    prompts = [texts, texts[1:2], ["dog", "bowl", "table", "cutting board"]]
+    feats = np.random.default_rng(4).normal(0, 1, (9, 12))
+    zero = small_model()
+    for k in zero.params:
+        zero.params[k][:] = 0.0
+    mixed = 0
+    for model in (_randomized_model(5), zero):
+        for labels in prompts:
+            prompt = groundnet.compile_prompt(model, [groundnet.parse(t) for t in labels], span)
+            for threshold in (-1.0, 0.0, *np.linspace(0.05, 0.95, 37).tolist(), 1.0):
+                got = groundnet.predict_grouped(model, feats, prompt, threshold, agg=agg)
+                want = reference.predict_grouped(model, feats, prompt, threshold, agg=agg)
+                assert len(got) == len(want) == len(labels)
+                for (indices, scores), (ref_indices, ref_scores) in zip(got, want):
+                    assert _bytes_equal(indices, ref_indices)
+                    assert _bytes_equal(scores, ref_scores)
+                hits = {len(indices) > 0 for indices, _ in got}
+                mixed += hits == {True, False}
+    assert mixed > 0
+
+
 def test_predict_grouped_rejects_unknown_aggregation():
     model = small_model()
     prompt = groundnet.compile_prompt(model, [groundnet.parse("a dog")])
@@ -450,7 +486,7 @@ def _assert_paths_agree(model, feats, query, target):
     """A compiled query, the Query itself and the np.add.at reference all
     give the same S and gradients, bit for bit."""
     compiled = compile_query(model, query)
-    assert compiled.dtype == np.int32 and compiled.shape == (3, query.m)
+    assert compiled.ids.dtype == np.int32 and compiled.ids.shape == (3, query.m)
     reference = _reference_step(model, feats, query, target)
     _assert_steps_equal(_step(model, feats, compiled, target), reference)
     _assert_steps_equal(_step(model, feats, query, target), reference)
@@ -470,7 +506,7 @@ def test_step_paths_agree_on_edge_queries(d_model):
     for query in _edge_queries():
         feats = rng.normal(0, 1, (4, 12))
         _assert_paths_agree(model, feats, query, random_target(rng, 4, query))
-    assert compile_query(model, _edge_queries()[1])[1].max() == model.max_positions - 1
+    assert compile_query(model, _edge_queries()[1]).ids[1].max() == model.max_positions - 1
 
 
 @pytest.mark.parametrize("ratio", [0.25, 1.0])

@@ -85,8 +85,9 @@ def test_step_equals_the_reference_bit_for_bit(case):
     query = _query(case["captions"])
     feats = rng.normal(0.0, 1.0 + case["scale"], (case["n_regions"], case["d_in"]))
     target = _target(rng, case["n_regions"], query, case["density"])
-    for q in (query, compile_query(model, query)):
-        expected = reference.forward(model, feats, q)
+    for q, ref_q in ((query, query),
+                     (compile_query(model, query), reference.compile_query(model, query))):
+        expected = reference.forward(model, feats, ref_q)
         got = forward(model, feats, q)
         assert _bytes_equal(got.S, expected.S)
         assert _bytes_equal(got.token_features, expected.cache["H"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as reference
 from grounddesk import labeling, scenegen
 from grounddesk.labeling import (BowConfig, BowDetector, EmptyQueryError, LabelerConfig,
                                  PseudoTriplet, content_words,
@@ -54,6 +55,29 @@ def test_length_degradation_applies():
     long_q = det.detect(scene, "a black small spotted dog near a ball with a cup")[0].score
     assert short == 1.0
     assert long_q == pytest.approx(cfg.gamma ** 2)
+
+
+@pytest.mark.parametrize("config", [BowConfig(), BowConfig(noise_scale=0.0),
+                                    BowConfig(noise_scale=2.0, gamma=0.5, length_floor=1),
+                                    BowConfig(seed=3)],
+                         ids=["default", "no_noise", "clamped", "seed_3"])
+def test_detect_is_the_per_object_loop(default_bundle, config):
+    """Every phrase and every whole description of the default corpus, on
+    its scenes, gives the previous loop's detections: index, box, score bit
+    for bit, and order. Without noise many scores tie (at 0 and at a shared
+    coverage); with large noise they clamp to 1 and tie there."""
+    detector = BowDetector(config)
+    ties = 0
+    for scene in default_bundle.scenes:
+        tree = default_bundle.index.tree(scene.description_id)
+        queries = [" ".join(tree.tokens[p.start_token:p.end_token]) for p in tree.phrases]
+        for query in queries + [" ".join(tree.tokens)]:
+            got = detector.detect(scene, query)
+            want = reference.detect(config, scene, query)
+            assert got == want
+            assert [d.score.hex() for d in got] == [d.score.hex() for d in want]
+            ties += len(got) - len({d.score for d in got})
+    assert ties > 0
 
 
 def test_detector_deterministic(board_scene):

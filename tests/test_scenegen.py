@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference as reference
 from grounddesk import corpus, langparse, scenegen
 from grounddesk.langparse import parse, phrase_noun_tokens
-from grounddesk.seeding import derive_seed
 from grounddesk.scenegen import (BenchmarkConfig, DistractorConfig, RegionFeatures, SceneObject,
                                  make_benchmark, render_features, synthesize_scene,
                                  word_vector, write_features, read_features)
@@ -385,45 +386,36 @@ def test_scene_from_backend_rejects_bad_boxes():
         scenegen.scene_from_backend("an avocado", 0, backend)
 
 
-def fresh_word_vector(word, d):
-    v = np.random.default_rng(derive_seed(0, "wordvec", word, d)).standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def test_word_vector_is_shared_and_read_only():
     v = word_vector("avocado", 32)
-    assert np.array_equal(v, fresh_word_vector("avocado", 32))
+    assert np.array_equal(v, reference.word_vector("avocado", 32))
     assert word_vector("avocado", 32) is v
-    assert np.array_equal(word_vector("avocado", 16), fresh_word_vector("avocado", 16))
+    assert np.array_equal(word_vector("avocado", 16), reference.word_vector("avocado", 16))
     with pytest.raises(ValueError, match="read-only"):
         v += 1.0
-    assert np.array_equal(word_vector("avocado", 32), fresh_word_vector("avocado", 32))
+    assert np.array_equal(word_vector("avocado", 32), reference.word_vector("avocado", 32))
 
 
-# render_features as written before word vectors were memoised.
-def old_render_features(scene, noise_seed, d, b, sigma):
-    rng = np.random.default_rng(derive_seed(noise_seed, "features", scene.scene_id))
-    n = len(scene.objects) + b
-    feats = np.zeros((n, d))
-    proposals = []
-    for i, obj in enumerate(scene.objects):
-        row = np.zeros(d)
-        for word in sorted(obj.lexical_profile):
-            row += fresh_word_vector(word, d)
-        row[:4] += np.asarray(obj.box) * scenegen.BOX_ENCODING_SCALE
-        feats[i] = row
-        proposals.append(obj.box)
-    feats += rng.standard_normal((n, d)) * (sigma / np.sqrt(d))
-    for _ in range(b):
-        w, h = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)
-        proposals.append((rng.uniform(0, 1 - w), rng.uniform(0, 1 - h), w, h))
-    return tuple(proposals), feats
+def _bytes_equal(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 and 0.0 differ, as in features.bin."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("d,b,sigma", [(64, 2, 0.05), (16, 0, 0.0), (8, 3, 0.2)])
 def test_render_features_matches_the_per_word_loop(default_bundle, d, b, sigma):
-    for scene in default_bundle.scenes[:30]:
+    """One padded gather and one reduce per scene give the per-word loop's
+    rows bit for bit, over every scene of the default corpus (profiles of
+    different lengths side by side), a scene without objects and one whose
+    object has a single word."""
+    lone = SceneObject(0, "dog", frozenset(), (0.1, 0.2, 0.3, 0.4))
+    scenes = list(default_bundle.scenes) + [
+        dataclasses.replace(default_bundle.scenes[0], scene_id=900, objects=()),
+        dataclasses.replace(default_bundle.scenes[0], scene_id=901, objects=(lone,))]
+    for scene in scenes:
         rf = render_features(scene, noise_seed=5, d=d, b=b, sigma=sigma)
-        proposals, feats = old_render_features(scene, 5, d, b, sigma)
+        proposals, feats = reference.render_features(scene, 5, d, b, sigma)
         assert rf.proposals == proposals
-        assert np.array_equal(rf.features, feats)
+        assert _bytes_equal(rf.features, feats), scene.scene_id
+
+
