@@ -15,7 +15,6 @@ failure, 5 corrupt artifact.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import functools
@@ -39,20 +38,6 @@ class ConfigError(ValueError):
 
 class MissingArtifactError(FileNotFoundError):
     pass
-
-
-class ArtifactError(ValueError):
-    """An artifact exists but cannot be read: truncated, malformed or inconsistent."""
-
-
-@contextlib.contextmanager
-def _reading(path):
-    """Re-raise a reader's failure on `path` as an ArtifactError that names it."""
-    try:
-        yield
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ArtifactError(detail if str(path) in detail else f"{path}: {detail}") from exc
 
 
 DEFAULT_CONFIG = {
@@ -226,7 +211,7 @@ def _require(out_dir, filename, producer) -> None:
 def _read(out_dir, filename, reader, **kwargs):
     """reader(path, **kwargs) on one artifact; its failure names the file."""
     path = os.path.join(out_dir, filename)
-    with _reading(path):
+    with storage.reading(path):
         return reader(path, **kwargs)
 
 
@@ -290,52 +275,31 @@ def fanout(fn, items, workers: int = 1):
         return list(pool.map(fn, items, chunksize=8))
 
 
-def _read_descriptions(out_dir, pool, lexicon):
-    """The descriptions as the gen stage wrote them, and the parse tree of
-    each. A description whose id is not its 0-based line position, whose
-    category_id names no category of the pool, whose text does not parse with
-    the pool's lexicon, or whose subject noun is not its category's name
-    fails its line."""
-    descriptions = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions)
-    path = os.path.join(out_dir, "descriptions.jsonl")
-    categories = {cat.id: cat for cat in pool}
-    trees = []
-    for lineno, desc in enumerate(descriptions, 1):  # one description per line
-        with _reading(f"{path} line {lineno}"):
-            if desc.id != lineno - 1:
-                raise ValueError(f"id {desc.id} is not the description's position {lineno - 1}")
-            category = categories.get(desc.category_id)
-            if category is None:
-                raise ValueError(f"category_id {desc.category_id} names no category of the "
-                                 f"pool's {len(pool)}")
-            if not isinstance(desc.text, str):
-                raise ValueError(f"text {desc.text!r} is not a string")
-            tree = langparse.parse(desc.text, lexicon)
-            noun = langparse.phrase_noun_tokens(tree, tree.subject)
-            if noun != tuple(category.name.split()):
-                raise ValueError(f"subject noun {' '.join(noun)!r} is not the name of category "
-                                 f"{category.id}, {category.name!r}")
-        trees.append(tree)
-    return descriptions, trees
-
-
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
-    """The corpus as the gen and scenes stages wrote it, without features. A
-    scene whose scene_id is not its 0-based line position, or whose
-    description_id names no description, fails its line."""
+    """The corpus as the gen and scenes stages wrote it, without features."""
     pool, lexicon = _pool_and_lexicon(config)
-    descriptions, trees = _read_descriptions(out_dir, pool, lexicon)
-    bundle = pipeline.CorpusBundle(
-        pool=pool, lexicon=lexicon, descriptions=descriptions,
-        scenes=_read(out_dir, "scenes.jsonl", scenegen.read_scenes), features={}, trees=trees)
-    path = os.path.join(out_dir, "scenes.jsonl")
-    for lineno, scene in enumerate(bundle.scenes, 1):  # one scene per line
-        with _reading(f"{path} line {lineno}"):
-            if scene.scene_id != lineno - 1:
-                raise ValueError(f"scene_id {scene.scene_id} is not the scene's position "
-                                 f"{lineno - 1}")
-            bundle.description_by_id(scene.description_id)
-    return bundle
+    descriptions, trees = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions,
+                                pool=pool, lexicon=lexicon)
+    scenes = _read(out_dir, "scenes.jsonl", scenegen.read_scenes, n_descriptions=len(descriptions))
+    return pipeline.CorpusBundle(pool=pool, lexicon=lexicon, descriptions=descriptions,
+                                 scenes=scenes, features={}, trees=trees)
+
+
+def _read_triplets(out_dir, bundle, background_boxes) -> list[labeling.PseudoTriplet]:
+    """The triplets of triplets.jsonl. A triplet whose scene_id names no scene, whose
+    description is not its scene's, or whose assignment names no region or phrase fails its line."""
+    def decode(row):
+        triplet = labeling.triplet_from_json(row)
+        if not 0 <= triplet.scene_id < len(bundle.scenes):
+            raise ValueError(f"scene_id {triplet.scene_id} names no scene of scenes.jsonl")
+        scene = bundle.scenes[triplet.scene_id]
+        if triplet.description != bundle.descriptions[scene.description_id].text:
+            raise ValueError(f"description {triplet.description!r} is not the description of "
+                             f"scene {triplet.scene_id}")
+        targets.check_assignments(triplet, scenegen.region_count(scene, background_boxes),
+                                  bundle.index.tree(scene.description_id))
+        return triplet
+    return _read(out_dir, "triplets.jsonl", storage.read_jsonl, decode=decode)
 
 
 def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[TrainExample]:
@@ -358,10 +322,8 @@ def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[Train
 
 
 def _load_model(out_dir):
-    vocab_path = os.path.join(out_dir, "model.vocab.json")
-    with _reading(vocab_path):
-        vocab = Vocabulary(tokens=tuple(storage.read_json(vocab_path)["tokens"]))
-    return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=vocab)
+    tokens = _read(out_dir, "model.vocab.json", lambda p: tuple(storage.read_json(p)["tokens"]))
+    return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=Vocabulary(tokens=tokens))
 
 
 # stages -----------------------------------------------------------------
@@ -382,7 +344,8 @@ def _gen(config, out, workers):
 
 def _scenes(config, out, workers):
     pool, lexicon = _pool_and_lexicon(config)
-    descriptions, trees = _read_descriptions(out, pool, lexicon)
+    descriptions, trees = _read(out, "descriptions.jsonl", corpus.read_descriptions, pool=pool,
+                                lexicon=lexicon)
     images = config["images_per_description"]
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
@@ -409,33 +372,19 @@ def _label(config, out, workers):
 
 def _targets(config, out, workers):
     """Each scene's region count is its objects plus the background boxes
-    (scenegen.region_count()), so the stage reads no features. A triplet
-    that does not resolve against the scenes and the corpus, or whose
-    description is not its scene's, fails its line."""
+    (scenegen.region_count()), so the stage reads no features."""
     bundle = _read_bundle(config, out)
-    scenes = {scene.scene_id: scene for scene in bundle.scenes}
-    triplets = _read(out, "triplets.jsonl", storage.read_jsonl, decode=labeling.triplet_from_json)
-    path = os.path.join(out, "triplets.jsonl")
     tc, seed = config["targets"], config["seed"]
     background = config["features"]["background_boxes"]
+    triplets = _read_triplets(out, bundle, background)
     variant = dataclasses.replace(pipeline.FULL_VARIANT, k_neg=tc["k_neg"],
                                   include_struct_pos=tc["include_struct_pos"],
                                   target_config=_target_config(config))
-
-    def example(lineno, t):
-        with _reading(f"{path} line {lineno}"):
-            if t.scene_id not in scenes:
-                raise ValueError(f"scene_id {t.scene_id} names no scene of scenes.jsonl")
-            scene = scenes[t.scene_id]
-            if t.description != bundle.description_by_id(scene.description_id).text:
-                raise ValueError(f"description {t.description!r} is not the description of "
-                                 f"scene {t.scene_id}")
-            return targets.example_to_json(t.scene_id, *pipeline.training_target(
-                bundle, t, variant, seed, scenegen.region_count(scene, background)))
-
     # Each example is written as soon as it is built; no list of them is kept.
     storage.write_jsonl(os.path.join(out, "examples.jsonl"), (
-        example(lineno, t) for lineno, t in enumerate(triplets, 1) if t.assignments))
+        targets.example_to_json(t.scene_id, *pipeline.training_target(
+            bundle, t, variant, seed, scenegen.region_count(bundle.scenes[t.scene_id], background)))
+        for t in triplets if t.assignments))
     storage.write_jsonl(os.path.join(out, "detection_examples.jsonl"), (
         targets.example_to_json(scene.scene_id, *pipeline.detection_target(
             bundle, scene, seed, tc["absent_categories"],
@@ -507,8 +456,7 @@ def _training_summary(path) -> dict:
 
 def _label_recall(path) -> float:
     recall = storage.read_json(path)["label_recall_mean"]
-    if isinstance(recall, bool) or not isinstance(recall, (int, float)) \
-            or not 0.0 <= recall <= 1.0:
+    if type(recall) not in (int, float) or not 0.0 <= recall <= 1.0:
         raise ValueError(f"label_recall_mean {recall!r} is not a number in [0, 1]")
     return recall
 
@@ -624,9 +572,7 @@ def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
             continue
         inputs = _input_hashes(out, stage, digests)
         if not ran:
-            with _reading(storage.manifest_path(out, stage.name)):
-                verified = storage.stage_is_current(out, stage.name, used, inputs,
-                                                    stage.outputs)
+            verified = storage.stage_is_current(out, stage.name, used, inputs, stage.outputs)
             if verified is not None:
                 digests.update(verified)
                 reused.append(stage.name.removeprefix(name + "_"))
@@ -760,7 +706,7 @@ def run(subcommand: str, config: dict, workers: int = 1) -> int:
         os.makedirs(out_dir, exist_ok=True)
         storage.write_json(os.path.join(out_dir, f"{experiment}.json"), rows)
         return 0
-    except ArtifactError as exc:
+    except storage.ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 5
     except (ConfigError, corpus.PoolError, corpus.CorpusError) as exc:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pools
-from .langparse import Lexicon, ParseError, ParseTree, parse
+from .langparse import Lexicon, ParseError, ParseTree, parse, phrase_noun_tokens
 from .seeding import cumulative_weights, weighted_index
-from .storage import read_jsonl, write_jsonl
+from .storage import integer, read_jsonl, write_jsonl
 
 PROMPT_TEMPLATE = (
     "Please list {nd} plausible visual object descriptions for {cls} that are "
@@ -360,15 +360,34 @@ def write_descriptions(path, descriptions) -> None:
     write_jsonl(path, map(_description_row, descriptions))
 
 
-def description_from_json(row: dict) -> ObjectDescription:
-    meta = None
-    if row.get("subject_span") is not None:
-        meta = GeneratorMetadata(tuple(row["subject_span"]),
-                                 tuple(tuple(s) for s in row["nonsubject_spans"]))
-    return ObjectDescription(id=row["id"], category_id=row["category_id"], text=row["text"],
-                             seed=row["seed"], provenance=row["provenance"],
-                             generator_metadata=meta)
+def read_descriptions(path, pool, lexicon: Lexicon) -> tuple[list[ObjectDescription],
+                                                              list[ParseTree]]:
+    """The descriptions of a write_descriptions() file, and the parse tree of
+    each. A row whose id is not its 0-based line position, whose category_id
+    names no category of `pool`, whose text does not parse with `lexicon`,
+    or whose subject noun is not its category's name fails its line."""
+    categories = {cat.id: cat for cat in pool}
 
+    def decode(row):
+        category = categories.get(integer(row["category_id"], "category_id"))
+        if category is None:
+            raise ValueError(f"category_id {row['category_id']} names no category of the "
+                             f"pool's {len(pool)}")
+        text = row["text"]
+        if not isinstance(text, str):
+            raise ValueError(f"text {text!r} is not a string")
+        tree = parse(text, lexicon)
+        noun = phrase_noun_tokens(tree, tree.subject)
+        if noun != tuple(category.name.split()):
+            raise ValueError(f"subject noun {' '.join(noun)!r} is not the name of category "
+                             f"{category.id}, {category.name!r}")
+        meta = None
+        if row.get("subject_span") is not None:
+            meta = GeneratorMetadata(tuple(row["subject_span"]),
+                                     tuple(tuple(s) for s in row["nonsubject_spans"]))
+        return ObjectDescription(id=row["id"], category_id=category.id, text=text,
+                                 seed=row["seed"], provenance=row["provenance"],
+                                 generator_metadata=meta), tree
 
-def read_descriptions(path) -> list[ObjectDescription]:
-    return read_jsonl(path, description_from_json)
+    rows = read_jsonl(path, decode, position_field="id")
+    return [desc for desc, _ in rows], [tree for _, tree in rows]

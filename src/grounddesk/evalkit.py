@@ -350,21 +350,22 @@ class CategoryLabel:
 class DescriptionLabel:
     """A description label on one scene. `words`, the text's word count,
     sets its length bucket, and `absent` says whether the text expresses
-    absence; both are fixed when the label is made (description_label()),
-    so scoring never parses."""
+    absence; both, and `tree`, the parse tree a model is run from, are fixed
+    when the label is made (description_label()), so scoring never parses."""
     label_id: int
     scene_id: int
     text: str
     gt_boxes: tuple
     words: int
     absent: bool
+    tree: ParseTree | None = field(default=None, compare=False, repr=False)
 
 
 def description_label(label_id: int, scene_id: int, text: str, gt_boxes,
                       tree: ParseTree) -> DescriptionLabel:
     """The DescriptionLabel of `text`, given its parse `tree`."""
     return DescriptionLabel(label_id, scene_id, text, tuple(gt_boxes), len(text.split()),
-                            is_absence(tree))
+                            is_absence(tree), tree)
 
 
 def category_labels(pool, scenes) -> tuple[CategoryLabel, ...]:

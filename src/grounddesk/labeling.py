@@ -19,6 +19,7 @@ from . import pools
 from .langparse import Lexicon, ParseTree, noun_phrases, parse
 from .scenegen import Scene, box_iou, phrase_referents
 from .seeding import derive_seed
+from .storage import integer
 
 STOPWORDS = frozenset(pools.DETERMINERS) | frozenset(
     tok for rel in pools.RELATION_WORDS for tok in rel.split())
@@ -176,7 +177,11 @@ def triplet_to_json(t: PseudoTriplet) -> dict:
 
 
 def triplet_from_json(row: dict) -> PseudoTriplet:
-    return PseudoTriplet(scene_id=row["scene_id"], description=row["description"],
-                         assignments=tuple((a["proposal_index"], tuple(a["span"]))
+    """Inverse of triplet_to_json. A scene_id, proposal_index or span bound
+    that is not an integer raises ValueError."""
+    return PseudoTriplet(scene_id=integer(row["scene_id"], "scene_id"),
+                         description=row["description"],
+                         assignments=tuple((integer(a["proposal_index"], "proposal_index"),
+                                            tuple(integer(v, "span bound") for v in a["span"]))
                                            for a in row["assignments"]),
                          provenance=row["provenance"])

@@ -55,14 +55,6 @@ class CorpusBundle:
         position = self.index.position(text)
         return None if position is None else self.index.tree(position)
 
-    def description_by_id(self, description_id: int) -> ObjectDescription:
-        """Description ids are positions in the corpus; any other id raises
-        ValueError."""
-        if not 0 <= description_id < len(self.descriptions):
-            raise ValueError(f"description_id {description_id} names no description "
-                             f"of the corpus's {len(self.descriptions)}")
-        return self.descriptions[description_id]
-
 
 def build_vocabulary(pool) -> Vocabulary:
     """Every token a run's queries can hold: the tokens of the pool's lexicon,
@@ -176,7 +168,7 @@ def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | No
     if strategy not in LABEL_STRATEGIES:
         raise ValueError(f"unknown labeling strategy {strategy!r}; "
                          f"expected one of {list(LABEL_STRATEGIES)}")
-    items = [(scene, bundle.description_by_id(scene.description_id).text,
+    items = [(scene, bundle.descriptions[scene.description_id].text,
               bundle.index.tree(scene.description_id)) for scene in bundle.scenes]
     return list(map_fn(partial(_label_scene, detector=detector or BowDetector(),
                                config=config or LabelerConfig(), strategy=strategy), items))
@@ -278,16 +270,10 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
     Labels are scored through multi-caption prompts, the query format the
     model trains on: each scene's description labels form one prompt, and
     category labels are chunked into detection-style prompts, the same for
-    every scene. Each distinct label text is parsed once.
+    every scene. A description label's prompt is built from the parse tree
+    it keeps, so only the category names are parsed here.
     """
     keys, boxes, scores = [], [], []
-    trees: dict = {}
-
-    def prompt(texts):
-        for text in texts:
-            if text not in trees:
-                trees[text] = parse(text, lexicon)
-        return compile_prompt(model, [trees[text] for text in texts])
 
     def score(scene_id, labels, label_prompt):
         rf = benchmark.features[scene_id]
@@ -302,7 +288,8 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
     cat_labels = list(benchmark.category_labels)
     cat_chunks = [cat_labels[lo:lo + prompt_chunk]
                   for lo in range(0, len(cat_labels), prompt_chunk)]
-    cat_prompts = [prompt([c.name for c in chunk]) for chunk in cat_chunks]
+    cat_prompts = [compile_prompt(model, [parse(c.name, lexicon) for c in chunk])
+                   for chunk in cat_chunks]
     for scene_id in benchmark.scene_ids:
         for chunk, chunk_prompt in zip(cat_chunks, cat_prompts):
             score(scene_id, chunk, chunk_prompt)
@@ -313,7 +300,7 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
     for scene_id, labels in by_scene.items():
         for lo in range(0, len(labels), prompt_chunk):
             chunk = labels[lo:lo + prompt_chunk]
-            score(scene_id, chunk, prompt([l.text for l in chunk]))
+            score(scene_id, chunk, compile_prompt(model, [l.tree for l in chunk]))
     return ResultColumns.from_rows(keys, boxes, scores)
 
 

@@ -13,7 +13,8 @@ Relation semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .corpus import DescriptionSpec, EntityCategory, generate_descriptions
 from .evalkit import BenchmarkInstance, category_labels, description_label, iou as box_iou
 from .langparse import ParseTree, parse, phrase_noun_tokens
 from .seeding import cumulative_weights, derive_seed, weighted_index
-from .storage import TableFormat, read_jsonl, read_table, row_slices, write_jsonl, write_table
+from .storage import (TableFormat, integer, read_jsonl, read_table, row_slices, write_jsonl,
+                      write_table)
 
 ADJACENCY_EPS = 0.02
 NEAR_GAP = 0.1
@@ -352,10 +354,7 @@ def scene_from_backend(description: str, image_seed: int, backend,
         if not _in_unit_square(obj.box):
             raise SceneConstructionError(
                 f"backend scene object {obj.instance_id} is outside the unit square")
-    referents = evaluate_referents(scene, parse(description, lexicon))
-    return Scene(scene_id=scene.scene_id, description_id=scene.description_id,
-                 image_seed=scene.image_seed, objects=scene.objects,
-                 referent_ids=referents, relation_edges=scene.relation_edges)
+    return replace(scene, referent_ids=evaluate_referents(scene, parse(description, lexicon)))
 
 
 _WORD_VECTORS: dict[tuple[str, int], np.ndarray] = {}
@@ -572,38 +571,50 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(row: dict) -> Scene:
+def scene_from_json(row: dict, n_descriptions: int | None = None) -> Scene:
     """The Scene of one scenes.jsonl row. A row that no stage can use raises
-    ValueError: two objects with one instance_id, a box whose width or
-    height is not above 0, or a referent or relation endpoint that names no
-    object of the scene."""
-    objects = tuple(SceneObject(o["instance_id"], o["category"],
-                                frozenset(o["attributes"]), tuple(o["box"]))
-                    for o in row["objects"])
-    scene = Scene(scene_id=row["scene_id"], description_id=row["description_id"],
-                  image_seed=row["image_seed"], objects=objects,
-                  referent_ids=frozenset(row["referent_ids"]),
-                  relation_edges=tuple((e[0], e[1], e[2]) for e in row["relation_edges"]))
-    ids = set()
-    for o in objects:
-        if o.instance_id in ids:
-            raise ValueError(f"two objects share instance_id {o.instance_id}")
-        ids.add(o.instance_id)
-        if not (o.box[2] > 0 and o.box[3] > 0):
-            raise ValueError(f"object {o.instance_id} has box {list(o.box)}, "
-                             f"whose width or height is not above 0")
-    unknown = sorted(scene.referent_ids - ids)
-    if unknown:
-        raise ValueError(f"referent {unknown[0]} names no object of the scene")
-    for edge in scene.relation_edges:
-        if not {edge[0], edge[2]} <= ids:
-            raise ValueError(f"relation edge {list(edge)} names no object of the scene")
-    return scene
+    ValueError: a description_id that is not an integer, or not below
+    n_descriptions when given; an object whose instance_id is not its
+    position, whose category is not a string, whose attributes are not a
+    list of strings or whose box is not four finite numbers with a width and
+    height above 0; or a referent or relation endpoint that names no object."""
+    objects = []
+    for k, o in enumerate(row["objects"]):
+        category, attributes, box = o["category"], o["attributes"], o["box"]
+        if integer(o["instance_id"], "instance_id") != k:
+            raise ValueError(f"object {k} has instance_id {o['instance_id']}, not its position")
+        if not isinstance(category, str):
+            raise ValueError(f"object {k} has category {category!r}, not a string")
+        if not (isinstance(attributes, list) and set(map(type, attributes)) <= {str}):
+            raise ValueError(f"object {k} has attributes {attributes!r}, not a list of strings")
+        if not (isinstance(box, list) and len(box) == 4
+                and set(map(type, box)) <= {int, float} and all(map(math.isfinite, box))):
+            raise ValueError(f"object {k} has box {box!r}, not four finite numbers")
+        if not (box[2] > 0 and box[3] > 0):
+            raise ValueError(f"object {k} has box {box}, whose width or height is not above 0")
+        objects.append(SceneObject(k, category, frozenset(attributes), tuple(box)))
+    edges = tuple((e[0], e[1], e[2]) for e in row["relation_edges"])
+    for name, ids in (("referent", row["referent_ids"]),
+                      ("relation endpoint", [i for e in edges for i in (e[0], e[2])])):
+        for i in ids:
+            if not 0 <= integer(i, name) < len(objects):
+                raise ValueError(f"{name} {i} names no object of the scene")
+    description_id = integer(row["description_id"], "description_id")
+    if n_descriptions is not None and not 0 <= description_id < n_descriptions:
+        raise ValueError(f"description_id {description_id} names no description of the "
+                         f"corpus's {n_descriptions}")
+    return Scene(scene_id=row["scene_id"], description_id=description_id,
+                 image_seed=row["image_seed"], objects=tuple(objects),
+                 referent_ids=frozenset(row["referent_ids"]), relation_edges=edges)
 
 
 def write_scenes(path, scenes) -> None:
     write_jsonl(path, map(scene_to_json, scenes))
 
 
-def read_scenes(path) -> list[Scene]:
-    return read_jsonl(path, scene_from_json)
+def read_scenes(path, n_descriptions: int | None = None) -> list[Scene]:
+    """The scenes of a write_scenes() file. A row that scene_from_json(row,
+    n_descriptions) rejects, or whose scene_id is not its 0-based line
+    position, fails its line."""
+    return read_jsonl(path, lambda row: scene_from_json(row, n_descriptions),
+                      position_field="scene_id")

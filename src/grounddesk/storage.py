@@ -9,6 +9,7 @@ verifiable no-op.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -93,17 +94,42 @@ def write_jsonl(path, rows) -> None:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def read_jsonl(path, decode) -> list:
-    """decode(row) for each line of a JSON-lines file. A line that does not
-    parse or decode raises ValueError naming the file and the line."""
+class ArtifactError(ValueError):
+    """An artifact exists but cannot be read: truncated, malformed or inconsistent."""
+
+
+@contextlib.contextmanager
+def reading(where):
+    """Re-raise a reader's failure on `where`, a path or a path and a line,
+    as an ArtifactError whose message names it once."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ArtifactError(detail if str(where) in detail else f"{where}: {detail}") from exc
+
+
+def integer(value, name: str) -> int:
+    """`value` if it is an int and not a bool (JSON's true); else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def read_jsonl(path, decode, position_field=None) -> list:
+    """decode(row) for each line of a JSON-lines file. With `position_field`,
+    that field of each row must be the integer that is the row's 0-based line
+    position. A line that does not parse, decode or hold its position raises
+    ArtifactError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                out.append(decode(json.loads(line)))
-            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path} line {lineno}: {detail}") from exc
+        for position, line in enumerate(fh):
+            with reading(f"{path} line {position + 1}"):
+                row = json.loads(line)
+                if position_field and integer(row[position_field], position_field) != position:
+                    raise ValueError(f"{position_field} {row[position_field]} is not its 0-based "
+                                     f"line position {position}")
+                out.append(decode(row))
     return out
 
 
@@ -166,11 +192,9 @@ def read_table(path, fmt: TableFormat) -> tuple[tuple[int, ...], list[np.ndarray
         if found != size:
             raise ValueError(f"{path}: a {fmt.name} with counts {dict(zip(fmt.counts, counts))} "
                              f"needs {size} bytes, found {found}")
-        try:
+        with reading(path):  # an empty column with a dimension numpy cannot hold
             columns = [np.empty(shape, dtype=dtype)
                        for (dtype, _), shape in zip(fmt.columns, shapes)]
-        except ValueError as exc:  # an empty column with a dimension numpy cannot hold
-            raise ValueError(f"{path}: {exc}") from exc
         if sum(fh.readinto(column) for column in columns) != size - head_size:
             raise ValueError(f"{path}: {fmt.name} changed while it was read")
     return tuple(counts), columns
@@ -216,16 +240,14 @@ def read_manifest(path) -> dict:
     """A stage manifest, checked to be a JSON object with a config_hash and
     with inputs and outputs that map file names to hashes. Raises ValueError
     naming the file otherwise."""
-    try:
+    with reading(path):
         manifest = read_json(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("config_hash"), str)
-            and all(isinstance(manifest.get(key), dict)
-                    and all(isinstance(v, str) for v in manifest[key].values())
-                    for key in ("inputs", "outputs"))):
-        raise ValueError(f"{path}: not a stage manifest: it needs a config_hash, and inputs "
-                         f"and outputs that map file names to hashes")
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("config_hash"), str)
+                and all(isinstance(manifest.get(key), dict)
+                        and all(isinstance(v, str) for v in manifest[key].values())
+                        for key in ("inputs", "outputs"))):
+            raise ValueError("not a stage manifest: it needs a config_hash, and inputs and "
+                             "outputs that map file names to hashes")
     return manifest
 
 

@@ -21,6 +21,7 @@ from .labeling import PseudoTriplet
 from .langparse import Lexicon, ParseTree, parse
 from .scenegen import Scene
 from .seeding import derive_seed
+from .storage import integer
 
 SEPARATOR = "."
 
@@ -114,6 +115,17 @@ def assemble_query(triplet: PseudoTriplet, pool, k_neg: int, include_struct_pos:
     return Query(items=tuple(items[int(i)] for i in order))
 
 
+def check_assignments(triplet: PseudoTriplet, n_regions: int, tree: ParseTree) -> None:
+    """Raise ValueError unless each assignment of the triplet names one of the
+    n_regions regions and a phrase span of `tree`, its description's parse."""
+    spans = {(p.start_token, p.end_token) for p in tree.phrases}
+    for idx, span in triplet.assignments:
+        if not 0 <= idx < n_regions:
+            raise ValueError(f"assignment proposal {idx} out of range for N={n_regions}")
+        if span not in spans:
+            raise ValueError(f"assignment span {span} matches no phrase of the description")
+
+
 def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
                            config: TargetConfig | None = None,
                            lexicon: Lexicon | None = None,
@@ -122,14 +134,9 @@ def build_alignment_target(query: Query, triplet: PseudoTriplet, n_regions: int,
     `tree` is the description's parse tree, parsed here when not given."""
     config = config or TargetConfig()
     tree = tree or parse(triplet.description, lexicon)
+    check_assignments(triplet, n_regions, tree)
     spans = {(p.start_token, p.end_token): p for p in tree.phrases}
     subject_span = (tree.subject.start_token, tree.subject.end_token)
-
-    for idx, span in triplet.assignments:
-        if not 0 <= idx < n_regions:
-            raise ValueError(f"assignment proposal {idx} out of range for N={n_regions}")
-        if span not in spans:
-            raise ValueError(f"assignment span {span} matches no phrase of the description")
 
     pos_items = [i for i, item in enumerate(query.items) if item.kind == "positive_description"]
     if len(pos_items) != 1:
@@ -231,8 +238,10 @@ def example_to_json(scene_id: int, query: Query, target: AlignmentTarget) -> dic
 
 
 def example_from_json(row: dict) -> tuple[int, Query, AlignmentTarget]:
-    """Inverse of example_to_json. A caption of an unknown kind or without
-    tokens raises ValueError."""
+    """Inverse of example_to_json. A scene_id or n_regions that is not an
+    integer, or a caption of an unknown kind or without tokens, raises
+    ValueError."""
+    scene_id = integer(row["scene_id"], "scene_id")
     items = []
     for kind, tokens in row["captions"]:
         if kind not in KINDS:
@@ -241,5 +250,5 @@ def example_from_json(row: dict) -> tuple[int, Query, AlignmentTarget]:
             raise ValueError(f"a {kind} caption is not a non-empty token list")
         items.append(CaptionItem(tuple(tokens), kind))
     query = Query(items=tuple(items))
-    t = _decode_binary(row["target"], row["n_regions"], query.m)
-    return row["scene_id"], query, AlignmentTarget(matrix=t)
+    t = _decode_binary(row["target"], integer(row["n_regions"], "n_regions"), query.m)
+    return scene_id, query, AlignmentTarget(matrix=t)

@@ -201,7 +201,7 @@ def test_c03_gradient_check():
 @pytest.fixture(scope="module")
 def recall_by_threshold(default_bundle):
     detector = BowDetector()
-    scenes = [(s, default_bundle.description_by_id(s.description_id).text)
+    scenes = [(s, default_bundle.descriptions[s.description_id].text)
               for s in default_bundle.scenes]
     table = {}
     for p in (0.3, 0.5, 0.7):
@@ -266,7 +266,7 @@ def test_c06b_trained_model_ranks_subject_first(ladder_models, full_bundle):
     wins = total = 0
     board_cases = []
     for scene in full_bundle.scenes[::7]:
-        desc = full_bundle.description_by_id(scene.description_id)
+        desc = full_bundle.descriptions[scene.description_id]
         tree = parse(desc.text, full_bundle.lexicon)
         if len(tree.phrases) < 2 or not scene.referent_ids:
             continue

@@ -1,7 +1,9 @@
 import builtins
 import collections
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grounddesk import (cli, corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
                         targets)
@@ -330,7 +334,7 @@ def test_a_data_stage_parses_each_description_once(corrupt_copy, monkeypatch, st
             monkeypatch.setattr(module, "parse", counted)
     os.remove(storage.manifest_path(corrupt_copy, stage))
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 0
-    texts = [d.text for d in corpus.read_descriptions(corrupt_copy / "descriptions.jsonl")]
+    texts = storage.read_jsonl(corrupt_copy / "descriptions.jsonl", lambda row: row["text"])
     assert parsed == collections.Counter(texts)
 
 
@@ -458,9 +462,14 @@ def _set_box_side(side, value):
 _UNUSABLE_SCENES = {
     "repeated_instance_id": (
         lambda row: row["objects"][1].update(instance_id=row["objects"][0]["instance_id"]),
-        "two objects share instance_id"),
+        "object 1 has instance_id 0, not its position"),
+    "float_instance_id": (lambda row: row["objects"][0].update(instance_id=0.0),
+                          "instance_id 0.0 is not an integer"),
     "zero_width": (_set_box_side(2, 0.0), "width or height is not above 0"),
     "negative_height": (_set_box_side(3, -0.1), "width or height is not above 0"),
+    "nan_box": (_set_box_side(0, float("nan")), "not four finite numbers"),
+    "attributes_a_string": (lambda row: row["objects"][0].update(attributes="red"),
+                            "attributes 'red', not a list of strings"),
     "unknown_referent": (lambda row: row["referent_ids"].append(10_000),
                          "referent 10000 names no object"),
     "unknown_relation_endpoint": (
@@ -471,20 +480,26 @@ _UNUSABLE_SCENES = {
                                 "description_id -1 names no description"),
     "description_id_past_the_corpus": (lambda row: row.update(description_id=10**6),
                                        "description_id 1000000 names no description"),
+    "true_description_id": (lambda row: row.update(description_id=True),
+                            "description_id True is not an integer"),
     "scene_id_past_the_scenes": (lambda row: row.update(scene_id=10**6),
-                                 "scene_id 1000000 is not the scene's position 1"),
+                                 "scene_id 1000000 is not its 0-based line position 1"),
     "scene_id_of_another_line": (lambda row: row.update(scene_id=0),
-                                 "scene_id 0 is not the scene's position 1"),
+                                 "scene_id 0 is not its 0-based line position 1"),
+    "float_scene_id": (lambda row: row.update(scene_id=1.0), "scene_id 1.0 is not an integer"),
+    "true_scene_id": (lambda row: row.update(scene_id=True), "scene_id True is not an integer"),
 }
 
 
 @pytest.mark.parametrize("stage", ["label", "targets"])
 @pytest.mark.parametrize("case", list(_UNUSABLE_SCENES))
 def test_unusable_scene_is_an_artifact_error(corrupt_copy, capsys, case, stage):
-    """A scenes.jsonl row with a repeated instance id, a box without area, a
-    referent or relation endpoint that names no object, a scene_id other than
-    its line position or a description_id that names no description fails
-    the stage that reads it, naming the file and the line."""
+    """A scenes.jsonl row with an id that is not an integer, an instance id
+    other than the object's position, attributes that are not a list of
+    strings, a box that is not four finite numbers or has no area, a
+    referent or relation endpoint that names no object, a scene_id other
+    than its line position or a description_id that names no description
+    fails the stage that reads it, naming the file and the line."""
     edit, message = _UNUSABLE_SCENES[case]
     _edit_line_2(corrupt_copy / "scenes.jsonl", edit)
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
@@ -521,6 +536,9 @@ _UNUSABLE_EXAMPLES = {
     "region_count": (_add_region, "does not match the"),
     "scene_id": (lambda row: row.update(scene_id=10**6),
                  "scene_id 1000000 names no scene of features.bin"),
+    "float_scene_id": (lambda row: row.update(scene_id=float(row["scene_id"])),
+                       "is not an integer"),
+    "true_scene_id": (lambda row: row.update(scene_id=True), "scene_id True is not an integer"),
 }
 
 
@@ -544,7 +562,9 @@ _UNUSABLE_DESCRIPTIONS = {
                                  "expected a noun, got 'zzz'"),
     "text_not_a_string": (lambda row: row.update(text=5), "text 5 is not a string"),
     "id_of_another_line": (lambda row: row.update(id=0),
-                           "id 0 is not the description's position 1"),
+                           "id 0 is not its 0-based line position 1"),
+    "float_id": (lambda row: row.update(id=1.0), "id 1.0 is not an integer"),
+    "true_id": (lambda row: row.update(id=True), "id True is not an integer"),
     "category_of_another_subject": (lambda row: row.update(category_id=row["category_id"] + 1),
                                     "is not the name of category"),
 }
@@ -595,6 +615,9 @@ _UNUSABLE_TRIPLETS = {
     "negative_proposal": (_set_assignment("proposal_index", -1), "proposal -1 out of range"),
     "span_no_phrase": (_set_assignment("span", [1, 2]), "matches no phrase"),
     "description_of_another_scene": (_another_description, "is not the description of scene"),
+    "float_scene_id": (lambda row: row.update(scene_id=float(row["scene_id"])),
+                       "is not an integer"),
+    "true_scene_id": (lambda row: row.update(scene_id=True), "scene_id True is not an integer"),
 }
 
 
@@ -615,6 +638,78 @@ def test_unusable_triplet_is_an_artifact_error(corrupt_copy, capsys, case):
     assert run_cli(["targets", "--out", str(corrupt_copy)] + SMALL) == 5
     err = capsys.readouterr().err
     assert "artifact error" in err and f"triplets.jsonl line {lineno}:" in err and message in err
+
+
+# The stages that read each JSON-lines artifact.
+_CONSUMERS = {"descriptions.jsonl": ("scenes", "label", "targets"),
+              "scenes.jsonl": ("label", "targets"), "triplets.jsonl": ("targets",),
+              "examples.jsonl": ("train",), "detection_examples.jsonl": ("train",)}
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON row, the lists and objects that
+    hold other values included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _one_field_edits(value) -> list:
+    """What an edit may put in place of `value`: for an integer, an id out of
+    range, a negative number, a float, a bool or a string; for a float, a
+    number out of range, a negative one, NaN, a bool or a string; for a
+    string, a word of no lexicon or a number; for anything else, a string or
+    a number."""
+    if isinstance(value, int):
+        return [10**6, -1, float(value), True, str(value)]
+    if isinstance(value, float):
+        return [1e6, -1.0, float("nan"), True, "x"]
+    if isinstance(value, str):
+        return ["zeppelin", 5]
+    return ["x", 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_one_field_edit_exits_0_or_5_naming_the_line(pipeline_dir, tmp_path_factory, data):
+    """One field of one line of a JSON-lines artifact, edited, and a stage
+    that reads the file run alone in-process: nothing escapes cli.run, and
+    the run either succeeds or exits 5 naming a JSON-lines file and a line,
+    the edited line when it names the edited file; a mismatch between files
+    may be named at the line that refers to the edited one. An edit yields a
+    valid artifact, and exit 0, where no stage reads the field (a
+    description's seed, provenance or generator spans, a scene's image_seed
+    or relation words, a triplet's provenance) or where any value of its
+    type will do (a box corner, an object's category or attribute word)."""
+    filename = data.draw(st.sampled_from(sorted(_CONSUMERS)), label="file")
+    stage = data.draw(st.sampled_from(_CONSUMERS[filename]), label="stage")
+    with open(os.path.join(pipeline_dir, filename), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    k = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    row = json.loads(lines[k])
+    path = data.draw(st.sampled_from(list(_paths(row))), label="field")
+    holder = row
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = data.draw(st.sampled_from(_one_field_edits(holder[path[-1]])),
+                                 label="value")
+    lines[k] = json.dumps(row, sort_keys=True) + "\n"
+    out = tmp_path_factory.getbasetemp() / "one_field_edit"
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(pipeline_dir, out)
+    (out / filename).write_text("".join(lines))
+    config = load_config(overrides=[tuple(a.split("=", 1)) for a in SMALL[1::2]],
+                         output_dir=str(out))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(stage, config)
+    assert code in (0, 5), err.getvalue()
+    if code == 5:
+        named = re.search(r"([\w.]+\.jsonl) line (\d+): ", err.getvalue())
+        assert named, err.getvalue()
+        assert named[1] != filename or named[2] == str(k + 1), err.getvalue()
 
 
 def _jsonl(rows) -> bytes:

@@ -147,11 +147,14 @@ def test_noun_adjective_means_monotone_in_length(desk20):
         assert a1 >= a0
 
 
-def test_description_jsonl_roundtrip(tmp_path, avocado):
+def test_description_jsonl_roundtrip(tmp_path, desk20, avocado):
+    """read_descriptions() gives back the descriptions and the parse tree of each."""
     descs = generate_descriptions(avocado, DescriptionSpec(5, 10, seed=2))
     path = tmp_path / "descs.jsonl"
     corpus.write_descriptions(path, descs)
-    assert corpus.read_descriptions(path) == descs
+    lexicon = langparse.Lexicon.from_categories(desk20)
+    assert corpus.read_descriptions(path, desk20, lexicon) == (
+        descs, [langparse.parse(desc.text, lexicon) for desc in descs])
 
 
 def test_external_backend_recorded_verbatim(avocado):

@@ -148,7 +148,7 @@ def test_labeler_config_validates_threshold():
 
 def test_recall_monotone_and_w2s_dominates(default_bundle):
     scenes = default_bundle.scenes[:60]
-    descs = {s.scene_id: default_bundle.description_by_id(s.description_id).text
+    descs = {s.scene_id: default_bundle.descriptions[s.description_id].text
              for s in scenes}
     det = BowDetector()
     means = {}

@@ -62,16 +62,11 @@ def test_build_vocabulary_is_pinned(pool, words, size):
     assert len(tokens) == size
 
 
-def test_description_by_id_is_the_description_at_that_position(default_bundle):
-    for k in (0, len(default_bundle.descriptions) - 1):
-        assert default_bundle.description_by_id(k) is default_bundle.descriptions[k]
-        assert default_bundle.description_by_id(k).id == k
-
-
-@pytest.mark.parametrize("description_id", [-1, 10**6])
-def test_description_by_id_rejects_an_id_outside_the_corpus(default_bundle, description_id):
-    with pytest.raises(ValueError, match=f"description_id {description_id} names no description"):
-        default_bundle.description_by_id(description_id)
+def test_description_ids_are_positions(default_bundle):
+    """A scene's description_id indexes the corpus: each description's id is
+    its position, as the description reader requires of the file."""
+    assert [d.id for d in default_bundle.descriptions] == list(range(len(
+        default_bundle.descriptions)))
 
 
 def test_label_corpus_covers_every_scene(default_bundle, default_triplets):

@@ -113,7 +113,7 @@ def test_every_corpus_edge_satisfies_oracle(default_bundle):
 
 def test_referents_match_oracle(default_bundle):
     for scene in default_bundle.scenes[:80]:
-        desc = default_bundle.description_by_id(scene.description_id)
+        desc = default_bundle.descriptions[scene.description_id]
         tree = parse(desc.text)
         assert set(scene.referent_ids) == oracle_referents(scene, tree)
 

@@ -119,7 +119,8 @@ def jsonl_files(default_bundle, default_triplets, tmp_path_factory):
     examples = pipeline.build_training_examples(bundle, default_triplets[:rows])
     files = {
         "descriptions.jsonl": (corpus.write_descriptions, bundle.descriptions[:rows],
-                               corpus.read_descriptions),
+                               lambda path: corpus.read_descriptions(path, bundle.pool,
+                                                                     bundle.lexicon)[0]),
         "scenes.jsonl": (scenegen.write_scenes, bundle.scenes[:rows], scenegen.read_scenes),
         "triplets.jsonl": (storage.write_jsonl,
                            map(labeling.triplet_to_json, default_triplets[:rows]),
