@@ -6,10 +6,9 @@ module reads the config, reads and writes artifacts, and keeps one manifest
 per stage. Each stage declares once, in ``STAGES``, the config keys and the
 files it reads; one runner requires, hashes and checks them. Re-running a
 completed stage with unchanged config and inputs is a no-op; re-running the
-pipeline with the same seed, at any ``--workers`` count, reproduces a
-byte-identical artifact tree. Exit codes: 0 success,
-2 config error (checked before any stage runs), 3 missing artifact, 4 numeric
-failure, 5 corrupt artifact.
+pipeline with the same seed reproduces a byte-identical artifact tree. Exit
+codes: 0 success, 2 config error (checked before any stage runs), 3 missing
+artifact, 4 numeric failure, 5 corrupt artifact.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import functools
 import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus, evalkit, labeling, langparse, pipeline, scenegen, storage, targets
 from .groundnet import (AGGREGATIONS, GroundingModel, NumericError, TrainConfig, TrainExample,
@@ -267,20 +264,13 @@ def _feature_config(config) -> pipeline.FeatureConfig:
     return pipeline.FeatureConfig(**config["features"])
 
 
-def fanout(fn, items, workers: int = 1):
-    """Order-preserving map; output does not depend on the worker count."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=8))
-
-
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
     """The corpus as the gen and scenes stages wrote it, without features."""
     pool, lexicon = _pool_and_lexicon(config)
     descriptions, trees = _read(out_dir, "descriptions.jsonl", corpus.read_descriptions,
                                 pool=pool, lexicon=lexicon)
-    scenes = _read(out_dir, "scenes.jsonl", scenegen.read_scenes, n_descriptions=len(descriptions))
+    scenes = _read(out_dir, "scenes.jsonl", scenegen.read_scenes, n_descriptions=len(descriptions),
+                   vocabulary=pipeline.build_vocabulary(pool).index)
     return pipeline.CorpusBundle(pool=pool, lexicon=lexicon, descriptions=descriptions,
                                  scenes=scenes, features={}, trees=trees)
 
@@ -330,38 +320,35 @@ def _load_model(out_dir):
 # Each body gets the config restricted to its stage's keys. A stage with a
 # manifest reads only its declared inputs and writes its declared outputs.
 
-def _gen(config, out, workers):
+def _gen(config, out):
     pool, _ = _pool_and_lexicon(config)
     d = config["descriptions"]
     descriptions = pipeline.build_description_corpus(
-        pool, d["num_descriptions"], d["target_length_words"], config["seed"],
-        map_fn=functools.partial(fanout, workers=workers))
+        pool, d["num_descriptions"], d["target_length_words"], config["seed"])
     corpus.write_descriptions(os.path.join(out, "descriptions.jsonl"), descriptions)
     if d["num_descriptions"] == 0:
         print("warning: num_descriptions is 0, wrote an empty corpus")
     print(f"gen: wrote {len(descriptions)} descriptions for {len(pool)} categories")
 
 
-def _scenes(config, out, workers):
+def _scenes(config, out):
     pool, lexicon = _pool_and_lexicon(config)
     descriptions, trees = _read(out, "descriptions.jsonl", corpus.read_descriptions, pool=pool,
                                 lexicon=lexicon)
     images = config["images_per_description"]
     scenes, features = pipeline.build_scene_corpus(
         pool, descriptions, images, config["seed"], _distractor_config(config),
-        _feature_config(config), lexicon, map_fn=functools.partial(fanout, workers=workers),
-        trees=trees)
+        _feature_config(config), lexicon, trees=trees)
     scenegen.write_scenes(os.path.join(out, "scenes.jsonl"), scenes)
     scenegen.write_features(os.path.join(out, "features.bin"), features)
     print(f"scenes: wrote {len(scenes)} scenes "
           f"({len(descriptions)} descriptions x {images} seeds)")
 
 
-def _label(config, out, workers):
+def _label(config, out):
     bundle = _read_bundle(config, out)
     triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config),
-                                     config["labeler"]["strategy"],
-                                     map_fn=functools.partial(fanout, workers=workers))
+                                     config["labeler"]["strategy"])
     storage.write_jsonl(os.path.join(out, "triplets.jsonl"),
                         map(labeling.triplet_to_json, triplets))
     storage.write_json(os.path.join(out, "label_stats.json"),
@@ -370,7 +357,7 @@ def _label(config, out, workers):
     print(f"label: wrote {len(triplets)} pseudo-triplets ({n_assigned} with assignments)")
 
 
-def _targets(config, out, workers):
+def _targets(config, out):
     """Each scene's region count is its objects plus the background boxes
     (scenegen.region_count()), so the stage reads no features."""
     bundle = _read_bundle(config, out)
@@ -393,7 +380,7 @@ def _targets(config, out, workers):
     print(f"targets: wrote alignment targets to examples.jsonl and detection_examples.jsonl")
 
 
-def _train(config, out, workers):
+def _train(config, out):
     vocab = pipeline.build_vocabulary(corpus.build_entity_pool(config["pool"]))
     features = _read(out, "features.bin", scenegen.read_features)
     triplet_examples = _read_examples(out, "examples.jsonl", features, vocab)
@@ -408,7 +395,7 @@ def _train(config, out, workers):
           f"loss {history[0][1]:.4f} -> {history[-1][1]:.4f}")
 
 
-def _eval_scores(config, out, workers):
+def _eval_scores(config, out):
     """The half of eval that does not depend on the IoU threshold: build the
     benchmark, run the model on it, which gives its detections as
     evalkit.ResultColumns, and write what matching needs, match_table.bin:
@@ -433,7 +420,7 @@ def _eval_scores(config, out, workers):
     print(f"eval: scored {len(bench.scenes)} benchmark scenes")
 
 
-def _eval(config, out, workers):
+def _eval(config, out):
     """The matching half of eval: match at eval.iou_threshold from the one
     table the scoring half wrote for it, match_table.bin."""
     iou_threshold = config["eval"]["iou_threshold"]
@@ -461,7 +448,7 @@ def _label_recall(path) -> float:
     return recall
 
 
-def _report(config, out, workers):
+def _report(config, out):
     """Summarise the run. The mean label recall that the label stage recorded
     and the loss curve are added when their stages have run, so the stage has
     no manifest and always runs."""
@@ -551,7 +538,7 @@ def _input_hashes(out_dir, stage: Stage, digests: dict) -> dict:
     return inputs
 
 
-def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
+def _run_stage(name: str, config: dict, digests: dict) -> None:
     """Run a command's stages in order. A stage is skipped while its manifest
     still matches its config keys, inputs and declared outputs and no earlier
     stage of the command ran; a stage that runs records a new manifest of
@@ -567,7 +554,7 @@ def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
         if not stage.manifest:
             for filename, producer in stage.inputs.items():
                 _require(out, filename, producer)
-            stage.body(used, out, workers)
+            stage.body(used, out)
             ran = True
             continue
         inputs = _input_hashes(out, stage, digests)
@@ -580,7 +567,7 @@ def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
         for part in reused:
             print(f"{name}: {part} up to date, reused")
         reused, ran = [], True
-        stage.body(used, out, workers)
+        stage.body(used, out)
         outputs = {rel: storage.sha256_file(os.path.join(out, rel)) for rel in stage.outputs}
         digests.update(outputs)
         storage.write_manifest(out, stage.name, used, inputs, outputs)
@@ -588,13 +575,13 @@ def _run_stage(name: str, config: dict, workers: int, digests: dict) -> None:
         print(f"{name}: up to date, skipping")
 
 
-def _run_commands(names, config: dict, workers: int) -> None:
+def _run_commands(names, config: dict) -> None:
     """Run the commands in order with one digest map, so that `grounddesk
     all` hashes each file at most once: no stage writes a file except as a
     declared output, whose hash then replaces the one in the map."""
     digests = {}
     for name in names:
-        _run_stage(name, config, workers, digests)
+        _run_stage(name, config, digests)
 
 
 # ablations ---------------------------------------------------------------
@@ -644,7 +631,7 @@ ABLATIONS = {
 ABLATE_CHOICES = sorted([*ABLATIONS, "length"])
 
 
-def _ablate(name, config, workers: int = 1) -> list[dict]:
+def _ablate(name, config) -> list[dict]:
     """The named table's rows. Each row runs `grounddesk all`'s stages under
     the config with the setting's overrides, in one tree that every row of the
     table shares, <out>/ablate/<name>/tree, so a stage whose config keys and
@@ -663,7 +650,7 @@ def _ablate(name, config, workers: int = 1) -> list[dict]:
         configs.append(cfg)
     rows = []
     for setting, cfg in zip(ablation.settings, configs):
-        _run_commands(PIPELINE_STAGES, cfg, workers)
+        _run_commands(PIPELINE_STAGES, cfg)
         summary = _read(tree, "summary.json", storage.read_json)
         row = {ablation.column: setting.value}
         for metric in ablation.metrics:
@@ -691,17 +678,19 @@ def _ablate_length(config) -> list[dict]:
 
 
 def run(subcommand: str, config: dict, workers: int = 1) -> int:
-    """Execute one pipeline subcommand; returns the process exit code."""
+    """Execute one pipeline subcommand; returns the process exit code. Every
+    stage runs in this process, so a `workers` other than 1 is a config error."""
     try:
+        if workers != 1:
+            raise ConfigError(f"workers={workers!r}: every stage runs in one process")
         if subcommand in STAGES or subcommand == "all":
-            _run_commands(PIPELINE_STAGES if subcommand == "all" else (subcommand,), config,
-                          workers)
+            _run_commands(PIPELINE_STAGES if subcommand == "all" else (subcommand,), config)
             return 0
         experiment = subcommand.removeprefix("ablate:")
         if experiment == subcommand or experiment not in ABLATE_CHOICES:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         rows = (_ablate_length(config) if experiment == "length"
-                else _ablate(experiment, config, workers))
+                else _ablate(experiment, config))
         out_dir = os.path.join(_out(config), "ablate", experiment)
         os.makedirs(out_dir, exist_ok=True)
         storage.write_json(os.path.join(out_dir, f"{experiment}.json"), rows)
@@ -729,11 +718,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file merged over defaults")
         p.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                        help="override a config field by dotted path")
-        p.add_argument("--threshold-p", type=float, default=None,
-                       help="shorthand for --set labeler.threshold_p=...")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for fan-out stages")
 
     for name in PIPELINE_STAGES + ("all",):
         add_common(sub.add_parser(name))
@@ -758,15 +743,13 @@ def main(argv=None) -> int:
             print(f"config error: --set expects PATH=VALUE, got {item!r}", file=sys.stderr)
             return 2
         overrides.append(tuple(item.split("=", 1)))
-    if args.threshold_p is not None:
-        overrides.append(("labeler.threshold_p", str(args.threshold_p)))
     try:
         config = load_config(args.config, overrides, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     subcommand = f"ablate:{args.experiment}" if args.command == "ablate" else args.command
-    return run(subcommand, config, workers=args.workers)
+    return run(subcommand, config)
 
 
 if __name__ == "__main__":

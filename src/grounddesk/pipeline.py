@@ -9,7 +9,6 @@ ablation presets and the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -64,69 +63,44 @@ def build_vocabulary(pool) -> Vocabulary:
     return Vocabulary.build(Lexicon.from_categories(pool).tokens | fillers)
 
 
-def _category_descriptions(cat, num_descriptions: int, target_length_words: int, seed: int,
-                           grammar: GrammarConfig) -> list[ObjectDescription]:
-    spec = DescriptionSpec(num_descriptions, target_length_words,
-                           seed=derive_seed(seed, "gen", cat.id), grammar_config=grammar)
-    return generate_descriptions(cat, spec)
-
-
-def build_description_corpus(pool, num_descriptions: int, target_length_words: int,
-                             seed: int, grammar: GrammarConfig | None = None,
-                             map_fn=map) -> list[ObjectDescription]:
-    """Per-category generation with globally unique description ids.
-
-    ``map_fn`` maps the per-category function over the pool; it must keep
-    order (the CLI passes its process fan-out).
-    """
-    per_category = map_fn(partial(_category_descriptions, num_descriptions=num_descriptions,
-                                  target_length_words=target_length_words, seed=seed,
-                                  grammar=grammar or GrammarConfig()), pool)
+def build_description_corpus(pool, num_descriptions: int, target_length_words: int, seed: int,
+                             grammar: GrammarConfig | None = None) -> list[ObjectDescription]:
+    """Per-category generation with globally unique description ids."""
+    grammar = grammar or GrammarConfig()
     out: list[ObjectDescription] = []
-    for descs in per_category:
-        for desc in descs:
+    for cat in pool:
+        spec = DescriptionSpec(num_descriptions, target_length_words,
+                               seed=derive_seed(seed, "gen", cat.id), grammar_config=grammar)
+        for desc in generate_descriptions(cat, spec):
             out.append(replace(desc, id=len(out)))
-    return out
-
-
-def _description_scenes(item, images_per_description: int, seed: int,
-                        distractors: DistractorConfig,
-                        features: FeatureConfig) -> list[tuple[Scene, RegionFeatures]]:
-    desc, tree, cat, first_scene_id = item
-    out = []
-    for k in range(images_per_description):
-        scene_id = first_scene_id + k
-        scene = synthesize_scene(tree, cat, image_seed=derive_seed(seed, "img", desc.id, k),
-                                 distractor_config=distractors,
-                                 scene_id=scene_id, description_id=desc.id)
-        out.append((scene, render_features(scene, noise_seed=derive_seed(seed, "feat", scene_id),
-                                           d=features.dim, b=features.background_boxes,
-                                           sigma=features.noise_sigma)))
     return out
 
 
 def build_scene_corpus(pool, descriptions, images_per_description: int, seed: int,
                        distractors: DistractorConfig | None = None,
                        features: FeatureConfig | None = None,
-                       lexicon: Lexicon | None = None, map_fn=map, trees=None):
+                       lexicon: Lexicon | None = None, trees=None):
     """Seed-indexed scene variants plus rendered region features per scene.
     `trees` are the descriptions' parse trees, parsed here when not given."""
     by_id = {c.id: c for c in pool}
     if trees is None:
         lexicon = lexicon or Lexicon.from_categories(pool)
         trees = [parse(desc.text, lexicon) for desc in descriptions]
-    items = [(desc, tree, by_id[desc.category_id], i * images_per_description)
-             for i, (desc, tree) in enumerate(zip(descriptions, trees))]
-    per_description = map_fn(partial(_description_scenes,
-                                     images_per_description=images_per_description, seed=seed,
-                                     distractors=distractors or DistractorConfig(),
-                                     features=features or FeatureConfig()), items)
+    distractors = distractors or DistractorConfig()
+    features = features or FeatureConfig()
     scenes: list[Scene] = []
     feats: dict[int, RegionFeatures] = {}
-    for group in per_description:
-        for scene, rf in group:
+    for i, (desc, tree) in enumerate(zip(descriptions, trees)):
+        cat = by_id[desc.category_id]
+        for k in range(images_per_description):
+            scene_id = i * images_per_description + k
+            scene = synthesize_scene(tree, cat, image_seed=derive_seed(seed, "img", desc.id, k),
+                                     distractor_config=distractors,
+                                     scene_id=scene_id, description_id=desc.id)
             scenes.append(scene)
-            feats[scene.scene_id] = rf
+            feats[scene_id] = render_features(
+                scene, noise_seed=derive_seed(seed, "feat", scene_id), d=features.dim,
+                b=features.background_boxes, sigma=features.noise_sigma)
     return scenes, feats
 
 
@@ -157,21 +131,15 @@ def default_corpus(seed: int = 0) -> CorpusBundle:
 LABEL_STRATEGIES = ("weak_to_strong", "grounding")
 
 
-def _label_scene(item, detector, config: LabelerConfig, strategy: str) -> PseudoTriplet:
-    scene, text, tree = item
-    labeler = weak_to_strong_label if strategy == "weak_to_strong" else grounding_label
-    return labeler(scene, text, detector, config, tree=tree)
-
-
 def label_corpus(bundle: CorpusBundle, detector=None, config: LabelerConfig | None = None,
-                 strategy: str = "weak_to_strong", map_fn=map) -> list[PseudoTriplet]:
+                 strategy: str = "weak_to_strong") -> list[PseudoTriplet]:
     if strategy not in LABEL_STRATEGIES:
         raise ValueError(f"unknown labeling strategy {strategy!r}; "
                          f"expected one of {list(LABEL_STRATEGIES)}")
-    items = [(scene, bundle.descriptions[scene.description_id].text,
-              bundle.index.tree(scene.description_id)) for scene in bundle.scenes]
-    return list(map_fn(partial(_label_scene, detector=detector or BowDetector(),
-                               config=config or LabelerConfig(), strategy=strategy), items))
+    labeler = weak_to_strong_label if strategy == "weak_to_strong" else grounding_label
+    detector, config = detector or BowDetector(), config or LabelerConfig()
+    return [labeler(scene, bundle.descriptions[scene.description_id].text, detector, config,
+                    tree=bundle.index.tree(scene.description_id)) for scene in bundle.scenes]
 
 
 def mean_label_recall(bundle: CorpusBundle, triplets) -> float:
@@ -257,10 +225,13 @@ def build_detection_examples(bundle: CorpusBundle, seed: int = 0, absent_categor
     return [detection_example(bundle, scene, seed, absent_categories) for scene in bundle.scenes]
 
 
+# The most labels, and so captions, that one inference prompt holds.
+PROMPT_CHUNK = 8
+
+
 def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
                            score_threshold: float = 0.5,
-                           lexicon: Lexicon | None = None,
-                           prompt_chunk: int = 8, agg: str = "max") -> ResultColumns:
+                           lexicon: Lexicon | None = None, agg: str = "max") -> ResultColumns:
     """The detector's results for every label as ResultColumns: one row per
     (label_id, scene_id) with detections, its boxes and scores highest score
     first, and no row for a label without detections. Rows come in inference
@@ -286,8 +257,8 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
                 scores.append(label_scores)
 
     cat_labels = list(benchmark.category_labels)
-    cat_chunks = [cat_labels[lo:lo + prompt_chunk]
-                  for lo in range(0, len(cat_labels), prompt_chunk)]
+    cat_chunks = [cat_labels[lo:lo + PROMPT_CHUNK]
+                  for lo in range(0, len(cat_labels), PROMPT_CHUNK)]
     cat_prompts = [compile_prompt(model, [parse(c.name, lexicon) for c in chunk])
                    for chunk in cat_chunks]
     for scene_id in benchmark.scene_ids:
@@ -298,8 +269,8 @@ def run_model_on_benchmark(model: GroundingModel, benchmark: BenchmarkInstance,
     for label in benchmark.description_labels:
         by_scene.setdefault(label.scene_id, []).append(label)
     for scene_id, labels in by_scene.items():
-        for lo in range(0, len(labels), prompt_chunk):
-            chunk = labels[lo:lo + prompt_chunk]
+        for lo in range(0, len(labels), PROMPT_CHUNK):
+            chunk = labels[lo:lo + PROMPT_CHUNK]
             score(scene_id, chunk, compile_prompt(model, [l.tree for l in chunk]))
     return ResultColumns.from_rows(keys, boxes, scores)
 

@@ -14,6 +14,7 @@ Relation semantics:
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -571,13 +572,15 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(row: dict, n_descriptions: int | None = None) -> Scene:
+def scene_from_json(row: dict, n_descriptions: int | None = None,
+                    vocabulary: Collection[str] | None = None) -> Scene:
     """The Scene of one scenes.jsonl row. A row that no stage can use raises
     ValueError: a description_id that is not an integer, or not below
     n_descriptions when given; an object whose instance_id is not its
-    position, whose category is not a string, whose attributes are not a
-    list of strings or whose box is not four finite numbers with a width and
-    height above 0; or a referent or relation endpoint that names no object."""
+    position, whose category is not a string or not tokens of `vocabulary`
+    when given, whose attributes are not a list of strings or whose box is
+    not four finite numbers with a width and height above 0; or a referent
+    or relation endpoint that names no object."""
     objects = []
     for k, o in enumerate(row["objects"]):
         category, attributes, box = o["category"], o["attributes"], o["box"]
@@ -585,6 +588,9 @@ def scene_from_json(row: dict, n_descriptions: int | None = None) -> Scene:
             raise ValueError(f"object {k} has instance_id {o['instance_id']}, not its position")
         if not isinstance(category, str):
             raise ValueError(f"object {k} has category {category!r}, not a string")
+        tokens = category.split()
+        if vocabulary is not None and not (tokens and all(t in vocabulary for t in tokens)):
+            raise ValueError(f"object {k} has category {category!r}, not tokens of the vocabulary")
         if not (isinstance(attributes, list) and set(map(type, attributes)) <= {str}):
             raise ValueError(f"object {k} has attributes {attributes!r}, not a list of strings")
         if not (isinstance(box, list) and len(box) == 4
@@ -612,9 +618,10 @@ def write_scenes(path, scenes) -> None:
     write_jsonl(path, map(scene_to_json, scenes))
 
 
-def read_scenes(path, n_descriptions: int | None = None) -> list[Scene]:
+def read_scenes(path, n_descriptions: int | None = None,
+                vocabulary: Collection[str] | None = None) -> list[Scene]:
     """The scenes of a write_scenes() file. A row that scene_from_json(row,
-    n_descriptions) rejects, or whose scene_id is not its 0-based line
-    position, fails its line."""
-    return read_jsonl(path, lambda row: scene_from_json(row, n_descriptions),
+    n_descriptions, vocabulary) rejects, or whose scene_id is not its 0-based
+    line position, fails its line."""
+    return read_jsonl(path, lambda row: scene_from_json(row, n_descriptions, vocabulary),
                       position_field="scene_id")

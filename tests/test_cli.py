@@ -165,13 +165,6 @@ def test_known_labeler_strategies_validate():
         assert load_config(overrides=[("labeler.strategy", value)])["labeler"]["strategy"] == value
 
 
-def test_threshold_p_flag(tmp_path):
-    out = str(tmp_path / "o")
-    code = run_cli(["gen", "--out", out, "--threshold-p", "0.7",
-                    "--set", "descriptions.num_descriptions=3"])
-    assert code == 0
-
-
 def test_missing_artifact_exit_code(tmp_path):
     assert run_cli(["label", "--out", str(tmp_path / "empty")] + SMALL) == 3
     assert run_cli(["train", "--out", str(tmp_path / "empty")] + SMALL) == 3
@@ -182,6 +175,21 @@ def test_config_error_exit_code(tmp_path):
                     "--set", "descriptions.target_length_words=1"]) == 2
     assert run_cli(["gen", "--out", str(tmp_path / "o"), "--set", "bogus=1"]) == 2
     assert run_cli(["gen", "--out", str(tmp_path / "o"), "--set", "pool=desk999"]) == 2
+
+
+def test_more_than_one_worker_is_a_config_error(tmp_path, capsys):
+    """Every stage runs in one process: cli.run rejects any workers but 1
+    before it writes anything, and the command line has no --workers flag."""
+    out = tmp_path / "o"
+    config = load_config(output_dir=str(out))
+    for subcommand in ("gen", "all", "ablate:threshold"):
+        assert cli.run(subcommand, config, workers=2) == 2
+        assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["all", "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [("descriptions.target_length_words", "28"),
@@ -488,6 +496,11 @@ _UNUSABLE_SCENES = {
                                  "scene_id 0 is not its 0-based line position 1"),
     "float_scene_id": (lambda row: row.update(scene_id=1.0), "scene_id 1.0 is not an integer"),
     "true_scene_id": (lambda row: row.update(scene_id=True), "scene_id True is not an integer"),
+    "category_outside_the_vocabulary": (
+        lambda row: row["objects"][0].update(category="zeppelin"),
+        "category 'zeppelin', not tokens of the vocabulary"),
+    "empty_category": (lambda row: row["objects"][0].update(category=" "),
+                       "category ' ', not tokens of the vocabulary"),
 }
 
 
@@ -498,8 +511,9 @@ def test_unusable_scene_is_an_artifact_error(corrupt_copy, capsys, case, stage):
     other than the object's position, attributes that are not a list of
     strings, a box that is not four finite numbers or has no area, a
     referent or relation endpoint that names no object, a scene_id other
-    than its line position or a description_id that names no description
-    fails the stage that reads it, naming the file and the line."""
+    than its line position, a description_id that names no description or
+    a category with no token or a token outside the run's vocabulary fails
+    the stage that reads it, naming the file and the line."""
     edit, message = _UNUSABLE_SCENES[case]
     _edit_line_2(corrupt_copy / "scenes.jsonl", edit)
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 5
@@ -682,7 +696,7 @@ def test_a_one_field_edit_exits_0_or_5_naming_the_line(pipeline_dir, tmp_path_fa
     valid artifact, and exit 0, where no stage reads the field (a
     description's seed, provenance or generator spans, a scene's image_seed
     or relation words, a triplet's provenance) or where any value of its
-    type will do (a box corner, an object's category or attribute word)."""
+    type will do (a box corner, an object's attribute word)."""
     filename = data.draw(st.sampled_from(sorted(_CONSUMERS)), label="file")
     stage = data.draw(st.sampled_from(_CONSUMERS[filename]), label="stage")
     with open(os.path.join(pipeline_dir, filename), encoding="utf-8") as fh:
@@ -855,9 +869,9 @@ def _run_recorded(monkeypatch, name, config, out):
         return real_input_hashes(out_dir, stage, digests)
 
     def recorded(stage):
-        def body(config, out_dir, workers):
+        def body(config, out_dir):
             recording = _RecordingConfig(config)
-            stage.body(recording, out_dir, workers)
+            stage.body(recording, out_dir)
             keys_read[stage.name] = recording.read
         return dataclasses.replace(stage, body=body)
 
@@ -1506,19 +1520,6 @@ def test_deterministic_trees(tmp_path_factory):
     assert trees[0] == trees[1]
 
 
-def test_worker_fanout_matches_sequential(tmp_path_factory):
-    seq = str(tmp_path_factory.mktemp("seq"))
-    par = str(tmp_path_factory.mktemp("par"))
-    for out, workers in ((seq, "1"), (par, "2")):
-        assert cli.main(["gen", "--out", out, "--workers", workers,
-                         "--set", "descriptions.num_descriptions=3"]) == 0
-        assert cli.main(["scenes", "--out", out, "--workers", workers,
-                         "--set", "descriptions.num_descriptions=3",
-                         "--set", "images_per_description=2"]) == 0
-    a, b = storage.hash_tree(seq), storage.hash_tree(par)
-    assert a == b
-
-
 def test_ablate_length_writes_monotone_table(tmp_path, capsys):
     out = str(tmp_path / "abl")
     assert cli.main(["ablate", "length", "--out", out,
@@ -1553,20 +1554,6 @@ def test_pool_file_runs_end_to_end(tmp_path):
         assert tokens <= vocab, (name, sorted(tokens - vocab))
     assert cli.run("ablate:length", config) == 0
     assert len(storage.read_json(out / "ablate" / "length" / "length.json")) == 4
-
-
-def test_label_worker_fanout_matches_sequential(tmp_path_factory):
-    outs = []
-    for workers in ("1", "2"):
-        out = str(tmp_path_factory.mktemp(f"lab{workers}"))
-        args = ["--out", out, "--workers", workers,
-                "--set", "descriptions.num_descriptions=3",
-                "--set", "images_per_description=1"]
-        assert cli.main(["gen"] + args) == 0
-        assert cli.main(["scenes"] + args) == 0
-        assert cli.main(["label"] + args) == 0
-        outs.append(storage.sha256_file(os.path.join(out, "triplets.jsonl")))
-    assert outs[0] == outs[1]
 
 
 TINY = ["--set", "descriptions.num_descriptions=3",
@@ -1619,27 +1606,6 @@ def test_ablation_trains_with_the_train_settings(tmp_path, monkeypatch):
     for d_model, init, n_detection, seed in seen:
         assert (d_model, n_detection, seed) == (16, 20 * 3, 3)
         assert (init == fresh.params["visual.weight"]).all()
-
-
-def test_ablation_table_does_not_depend_on_workers(tmp_path, monkeypatch):
-    """ablate --workers N fans the gen, scenes and label stages out over N
-    processes and writes the table it writes with one."""
-    fanned = []
-    real_fanout = cli.fanout
-
-    def spy(fn, items, workers=1):
-        fanned.append(workers)
-        return real_fanout(fn, items, workers)
-
-    monkeypatch.setattr(cli, "fanout", spy)
-    tables = []
-    for workers in ("1", "2"):
-        out = tmp_path / workers
-        assert cli.main(["ablate", "threshold", "--out", str(out), "--workers", workers]
-                        + TINY) == 0
-        tables.append((out / "ablate" / "threshold" / "threshold.json").read_bytes())
-    assert tables[0] == tables[1]
-    assert fanned == [1] * 5 + [2] * 5  # gen, scenes and three labelings each
 
 
 ALL_AND_ABLATE = ["--set", "descriptions.num_descriptions=6",
