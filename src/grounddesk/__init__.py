@@ -6,9 +6,8 @@ detection, builds compositional contrastive alignment targets, trains a small
 grounding model, and scores it with description-aware detection metrics.
 """
 
-from .corpus import (DescriptionIndex, DescriptionSpec, EntityCategory, GrammarConfig,
-                     ObjectDescription, build_entity_pool, generate_descriptions,
-                     render_llm_prompt, text_stats)
+from .corpus import (DescriptionIndex, DescriptionSpec, EntityCategory, ObjectDescription,
+                     build_entity_pool, generate_descriptions, render_llm_prompt, text_stats)
 from .langparse import Lexicon, ParseError, ParseTree, PhraseSpan, is_absence, \
     noun_phrases, parse
 from .scenegen import (BenchmarkConfig, DistractorConfig, RegionFeatures, Scene,
@@ -29,7 +28,7 @@ from . import pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "DescriptionIndex", "DescriptionSpec", "EntityCategory", "GrammarConfig", "ObjectDescription",
+    "DescriptionIndex", "DescriptionSpec", "EntityCategory", "ObjectDescription",
     "build_entity_pool", "generate_descriptions", "render_llm_prompt", "text_stats",
     "Lexicon", "ParseError", "ParseTree", "PhraseSpan", "is_absence", "noun_phrases",
     "parse",

@@ -73,8 +73,9 @@ def _leaves(node, prefix=""):
 # Every field takes the type of its default.
 _SCHEMA = {path: type(value) for path, value in _leaves(DEFAULT_CONFIG)}
 
+# The rules for values that configure a function. A value that a config
+# object carries is checked by that object alone (_CONFIG_OBJECTS).
 _RANGES = (
-    ("labeler.threshold_p", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     ("labeler.strategy", lambda v: v in pipeline.LABEL_STRATEGIES,
      f"must be one of {list(pipeline.LABEL_STRATEGIES)}"),
     ("images_per_description", lambda v: v >= 1, "must be >= 1"),
@@ -82,22 +83,10 @@ _RANGES = (
     ("features.background_boxes", lambda v: v >= 0, "must be >= 0"),
     ("targets.k_neg", lambda v: v >= 0, "must be >= 0"),
     ("targets.absent_categories", lambda v: v >= 0, "must be >= 0"),
-    ("distractors.extra_attribute_weights",
-     lambda v: all(isinstance(w, (int, float)) and w >= 0 for w in v) and sum(v) > 0,
-     "must be a list of numbers >= 0 with a positive sum"),
     ("train.d_model", lambda v: v >= 1, "must be >= 1"),
-    ("eval.nw_choices", lambda v: v and all(isinstance(n, int) and n >= 3 for n in v),
-     "must be a non-empty list of integers >= 3"),
     ("eval.benchmark_scenes", lambda v: v >= 1, "must be >= 1"),
-    ("eval.fraction_negative", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     ("eval.iou_threshold", lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     ("eval.aggregation", lambda v: v in AGGREGATIONS, f"must be one of {list(AGGREGATIONS)}"),
-    ("descriptions.target_length_words", lambda v: v >= 3, "must be >= 3"),
-    ("train.epochs", lambda v: v >= 1, "must be >= 1"),
-    ("train.batch_size", lambda v: v >= 1, "must be >= 1"),
-    ("train.learning_rate", lambda v: v > 0, "must be > 0"),
-    ("train.momentum", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    ("train.detection_mix_ratio", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
 )
 
 
@@ -116,9 +105,71 @@ def _set(config, dotted, value):
     node[parts[-1]] = value
 
 
+# config objects ---------------------------------------------------------
+
+def _description_spec(config) -> corpus.DescriptionSpec:
+    return corpus.DescriptionSpec(**config["descriptions"])
+
+
+def _distractor_config(config) -> scenegen.DistractorConfig:
+    d = config["distractors"]
+    return scenegen.DistractorConfig(
+        **{**d, "extra_attribute_weights": tuple(d["extra_attribute_weights"])})
+
+
+def _feature_config(config) -> scenegen.FeatureConfig:
+    return scenegen.FeatureConfig(**config["features"])
+
+
+def _bow_config(config) -> labeling.BowConfig:
+    return labeling.BowConfig(**config["detector"])
+
+
+def _labeler_config(config) -> labeling.LabelerConfig:
+    l = config["labeler"]
+    return labeling.LabelerConfig(threshold_p=l["threshold_p"],
+                                  max_dets_per_phrase=l["max_dets_per_phrase"])
+
+
+def _target_config(config) -> targets.TargetConfig:
+    t = config["targets"]
+    return targets.TargetConfig(
+        sentence_level_positive=t["sentence_level_positive"],
+        structural_negative=t["structural_negative"],
+        sentence_positive_covers_nonsubject=t["sentence_positive_covers_nonsubject"])
+
+
+def _train_config(config) -> TrainConfig:
+    t = config["train"]
+    return TrainConfig(epochs=t["epochs"], learning_rate=t["learning_rate"],
+                       momentum=t["momentum"], batch_size=t["batch_size"],
+                       freeze_visual=t["freeze"]["visual"],
+                       freeze_language=t["freeze"]["language"],
+                       freeze_fusion=t["freeze"]["fusion"],
+                       detection_mix_ratio=t["detection_mix_ratio"],
+                       seed=config["seed"])
+
+
+def _benchmark_config(config) -> scenegen.BenchmarkConfig:
+    e = config["eval"]
+    return scenegen.BenchmarkConfig(
+        fraction_negative=e["fraction_negative"], nw_choices=tuple(e["nw_choices"]),
+        features=_feature_config(config), distractors=_distractor_config(config))
+
+
+# Every config object a stage builds, after the block of the config its
+# fields come from: a constructor's ValueError starts with the field's name,
+# so the block makes it the dotted path.
+_CONFIG_OBJECTS = (("descriptions", _description_spec), ("distractors", _distractor_config),
+                   ("features", _feature_config), ("detector", _bow_config),
+                   ("labeler", _labeler_config), ("targets", _target_config),
+                   ("train", _train_config), ("eval", _benchmark_config))
+
+
 def validate_config(config) -> None:
-    """Type-check every known field, reject unknown ones (dotted paths),
-    check value ranges and check the description lengths against the pool's
+    """Type-check every known field, reject unknown ones (dotted paths), check
+    _RANGES, build every config object (_CONFIG_OBJECTS), each of which checks
+    its own values, and check the description lengths against the pool's
     grammar, so that a bad config fails before any stage runs."""
     for path, value in _leaves(config):
         if path not in _SCHEMA:
@@ -137,14 +188,15 @@ def validate_config(config) -> None:
     for path, ok, rule in _RANGES:
         if not ok(_get(config, path)):
             raise ConfigError(f"config field {path}: {rule}")
+    for block, build in _CONFIG_OBJECTS:
+        try:
+            build(config)
+        except ValueError as exc:
+            raise ConfigError(f"config field {block}.{exc}") from None
     n, k_neg = config["descriptions"]["num_descriptions"], config["targets"]["k_neg"]
     if 1 <= n <= k_neg:
         raise ConfigError(f"config field descriptions.num_descriptions: {n} leaves {n - 1} "
                           f"same-category alternatives, but targets.k_neg needs {k_neg}")
-    low, high = config["distractors"]["min_fillers"], config["distractors"]["max_fillers"]
-    if low > high:
-        raise ConfigError(f"config field distractors.min_fillers: {low} is above "
-                          f"distractors.max_fillers {high}")
     try:
         pool = corpus.build_entity_pool(config["pool"])
     except corpus.PoolError as exc:
@@ -217,53 +269,6 @@ def _pool_and_lexicon(config):
     return pool, langparse.Lexicon.from_categories(pool)
 
 
-def _distractor_config(config) -> scenegen.DistractorConfig:
-    d = config["distractors"]
-    return scenegen.DistractorConfig(
-        **{**d, "extra_attribute_weights": tuple(d["extra_attribute_weights"])})
-
-
-def _detector(config) -> labeling.BowDetector:
-    return labeling.BowDetector(labeling.BowConfig(**config["detector"]))
-
-
-def _labeler_config(config) -> labeling.LabelerConfig:
-    l = config["labeler"]
-    return labeling.LabelerConfig(threshold_p=l["threshold_p"],
-                                  max_dets_per_phrase=l["max_dets_per_phrase"])
-
-
-def _train_config(config) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(epochs=t["epochs"], learning_rate=t["learning_rate"],
-                       momentum=t["momentum"], batch_size=t["batch_size"],
-                       freeze_visual=t["freeze"]["visual"],
-                       freeze_language=t["freeze"]["language"],
-                       freeze_fusion=t["freeze"]["fusion"],
-                       detection_mix_ratio=t["detection_mix_ratio"],
-                       seed=config["seed"])
-
-
-def _target_config(config) -> targets.TargetConfig:
-    t = config["targets"]
-    return targets.TargetConfig(
-        sentence_level_positive=t["sentence_level_positive"],
-        structural_negative=t["structural_negative"],
-        sentence_positive_covers_nonsubject=t["sentence_positive_covers_nonsubject"])
-
-
-def _benchmark_config(config) -> scenegen.BenchmarkConfig:
-    e, f = config["eval"], config["features"]
-    return scenegen.BenchmarkConfig(
-        fraction_negative=e["fraction_negative"], nw_choices=tuple(e["nw_choices"]),
-        feature_dim=f["dim"], background_boxes=f["background_boxes"],
-        noise_sigma=f["noise_sigma"], distractors=_distractor_config(config))
-
-
-def _feature_config(config) -> pipeline.FeatureConfig:
-    return pipeline.FeatureConfig(**config["features"])
-
-
 def _read_bundle(config, out_dir) -> pipeline.CorpusBundle:
     """The corpus as the gen and scenes stages wrote it, without features."""
     pool, lexicon = _pool_and_lexicon(config)
@@ -311,11 +316,6 @@ def _read_examples(out_dir, filename, features, vocab: Vocabulary) -> list[Train
     return _read(out_dir, filename, storage.read_jsonl, decode=decode)
 
 
-def _load_model(out_dir):
-    tokens = _read(out_dir, "model.vocab.json", lambda p: tuple(storage.read_json(p)["tokens"]))
-    return _read(out_dir, "model.ckpt", load_checkpoint, vocabulary=Vocabulary(tokens=tokens))
-
-
 # stages -----------------------------------------------------------------
 # Each body gets the config restricted to its stage's keys. A stage with a
 # manifest reads only its declared inputs and writes its declared outputs.
@@ -347,8 +347,8 @@ def _scenes(config, out):
 
 def _label(config, out):
     bundle = _read_bundle(config, out)
-    triplets = pipeline.label_corpus(bundle, _detector(config), _labeler_config(config),
-                                     config["labeler"]["strategy"])
+    triplets = pipeline.label_corpus(bundle, labeling.BowDetector(_bow_config(config)),
+                                     _labeler_config(config), config["labeler"]["strategy"])
     storage.write_jsonl(os.path.join(out, "triplets.jsonl"),
                         map(labeling.triplet_to_json, triplets))
     storage.write_json(os.path.join(out, "label_stats.json"),
@@ -389,7 +389,6 @@ def _train(config, out):
                            d_model=config["train"]["d_model"], seed=config["seed"])
     model, history = train(model, triplet_examples, detection_examples, _train_config(config))
     save_checkpoint(model, os.path.join(out, "model.ckpt"))
-    storage.write_json(os.path.join(out, "model.vocab.json"), {"tokens": list(vocab.tokens)})
     save_history(os.path.join(out, "history.csv"), history)
     print(f"train: {len(triplet_examples)} triplet examples, "
           f"loss {history[0][1]:.4f} -> {history[-1][1]:.4f}")
@@ -405,7 +404,7 @@ def _eval_scores(config, out):
     stage reads the exports, so they are not declared outputs: the manifest
     does not hash them, and an edited export leaves the scores current."""
     pool, lexicon = _pool_and_lexicon(config)
-    model = _load_model(out)
+    model = _read(out, "model.ckpt", load_checkpoint, vocabulary=pipeline.build_vocabulary(pool))
     e = config["eval"]
     bench = pipeline.default_benchmark(pool, config["seed"], e["benchmark_scenes"],
                                        config=_benchmark_config(config), lexicon=lexicon)
@@ -500,13 +499,12 @@ STAGES = {
     "train": (Stage("train", ("pool", "features", "train", "seed"),
                     {"examples.jsonl": "targets", "detection_examples.jsonl": "targets",
                      "features.bin": "scenes"},
-                    ("model.ckpt", "model.vocab.json", "history.csv"), _train),),
+                    ("model.ckpt", "history.csv"), _train),),
     "eval": (Stage("eval_scores", ("pool", "features", "distractors", "seed",
                                    "eval.benchmark_scenes", "eval.fraction_negative",
                                    "eval.nw_choices", "eval.score_threshold",
                                    "eval.aggregation"),
-                   {"model.ckpt": "train", "model.vocab.json": "train"}, ("match_table.bin",),
-                   _eval_scores),
+                   {"model.ckpt": "train"}, ("match_table.bin",), _eval_scores),
              Stage("eval", ("eval.iou_threshold",), {"match_table.bin": "eval"}, ("report.json",),
                    _eval)),
     "report": (Stage("report", tuple(k for k in DEFAULT_CONFIG if k != "output_dir"),

@@ -9,7 +9,7 @@ the phrase spans it realized so the parser can be validated against them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,27 +48,19 @@ class EntityCategory:
             raise PoolError(f"category {self.name!r} has an empty attribute vocab")
 
 
-@dataclass(frozen=True)
-class GrammarConfig:
-    """Sampling weights for the description grammar."""
-
-    relation_weights: tuple[float, ...] = (1.0,) * len(pools.RELATION_WORDS)
-    participle_prob: float = 0.5
-    object_det_prob: float = 0.9
-    negated_det_prob: float = 0.3
-    the_prob: float = 0.15
-    # relation clauses and adjectives per description scale roughly linearly
-    # with the target length; adjectives are clamped to the +/-2 word tolerance
-    relation_rate: float = 0.2667
-    relation_offset: float = 4.5
-    adjective_rate: float = 0.28
-    adjective_offset: float = -0.2
-    adjective_jitter: float = 0.7
-
-    def __post_init__(self):
-        if len(self.relation_weights) != len(pools.RELATION_WORDS):
-            raise CorpusError(f"relation_weights has {len(self.relation_weights)} weights, "
-                              f"one per relation word needs {len(pools.RELATION_WORDS)}")
+# The description grammar's sampling rates; relation words are drawn uniformly.
+RELATION_CDF = cumulative_weights((1.0,) * len(pools.RELATION_WORDS))
+PARTICIPLE_PROB = 0.5
+OBJECT_DET_PROB = 0.9
+NEGATED_DET_PROB = 0.3
+THE_PROB = 0.15
+# relation clauses and adjectives per description scale roughly linearly
+# with the target length; adjectives are clamped to the +/-2 word tolerance
+RELATION_RATE = 0.2667
+RELATION_OFFSET = 4.5
+ADJECTIVE_RATE = 0.28
+ADJECTIVE_OFFSET = -0.2
+ADJECTIVE_JITTER = 0.7
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class DescriptionSpec:
     num_descriptions: int
     target_length_words: int
     seed: int = 0
-    grammar_config: GrammarConfig = field(default_factory=GrammarConfig)
 
     def __post_init__(self):
         if self.target_length_words < 3:
@@ -149,8 +140,8 @@ def _indefinite(word: str) -> str:
     return "an" if word[0] in "aeiou" else "a"
 
 
-def _pick_det(rng, first_word: str, cfg: GrammarConfig) -> str:
-    if rng.random() < cfg.the_prob:
+def _pick_det(rng, first_word: str) -> str:
+    if rng.random() < THE_PROB:
         return "the"
     return _indefinite(first_word)
 
@@ -175,12 +166,10 @@ def max_length_words(category: EntityCategory) -> int:
 
 def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     """One grammar realization within the length tolerance, or None."""
-    cfg = spec.grammar_config
     nw = spec.target_length_words
     name_tokens = category.name.split()
     r_max = min(MAX_CLAUSES, len(category.relation_partners))
-    r_target = min(float(r_max), max(0.0, cfg.relation_rate * (nw - cfg.relation_offset)))
-    relation_cdf = cumulative_weights(tuple(cfg.relation_weights))
+    r_target = min(float(r_max), max(0.0, RELATION_RATE * (nw - RELATION_OFFSET)))
 
     base = int(r_target)
     frac = r_target - base
@@ -191,11 +180,11 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     clauses = []
     for pid in partner_ids:
         partner = category.relation_partners[int(pid)]
-        relword = pools.RELATION_WORDS[weighted_index(rng, relation_cdf)]
-        det_prob = cfg.negated_det_prob if relword == "without" else cfg.object_det_prob
+        relword = pools.RELATION_WORDS[weighted_index(rng, RELATION_CDF)]
+        det_prob = NEGATED_DET_PROB if relword == "without" else OBJECT_DET_PROB
         has_det = rng.random() < det_prob
         clauses.append((relword, has_det, partner))
-    participle = rng.random() < cfg.participle_prob
+    participle = rng.random() < PARTICIPLE_PROB
 
     fixed = 1 + len(name_tokens) + (1 if participle else 0)
     for relword, has_det, partner in clauses:
@@ -206,7 +195,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     lo, hi = max(0, budget - 2), min(sum(caps), budget + 2)
     if lo > hi:
         return None
-    adj_target = cfg.adjective_rate * nw + cfg.adjective_offset + rng.normal(0.0, cfg.adjective_jitter)
+    adj_target = ADJECTIVE_RATE * nw + ADJECTIVE_OFFSET + rng.normal(0.0, ADJECTIVE_JITTER)
     total_adj = int(min(max(round(adj_target), lo), hi))
 
     counts = [0] * (r + 1)
@@ -219,7 +208,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
     subj_adjs = [category.attribute_vocab[int(k)]
                  for k in rng.choice(len(category.attribute_vocab), size=counts[0], replace=False)] if counts[0] else []
     tokens = []
-    tokens.append(_pick_det(rng, (subj_adjs or name_tokens)[0], cfg))
+    tokens.append(_pick_det(rng, (subj_adjs or name_tokens)[0]))
     tokens.extend(subj_adjs)
     tokens.extend(name_tokens)
     subject_span = (0, len(tokens))
@@ -232,7 +221,7 @@ def _sample_one(rng, category: EntityCategory, spec: DescriptionSpec):
         adjs = [pools.GENERIC_ATTRIBUTES[int(k)]
                 for k in rng.choice(len(pools.GENERIC_ATTRIBUTES), size=counts[i + 1], replace=False)] if counts[i + 1] else []
         if has_det:
-            tokens.append(_pick_det(rng, (adjs or partner.split())[0], cfg))
+            tokens.append(_pick_det(rng, (adjs or partner.split())[0]))
         tokens.extend(adjs)
         tokens.extend(partner.split())
         nonsubject_spans.append((start, len(tokens)))

@@ -344,9 +344,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """The types and ranges the CLI's train.* config rules check."""
-        if type(self.epochs) is not int or type(self.batch_size) is not int:
-            raise ValueError("epochs and batch_size must be integers")
+        """The one home of the training values' rules, which the CLI's config
+        check applies to train.*: each ValueError starts with its field."""
+        for name in ("epochs", "batch_size"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -53,6 +53,8 @@ class LabelerConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold_p <= 1.0:
             raise ValueError("threshold_p must lie in [0, 1]")
+        if self.max_dets_per_phrase < 1:
+            raise ValueError("max_dets_per_phrase must be >= 1")
 
 
 @dataclass(frozen=True)

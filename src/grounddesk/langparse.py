@@ -27,15 +27,19 @@ class ParseError(ValueError):
         self.token_index = token_index
 
 
+# The closed word classes, the same for every lexicon.
+DETERMINERS = frozenset(pools.DETERMINERS)
+PARTICIPLES = frozenset(pools.PARTICIPLES)
+RELATION_WORDS = frozenset(pools.RELATION_WORDS)
+
+
 @dataclass(frozen=True)
 class Lexicon:
-    """Word classes the parser recognizes. Nouns are tuples of tokens."""
+    """The open word classes the parser recognizes, beside the closed ones
+    above. Nouns are tuples of tokens."""
 
     nouns: frozenset[tuple[str, ...]]
     adjectives: frozenset[str]
-    determiners: frozenset[str] = frozenset(pools.DETERMINERS)
-    participles: frozenset[str] = frozenset(pools.PARTICIPLES)
-    relation_words: frozenset[str] = frozenset(pools.RELATION_WORDS)
     noun_firsts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -55,8 +59,8 @@ class Lexicon:
         """The tokens of every word the lexicon holds: nouns, adjectives,
         determiners, participles and relation words, multi-token words split."""
         return frozenset(t for noun in self.nouns for t in noun).union(
-            self.adjectives, self.determiners, self.participles,
-            (t for word in self.relation_words for t in word.split()))
+            self.adjectives, DETERMINERS, PARTICIPLES,
+            (t for word in RELATION_WORDS for t in word.split()))
 
     @staticmethod
     def build(nouns, adjectives) -> "Lexicon":
@@ -76,12 +80,7 @@ class Lexicon:
         return Lexicon.build(nouns, adjectives)
 
 
-def _default_lexicon() -> Lexicon:
-    nouns, adjectives = pools.all_known_words()
-    return Lexicon.build(nouns, adjectives)
-
-
-DEFAULT_LEXICON = _default_lexicon()
+DEFAULT_LEXICON = Lexicon.build(*pools.all_known_words())
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def phrase_noun_tokens(tree: ParseTree, phrase: PhraseSpan) -> tuple[str, ...]:
     """The noun tokens of a phrase (span minus determiner and modifiers)."""
     toks = tree.tokens[phrase.start_token:phrase.end_token]
     skip = len(phrase.modifiers)
-    if toks and toks[0] in pools.DETERMINERS:
+    if toks and toks[0] in DETERMINERS:
         skip += 1
     return tuple(toks[skip:])
 
@@ -129,7 +128,7 @@ def _match_noun(tokens, i, lexicon) -> int | None:
 
 def _parse_np(tokens, i, lexicon, role, relation=None) -> tuple[PhraseSpan, int]:
     start = i
-    if i < len(tokens) and tokens[i] in lexicon.determiners:
+    if i < len(tokens) and tokens[i] in DETERMINERS:
         i += 1
     modifiers = []
     while i < len(tokens) and tokens[i] in lexicon.adjectives:
@@ -153,10 +152,10 @@ def _parse_np(tokens, i, lexicon, role, relation=None) -> tuple[PhraseSpan, int]
     return phrase, i
 
 
-def _match_relation(tokens, i, lexicon) -> tuple[str, int] | None:
+def _match_relation(tokens, i) -> tuple[str, int] | None:
     if tokens[i] == "next" and i + 1 < len(tokens) and tokens[i + 1] == "to":
         return "next to", 2
-    if tokens[i] in lexicon.relation_words and tokens[i] != "next":
+    if tokens[i] in RELATION_WORDS and tokens[i] != "next":
         return tokens[i], 1
     return None
 
@@ -176,11 +175,11 @@ def parse(text: str, lexicon: Lexicon | None = None) -> ParseTree:
     subject, i = _parse_np(tokens, 0, lexicon, "subject")
     phrases.append(subject)
     participle = None
-    if i < len(tokens) and tokens[i] in lexicon.participles:
+    if i < len(tokens) and tokens[i] in PARTICIPLES:
         participle = i
         i += 1
     while i < len(tokens):
-        rel = _match_relation(tokens, i, lexicon)
+        rel = _match_relation(tokens, i)
         if rel is None:
             raise ParseError(i, f"expected a relation word, got {tokens[i]!r}")
         relword, width = rel

@@ -12,26 +12,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import DescriptionIndex, DescriptionSpec, EntityCategory, GrammarConfig, \
-    ObjectDescription, generate_descriptions
+from .corpus import DescriptionIndex, DescriptionSpec, EntityCategory, ObjectDescription, \
+    build_entity_pool, generate_descriptions
 from .evalkit import BenchmarkInstance, MetricReport, ResultColumns, omnilabel_report
 from .groundnet import (GroundingModel, TrainConfig, TrainExample, Vocabulary,
                         compile_prompt, predict_grouped, proposal_boxes, train)
 from .labeling import BowDetector, LabelerConfig, PseudoTriplet, \
     grounding_label, label_recall, weak_to_strong_label
 from .langparse import Lexicon, ParseTree, parse
-from .scenegen import BenchmarkConfig, DistractorConfig, RegionFeatures, Scene, \
-    make_benchmark, render_features, synthesize_scene
+from .scenegen import FILLER_CATEGORIES, BenchmarkConfig, DistractorConfig, FeatureConfig, \
+    RegionFeatures, Scene, make_benchmark, render_features, synthesize_scene
 from .seeding import derive_seed
 from .targets import AlignmentTarget, Query, TargetConfig, assemble_query, \
     build_alignment_target, build_detection_target, make_detection_query
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    dim: int = 64
-    background_boxes: int = 2
-    noise_sigma: float = 0.05
 
 
 @dataclass
@@ -59,26 +52,25 @@ def build_vocabulary(pool) -> Vocabulary:
     """Every token a run's queries can hold: the tokens of the pool's lexicon,
     and the names of the fillers that scenes of any pool place, which
     detection queries list."""
-    fillers = {t for name, _ in DistractorConfig().filler_categories for t in name.split()}
+    fillers = {t for name, _ in FILLER_CATEGORIES for t in name.split()}
     return Vocabulary.build(Lexicon.from_categories(pool).tokens | fillers)
 
 
-def build_description_corpus(pool, num_descriptions: int, target_length_words: int, seed: int,
-                             grammar: GrammarConfig | None = None) -> list[ObjectDescription]:
+def build_description_corpus(pool, num_descriptions: int, target_length_words: int,
+                             seed: int) -> list[ObjectDescription]:
     """Per-category generation with globally unique description ids."""
-    grammar = grammar or GrammarConfig()
     out: list[ObjectDescription] = []
     for cat in pool:
         spec = DescriptionSpec(num_descriptions, target_length_words,
-                               seed=derive_seed(seed, "gen", cat.id), grammar_config=grammar)
+                               seed=derive_seed(seed, "gen", cat.id))
         for desc in generate_descriptions(cat, spec):
             out.append(replace(desc, id=len(out)))
     return out
 
 
 def build_scene_corpus(pool, descriptions, images_per_description: int, seed: int,
-                       distractors: DistractorConfig | None = None,
-                       features: FeatureConfig | None = None,
+                       distractors: DistractorConfig = DistractorConfig(),
+                       features: FeatureConfig = FeatureConfig(),
                        lexicon: Lexicon | None = None, trees=None):
     """Seed-indexed scene variants plus rendered region features per scene.
     `trees` are the descriptions' parse trees, parsed here when not given."""
@@ -86,8 +78,6 @@ def build_scene_corpus(pool, descriptions, images_per_description: int, seed: in
     if trees is None:
         lexicon = lexicon or Lexicon.from_categories(pool)
         trees = [parse(desc.text, lexicon) for desc in descriptions]
-    distractors = distractors or DistractorConfig()
-    features = features or FeatureConfig()
     scenes: list[Scene] = []
     feats: dict[int, RegionFeatures] = {}
     for i, (desc, tree) in enumerate(zip(descriptions, trees)):
@@ -106,11 +96,9 @@ def build_scene_corpus(pool, descriptions, images_per_description: int, seed: in
 
 def build_corpus(pool_name: str = "desk20", num_descriptions: int = 5,
                  target_length_words: int = 10, images_per_description: int = 2,
-                 seed: int = 0, distractors: DistractorConfig | None = None,
-                 features: FeatureConfig | None = None) -> CorpusBundle:
+                 seed: int = 0, distractors: DistractorConfig = DistractorConfig(),
+                 features: FeatureConfig = FeatureConfig()) -> CorpusBundle:
     """Descriptions, scenes and features, as the gen and scenes stages build them."""
-    from .corpus import build_entity_pool
-
     pool = build_entity_pool(pool_name)
     lexicon = Lexicon.from_categories(pool)
     descriptions = build_description_corpus(pool, num_descriptions, target_length_words, seed)
@@ -294,7 +282,7 @@ def train_variant(bundle: CorpusBundle, triplets, variant: SignalVariant,
 
 
 def default_benchmark(pool, seed: int = 0, n_scenes: int = 40,
-                      config: BenchmarkConfig | None = None, lexicon=None) -> BenchmarkInstance:
+                      config: BenchmarkConfig = BenchmarkConfig(), lexicon=None) -> BenchmarkInstance:
     """Held-out benchmark; its seed space is disjoint from corpus seeds."""
     return make_benchmark(pool, n_scenes, derive_seed(seed, "heldout"),
                           config=config, lexicon=lexicon)

@@ -76,6 +76,10 @@ class RegionFeatures:
     noise_seed: int
 
 
+# The (name, attributes) of the categories that fill every scene, of any pool.
+FILLER_CATEGORIES = tuple((name, attrs) for name, attrs, _ in pools.DESK20)
+
+
 @dataclass(frozen=True)
 class DistractorConfig:
     confuser_prob: float = 0.5
@@ -84,8 +88,21 @@ class DistractorConfig:
     negation_confuser_prob: float = 0.8
     # chance of 0 / 1 / 2 undescribed attributes on constructed objects
     extra_attribute_weights: tuple[float, ...] = (0.45, 0.35, 0.20)
-    filler_categories: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
-        (name, attrs) for name, attrs, _ in pools.DESK20)
+
+    def __post_init__(self):
+        if self.min_fillers > self.max_fillers:
+            raise ValueError(f"min_fillers {self.min_fillers} is above "
+                             f"max_fillers {self.max_fillers}")
+        weights = self.extra_attribute_weights
+        if not (all(isinstance(w, (int, float)) and w >= 0 for w in weights) and sum(weights) > 0):
+            raise ValueError("extra_attribute_weights must be numbers >= 0 with a positive sum")
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    dim: int = 64
+    background_boxes: int = 2
+    noise_sigma: float = 0.05
 
 
 def _interval_overlap(a0, a1, b0, b1) -> float:
@@ -300,7 +317,7 @@ def _build_scene_once(rng, tree, category, config):
 
     # unrelated fillers
     mentioned = {" ".join(phrase_noun_tokens(tree, p)) for p in tree.phrases}
-    fillers = [fc for fc in config.filler_categories if fc[0] not in mentioned]
+    fillers = [fc for fc in FILLER_CATEGORIES if fc[0] not in mentioned]
     n_fill = int(rng.integers(config.min_fillers, config.max_fillers + 1)) if fillers else 0
     for _ in range(n_fill):
         name, attrs = fillers[int(rng.integers(0, len(fillers)))]
@@ -440,14 +457,18 @@ def render_features(scene: Scene, noise_seed: int, d: int = 64, b: int = 2,
 class BenchmarkConfig:
     fraction_negative: float = 0.5
     nw_choices: tuple[int, ...] = (4, 6, 8, 10, 12)
-    feature_dim: int = 64
-    background_boxes: int = 2
-    noise_sigma: float = 0.05
+    features: FeatureConfig = FeatureConfig()
     distractors: DistractorConfig = DistractorConfig()
+
+    def __post_init__(self):
+        if not 0.0 <= self.fraction_negative < 1.0:
+            raise ValueError("fraction_negative must lie in [0, 1)")
+        if not (self.nw_choices and all(isinstance(n, int) and n >= 3 for n in self.nw_choices)):
+            raise ValueError("nw_choices must be a non-empty list of integers >= 3")
 
 
 def make_benchmark(pool, n_scenes: int, seed: int,
-                   config: BenchmarkConfig | None = None, lexicon=None):
+                   config: BenchmarkConfig = BenchmarkConfig(), lexicon=None):
     """Held-out scenes paired with plain category labels and free-form
     description labels, a configured fraction of which have zero referents.
 
@@ -455,7 +476,6 @@ def make_benchmark(pool, n_scenes: int, seed: int,
     derived from `seed` only, so any seed disjoint from the training corpus
     seeds yields disjoint data.
     """
-    config = config or BenchmarkConfig()
     rng = np.random.default_rng(derive_seed(seed, "benchmark"))
     scenes = []
     features = {}
@@ -463,7 +483,7 @@ def make_benchmark(pool, n_scenes: int, seed: int,
     n_categories = len(pool)
     desc_label_id = n_categories  # category labels take 0..n_categories-1
     f = config.fraction_negative
-    neg_per_scene = f / (1.0 - f) if f < 1.0 else 1.0
+    neg_per_scene = f / (1.0 - f)
 
     for i in range(n_scenes):
         cat = pool[int(rng.integers(0, n_categories))]
@@ -476,8 +496,8 @@ def make_benchmark(pool, n_scenes: int, seed: int,
                                  scene_id=i, description_id=desc.id)
         scenes.append(scene)
         features[i] = render_features(scene, noise_seed=derive_seed(seed, "bench-feat", i),
-                                      d=config.feature_dim, b=config.background_boxes,
-                                      sigma=config.noise_sigma)
+                                      d=config.features.dim, b=config.features.background_boxes,
+                                      sigma=config.features.noise_sigma)
         gt = tuple(scene.object_by_id(r).box for r in sorted(scene.referent_ids))
         desc_labels.append(description_label(desc_label_id, i, desc.text, gt, tree))
         desc_label_id += 1

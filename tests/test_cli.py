@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from grounddesk import (cli, corpus, evalkit, labeling, langparse, pipeline, scenegen, storage,
                         targets)
 from grounddesk.cli import ConfigError, load_config
-from grounddesk.groundnet import GroundingModel, TrainConfig, Vocabulary, load_checkpoint
+from grounddesk.groundnet import GroundingModel, TrainConfig, load_checkpoint
 
 SMALL = ["--set", "descriptions.num_descriptions=3",
          "--set", "images_per_description=2",
@@ -77,7 +77,8 @@ def test_config_rejects_unknown_and_badly_typed_fields():
     ("eval.benchmark_scenes", "0"), ("eval.benchmark_scenes", "-3"),
     ("descriptions.num_descriptions", "1"), ("descriptions.num_descriptions", "2"),
     ("distractors.min_fillers", "3"), ("targets.absent_categories", "-1"),
-    ("distractors.extra_attribute_weights", "[0, 0]"),
+    ("distractors.extra_attribute_weights", "[0, 0]"), ("descriptions.num_descriptions", "-1"),
+    ("labeler.max_dets_per_phrase", "0"), ("labeler.max_dets_per_phrase", "-1"),
 ])
 def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -88,8 +89,7 @@ def test_bad_training_range_fails_before_any_stage(tmp_path, capsys, field, valu
     assert not out.exists()
 
 
-# Each train.* config rule guards the TrainConfig field of the same name;
-# values on both sides of each range.
+# Values on both sides of each TrainConfig range, and of the integer type.
 _TRAIN_RANGE_CASES = [
     ("epochs", 0, False), ("epochs", -1, False), ("epochs", 1, True),
     ("batch_size", 0, False), ("batch_size", -2, False), ("batch_size", 1, True),
@@ -105,26 +105,31 @@ _TRAIN_RANGE_CASES = [
 
 @pytest.mark.parametrize("field,value,valid", _TRAIN_RANGE_CASES)
 def test_cli_train_rules_and_train_config_reject_the_same_values(field, value, valid):
+    """The CLI checks train.* by building TrainConfig: it accepts each value
+    exactly when it is valid, and names train.<field> otherwise."""
     dotted = f"train.{field}"
-    try:
-        load_config(overrides=[(dotted, json.dumps(value))])
-        cli_accepts = True
-    except ConfigError as exc:
-        assert dotted in str(exc)
-        cli_accepts = False
-    try:
-        TrainConfig(**{field: value})
-        library_accepts = True
-    except ValueError as exc:
-        assert field in str(exc)
-        library_accepts = False
-    assert cli_accepts == library_accepts == valid
+    if valid:
+        assert cli._get(load_config(overrides=[(dotted, json.dumps(value))]), dotted) == value
+    else:
+        with pytest.raises(ConfigError, match=re.escape(dotted)):
+            load_config(overrides=[(dotted, json.dumps(value))])
 
 
-def test_every_train_config_rule_has_range_cases():
-    """d_model is the model's width, not a TrainConfig field."""
-    ruled = {path.split(".", 1)[1] for path, _, _ in cli._RANGES if path.startswith("train.")}
-    assert ruled - {"d_model"} == {field for field, _, _ in _TRAIN_RANGE_CASES}
+@pytest.mark.parametrize("build,field", [
+    (lambda: scenegen.DistractorConfig(min_fillers=3, max_fillers=2), "min_fillers"),
+    (lambda: scenegen.DistractorConfig(extra_attribute_weights=(0, 0)), "extra_attribute_weights"),
+    (lambda: scenegen.BenchmarkConfig(fraction_negative=1.0), "fraction_negative"),
+    (lambda: scenegen.BenchmarkConfig(nw_choices=(2,)), "nw_choices"),
+    (lambda: labeling.LabelerConfig(max_dets_per_phrase=0), "max_dets_per_phrase"),
+    (lambda: corpus.DescriptionSpec(-1, 10), "num_descriptions"),
+    (lambda: TrainConfig(batch_size=2.0), "batch_size"),
+], ids=["min_fillers", "extra_attribute_weights", "fraction_negative", "nw_choices",
+        "max_dets_per_phrase", "num_descriptions", "batch_size"])
+def test_a_config_object_rejects_a_bad_value_naming_its_field(build, field):
+    """Each config object holds its own rules, so a library caller gets the
+    CLI's: the ValueError starts with the field's name."""
+    with pytest.raises(ValueError, match=f"^{field}"):
+        build()
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5"])
@@ -264,12 +269,12 @@ def pipeline_dir(tmp_path_factory):
 def test_pipeline_writes_all_artifacts(pipeline_dir):
     expected = ["descriptions.jsonl", "scenes.jsonl", "triplets.jsonl",
                 "examples.jsonl", "detection_examples.jsonl", "model.ckpt",
-                "model.vocab.json", "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
+                "history.csv", "results.jsonl", "benchmark_scenes.jsonl",
                 "benchmark_labels.jsonl", "report.json", "summary.json", "features.bin",
                 "label_stats.json", "match_table.bin"]
     for name in expected:
         assert os.path.exists(os.path.join(pipeline_dir, name)), name
-    for name in ("features", "results.bin", "benchmark_truth.bin"):
+    for name in ("features", "results.bin", "benchmark_truth.bin", "model.vocab.json"):
         assert not os.path.exists(os.path.join(pipeline_dir, name)), name
     for stage in ("gen", "scenes", "label", "targets", "train", "eval_scores", "eval"):
         manifest = storage.read_json(storage.manifest_path(pipeline_dir, stage))
@@ -392,17 +397,6 @@ def test_feature_file_deleted_under_a_current_manifest_is_missing(corrupt_copy, 
     os.remove(corrupt_copy / "features.bin")
     assert run_cli([stage, "--out", str(corrupt_copy)] + SMALL) == 3
     assert "features.bin" in capsys.readouterr().err
-
-
-def test_swapped_vocabulary_tokens_rerun_eval(corrupt_copy, capsys):
-    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
-    assert "eval: up to date, skipping" in capsys.readouterr().out
-    path = corrupt_copy / "model.vocab.json"
-    vocab = json.loads(path.read_text())
-    vocab["tokens"][:2] = vocab["tokens"][1::-1]
-    storage.write_json(path, vocab)
-    assert run_cli(["eval", "--out", str(corrupt_copy)] + SMALL) == 0
-    assert "up to date" not in capsys.readouterr().out
 
 
 def test_cut_manifest_is_an_artifact_error(corrupt_copy, capsys):
@@ -771,7 +765,9 @@ def test_cli_artifacts_match_the_library(pipeline_dir, tmp_path):
                    bench.description_labels) == cli_bytes("benchmark_labels.jsonl")
     # The CLI's own model, run on that benchmark at the default eval settings
     e = cli.DEFAULT_CONFIG["eval"]
-    results = pipeline.run_model_on_benchmark(cli._load_model(pipeline_dir), bench,
+    model = load_checkpoint(os.path.join(pipeline_dir, "model.ckpt"),
+                            pipeline.build_vocabulary(bundle.pool))
+    results = pipeline.run_model_on_benchmark(model, bench,
                                               e["score_threshold"], bundle.lexicon,
                                               agg=e["aggregation"])
     assert written("results.jsonl", evalkit.write_results, results) == cli_bytes("results.jsonl")
@@ -1369,7 +1365,7 @@ def test_tree_with_a_version_1_checkpoint_retrains_once_it_is_deleted(pipeline_d
     fresh = storage.hash_tree(pipeline_dir)
     out = corrupt_copy
     path = out / "model.ckpt"
-    vocab = Vocabulary(tuple(storage.read_json(out / "model.vocab.json")["tokens"]))
+    vocab = pipeline.build_vocabulary(corpus.build_entity_pool("desk20"))
     _write_version_1_checkpoint(path, load_checkpoint(path, vocab).params)
     for stage, key in (("train", "outputs"), ("eval_scores", "inputs")):
         manifest = storage.read_json(storage.manifest_path(out, stage))
@@ -1545,7 +1541,7 @@ def test_pool_file_runs_end_to_end(tmp_path):
                                     ("images_per_description", "2"), ("train.epochs", "1"),
                                     ("eval.benchmark_scenes", "4")], output_dir=str(out))
     assert cli.run("all", config) == 0
-    vocab = set(storage.read_json(out / "model.vocab.json")["tokens"])
+    vocab = set(pipeline.build_vocabulary(corpus.build_entity_pool(str(pool))).tokens)
     for name in ("examples.jsonl", "detection_examples.jsonl"):
         with open(out / name, encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
